@@ -23,6 +23,8 @@ from .core import (
     LatticeWindow,
     TorusFunction,
     TorusGrid,
+    _check_resolution,
+    default_grid,
     forward_dft,
     inverse_dft,
     read_sequence_csv,
@@ -97,14 +99,13 @@ def read_torus_csv(path) -> TorusFunction:
 
 # -- config plumbing -----------------------------------------------------
 
-def _resolve_config(args, window: LatticeWindow = None):
-    n = window.n if window is not None else args.n
-    N = window.N if window is not None else args.N
-    M = args.M if args.M is not None else 2 * N + 3
-    if M < 2 * N + 1:
-        raise AliasingError(f"grid M={M} below the aliasing limit 2N+1={2 * N + 1}")
-    return {"command": args.command, "n": n, "N": N, "M": M,
-            "seed": args.seed, "out": args.out, "version": __version__}
+def _resolve_config(args, window: LatticeWindow):
+    """Report config and the torus grid for ``window``; refuses aliasing grids."""
+    grid = default_grid(window) if args.M is None else TorusGrid(window.n, args.M)
+    _check_resolution(window, grid)
+    config = {"command": args.command, "n": window.n, "N": window.N, "M": grid.M,
+              "seed": args.seed, "out": args.out, "version": __version__}
+    return config, grid
 
 
 def _jsonify(obj):
@@ -148,8 +149,7 @@ def cmd_apply(args):
     if f.window.n != sigma.n:
         raise DimensionMismatchError(
             f"sequence dimension {f.window.n} vs symbol dimension {sigma.n}")
-    config = _resolve_config(args, f.window)
-    grid = TorusGrid(f.window.n, config["M"])
+    config, grid = _resolve_config(args, f.window)
     out = q_apply(sigma, f, grid)
     report = {"config": config, "symbol": symbol_to_dict(sigma),
               "input_norms": _norms(f), "output_norms": _norms(out)}
@@ -162,8 +162,7 @@ def cmd_apply(args):
 
 def cmd_ft(args):
     f = read_sequence_csv(args.sequence)
-    config = _resolve_config(args, f.window)
-    grid = TorusGrid(f.window.n, config["M"])
+    config, grid = _resolve_config(args, f.window)
     F = forward_dft(f, grid)
     report = {"config": config, "input_norms": _norms(f),
               "output_max": float(np.max(np.abs(F.values)))}
@@ -179,7 +178,7 @@ def cmd_invft(args):
     N = args.N if args.N is not None else (F.grid.M - 3) // 2
     window = LatticeWindow(F.grid.n, N)
     args.M = F.grid.M
-    config = _resolve_config(args, window)
+    config, _ = _resolve_config(args, window)
     f = inverse_dft(F, window)
     report = {"config": config, "output_norms": _norms(f)}
     if args.out:
@@ -196,8 +195,7 @@ def cmd_compose(args):
         raise DimensionMismatchError("symbol dimensions disagree")
     N = args.N if args.N is not None else 16
     window = LatticeWindow(sigma.n, N)
-    config = _resolve_config(args, window)
-    grid = TorusGrid(sigma.n, config["M"])
+    config, grid = _resolve_config(args, window)
     comp = compose(sigma, tau, window, grid)
     report = {"config": config, "order": comp.order,
               "interior_margin": comp.interior_margin}
@@ -212,8 +210,7 @@ def cmd_adjoint(args):
     sigma = _load_symbol(args.symbol, args)
     N = args.N if args.N is not None else 16
     window = LatticeWindow(sigma.n, N)
-    config = _resolve_config(args, window)
-    grid = TorusGrid(sigma.n, config["M"])
+    config, grid = _resolve_config(args, window)
     adj = adjoint_symbol(sigma, window, grid)
     report = {"config": config, "order": adj.order}
     if args.out:
@@ -225,7 +222,7 @@ def cmd_adjoint(args):
 
 def cmd_norm(args):
     f = read_sequence_csv(args.sequence)
-    config = _resolve_config(args, f.window)
+    config, _ = _resolve_config(args, f.window)
     report = {"config": config, "s": args.s,
               "sobolev_norm": sobolev_norm(args.s, f), "l2_norm": f.norm()}
     _emit(report, args)
@@ -236,8 +233,7 @@ def cmd_classify(args):
     sigma = _load_symbol(args.symbol, args)
     N = args.N if args.N is not None else 32
     window = LatticeWindow(sigma.n, N)
-    config = _resolve_config(args, window)
-    grid = TorusGrid(sigma.n, config["M"])
+    config, grid = _resolve_config(args, window)
     est = estimate_order(sigma, window, grid,
                          alpha_max=args.alpha_max, beta_max=args.beta_max)
     m = args.m if args.m is not None else (
@@ -261,8 +257,7 @@ def cmd_parametrix(args):
     sigma = _load_symbol(args.symbol, args)
     N = args.N if args.N is not None else 32
     window = LatticeWindow(sigma.n, N)
-    config = _resolve_config(args, window)
-    grid = TorusGrid(sigma.n, config["M"])
+    config, grid = _resolve_config(args, window)
     m = args.m if args.m is not None else (sigma.order or 0.0)
     par = parametrix(sigma, m, args.steps, window, grid)
     decay = residual_decay_report(par.left_residual, args.power)
@@ -296,11 +291,9 @@ def cmd_solve(args):
     if f.window.n != sigma.n:
         raise DimensionMismatchError(
             f"sequence dimension {f.window.n} vs symbol dimension {sigma.n}")
-    config = _resolve_config(args, f.window)
-    grid = TorusGrid(f.window.n, config["M"])
+    config, grid = _resolve_config(args, f.window)
     m = args.m if args.m is not None else (sigma.order or 0.0)
-    result = solve(sigma, m, f, f.window, grid, tol=args.tol,
-                   J=args.steps, seed=args.seed)
+    result = solve(sigma, m, f, f.window, grid, tol=args.tol, J=args.steps)
     report = {"config": config, "order": m, "tol": args.tol}
     report.update(result.report_dict())
     if args.out:
@@ -318,7 +311,7 @@ def cmd_spectrum(args):
     else:
         rep = smoothing_spectrum(args.eps, windows, n=n)
     args.N = max(windows)
-    config = _resolve_config(args, LatticeWindow(n, max(windows)))
+    config, _ = _resolve_config(args, LatticeWindow(n, max(windows)))
     report = {"config": config, "kind": args.kind}
     report.update(rep.to_dict())
     if args.kind == "smoothing":
@@ -341,8 +334,7 @@ def cmd_index(args):
     windows = _parse_windows(args.windows, default=[16, 24, 32])
     window = LatticeWindow(sigma.n, max(windows))
     args.N = window.N
-    config = _resolve_config(args, window)
-    grid = TorusGrid(sigma.n, config["M"])
+    config, grid = _resolve_config(args, window)
     cert = check_ellipticity(sigma, 0.0, window, grid)
     if not cert.elliptic:
         probe = fredholm_ellipticity_probe(sigma, windows, n=sigma.n)
@@ -368,7 +360,7 @@ def cmd_verify(args):
         raise UnknownSuiteError(
             f"unknown suite {e.args[0]!r}; choose from {', '.join(SUITES)} or 'all'")
     args.N = args.N if args.N is not None else 16
-    config = _resolve_config(args, LatticeWindow(args.n or 1, args.N))
+    config, _ = _resolve_config(args, LatticeWindow(args.n or 1, args.N))
     report = {"config": config}
     report.update(results)
     if args.out:

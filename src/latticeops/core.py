@@ -20,18 +20,24 @@ from .errors import AliasingError, DimensionMismatchError
 TWO_PI = 2.0 * math.pi
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only: every caller receives the same object."""
+    arr.setflags(write=False)
+    return arr
+
+
 @lru_cache(maxsize=64)
 def _window_points(n: int, N: int) -> np.ndarray:
     axes = [np.arange(-N, N + 1)] * n
     grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return _frozen(np.stack([g.ravel() for g in grids], axis=-1))
 
 
 @lru_cache(maxsize=64)
 def _grid_nodes(n: int, M: int) -> np.ndarray:
     axes = [np.arange(M) / M] * n
     grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return _frozen(np.stack([g.ravel() for g in grids], axis=-1))
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,22 @@ class LatticeWindow:
         r = 1.0 + np.linalg.norm(self.points, axis=1)
         return np.floor(np.log2(r)).astype(int)
 
+    def shell_sups(self, values: np.ndarray, mask: np.ndarray):
+        """Per-shell sup of ``values`` over the points selected by ``mask``.
+
+        Returns the shells present under the mask in increasing order, the
+        sup on each and the row where it is attained (the first on ties).
+        """
+        labels = self.shell_labels()
+        shells = sorted(set(labels[mask]))
+        sups, rows = [], []
+        for j in shells:
+            idx = np.flatnonzero((labels == j) & mask)
+            best = int(idx[np.argmax(values[idx])])
+            sups.append(float(values[best]))
+            rows.append(best)
+        return shells, sups, rows
+
 
 @dataclass(frozen=True)
 class TorusGrid:
@@ -111,6 +133,15 @@ class TorusGrid:
 def default_grid(window: LatticeWindow) -> TorusGrid:
     """Odd grid M = 2N+3, exact for all kernels from window-supported data."""
     return TorusGrid(window.n, 2 * window.N + 3)
+
+
+def _check_resolution(window: LatticeWindow, grid: TorusGrid) -> None:
+    """Refuse a grid of another dimension or one too coarse for the window."""
+    if window.n != grid.n:
+        raise DimensionMismatchError(f"window dimension {window.n} != grid dimension {grid.n}")
+    if grid.M < 2 * window.N + 1:
+        raise AliasingError(
+            f"grid M={grid.M} cannot resolve window N={window.N} (need M >= {2 * window.N + 1})")
 
 
 @dataclass
@@ -226,7 +257,7 @@ def _dft_matrix(n: int, N: int, M: int) -> np.ndarray:
     """(grid.size, window.size) matrix E with E[x,k] = exp(-2 pi i k.x)."""
     K = _window_points(n, N).astype(float)
     X = _grid_nodes(n, M)
-    return np.exp(-1j * TWO_PI * (X @ K.T))
+    return _frozen(np.exp(-1j * TWO_PI * (X @ K.T)))
 
 
 def phase_matrix(window: LatticeWindow, grid: TorusGrid) -> np.ndarray:
@@ -244,12 +275,7 @@ def forward_dft(f: LatticeSequence, grid: TorusGrid) -> TorusFunction:
 
 def inverse_dft(F: TorusFunction, window: LatticeWindow) -> LatticeSequence:
     """f(k) = M^-n sum_x exp(+2 pi i k.x) F(x); refuses aliasing grids."""
-    if window.n != F.grid.n:
-        raise DimensionMismatchError(f"window dimension {window.n} != grid dimension {F.grid.n}")
-    if F.grid.M < 2 * window.N + 1:
-        raise AliasingError(
-            f"grid M={F.grid.M} cannot resolve window N={window.N} (need M >= {2 * window.N + 1})"
-        )
+    _check_resolution(window, F.grid)
     B = phase_matrix(window, F.grid)
     return LatticeSequence(window, F.grid.weight * (B @ F.values))
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .core import LatticeSequence, LatticeWindow, TorusGrid
+from .core import LatticeSequence, LatticeWindow, TorusGrid, default_grid
 from .errors import ConvergenceError, EllipticityError
 from .quantization import (
     OperatorMatrix,
@@ -33,14 +34,46 @@ from .symbols import (
 
 @dataclass
 class Parametrix:
-    tau: GridSymbol
-    left_residual: GridSymbol   # S with T_tau T_sigma = I + S
-    right_residual: GridSymbol  # R with T_sigma T_tau = I + R
+    """Finite-section parametrix B of A = T_sigma.
+
+    A and B are built eagerly.  The defects and the symbols extracted from
+    B and from them are computed on first access and kept, so each P^3
+    product and each extraction is paid at most once, and only by a caller
+    that reads it.
+    """
+    matrix: OperatorMatrix = field(repr=False)        # B
+    sigma_matrix: OperatorMatrix = field(repr=False)  # A
+    sigma_order: float          # m
     steps: int
     threshold: float
     regularized_points: list    # window indices where delta(k) > 0
-    matrix: OperatorMatrix = field(repr=False, default=None)
-    sigma_matrix: OperatorMatrix = field(repr=False, default=None)
+
+    @cached_property
+    def left_defect(self) -> OperatorMatrix:
+        """B A - I."""
+        B, A = self.matrix, self.sigma_matrix
+        return OperatorMatrix(B.window, B.grid, B.entries @ A.entries - np.eye(B.window.size))
+
+    @cached_property
+    def right_defect(self) -> OperatorMatrix:
+        """A B - I."""
+        B, A = self.matrix, self.sigma_matrix
+        return OperatorMatrix(B.window, B.grid, A.entries @ B.entries - np.eye(B.window.size))
+
+    @cached_property
+    def tau(self) -> GridSymbol:
+        """Symbol of B, of order -m."""
+        return extract_symbol(self.matrix, order=-float(self.sigma_order))
+
+    @cached_property
+    def left_residual(self) -> GridSymbol:
+        """S with T_tau T_sigma = I + S."""
+        return extract_symbol(self.left_defect, order=-float(self.steps))
+
+    @cached_property
+    def right_residual(self) -> GridSymbol:
+        """R with T_sigma T_tau = I + R."""
+        return extract_symbol(self.right_defect, order=-float(self.steps))
 
 
 def _initial_inverse(sigma: Symbol, m: float, window: LatticeWindow,
@@ -79,12 +112,7 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
     B = B0.entries
     for _ in range(J - 1):
         B = B + B0.entries @ (I - A.entries @ B)
-    Bmat = OperatorMatrix(window, grid, B)
-    order = None if m is None else -float(m)
-    tau = extract_symbol(Bmat, order=order)
-    left = extract_symbol(OperatorMatrix(window, grid, B @ A.entries - I), order=-float(J))
-    right = extract_symbol(OperatorMatrix(window, grid, A.entries @ B - I), order=-float(J))
-    return Parametrix(tau, left, right, J, theta, regularized, Bmat, A)
+    return Parametrix(OperatorMatrix(window, grid, B), A, m, J, theta, regularized)
 
 
 @dataclass
@@ -103,25 +131,18 @@ def residual_decay_report(rho: GridSymbol, P: int, window: LatticeWindow = None)
     from its peak through the last shell.  Shells contaminated by the
     interior margin are excluded.
     """
+    if P < 0:
+        raise ValueError("the decay report needs a nonnegative power")
     if window is None:
         window = rho.window
-    margin = rho.interior_margin
-    mask = window.interior_mask(margin)
-    vals = rho.sample(window, rho.grid)
-    rowmax = np.max(np.abs(vals), axis=1)
+    mask = window.interior_mask(rho.interior_margin)
+    rowmax = np.max(np.abs(rho.sample(window, rho.grid)), axis=1)
     r = 1.0 + np.linalg.norm(window.points, axis=1)
-    labels = window.shell_labels()
-    shells = sorted(set(labels[mask]))
     sups = {}
     tails = {}
     for p in range(P + 1):
-        weighted = rowmax * np.power(r, p)
-        prof = []
-        for j in shells:
-            sel = (labels == j) & mask
-            prof.append(float(np.max(weighted[sel])) if np.any(sel) else 0.0)
-        sups[p] = prof
-        tails[p] = _tail_bound(prof, shells, window)
+        shells, sups[p], _ = window.shell_sups(rowmax * np.power(r, p), mask)
+        tails[p] = _tail_bound(sups[p], shells, window)
     verdict = all(_decreasing_from_peak(sups[p]) for p in range(P + 1))
     return DecayReport(list(range(P + 1)), sups, shells, verdict, tails)
 
@@ -211,7 +232,7 @@ def adn_verify(sigma: Symbol, m: float, window: LatticeWindow, grid: TorusGrid,
     rng = np.random.default_rng(seed)
     ratios = _adn_ratios(sigma, m, window, grid, samples, rng)
     window2 = LatticeWindow(window.n, 2 * window.N)
-    grid2 = TorusGrid(window.n, 2 * window2.N + 3)
+    grid2 = default_grid(window2)
     rng2 = np.random.default_rng(seed)
     ratios2 = _adn_ratios(sigma, m, window2, grid2, samples, rng2)
     return ADNReport(
@@ -226,7 +247,6 @@ class SolveResult:
     residual_interior: float
     residual_boundary: float
     iterations: int
-    seed: int
     fallback_used: bool
     residual_history: list
 
@@ -235,7 +255,6 @@ class SolveResult:
             "residual_interior": self.residual_interior,
             "residual_boundary": self.residual_boundary,
             "iterations": self.iterations,
-            "seed": self.seed,
             "fallback_used": self.fallback_used,
         }
 
@@ -245,8 +264,7 @@ class SolveResult:
 
 
 def solve(sigma: Symbol, m: float, f: LatticeSequence, window: LatticeWindow,
-          grid: TorusGrid, tol: float = 1e-8, J: int = 2, seed: int = 42,
-          max_iter: int = 500) -> SolveResult:
+          grid: TorusGrid, tol: float = 1e-8, J: int = 2, max_iter: int = 500) -> SolveResult:
     """Parametrix-preconditioned residual iteration for T_sigma u = f.
 
     Falls back to a dense direct solve if the interior residual stalls
@@ -279,7 +297,7 @@ def solve(sigma: Symbol, m: float, f: LatticeSequence, window: LatticeWindow,
             best = (ri, u.copy())
         if ri <= tol:
             return SolveResult(LatticeSequence(window, u), ri, rb, it - 1,
-                               seed, False, history)
+                               False, history)
         if len(history) > 20 and history[-1] > 0.9 * history[-21]:
             fallback = True
             break
@@ -291,7 +309,7 @@ def solve(sigma: Symbol, m: float, f: LatticeSequence, window: LatticeWindow,
         _, ri, rb = split_residual(u)
         history.append(ri)
         if ri <= tol:
-            return SolveResult(LatticeSequence(window, u), ri, rb, it, seed,
+            return SolveResult(LatticeSequence(window, u), ri, rb, it,
                                True, history)
         raise ConvergenceError(
             f"interior residual {ri:.3e} above tol {tol:.3e} even after direct solve",

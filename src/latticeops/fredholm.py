@@ -17,18 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LatticeWindow, TorusGrid
+from .core import LatticeWindow, TorusGrid, default_grid
 from .errors import EllipticityError
 from .elliptic import parametrix
-from .quantization import assemble_matrix, extract_symbol, interior_margin, OperatorMatrix
+from .quantization import assemble_matrix, interior_margin
 from .symbols import Symbol, check_ellipticity
 
 RANK_TOL = 1e-8
 GAP_REQUIRED = 100.0
-
-
-def _grid_for(window: LatticeWindow) -> TorusGrid:
-    return TorusGrid(window.n, 2 * window.N + 3)
 
 
 def _interior_null_count(null_basis: np.ndarray, mask: np.ndarray) -> int:
@@ -100,7 +96,7 @@ def svd_index(sigma: Symbol, windows, n: int = 1,
     evidence = []
     for N in sorted(windows):
         window = LatticeWindow(n, N)
-        grid = _grid_for(window)
+        grid = default_grid(window)
         A = assemble_matrix(sigma, window, grid).entries
         U, s, Vh = np.linalg.svd(A)
         smax = s[0] if s.size and s[0] > 0 else 1.0
@@ -159,11 +155,7 @@ def _weighted_tail_bound(residual, window: LatticeWindow, power: int) -> float:
     floor = 1e-13 * max(1.0, float(np.max(rowmax)))
     rowmax = np.where(rowmax < floor, 0.0, rowmax)
     r = 1.0 + np.linalg.norm(window.points, axis=1)
-    labels = window.shell_labels()
-    shells = sorted(set(labels[mask]))
-    weighted = rowmax * np.power(r, power)
-    sups = [float(np.max(weighted[(labels == j) & mask])) for j in shells
-            if np.any((labels == j) & mask)]
+    _, sups, _ = window.shell_sups(rowmax * np.power(r, power), mask)
     if not sups:
         return np.inf
     if max(sups) == 0.0:
@@ -187,23 +179,20 @@ def trace_index(sigma: Symbol, window: LatticeWindow, grid: TorusGrid = None,
     With T_tau T_sigma = I - T1 and T_sigma T_tau = I - T2, the index is
     the sum over k of the x-averages of (symbol of T1) - (symbol of T2);
     here summed over interior window points with a certified tail bound.
+    T1 and T2 are the negated parametrix defects; on a grid with
+    M >= 2N+1 the x-average of an extracted symbol at row k is exactly
+    the (k,k) matrix entry.
     """
     if grid is None:
-        grid = _grid_for(window)
+        grid = default_grid(window)
     par = parametrix(sigma, 0.0, J, window, grid)  # raises on non-elliptic
-    I = np.eye(window.size)
-    T1 = OperatorMatrix(window, grid, I - par.matrix.entries @ par.sigma_matrix.entries)
-    T2 = OperatorMatrix(window, grid, I - par.sigma_matrix.entries @ par.matrix.entries)
-    tau1 = extract_symbol(T1, order=None)
-    tau2 = extract_symbol(T2, order=None)
-    # x-average of an extracted symbol at row k is the (k,k) matrix entry
-    weight = grid.weight
-    avg1 = weight * np.sum(tau1.values, axis=1)
-    avg2 = weight * np.sum(tau2.values, axis=1)
+    avg1 = -np.diag(par.left_defect.entries)
+    avg2 = -np.diag(par.right_defect.entries)
     mask = window.interior_mask(interior_margin(window))
     raw = float(np.real(np.sum((avg1 - avg2)[mask])))
-    tail = _weighted_tail_bound(tau1, window, window.n + 1) + \
-        _weighted_tail_bound(tau2, window, window.n + 1)
+    # the bound reads only |T1| and |T2|, the parametrix residuals' magnitudes
+    tail = _weighted_tail_bound(par.left_residual, window, window.n + 1) + \
+        _weighted_tail_bound(par.right_residual, window, window.n + 1)
     verdict = None
     if tail < 0.05 and abs(raw - round(raw)) < 0.25:
         verdict = int(round(raw))
@@ -249,13 +238,10 @@ def atkinson_check(sigma: Symbol, windows, n: int = 1, J: int = 2,
     lc, rc, sizes = [], [], []
     for N in sorted(windows):
         window = LatticeWindow(n, N)
-        grid = _grid_for(window)
+        grid = default_grid(window)
         par = parametrix(sigma, 0.0, J, window, grid)
-        I = np.eye(window.size)
-        K1 = par.matrix.entries @ par.sigma_matrix.entries - I
-        K2 = par.sigma_matrix.entries @ par.matrix.entries - I
-        lc.append(int(np.sum(np.linalg.svd(K1, compute_uv=False) > threshold)))
-        rc.append(int(np.sum(np.linalg.svd(K2, compute_uv=False) > threshold)))
+        lc.append(int(np.sum(par.left_defect.singular_values() > threshold)))
+        rc.append(int(np.sum(par.right_defect.singular_values() > threshold)))
         sizes.append(window.size)
     bounded = lc[-1] <= lc[0] + 2 and rc[-1] <= rc[0] + 2
     return AtkinsonReport(sorted(windows), lc, rc, sizes, bounded)
@@ -287,7 +273,7 @@ def fredholm_ellipticity_probe(sigma: Symbol, windows, n: int = 1,
     """
     windows = sorted(windows)
     window = LatticeWindow(n, max(windows))
-    grid = _grid_for(window)
+    grid = default_grid(window)
     # Fredholmness on l^2 is a statement about order-0 behavior, so the
     # certificate is always taken at m = 0 regardless of declared order.
     rep = check_ellipticity(sigma, 0.0, window, grid)
@@ -301,7 +287,7 @@ def fredholm_ellipticity_probe(sigma: Symbol, windows, n: int = 1,
     counts = []
     for N in windows:
         w = LatticeWindow(n, N)
-        g = _grid_for(w)
+        g = default_grid(w)
         sv = np.linalg.svd(assemble_matrix(sigma, w, g).entries, compute_uv=False)
         counts.append(int(np.sum(sv < threshold)))
     growing = all(b > a for a, b in zip(counts, counts[1:]))

@@ -22,23 +22,16 @@ from .core import (
     TorusGrid,
     forward_dft,
     phase_matrix,
+    _check_resolution,
     _dft_matrix,
 )
-from .errors import AliasingError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .symbols import DualToroidalSymbol, GridSymbol, Symbol
 
 
 def interior_margin(window: LatticeWindow) -> int:
     """Default layer count treated as truncation-contaminated: N/4, min 1."""
     return max(1, window.N // 4)
-
-
-def _check_resolution(window: LatticeWindow, grid: TorusGrid):
-    if window.n != grid.n:
-        raise DimensionMismatchError(f"window dimension {window.n} != grid dimension {grid.n}")
-    if grid.M < 2 * window.N + 1:
-        raise AliasingError(
-            f"grid M={grid.M} cannot resolve window N={window.N} (need M >= {2 * window.N + 1})")
 
 
 @dataclass

@@ -612,26 +612,6 @@ def _spectral_shifted_derivative(values: np.ndarray, grid: TorusGrid, beta: Mult
     return out.reshape(P, -1)
 
 
-def _shell_sups(rowmax: np.ndarray, labels: np.ndarray, valid: np.ndarray,
-                weights: np.ndarray = None):
-    """Per-shell sup, the weight 1+|k| where it is attained, and the argmax row."""
-    shells = sorted(set(labels[valid]))
-    sups, args, rows = [], [], []
-    for j in shells:
-        mask = (labels == j) & valid
-        if np.any(mask):
-            idx = np.where(mask)[0]
-            best = int(idx[np.argmax(rowmax[idx])])
-            sups.append(float(rowmax[best]))
-            args.append(float(weights[best]) if weights is not None else 2.0 ** (j + 0.5))
-            rows.append(best)
-        else:
-            sups.append(0.0)
-            args.append(2.0 ** (j + 0.5))
-            rows.append(-1)
-    return shells, sups, args, rows
-
-
 def _fit_slope(sups, args):
     """Slope of log sup against log(1+|k|) at the per-shell argmax.
 
@@ -668,23 +648,22 @@ def estimate_order(sigma: Symbol, window: LatticeWindow, grid: TorusGrid,
     """
     if window.N < 8:
         raise ValueError("window too small for a three-shell regression (need N >= 8)")
-    labels = window.shell_labels()
     r = 1.0 + np.linalg.norm(window.points, axis=1)
     sup_norm = np.max(np.abs(window.points), axis=1)
     table = []
     m_hat = None
-    shells_used = sorted(set(labels))
+    shells_used = sorted(set(window.shell_labels()))
     for alpha in multiindex_range(window.n, alpha_max):
         diff, valid = _difference_samples(sigma, window, grid, alpha)
         scale = float(np.max(np.abs(diff))) if diff.size else 0.0
         for beta in multiindex_range(window.n, beta_max):
             g = _spectral_shifted_derivative(diff, grid, beta)
             rowmax = np.max(np.abs(g), axis=1)
-            shells, sups, args, rows = _shell_sups(rowmax, labels, valid, weights=r)
+            _, sups, rows = window.shell_sups(rowmax, valid)
             # trailing shells whose sup sits on the window boundary are
             # geometry-capped, not symbol-governed; drop them
-            while rows and rows[-1] >= 0 and sup_norm[rows[-1]] >= window.N:
-                shells, sups, args, rows = shells[:-1], sups[:-1], args[:-1], rows[:-1]
+            while rows and sup_norm[rows[-1]] >= window.N:
+                sups, rows = sups[:-1], rows[:-1]
             # spectral differentiation noise floor: relative to the
             # undifferentiated magnitude, an all-noise entry is degenerate
             if max(sups, default=0.0) <= 1e-9 * scale + 1e-280:
@@ -700,7 +679,7 @@ def estimate_order(sigma: Symbol, window: LatticeWindow, grid: TorusGrid,
                 table.append(SlopeEntry(tuple(alpha), tuple(beta), 0.0, 0.0, False, sups))
                 m_hat = alpha.order if m_hat is None else max(m_hat, alpha.order)
                 continue
-            slope, resid = _fit_slope(sups, args)
+            slope, resid = _fit_slope(sups, [float(r[i]) for i in rows])
             if slope is None:
                 table.append(SlopeEntry(tuple(alpha), tuple(beta), 0.0, 0.0, True, sups))
                 continue
@@ -776,7 +755,7 @@ def s0_decay_profile(sigma: Symbol, window: LatticeWindow, grid: TorusGrid,
     for alpha in multiindex_range(window.n, alpha_max):
         diff, valid = _difference_samples(sigma, window, grid, alpha)
         rowmax = np.max(np.abs(diff), axis=1) * np.power(r, alpha.order)
-        shells, sups, _, _ = _shell_sups(rowmax, labels, valid & complete)
+        _, sups, _ = window.shell_sups(rowmax, valid & complete)
         out.append(DecayDiagnostic(tuple(alpha), sups, _tail_decreasing(sups)))
     return out
 

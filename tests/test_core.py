@@ -210,3 +210,16 @@ def test_sequence_csv_accepts_any_row_order(tmp_path):
     path.write_text("\n".join(shuffled) + "\n")
     back = read_sequence_csv(path)
     assert np.array_equal(back.values, f.values)
+
+
+def test_cached_arrays_are_read_only():
+    from latticeops.core import _dft_matrix
+
+    before = LatticeWindow(1, 4).points.copy()
+    with pytest.raises(ValueError):
+        LatticeWindow(1, 4).points += 1
+    assert np.array_equal(LatticeWindow(1, 4).points, before)
+    with pytest.raises(ValueError):
+        TorusGrid(1, 9).nodes[0] = 0.5
+    with pytest.raises(ValueError):
+        _dft_matrix(1, 4, 9)[0, 0] = 0.0

@@ -15,6 +15,7 @@ from latticeops import (
     residual_decay_report,
     solve,
     sobolev_norm,
+    trace_index,
 )
 from latticeops.elliptic import residual_order_sequence
 from latticeops.errors import EllipticityError
@@ -26,6 +27,20 @@ PERTURBED = "2 + exp(i*twopi*x1)/(1+k1^2)"
 # slower-decaying member of the same family; its residual orders stay
 # far enough above the double-precision floor to be measurable at J = 3
 PERTURBED_SLOW = "2 + exp(i*twopi*x1)/(1+k1^2)^(1/4)"
+
+
+@pytest.fixture
+def extractions(monkeypatch):
+    """Calls made to extract_symbol through the elliptic and fredholm bindings."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return extract_symbol(*args, **kwargs)
+
+    for module in ("latticeops.elliptic", "latticeops.fredholm"):
+        monkeypatch.setattr(f"{module}.extract_symbol", counted, raising=False)
+    return calls
 
 
 def test_parametrix_multiplier_is_exact():
@@ -72,6 +87,31 @@ def test_parametrix_matrix_residual_agreement():
     back = assemble_matrix(par.left_residual, w, g).entries
     mask = w.interior_mask(par.left_residual.interior_margin)
     assert np.max(np.abs((back - defect)[mask])) < 1e-8
+
+
+def test_parametrix_residuals_are_lazy_and_match_eager_extraction(extractions):
+    w = LatticeWindow(1, 16)
+    g = default_grid(w)
+    par = parametrix(parse_symbol(PERTURBED, 1, order=0), 0.0, 2, w, g)
+    assert extractions == []
+    B, A = par.matrix.entries, par.sigma_matrix.entries
+    eager = extract_symbol(OperatorMatrix(w, g, B @ A - np.eye(w.size)))
+    assert np.max(np.abs(par.left_residual.values - eager.values)) < 1e-13
+    assert par.left_residual.order == -2.0 and par.tau.order == 0.0
+    assert par.left_residual is par.left_residual
+    assert len(extractions) == 2
+
+
+def test_solve_extracts_no_symbol(extractions):
+    w = LatticeWindow(1, 16)
+    f = LatticeSequence.random(w, np.random.default_rng(4))
+    solve(parse_symbol(PERTURBED, 1, order=0), 0.0, f, w, default_grid(w))
+    assert extractions == []
+
+
+def test_trace_index_extracts_each_residual_once(extractions):
+    trace_index(parse_symbol(PERTURBED, 1, order=0), LatticeWindow(1, 16), J=2)
+    assert len(extractions) == 2
 
 
 def test_residual_order_drops_per_step():
@@ -178,4 +218,4 @@ def test_solve_matches_dense_direct():
     assert np.max(np.abs(res.solution.values - direct)) < 1e-6
     report = res.report_dict()
     assert set(report) == {"residual_interior", "residual_boundary",
-                           "iterations", "seed", "fallback_used"}
+                           "iterations", "fallback_used"}

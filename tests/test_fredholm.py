@@ -17,8 +17,16 @@ from latticeops import (
     svd_index,
     trace_index,
 )
+from latticeops.elliptic import parametrix
 from latticeops.errors import EllipticityError
-from latticeops.quantization import adjoint_symbol, assemble_matrix
+from latticeops.fredholm import _weighted_tail_bound
+from latticeops.quantization import (
+    OperatorMatrix,
+    adjoint_symbol,
+    assemble_matrix,
+    extract_symbol,
+    interior_margin,
+)
 
 WINDOWS = [16, 24, 32]
 
@@ -85,6 +93,25 @@ def test_trace_index_jump_symbols():
         assert abs(rep.trace_index_raw - d) < 0.25
         assert rep.trace_index == d
         assert rep.tail_bound < 0.05
+
+
+@pytest.mark.parametrize("direction", [+1, -1])
+def test_trace_index_matches_x_sums_of_extracted_defects(direction):
+    # reference: extract T1 = I - BA and T2 = I - AB and sum their x-averages
+    w = LatticeWindow(1, 16)
+    g = default_grid(w)
+    sigma = jump_symbol(direction)
+    par = parametrix(sigma, 0.0, 3, w, g)
+    I = np.eye(w.size)
+    B, A = par.matrix.entries, par.sigma_matrix.entries
+    tau1 = extract_symbol(OperatorMatrix(w, g, I - B @ A))
+    tau2 = extract_symbol(OperatorMatrix(w, g, I - A @ B))
+    mask = w.interior_mask(interior_margin(w))
+    raw = float(np.real(np.sum((g.weight * np.sum(tau1.values - tau2.values, axis=1))[mask])))
+    tail = _weighted_tail_bound(tau1, w, 2) + _weighted_tail_bound(tau2, w, 2)
+    rep = trace_index(sigma, w, J=3)
+    assert abs(rep.trace_index_raw - raw) < 1e-12
+    assert rep.tail_bound == tail
 
 
 def test_trace_index_refuses_non_elliptic():
