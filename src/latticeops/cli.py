@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .errors import (
     EllipticityError,
     LatticeOpsError,
     OutOfWindowError,
+    ParseError,
     SymbolSyntaxError,
 )
 from .fredholm import fredholm_ellipticity_probe, full_index_report
@@ -70,71 +73,109 @@ def write_torus_csv(path, F: TorusFunction) -> None:
 
 
 def read_torus_csv(path) -> TorusFunction:
+    """Read a torus CSV listing each node of a full M^n grid once, else ParseError."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"empty torus CSV {path}")
-    header = rows[0]
+        rows = [row for row in csv.reader(fh) if row]
+    header = rows[0] if rows else []
     n = len(header) - 2
-    if n < 1 or header[-2:] != ["re", "im"]:
-        raise ValueError(f"bad torus CSV header {header!r}")
+    if n < 1 or header != [f"x{j + 1}" for j in range(n)] + ["re", "im"]:
+        raise ParseError(f"bad torus CSV header {header!r}")
     data = rows[1:]
     M = round(len(data) ** (1.0 / n))
-    if M ** n != len(data):
-        raise ValueError(f"torus CSV has {len(data)} rows, not a full M^n grid")
+    if not data or M ** n != len(data):
+        raise ParseError(f"torus CSV has {len(data)} rows, not a full M^n grid")
+    if any(len(row) != n + 2 for row in data):
+        raise ParseError(f"torus CSV rows must hold {n + 2} fields")
     grid = TorusGrid(n, M)
     values = np.zeros(grid.size, dtype=complex)
+    seen = set()
     spacing = 1.0 / M
     for row in data:
-        x = [float(c) for c in row[:n]]
+        try:
+            *x, re, im = map(float, row)
+        except ValueError:
+            raise ParseError(f"torus CSV row {row} is not {n + 2} numbers") from None
         idx = 0
         for c in x:
-            j = round(c / spacing)
+            j = round(c / spacing) if math.isfinite(c) else -1
             if abs(c - j * spacing) > 1e-9 or not (0 <= j < M):
-                raise ValueError(f"node {x} is not on the uniform {M}-point grid")
+                raise ParseError(f"node {x} is not on the uniform {M}-point grid")
             idx = idx * M + j
-        values[idx] = float(row[n]) + 1j * float(row[n + 1])
+        if idx in seen:
+            raise ParseError(f"node {x} is listed twice")
+        seen.add(idx)
+        values[idx] = re + 1j * im
     return TorusFunction(grid, values)
 
 
 # -- config plumbing -----------------------------------------------------
 
-def _resolve_config(args, window: LatticeWindow):
-    """Report config and the torus grid for ``window``; refuses aliasing grids."""
+class UsageError(ValueError):
+    """Options that cannot start a run."""
+
+
+class UnknownSuiteError(UsageError):
+    pass
+
+
+def _grid(args, window: LatticeWindow) -> TorusGrid:
+    """The torus grid of --M (default 2N+3); refuses one that aliases ``window``."""
     grid = default_grid(window) if args.M is None else TorusGrid(window.n, args.M)
     _check_resolution(window, grid)
-    config = {"command": args.command, "n": window.n, "N": window.N, "M": grid.M,
-              "seed": args.seed, "out": args.out, "version": __version__}
-    return config, grid
+    return grid
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+def _dimension(symbols, n, source: str) -> int:
+    """The one dimension of ``symbols`` and ``n`` (from ``source``); None means unknown."""
+    for sigma in (s for s in symbols if s.n is not None):
+        if n is not None and sigma.n != n:
+            raise DimensionMismatchError(
+                f"symbol dimension {sigma.n} disagrees with {source} dimension {n}")
+        n, source = sigma.n, "symbol"
+    if n is None:
+        raise UsageError('the symbol file has "n": null; give the dimension with --n')
+    return n
 
 
-def _emit(report: dict, args) -> None:
+def _config(args, window: LatticeWindow = None, grid: TorusGrid = None) -> dict:
+    """Command, version, the run's window and grid, and --out/--seed where taken."""
+    config = {"command": args.command, "version": __version__}
+    if window is not None:
+        config.update(n=window.n, N=window.N)
+    if grid is not None:
+        config["M"] = grid.M
+    config.update({k: getattr(args, k) for k in ("out", "seed") if hasattr(args, k)})
+    return config
+
+
+def _plain(obj):
+    """``obj`` with numpy values made Python ones and non-finite floats spelled
+    "Infinity", "-Infinity" or "NaN", so that its JSON is strict."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return json.dumps(obj)
+    return obj
+
+
+def _dumps(obj, **kwargs) -> str:
+    return json.dumps(_plain(obj), sort_keys=True, allow_nan=False, **kwargs)
+
+
+def _finish(args, report: dict, write=None) -> int:
+    """Write --out with ``write(path)`` if asked, then the report; exit code 0."""
+    if write is not None and args.out:
+        write(args.out)
+        report["output_file"] = args.out
     if not args.no_timestamp:
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
         report["elapsed_seconds"] = round(time.perf_counter() - args._t0, 6)
-    indent = None if args.json else 2
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=indent,
-                                default=_jsonify) + "\n")
-
-
-def _load_symbol(path, args):
-    sigma = read_symbol_json(path)
-    if args.n is not None and sigma.n is not None and sigma.n != args.n:
-        raise DimensionMismatchError(
-            f"symbol dimension {sigma.n} disagrees with --n {args.n}")
-    return sigma
+    sys.stdout.write(_dumps(report, indent=None if args.json else 2) + "\n")
+    return 0
 
 
 def _norms(f: LatticeSequence) -> dict:
@@ -144,103 +185,72 @@ def _norms(f: LatticeSequence) -> dict:
 # -- subcommands ----------------------------------------------------------
 
 def cmd_apply(args):
-    sigma = _load_symbol(args.symbol, args)
+    sigma = read_symbol_json(args.symbol)
     f = read_sequence_csv(args.sequence)
-    if f.window.n != sigma.n:
-        raise DimensionMismatchError(
-            f"sequence dimension {f.window.n} vs symbol dimension {sigma.n}")
-    config, grid = _resolve_config(args, f.window)
+    _dimension([sigma], f.window.n, "sequence")
+    grid = _grid(args, f.window)
     out = q_apply(sigma, f, grid)
-    report = {"config": config, "symbol": symbol_to_dict(sigma),
+    report = {"config": _config(args, f.window, grid), "symbol": symbol_to_dict(sigma),
               "input_norms": _norms(f), "output_norms": _norms(out)}
-    if args.out:
-        write_sequence_csv(args.out, out)
-        report["output_file"] = args.out
-    _emit(report, args)
-    return 0
+    return _finish(args, report, lambda path: write_sequence_csv(path, out))
 
 
 def cmd_ft(args):
     f = read_sequence_csv(args.sequence)
-    config, grid = _resolve_config(args, f.window)
+    grid = _grid(args, f.window)
     F = forward_dft(f, grid)
-    report = {"config": config, "input_norms": _norms(f),
+    report = {"config": _config(args, f.window, grid), "input_norms": _norms(f),
               "output_max": float(np.max(np.abs(F.values)))}
-    if args.out:
-        write_torus_csv(args.out, F)
-        report["output_file"] = args.out
-    _emit(report, args)
-    return 0
+    return _finish(args, report, lambda path: write_torus_csv(path, F))
 
 
 def cmd_invft(args):
     F = read_torus_csv(args.torus)
     N = args.N if args.N is not None else (F.grid.M - 3) // 2
     window = LatticeWindow(F.grid.n, N)
-    args.M = F.grid.M
-    config, _ = _resolve_config(args, window)
     f = inverse_dft(F, window)
-    report = {"config": config, "output_norms": _norms(f)}
-    if args.out:
-        write_sequence_csv(args.out, f)
-        report["output_file"] = args.out
-    _emit(report, args)
-    return 0
+    report = {"config": _config(args, window, F.grid), "output_norms": _norms(f)}
+    return _finish(args, report, lambda path: write_sequence_csv(path, f))
 
 
 def cmd_compose(args):
-    sigma = _load_symbol(args.symbol, args)
-    tau = _load_symbol(args.symbol2, args)
-    if sigma.n != tau.n:
-        raise DimensionMismatchError("symbol dimensions disagree")
-    N = args.N if args.N is not None else 16
-    window = LatticeWindow(sigma.n, N)
-    config, grid = _resolve_config(args, window)
+    sigma = read_symbol_json(args.symbol)
+    tau = read_symbol_json(args.symbol2)
+    window = LatticeWindow(_dimension([sigma, tau], args.n, "--n"), args.N)
+    grid = _grid(args, window)
     comp = compose(sigma, tau, window, grid)
-    report = {"config": config, "order": comp.order,
+    report = {"config": _config(args, window, grid), "order": comp.order,
               "interior_margin": comp.interior_margin}
-    if args.out:
-        write_symbol_json(args.out, comp)
-        report["output_file"] = args.out
-    _emit(report, args)
-    return 0
+    return _finish(args, report, lambda path: write_symbol_json(path, comp))
 
 
 def cmd_adjoint(args):
-    sigma = _load_symbol(args.symbol, args)
-    N = args.N if args.N is not None else 16
-    window = LatticeWindow(sigma.n, N)
-    config, grid = _resolve_config(args, window)
+    sigma = read_symbol_json(args.symbol)
+    window = LatticeWindow(_dimension([sigma], args.n, "--n"), args.N)
+    grid = _grid(args, window)
     adj = adjoint_symbol(sigma, window, grid)
-    report = {"config": config, "order": adj.order}
-    if args.out:
-        write_symbol_json(args.out, adj)
-        report["output_file"] = args.out
-    _emit(report, args)
-    return 0
+    report = {"config": _config(args, window, grid), "order": adj.order}
+    return _finish(args, report, lambda path: write_symbol_json(path, adj))
 
 
 def cmd_norm(args):
     f = read_sequence_csv(args.sequence)
-    config, _ = _resolve_config(args, f.window)
-    report = {"config": config, "s": args.s,
+    report = {"config": _config(args, f.window), "s": args.s,
               "sobolev_norm": sobolev_norm(args.s, f), "l2_norm": f.norm()}
-    _emit(report, args)
-    return 0
+    return _finish(args, report)
 
 
 def cmd_classify(args):
-    sigma = _load_symbol(args.symbol, args)
-    N = args.N if args.N is not None else 32
-    window = LatticeWindow(sigma.n, N)
-    config, grid = _resolve_config(args, window)
+    sigma = read_symbol_json(args.symbol)
+    window = LatticeWindow(_dimension([sigma], args.n, "--n"), args.N)
+    grid = _grid(args, window)
     est = estimate_order(sigma, window, grid,
                          alpha_max=args.alpha_max, beta_max=args.beta_max)
     m = args.m if args.m is not None else (
         sigma.order if sigma.order is not None else est.m_hat)
     rep = check_ellipticity(sigma, m, window, grid)
     report = {
-        "config": config,
+        "config": _config(args, window, grid),
         "declared_order": sigma.order,
         "estimated_order": est.m_hat,
         "slope_table": [{"alpha": list(e.alpha), "beta": list(e.beta),
@@ -249,20 +259,18 @@ def cmd_classify(args):
         "ellipticity_order": m,
         "ellipticity": rep.to_dict(),
     }
-    _emit(report, args)
-    return 0
+    return _finish(args, report)
 
 
 def cmd_parametrix(args):
-    sigma = _load_symbol(args.symbol, args)
-    N = args.N if args.N is not None else 32
-    window = LatticeWindow(sigma.n, N)
-    config, grid = _resolve_config(args, window)
+    sigma = read_symbol_json(args.symbol)
+    window = LatticeWindow(_dimension([sigma], args.n, "--n"), args.N)
+    grid = _grid(args, window)
     m = args.m if args.m is not None else (sigma.order or 0.0)
     par = parametrix(sigma, m, args.steps, window, grid)
     decay = residual_decay_report(par.left_residual, args.power)
     report = {
-        "config": config,
+        "config": _config(args, window, grid),
         "order": m,
         "steps": par.steps,
         "threshold": par.threshold,
@@ -273,135 +281,124 @@ def cmd_parametrix(args):
                   "shell_sups": {str(p): decay.shell_sups[p] for p in decay.powers},
                   "schwartz_like": decay.schwartz_like},
     }
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
+
+    def write(path):
+        with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["shell", "power", "weighted_sup"])
             for p in decay.powers:
                 for j, s in zip(decay.shells, decay.shell_sups[p]):
                     w.writerow([j, p, repr(s)])
-        report["output_file"] = args.out
-    _emit(report, args)
-    return 0
+    return _finish(args, report, write)
 
 
 def cmd_solve(args):
-    sigma = _load_symbol(args.symbol, args)
+    sigma = read_symbol_json(args.symbol)
     f = read_sequence_csv(args.sequence)
-    if f.window.n != sigma.n:
-        raise DimensionMismatchError(
-            f"sequence dimension {f.window.n} vs symbol dimension {sigma.n}")
-    config, grid = _resolve_config(args, f.window)
+    _dimension([sigma], f.window.n, "sequence")
+    grid = _grid(args, f.window)
     m = args.m if args.m is not None else (sigma.order or 0.0)
     result = solve(sigma, m, f, f.window, grid, tol=args.tol, J=args.steps)
-    report = {"config": config, "order": m, "tol": args.tol}
+    report = {"config": _config(args, f.window, grid), "order": m, "tol": args.tol}
     report.update(result.report_dict())
-    if args.out:
-        write_sequence_csv(args.out, result.solution)
-        report["output_file"] = args.out
-    _emit(report, args)
-    return 0
+    return _finish(args, report, lambda path: write_sequence_csv(path, result.solution))
 
 
 def cmd_spectrum(args):
-    windows = _parse_windows(args.windows, default=[16, 32, 64])
-    n = args.n if args.n is not None else 1
     if args.kind == "inclusion":
-        rep = inclusion_spectrum(args.s, args.t, windows, n=n)
+        rep = inclusion_spectrum(args.s, args.t, args.windows, n=args.n)
     else:
-        rep = smoothing_spectrum(args.eps, windows, n=n)
-    args.N = max(windows)
-    config, _ = _resolve_config(args, LatticeWindow(n, max(windows)))
-    report = {"config": config, "kind": args.kind}
+        rep = smoothing_spectrum(args.eps, args.windows, n=args.n)
+    report = {"config": _config(args, LatticeWindow(args.n, max(args.windows))),
+              "kind": args.kind}
     report.update(rep.to_dict())
     if args.kind == "smoothing":
         report["count_below_0.1"] = rep.count_below(0.1)
         report["fraction_below_0.1"] = rep.fraction_below(0.1)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
+
+    def write(path):
+        with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["window", "j", "singular_value"])
             for N, sv in zip(rep.windows, rep.singular_values):
                 for j, s in enumerate(sv, start=1):
                     w.writerow([N, j, repr(float(s))])
-        report["output_file"] = args.out
-    _emit(report, args)
-    return 0
+    return _finish(args, report, write)
 
 
 def cmd_index(args):
-    sigma = _load_symbol(args.symbol, args)
-    windows = _parse_windows(args.windows, default=[16, 24, 32])
-    window = LatticeWindow(sigma.n, max(windows))
-    args.N = window.N
-    config, grid = _resolve_config(args, window)
+    sigma = read_symbol_json(args.symbol)
+    n = _dimension([sigma], args.n, "--n")
+    windows = args.windows
+    window = LatticeWindow(n, max(windows))
+    grid = default_grid(window)  # the grid both index routes use
+    config = _config(args, window, grid)
     cert = check_ellipticity(sigma, 0.0, window, grid)
     if not cert.elliptic:
-        probe = fredholm_ellipticity_probe(sigma, windows, n=sigma.n)
+        probe = fredholm_ellipticity_probe(sigma, windows, n=n)
         report = {"config": config, "elliptic": False,
                   "probe": probe.to_dict(),
                   "windows": windows, "dim_ker": None, "dim_coker": None,
                   "svd_index": None, "trace_index_raw": None,
                   "trace_index": None, "agreement": None}
-        _emit(report, args)
-        return 0
-    rep = full_index_report(sigma, windows, n=sigma.n, J=args.steps)
+        return _finish(args, report)
+    rep = full_index_report(sigma, windows, n=n, J=args.steps)
     report = {"config": config, "elliptic": True}
     report.update(rep.to_dict())
-    _emit(report, args)
-    return 0
+    return _finish(args, report)
 
 
 def cmd_verify(args):
-    names = args.suite if args.suite else ["all"]
     try:
-        results = run_suites(names, seed=args.seed)
+        results = run_suites(args.suite or ["all"], seed=args.seed)
     except KeyError as e:
         raise UnknownSuiteError(
             f"unknown suite {e.args[0]!r}; choose from {', '.join(SUITES)} or 'all'")
-    args.N = args.N if args.N is not None else 16
-    config, _ = _resolve_config(args, LatticeWindow(args.n or 1, args.N))
-    report = {"config": config}
+    report = {"config": _config(args)}
     report.update(results)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, sort_keys=True, default=_jsonify)
-        report["output_file"] = args.out
-    _emit(report, args)
+    _finish(args, report, lambda path: Path(path).write_text(_dumps(report)))
     return 0 if results["all_passed"] else 1
-
-
-class UnknownSuiteError(ValueError):
-    pass
-
-
-def _parse_windows(text, default):
-    if not text:
-        return default
-    try:
-        windows = sorted({int(t) for t in text.split(",") if t.strip()})
-    except ValueError:
-        raise UnknownSuiteError(f"bad window list {text!r}; expected e.g. 16,32,64")
-    if not windows or any(N < 1 for N in windows):
-        raise UnknownSuiteError(f"bad window list {text!r}")
-    return windows
 
 
 # -- argument parsing ------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         _error_json("UsageError", message)
         raise SystemExit(USAGE_ERROR)
 
 
-def _common(sub):
-    sub.add_argument("--n", type=int, default=None, help="lattice dimension")
-    sub.add_argument("--N", type=int, default=None, help="window half-width")
-    sub.add_argument("--M", type=int, default=None,
-                     help="torus grid points per axis (default 2N+3)")
-    sub.add_argument("--seed", type=int, default=42)
-    sub.add_argument("--out", default=None, help="output data file")
+def _positive_int(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _window_list(text):
+    """Comma-separated positive half-widths, sorted and deduplicated."""
+    windows = sorted({_positive_int(t.strip()) for t in text.split(",") if t.strip()})
+    if not windows:
+        raise argparse.ArgumentTypeError(f"empty window list {text!r}")
+    return windows
+
+
+_SHARED = {
+    "n": dict(type=_positive_int, default=None, help="lattice dimension"),
+    "N": dict(type=_positive_int, default=None, help="window half-width"),
+    "M": dict(type=_positive_int, default=None,
+              help="torus grid points per axis (default 2N+3)"),
+    "seed": dict(type=int, default=42),
+    "out": dict(default=None, help="output data file"),
+}
+
+
+def _options(sub, *shared):
+    """Add the ``shared`` options the subcommand reads, --json and --no-timestamp."""
+    for name in shared:
+        sub.add_argument(f"--{name}", **_SHARED[name])
     sub.add_argument("--json", action="store_true",
                      help="compact single-line JSON on stdout")
     sub.add_argument("--no-timestamp", action="store_true",
@@ -414,74 +411,76 @@ def build_parser() -> _Parser:
     sp = p.add_subparsers(dest="command", required=True)
 
     s = sp.add_parser("apply", help="apply T_sigma to a sequence")
-    s.add_argument("symbol"); s.add_argument("sequence"); _common(s)
+    s.add_argument("symbol"); s.add_argument("sequence"); _options(s, "M", "out")
     s.set_defaults(func=cmd_apply)
 
     s = sp.add_parser("ft", help="discrete Fourier transform of a sequence")
-    s.add_argument("sequence"); _common(s)
+    s.add_argument("sequence"); _options(s, "M", "out")
     s.set_defaults(func=cmd_ft)
 
     s = sp.add_parser("invft", help="inverse transform of torus samples")
-    s.add_argument("torus"); _common(s)
+    s.add_argument("torus"); _options(s, "N", "out")
     s.set_defaults(func=cmd_invft)
 
     s = sp.add_parser("compose", help="compose two symbols on a window")
-    s.add_argument("symbol"); s.add_argument("symbol2"); _common(s)
-    s.set_defaults(func=cmd_compose)
+    s.add_argument("symbol"); s.add_argument("symbol2"); _options(s, "n", "N", "M", "out")
+    s.set_defaults(func=cmd_compose, N=16)
 
     s = sp.add_parser("adjoint", help="adjoint symbol on a window")
-    s.add_argument("symbol"); _common(s)
-    s.set_defaults(func=cmd_adjoint)
+    s.add_argument("symbol"); _options(s, "n", "N", "M", "out")
+    s.set_defaults(func=cmd_adjoint, N=16)
 
     s = sp.add_parser("norm", help="Sobolev norm of a sequence")
     s.add_argument("sequence"); s.add_argument("--s", type=float, default=0.0)
-    _common(s); s.set_defaults(func=cmd_norm)
+    _options(s); s.set_defaults(func=cmd_norm)
 
     s = sp.add_parser("classify", help="order estimate + ellipticity certificate")
     s.add_argument("symbol"); s.add_argument("--m", type=float, default=None)
     s.add_argument("--alpha-max", type=int, default=1)
     s.add_argument("--beta-max", type=int, default=1)
-    _common(s); s.set_defaults(func=cmd_classify)
+    _options(s, "n", "N", "M"); s.set_defaults(func=cmd_classify, N=32)
 
     s = sp.add_parser("parametrix", help="build a parametrix, report residuals")
     s.add_argument("symbol"); s.add_argument("--m", type=float, default=None)
     s.add_argument("--steps", "-J", type=int, default=2)
     s.add_argument("--power", type=int, default=3,
                    help="max weight power in the decay report")
-    _common(s); s.set_defaults(func=cmd_parametrix)
+    _options(s, "n", "N", "M", "out"); s.set_defaults(func=cmd_parametrix, N=32)
 
     s = sp.add_parser("solve", help="solve T_sigma u = f")
     s.add_argument("symbol"); s.add_argument("sequence")
     s.add_argument("--m", type=float, default=None)
     s.add_argument("--tol", type=float, default=1e-8)
     s.add_argument("--steps", "-J", type=int, default=2)
-    _common(s); s.set_defaults(func=cmd_solve)
+    _options(s, "M", "out"); s.set_defaults(func=cmd_solve)
 
     s = sp.add_parser("spectrum", help="inclusion/smoothing singular values")
     s.add_argument("--kind", choices=["inclusion", "smoothing"], required=True)
     s.add_argument("--s", type=float, default=0.0)
     s.add_argument("--t", type=float, default=1.0)
     s.add_argument("--eps", type=float, default=1.0)
-    s.add_argument("--windows", default=None, help="comma-separated N list")
-    _common(s); s.set_defaults(func=cmd_spectrum)
+    s.add_argument("--windows", type=_window_list, default=[16, 32, 64],
+                   help="comma-separated N list")
+    _options(s, "n", "out"); s.set_defaults(func=cmd_spectrum, n=1)
 
     s = sp.add_parser("index", help="Fredholm index, two independent routes")
     s.add_argument("symbol")
-    s.add_argument("--windows", default=None, help="comma-separated N list")
+    s.add_argument("--windows", type=_window_list, default=[16, 24, 32],
+                   help="comma-separated N list")
     s.add_argument("--steps", "-J", type=int, default=3)
-    _common(s); s.set_defaults(func=cmd_index)
+    _options(s, "n"); s.set_defaults(func=cmd_index)
 
     s = sp.add_parser("verify", help="run the property-verification suites")
     s.add_argument("--suite", action="append", default=None,
                    help=f"one of {', '.join(SUITES)} or 'all' (repeatable)")
-    _common(s); s.set_defaults(func=cmd_verify)
+    _options(s, "seed", "out"); s.set_defaults(func=cmd_verify)
     return p
 
 
 def _error_json(kind, message, **extra):
     payload = {"error": kind, "message": str(message)}
     payload.update(extra)
-    sys.stderr.write(json.dumps(payload, sort_keys=True, default=_jsonify) + "\n")
+    sys.stderr.write(_dumps(payload) + "\n")
 
 
 def main(argv=None) -> int:
@@ -496,7 +495,7 @@ def main(argv=None) -> int:
     except SymbolSyntaxError as e:
         _error_json("SymbolSyntaxError", e, position=e.position)
         return USAGE_ERROR
-    except (json.JSONDecodeError, UnknownSuiteError, FileNotFoundError, KeyError) as e:
+    except (json.JSONDecodeError, UsageError, ParseError, FileNotFoundError, KeyError) as e:
         _error_json(type(e).__name__, e)
         return USAGE_ERROR
     except EllipticityError as e:

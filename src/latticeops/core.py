@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AliasingError, DimensionMismatchError
+from .errors import AliasingError, DimensionMismatchError, ParseError
 
 TWO_PI = 2.0 * math.pi
 
@@ -31,6 +31,11 @@ def _window_points(n: int, N: int) -> np.ndarray:
     axes = [np.arange(-N, N + 1)] * n
     grids = np.meshgrid(*axes, indexing="ij")
     return _frozen(np.stack([g.ravel() for g in grids], axis=-1))
+
+
+@lru_cache(maxsize=64)
+def _radial_weights(n: int, N: int) -> np.ndarray:
+    return _frozen(1.0 + np.linalg.norm(_window_points(n, N), axis=1))
 
 
 @lru_cache(maxsize=64)
@@ -64,6 +69,11 @@ class LatticeWindow:
         """(size, n) integer array, lexicographic in k."""
         return _window_points(self.n, self.N)
 
+    @property
+    def radial_weight(self) -> np.ndarray:
+        """(size,) array 1 + |k|, the weight of the symbol-class estimates."""
+        return _radial_weights(self.n, self.N)
+
     def index_of(self, k) -> int:
         k = np.asarray(k, dtype=int)
         if k.shape != (self.n,):
@@ -85,8 +95,7 @@ class LatticeWindow:
 
     def shell_labels(self) -> np.ndarray:
         """Dyadic shell index j with 2^j <= 1+|k| < 2^{j+1} per point."""
-        r = 1.0 + np.linalg.norm(self.points, axis=1)
-        return np.floor(np.log2(r)).astype(int)
+        return np.floor(np.log2(self.radial_weight)).astype(int)
 
     def shell_sups(self, values: np.ndarray, mask: np.ndarray):
         """Per-shell sup of ``values`` over the points selected by ``mask``.
@@ -387,26 +396,35 @@ def read_sequence_csv(path, window: LatticeWindow = None) -> LatticeSequence:
     """Read a sequence CSV; rows may arrive in any order.
 
     Without an explicit window, the smallest window covering all listed
-    points is used (unlisted points are zero).
+    points is used (unlisted points are zero).  A bad header, a malformed
+    row or a point listed twice raises ParseError.
     """
-    rows = []
+    values = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         n = len(header) - 2
-        if n < 1 or header[-2:] != ["re", "im"]:
-            raise ValueError(f"bad sequence header: {header}")
+        if n < 1 or header != [f"k{j + 1}" for j in range(n)] + ["re", "im"]:
+            raise ParseError(f"bad sequence header: {header}")
         for row in reader:
             if not row:
                 continue
-            k = tuple(int(c) for c in row[:n])
-            rows.append((k, complex(float(row[n]), float(row[n + 1]))))
+            try:
+                re, im = row[n:]
+                k = tuple(int(c) for c in row[:n])
+                v = complex(float(re), float(im))
+            except ValueError:
+                raise ParseError(f"line {reader.line_num}: {row} is not {n} integers "
+                                 "and two numbers") from None
+            if k in values:
+                raise ParseError(f"line {reader.line_num}: point {list(k)} is listed twice")
+            values[k] = v
     if window is None:
-        N = max(1, max((max(abs(c) for c in k) for k, _ in rows), default=1))
+        N = max(1, max((max(abs(c) for c in k) for k in values), default=1))
         window = LatticeWindow(n, N)
     elif window.n != n:
         raise DimensionMismatchError(f"file dimension {n} != window dimension {window.n}")
     f = LatticeSequence.zeros(window)
-    for k, v in rows:
+    for k, v in values.items():
         f.values[window.index_of(k)] = v
     return f

@@ -8,9 +8,8 @@ preconditioned solver both ride on that parametrix.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -43,10 +42,18 @@ class Parametrix:
     """
     matrix: OperatorMatrix = field(repr=False)        # B
     sigma_matrix: OperatorMatrix = field(repr=False)  # A
+    initial: OperatorMatrix = field(repr=False)       # B0, the first step
     sigma_order: float          # m
     steps: int
     threshold: float
     regularized_points: list    # window indices where delta(k) > 0
+
+    def refined(self) -> "Parametrix":
+        """The parametrix with one more Neumann step, B <- B + B0 (I - A B)."""
+        A, B0, B = self.sigma_matrix.entries, self.initial.entries, self.matrix.entries
+        B = B + B0 @ (np.eye(self.matrix.window.size) - A @ B)
+        return replace(self, matrix=OperatorMatrix(self.matrix.window, self.matrix.grid, B),
+                       steps=self.steps + 1)
 
     @cached_property
     def left_defect(self) -> OperatorMatrix:
@@ -81,8 +88,7 @@ def _initial_inverse(sigma: Symbol, m: float, window: LatticeWindow,
     """tau0 = conj(sigma) / (|sigma|^2 + delta(k)); delta switches on per k
     wherever |sigma(k,.)| dips below theta (1+|k|)^m somewhere on the grid."""
     S = sigma.sample(window, grid)
-    r = 1.0 + np.linalg.norm(window.points, axis=1)
-    floor = theta * np.power(r, m)
+    floor = theta * np.power(window.radial_weight, m)
     low = np.min(np.abs(S), axis=1) < floor
     delta = np.where(low, floor ** 2, 0.0)
     vals = S.conj() / (np.abs(S) ** 2 + delta[:, None])
@@ -108,11 +114,10 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
     tau0, regularized = _initial_inverse(sigma, m, window, grid, theta)
     A = assemble_matrix(sigma, window, grid)
     B0 = assemble_matrix(tau0, window, grid)
-    I = np.eye(window.size)
-    B = B0.entries
+    par = Parametrix(B0, A, B0, m, 1, theta, regularized)
     for _ in range(J - 1):
-        B = B + B0.entries @ (I - A.entries @ B)
-    return Parametrix(OperatorMatrix(window, grid, B), A, m, J, theta, regularized)
+        par = par.refined()
+    return par
 
 
 @dataclass
@@ -124,7 +129,7 @@ class DecayReport:
     tail_estimates: dict      # p -> bound on the off-window weighted sum
 
 
-def residual_decay_report(rho: GridSymbol, P: int, window: LatticeWindow = None) -> DecayReport:
+def residual_decay_report(rho: GridSymbol, P: int) -> DecayReport:
     """Weighted shell sups of a grid-backed residual for powers p = 0..P.
 
     The verdict requires every power's shell profile to decrease strictly
@@ -133,15 +138,13 @@ def residual_decay_report(rho: GridSymbol, P: int, window: LatticeWindow = None)
     """
     if P < 0:
         raise ValueError("the decay report needs a nonnegative power")
-    if window is None:
-        window = rho.window
+    window = rho.window
     mask = window.interior_mask(rho.interior_margin)
     rowmax = np.max(np.abs(rho.sample(window, rho.grid)), axis=1)
-    r = 1.0 + np.linalg.norm(window.points, axis=1)
     sups = {}
     tails = {}
     for p in range(P + 1):
-        shells, sups[p], _ = window.shell_sups(rowmax * np.power(r, p), mask)
+        shells, sups[p], _ = window.shell_sups(rowmax * np.power(window.radial_weight, p), mask)
         tails[p] = _tail_bound(sups[p], shells, window)
     verdict = all(_decreasing_from_peak(sups[p]) for p in range(P + 1))
     return DecayReport(list(range(P + 1)), sups, shells, verdict, tails)
@@ -258,10 +261,6 @@ class SolveResult:
             "fallback_used": self.fallback_used,
         }
 
-    def write_report(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.report_dict(), fh)
-
 
 def solve(sigma: Symbol, m: float, f: LatticeSequence, window: LatticeWindow,
           grid: TorusGrid, tol: float = 1e-8, J: int = 2, max_iter: int = 500) -> SolveResult:
@@ -318,14 +317,13 @@ def solve(sigma: Symbol, m: float, f: LatticeSequence, window: LatticeWindow,
 
 
 def residual_order_sequence(sigma: Symbol, m: float, window: LatticeWindow,
-                            grid: TorusGrid, J_max: int = 3,
-                            alpha_max: int = 0, beta_max: int = 0) -> list:
-    """Estimated order of the left residual for J = 1..J_max."""
+                            grid: TorusGrid, J_max: int = 3) -> list:
+    """Estimated order of the left residual for J = 1..J_max, refining one parametrix."""
     orders = []
-    for J in range(1, J_max + 1):
-        par = parametrix(sigma, m, J, window, grid)
-        est = estimate_order(par.left_residual, window, grid,
-                             alpha_max=alpha_max, beta_max=beta_max)
+    par = None
+    for _ in range(J_max):
+        par = parametrix(sigma, m, 1, window, grid) if par is None else par.refined()
+        est = estimate_order(par.left_residual, window, grid, alpha_max=0, beta_max=0)
         orders.append(est.m_hat)
     return orders
 

@@ -17,6 +17,10 @@ class OutOfWindowError(LatticeOpsError, ValueError):
     """Evaluation of a grid-backed object outside its window."""
 
 
+class ParseError(LatticeOpsError, ValueError):
+    """A data file is malformed: bad header, value, duplicate or off-grid row."""
+
+
 class SymbolSyntaxError(LatticeOpsError, ValueError):
     """Symbol expression failed to parse.
 

@@ -12,8 +12,7 @@ allowed.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .symbols import Symbol, check_ellipticity
 
 RANK_TOL = 1e-8
 GAP_REQUIRED = 100.0
+SV_THRESHOLD = 0.1    # defect singular values above it, near-kernel ones below
 
 
 def _interior_null_count(null_basis: np.ndarray, mask: np.ndarray) -> int:
@@ -65,7 +65,6 @@ class IndexReport:
     trace_index: int = None          # None encodes "unresolved"
     agreement: bool = None
     tail_bound: float = None
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
@@ -80,13 +79,8 @@ class IndexReport:
             "tail_bound": self.tail_bound,
         }
 
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
 
-
-def svd_index(sigma: Symbol, windows, n: int = 1,
-              rank_tol: float = RANK_TOL) -> IndexReport:
+def svd_index(sigma: Symbol, windows, n: int = 1) -> IndexReport:
     """Kernel/cokernel counts across growing windows.
 
     Stabilized when the last two windows agree on both counts and both
@@ -100,7 +94,7 @@ def svd_index(sigma: Symbol, windows, n: int = 1,
         A = assemble_matrix(sigma, window, grid).entries
         U, s, Vh = np.linalg.svd(A)
         smax = s[0] if s.size and s[0] > 0 else 1.0
-        null = s < rank_tol * smax
+        null = s < RANK_TOL * smax
         raw = int(np.sum(null))
         nonnull_min = float(np.min(s[~null])) if np.any(~null) else 0.0
         null_max = float(np.max(s[null])) if raw else 0.0
@@ -154,8 +148,7 @@ def _weighted_tail_bound(residual, window: LatticeWindow, power: int) -> float:
     # rows at roundoff level are exact zeros of the residual in disguise
     floor = 1e-13 * max(1.0, float(np.max(rowmax)))
     rowmax = np.where(rowmax < floor, 0.0, rowmax)
-    r = 1.0 + np.linalg.norm(window.points, axis=1)
-    _, sups, _ = window.shell_sups(rowmax * np.power(r, power), mask)
+    _, sups, _ = window.shell_sups(rowmax * np.power(window.radial_weight, power), mask)
     if not sups:
         return np.inf
     if max(sups) == 0.0:
@@ -199,10 +192,9 @@ def trace_index(sigma: Symbol, window: LatticeWindow, grid: TorusGrid = None,
     return TraceIndexResult(raw, verdict, float(tail), window.N, J)
 
 
-def full_index_report(sigma: Symbol, windows, n: int = 1, J: int = 3,
-                      rank_tol: float = RANK_TOL) -> IndexReport:
+def full_index_report(sigma: Symbol, windows, n: int = 1, J: int = 3) -> IndexReport:
     """svd_index across windows plus trace_index at the largest one."""
-    report = svd_index(sigma, windows, n=n, rank_tol=rank_tol)
+    report = svd_index(sigma, windows, n=n)
     window = LatticeWindow(n, max(windows))
     tr = trace_index(sigma, window, J=J)
     report.trace_index_raw = tr.trace_index_raw
@@ -227,11 +219,10 @@ class AtkinsonReport:
                 "bounded": self.bounded}
 
 
-def atkinson_check(sigma: Symbol, windows, n: int = 1, J: int = 2,
-                   threshold: float = 0.1) -> AtkinsonReport:
+def atkinson_check(sigma: Symbol, windows, n: int = 1, J: int = 2) -> AtkinsonReport:
     """Compactness surrogate for the two parametrix defects.
 
-    The count of singular values above the threshold must not grow with
+    The count of singular values above SV_THRESHOLD must not grow with
     the section size; bounded means the largest window adds at most two
     over the smallest.
     """
@@ -240,8 +231,8 @@ def atkinson_check(sigma: Symbol, windows, n: int = 1, J: int = 2,
         window = LatticeWindow(n, N)
         grid = default_grid(window)
         par = parametrix(sigma, 0.0, J, window, grid)
-        lc.append(int(np.sum(par.left_defect.singular_values() > threshold)))
-        rc.append(int(np.sum(par.right_defect.singular_values() > threshold)))
+        lc.append(int(np.sum(par.left_defect.singular_values() > SV_THRESHOLD)))
+        rc.append(int(np.sum(par.right_defect.singular_values() > SV_THRESHOLD)))
         sizes.append(window.size)
     bounded = lc[-1] <= lc[0] + 2 and rc[-1] <= rc[0] + 2
     return AtkinsonReport(sorted(windows), lc, rc, sizes, bounded)
@@ -263,13 +254,12 @@ class ProbeReport:
                 "windows": self.windows, "consistent": self.consistent}
 
 
-def fredholm_ellipticity_probe(sigma: Symbol, windows, n: int = 1,
-                               J: int = 2, threshold: float = 0.1) -> ProbeReport:
+def fredholm_ellipticity_probe(sigma: Symbol, windows, n: int = 1) -> ProbeReport:
     """Two-sided diagnostic; reports and never raises.
 
     Elliptic branch: the parametrix defects must pass the compactness
     surrogate.  Non-elliptic branch: the near-kernel (singular values
-    below the threshold) must grow with the window.
+    below SV_THRESHOLD) must grow with the window.
     """
     windows = sorted(windows)
     window = LatticeWindow(n, max(windows))
@@ -279,7 +269,7 @@ def fredholm_ellipticity_probe(sigma: Symbol, windows, n: int = 1,
     rep = check_ellipticity(sigma, 0.0, window, grid)
     if rep.elliptic:
         try:
-            atk = atkinson_check(sigma, windows, n=n, J=J, threshold=threshold)
+            atk = atkinson_check(sigma, windows, n=n)
         except EllipticityError:
             return ProbeReport(True, rep.to_dict(), consistent=False)
         return ProbeReport(True, rep.to_dict(), atkinson=atk.to_dict(),
@@ -289,7 +279,7 @@ def fredholm_ellipticity_probe(sigma: Symbol, windows, n: int = 1,
         w = LatticeWindow(n, N)
         g = default_grid(w)
         sv = np.linalg.svd(assemble_matrix(sigma, w, g).entries, compute_uv=False)
-        counts.append(int(np.sum(sv < threshold)))
+        counts.append(int(np.sum(sv < SV_THRESHOLD)))
     growing = all(b > a for a, b in zip(counts, counts[1:]))
     return ProbeReport(False, rep.to_dict(), near_kernel_counts=counts,
                        windows=windows, consistent=growing)

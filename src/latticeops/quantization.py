@@ -92,16 +92,13 @@ def assemble_toroidal_matrix(tau: DualToroidalSymbol, window: LatticeWindow,
     return grid.weight * ((B.T * T) @ B.conj())
 
 
-def extract_symbol(A: OperatorMatrix, order: float = None,
-                   margin: int = None) -> GridSymbol:
+def extract_symbol(A: OperatorMatrix, order: float = None) -> GridSymbol:
     """Recover the grid-backed symbol sigma(k,x) = exp(-2 pi i k.x) (A e_x)(k)."""
     window, grid = A.window, A.grid
     B = phase_matrix(window, grid)
     G = A.entries @ B  # (A e_x)(k), e_x(l) = exp(2 pi i l.x)
     values = B.conj() * G
-    if margin is None:
-        margin = interior_margin(window)
-    return GridSymbol(window, grid, values, order=order, interior_margin=margin)
+    return GridSymbol(window, grid, values, order=order, interior_margin=interior_margin(window))
 
 
 def compose(sigma: Symbol, tau: Symbol, window: LatticeWindow,

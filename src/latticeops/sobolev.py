@@ -7,7 +7,6 @@ quadrature is involved.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,10 +72,6 @@ class SpectrumReport:
             "singular_values": [sv.tolist() for sv in self.singular_values],
             "fit_exponent": self.fit_exponent,
         }
-
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
 
     def count_below(self, threshold: float) -> list:
         return [int(np.sum(sv < threshold)) for sv in self.singular_values]

@@ -648,7 +648,6 @@ def estimate_order(sigma: Symbol, window: LatticeWindow, grid: TorusGrid,
     """
     if window.N < 8:
         raise ValueError("window too small for a three-shell regression (need N >= 8)")
-    r = 1.0 + np.linalg.norm(window.points, axis=1)
     sup_norm = np.max(np.abs(window.points), axis=1)
     table = []
     m_hat = None
@@ -679,7 +678,7 @@ def estimate_order(sigma: Symbol, window: LatticeWindow, grid: TorusGrid,
                 table.append(SlopeEntry(tuple(alpha), tuple(beta), 0.0, 0.0, False, sups))
                 m_hat = alpha.order if m_hat is None else max(m_hat, alpha.order)
                 continue
-            slope, resid = _fit_slope(sups, [float(r[i]) for i in rows])
+            slope, resid = _fit_slope(sups, [float(window.radial_weight[i]) for i in rows])
             if slope is None:
                 table.append(SlopeEntry(tuple(alpha), tuple(beta), 0.0, 0.0, True, sups))
                 continue
@@ -718,8 +717,7 @@ def check_ellipticity(sigma: Symbol, m: float, window: LatticeWindow,
     C = min ratio over the whole sampled set and M_radius = 0.
     """
     S = np.abs(sigma.sample(window, grid))
-    r = 1.0 + np.linalg.norm(window.points, axis=1)
-    ratio = np.min(S, axis=1) / np.power(r, m)
+    ratio = np.min(S, axis=1) / np.power(window.radial_weight, m)
     labels = window.shell_labels()
     shells = sorted(set(labels))
     profile = [float(np.min(ratio[labels == j])) for j in shells]
@@ -749,12 +747,11 @@ def s0_decay_profile(sigma: Symbol, window: LatticeWindow, grid: TorusGrid,
     and end strictly below its maximum.
     """
     labels = window.shell_labels()
-    r = 1.0 + np.linalg.norm(window.points, axis=1)
     complete = labels <= int(math.floor(math.log2(window.N + 2))) - 1
     out = []
     for alpha in multiindex_range(window.n, alpha_max):
         diff, valid = _difference_samples(sigma, window, grid, alpha)
-        rowmax = np.max(np.abs(diff), axis=1) * np.power(r, alpha.order)
+        rowmax = np.max(np.abs(diff), axis=1) * np.power(window.radial_weight, alpha.order)
         _, sups, _ = window.shell_sups(rowmax, valid & complete)
         out.append(DecayDiagnostic(tuple(alpha), sups, _tail_decreasing(sups)))
     return out

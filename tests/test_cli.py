@@ -242,3 +242,108 @@ def test_timestamp_present_by_default(tmp_path, capsys):
     assert "timestamp" in rep and "elapsed_seconds" in rep
     rep2 = report_of(capsys, "norm", fpath, "--no-timestamp")
     assert "timestamp" not in rep2 and "elapsed_seconds" not in rep2
+
+
+# -- dimension-generic symbol files ---------------------------------------
+
+@pytest.fixture
+def generic_bessel(tmp_path):
+    from latticeops import bessel_symbol
+    path = tmp_path / "bessel.json"
+    write_symbol_json(path, bessel_symbol(2))
+    assert json.loads(path.read_text())["n"] is None
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--N", "8"],
+    ["parametrix", "--N", "8"],
+    ["index", "--windows", "8,12"],
+    ["adjoint", "--N", "8"],
+])
+def test_generic_symbol_takes_dimension_from_n(generic_bessel, capsys, argv):
+    cmd, *rest = argv
+    rep = report_of(capsys, cmd, generic_bessel, *rest, "--n", "2")
+    assert rep["config"]["n"] == 2
+    code, out, err = run(capsys, cmd, generic_bessel, *rest)
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "UsageError" and "--n" in payload["message"]
+
+
+def test_generic_symbol_composes_with_a_dimensioned_one(generic_bessel, tmp_path, capsys):
+    sym = sym_json(tmp_path, "one.json", "1")
+    rep = report_of(capsys, "compose", generic_bessel, sym, "--N", "8")
+    assert rep["config"]["n"] == 1 and rep["order"] == 2.0
+    code, _, err = run(capsys, "compose", generic_bessel, sym, "--N", "8", "--n", "2")
+    assert code == 3
+    assert json.loads(err)["error"] == "DimensionMismatchError"
+
+
+def test_given_dimension_must_match_the_symbol(capsys):
+    code, out, err = run(capsys, "classify", str(shipped_path("bessel2")), "--n", "2")
+    assert code == 3
+    assert json.loads(err)["error"] == "DimensionMismatchError"
+
+
+def test_apply_generic_symbol_takes_the_sequence_dimension(generic_bessel, tmp_path, capsys):
+    w = LatticeWindow(2, 3)
+    fpath = seq_csv(tmp_path, "f.csv", LatticeSequence.delta(w, (1, 2)))
+    out = str(tmp_path / "out.csv")
+    rep = report_of(capsys, "apply", generic_bessel, fpath, "--out", out)
+    assert rep["config"]["n"] == 2
+    assert read_seq(out)[(1, 2)] == pytest.approx(6.0)  # 1 + 1^2 + 2^2
+
+
+# -- parse and usage errors exit 2 -----------------------------------------
+
+@pytest.mark.parametrize("text", [
+    "x1,re,im\n0,1.0,0.0\n",            # bad header
+    "k1,re,im\n0,abc,0.0\n",            # non-numeric value
+    "k1,re,im\n0.5,1.0,0.0\n",          # non-integer point
+    "k1,re,im\n0,1.0\n",                # short row
+    "k1,re,im\n1,1.0,0.0\n1,2.0,0.0\n",  # duplicate k row
+    "",                                 # empty file
+])
+def test_bad_sequence_csv_is_parse_error(tmp_path, capsys, text):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, "norm", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("text", [
+    "k1,re,im\n0.0,1,0\n0.5,1,0\n",              # bad header
+    "x1,re,im\n0.0,abc,0\n0.5,1,0\n",            # non-numeric value
+    "x1,re,im\n0.0,1,0\n0.5,1\n",               # short row
+    "x1,re,im\n0.0,1,0\n0.0,2,0\n",              # duplicate node
+    "x1,re,im\n0.0,1,0\n0.3,1,0\n",              # off-grid node
+    "x1,re,im\n0.0,1,0\nnan,1,0\n",              # non-finite node
+    "x1,re,im\n",                                # no rows
+])
+def test_bad_torus_csv_is_parse_error(tmp_path, capsys, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, "invft", str(path), "--N", "1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ft", "{f}", "--M", "0"],
+    ["invft", "{f}", "--N", "-3"],
+    ["classify", "{s}", "--N", "0"],
+    ["classify", "{s}", "--N", "abc"],
+    ["compose", "{s}", "{s}", "--n", "0"],
+    ["spectrum", "--kind", "smoothing", "--windows", "0,16"],
+    ["spectrum", "--kind", "smoothing", "--windows", "a,b"],
+    ["index", "{s}", "--windows", ""],
+])
+def test_bad_size_option_is_usage_error(tmp_path, capsys, argv):
+    w = LatticeWindow(1, 4)
+    fpath = seq_csv(tmp_path, "f.csv", LatticeSequence.delta(w))
+    sym = str(shipped_path("constant"))
+    code, out, err = run(capsys, *[a.format(f=fpath, s=sym) for a in argv])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "UsageError"

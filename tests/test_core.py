@@ -222,4 +222,6 @@ def test_cached_arrays_are_read_only():
     with pytest.raises(ValueError):
         TorusGrid(1, 9).nodes[0] = 0.5
     with pytest.raises(ValueError):
+        LatticeWindow(1, 4).radial_weight[0] = 0.0
+    with pytest.raises(ValueError):
         _dft_matrix(1, 4, 9)[0, 0] = 0.0

@@ -10,6 +10,7 @@ from latticeops import (
     apply,
     bessel_symbol,
     default_grid,
+    estimate_order,
     parametrix,
     parse_symbol,
     residual_decay_report,
@@ -17,6 +18,7 @@ from latticeops import (
     sobolev_norm,
     trace_index,
 )
+from latticeops import elliptic
 from latticeops.elliptic import residual_order_sequence
 from latticeops.errors import EllipticityError
 from latticeops.quantization import assemble_matrix, extract_symbol, interior_margin
@@ -124,6 +126,24 @@ def test_residual_order_drops_per_step():
     # regression guard from the residual order invariant
     for J, o in enumerate(orders, start=1):
         assert o <= -J + 0.5
+
+
+def test_residual_order_sequence_steps_one_parametrix(monkeypatch):
+    w = LatticeWindow(1, 32)
+    g = default_grid(w)
+    sigma = parse_symbol(PERTURBED_SLOW, 1, order=0)
+    separate = [parametrix(sigma, 0.0, J, w, g) for J in (1, 2, 3)]
+    want = [estimate_order(par.left_residual, w, g, alpha_max=0, beta_max=0).m_hat
+            for par in separate]
+    assert np.array_equal(separate[1].refined().matrix.entries, separate[2].matrix.entries)
+    calls = {"check_ellipticity": 0, "assemble_matrix": 0}
+    for name, original in [(name, getattr(elliptic, name)) for name in calls]:
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(elliptic, name, counted)
+    assert residual_order_sequence(sigma, 0.0, w, g, J_max=3) == want
+    assert calls == {"check_ellipticity": 1, "assemble_matrix": 2}
 
 
 def test_decay_report_zero_residual():
