@@ -206,7 +206,7 @@ def cmd_ft(args):
 
 def cmd_invft(args):
     F = read_torus_csv(args.torus)
-    N = args.N if args.N is not None else (F.grid.M - 3) // 2
+    N = args.N if args.N is not None else max(1, (F.grid.M - 3) // 2)
     window = LatticeWindow(F.grid.n, N)
     f = inverse_dft(F, window)
     report = {"config": _config(args, window, F.grid), "output_norms": _norms(f)}
@@ -377,6 +377,12 @@ def _positive_int(text):
     return int(text)
 
 
+def _nonnegative_int(text):
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _window_list(text):
     """Comma-separated positive half-widths, sorted and deduplicated."""
     windows = sorted({_positive_int(t.strip()) for t in text.split(",") if t.strip()})
@@ -442,8 +448,8 @@ def build_parser() -> _Parser:
 
     s = sp.add_parser("parametrix", help="build a parametrix, report residuals")
     s.add_argument("symbol"); s.add_argument("--m", type=float, default=None)
-    s.add_argument("--steps", "-J", type=int, default=2)
-    s.add_argument("--power", type=int, default=3,
+    s.add_argument("--steps", "-J", type=_positive_int, default=2)
+    s.add_argument("--power", type=_nonnegative_int, default=3,
                    help="max weight power in the decay report")
     _options(s, "n", "N", "M", "out"); s.set_defaults(func=cmd_parametrix, N=32)
 
@@ -451,7 +457,7 @@ def build_parser() -> _Parser:
     s.add_argument("symbol"); s.add_argument("sequence")
     s.add_argument("--m", type=float, default=None)
     s.add_argument("--tol", type=float, default=1e-8)
-    s.add_argument("--steps", "-J", type=int, default=2)
+    s.add_argument("--steps", "-J", type=_positive_int, default=2)
     _options(s, "M", "out"); s.set_defaults(func=cmd_solve)
 
     s = sp.add_parser("spectrum", help="inclusion/smoothing singular values")
@@ -467,7 +473,7 @@ def build_parser() -> _Parser:
     s.add_argument("symbol")
     s.add_argument("--windows", type=_window_list, default=[16, 24, 32],
                    help="comma-separated N list")
-    s.add_argument("--steps", "-J", type=int, default=3)
+    s.add_argument("--steps", "-J", type=_positive_int, default=3)
     _options(s, "n"); s.set_defaults(func=cmd_index)
 
     s = sp.add_parser("verify", help="run the property-verification suites")

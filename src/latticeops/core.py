@@ -1,9 +1,12 @@
 """Finite truncations of Z^n and T^n with the exact Fourier calculus on them.
 
 A :class:`LatticeWindow` is the cube of integer points with ``|k_j| <= N``;
-a :class:`TorusGrid` is the uniform grid ``x = j/M`` on the torus.  All
-transforms are direct (dense) sums, which are exact for data supported in
-the window whenever ``M >= 2N+1``, so quadrature error never enters tests.
+a :class:`TorusGrid` is the uniform grid ``x = j/M`` on the torus.  The
+transforms are zero-padded FFTs of the exact finite sums, which are exact
+for data supported in the window whenever ``M >= 2N+1``, so quadrature
+error never enters tests.  :func:`shift_coefficients` writes a symbol's
+samples in shift form, the coefficients of the lattice shifts its operator
+is made of; its finite sections are gathers from them.
 """
 
 from __future__ import annotations
@@ -63,6 +66,11 @@ class LatticeWindow:
     @property
     def size(self) -> int:
         return self.side ** self.n
+
+    @property
+    def shape(self) -> tuple:
+        """Axis lengths of the window as an n-dimensional array."""
+        return (self.side,) * self.n
 
     @property
     def points(self) -> np.ndarray:
@@ -128,6 +136,11 @@ class TorusGrid:
     @property
     def size(self) -> int:
         return self.M ** self.n
+
+    @property
+    def shape(self) -> tuple:
+        """Axis lengths of the grid as an n-dimensional array."""
+        return (self.M,) * self.n
 
     @property
     def nodes(self) -> np.ndarray:
@@ -274,19 +287,76 @@ def phase_matrix(window: LatticeWindow, grid: TorusGrid) -> np.ndarray:
     return _dft_matrix(window.n, window.N, grid.M).conj().T
 
 
+@lru_cache(maxsize=64)
+def _grid_slots(n: int, N: int, M: int) -> np.ndarray:
+    """(window.size,) flat grid index of k mod M for each window point k."""
+    return _frozen(np.ravel_multi_index((_window_points(n, N) % M).T, (M,) * n))
+
+
 def forward_dft(f: LatticeSequence, grid: TorusGrid) -> TorusFunction:
-    """Sampled transform F(x) = sum_k exp(-2 pi i k.x) f(k) over the window."""
+    """Sampled transform F(x) = sum_k exp(-2 pi i k.x) f(k) over the window.
+
+    Each f(k) is added into slot k mod M of an M^n array whose FFT is F; on
+    a grid with M < 2N+1 the points that share a slot alias into one sum.
+    """
     if grid.n != f.window.n:
         raise DimensionMismatchError(f"grid dimension {grid.n} != window dimension {f.window.n}")
-    E = _dft_matrix(f.window.n, f.window.N, grid.M)
-    return TorusFunction(grid, E @ f.values)
+    buf = np.zeros(grid.size, dtype=complex)
+    np.add.at(buf, _grid_slots(f.window.n, f.window.N, grid.M), f.values)
+    return TorusFunction(grid, np.fft.fftn(buf.reshape(grid.shape)).reshape(-1))
 
 
 def inverse_dft(F: TorusFunction, window: LatticeWindow) -> LatticeSequence:
     """f(k) = M^-n sum_x exp(+2 pi i k.x) F(x); refuses aliasing grids."""
     _check_resolution(window, F.grid)
-    B = phase_matrix(window, F.grid)
-    return LatticeSequence(window, F.grid.weight * (B @ F.values))
+    f = np.fft.ifftn(F.values.reshape(F.grid.shape)).reshape(-1)
+    return LatticeSequence(window, f[_grid_slots(window.n, window.N, F.grid.M)])
+
+
+def shift_coefficients(values: np.ndarray, window: LatticeWindow,
+                       grid: TorusGrid) -> np.ndarray:
+    """Shift form C[k, m] = M^-n sum_x exp(-2 pi i m.x) sigma(k, x) of samples.
+
+    ``values`` holds sigma on window x grid as a (window.size, grid.size)
+    array; column m of C is the flat grid index of m mod M.  T_sigma acts as
+    sum_m C[k, m] f(k + m), so its section on a resolved window is the
+    gather A[k, l] = C[k, (l - k) mod M] through :func:`_shift_index`.
+    """
+    arr = np.asarray(values).reshape((window.size,) + grid.shape)
+    # a given output buffer spares fftn one temporary per axis
+    C = np.fft.fftn(arr, axes=tuple(range(1, grid.n + 1)), norm="forward",
+                    out=np.empty(arr.shape, dtype=complex))
+    return C.reshape(window.size, grid.size)
+
+
+def shift_samples(coeffs: np.ndarray, window: LatticeWindow,
+                  grid: TorusGrid) -> np.ndarray:
+    """Samples sigma(k, x) = sum_m C[k, m] exp(2 pi i m.x); inverts shift_coefficients."""
+    arr = np.asarray(coeffs).reshape((window.size,) + grid.shape)
+    S = np.fft.ifftn(arr, axes=tuple(range(1, grid.n + 1)), norm="forward",
+                     out=np.empty(arr.shape, dtype=complex))
+    return S.reshape(window.size, grid.size)
+
+
+@lru_cache(maxsize=64)
+def _shift_index(n: int, N: int, M: int) -> tuple:
+    """Index of the finite section in the shift form, axis by axis.
+
+    Applied to C viewed as ``window.shape + grid.shape``, it gives the
+    (2N+1,) * 2n array C[k, (l - k) mod M] at [k, l].  For each k the map
+    l -> (l - k) mod M is one to one when M >= 2N+1, so scattering through
+    the same index inverts the gather.
+    """
+    ks = _frozen(np.arange(2 * N + 1))
+    diff = _frozen((ks[None, :] - ks[:, None]) % M)
+    rows, cols = [], []
+    for j in range(n):
+        shape = [1] * (2 * n)
+        shape[j] = ks.size
+        rows.append(ks.reshape(shape))
+        shape[n + j] = ks.size
+        cols.append(diff.reshape(shape))
+    return tuple(rows + cols)
 
 
 def torus_quadrature(F: TorusFunction) -> complex:

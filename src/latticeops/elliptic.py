@@ -33,27 +33,49 @@ from .symbols import (
 
 @dataclass
 class Parametrix:
-    """Finite-section parametrix B of A = T_sigma.
+    """Finite-section parametrix B_J of A = T_sigma after J Neumann steps.
 
-    A and B are built eagerly.  The defects and the symbols extracted from
-    B and from them are computed on first access and kept, so each P^3
-    product and each extraction is paid at most once, and only by a caller
-    that reads it.
+    Only A and the first step B0 are built eagerly.  ``apply`` gives B_J r
+    from matrix-vector products alone.  B_J itself, the defects and the
+    symbols extracted from B_J and from them are computed on first access
+    and kept, so each P^3 product and each extraction is paid at most once,
+    and only by a caller that reads it.
     """
-    matrix: OperatorMatrix = field(repr=False)        # B
     sigma_matrix: OperatorMatrix = field(repr=False)  # A
     initial: OperatorMatrix = field(repr=False)       # B0, the first step
     sigma_order: float          # m
-    steps: int
+    steps: int                  # J
     threshold: float
     regularized_points: list    # window indices where delta(k) > 0
 
+    def apply(self, r: np.ndarray) -> np.ndarray:
+        """B_J r: v = B0 r, then J-1 times v <- v + B0 (r - A v)."""
+        A, B0 = self.sigma_matrix.entries, self.initial.entries
+        v = B0 @ r
+        for _ in range(self.steps - 1):
+            v += B0 @ (r - A @ v)
+        return v
+
+    @cached_property
+    def matrix(self) -> OperatorMatrix:
+        """B_J, from B_1 = B0 and B_{j+1} = B_j + B0 (I - A B_j)."""
+        B = self.initial
+        for _ in range(self.steps - 1):
+            B = self._step(B)
+        return B
+
+    def _step(self, B: OperatorMatrix) -> OperatorMatrix:
+        A, B0 = self.sigma_matrix.entries, self.initial.entries
+        return OperatorMatrix(B.window, B.grid,
+                              B.entries + B0 @ (np.eye(B.window.size) - A @ B.entries))
+
     def refined(self) -> "Parametrix":
-        """The parametrix with one more Neumann step, B <- B + B0 (I - A B)."""
-        A, B0, B = self.sigma_matrix.entries, self.initial.entries, self.matrix.entries
-        B = B + B0 @ (np.eye(self.matrix.window.size) - A @ B)
-        return replace(self, matrix=OperatorMatrix(self.matrix.window, self.matrix.grid, B),
-                       steps=self.steps + 1)
+        """The parametrix with one more Neumann step; a B_J already built is
+        carried forward by one step, not rebuilt."""
+        par = replace(self, steps=self.steps + 1)
+        if "matrix" in vars(self):
+            par.matrix = self._step(self.matrix)
+        return par
 
     @cached_property
     def left_defect(self) -> OperatorMatrix:
@@ -102,7 +124,8 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
     """Approximate inverse of T_sigma with J Neumann steps.
 
     Step 1 is the regularized pointwise inverse; each further step applies
-    B <- B + B0 (I - A B), so the right residual is (I - A B0)^J.
+    B <- B + B0 (I - A B), so the right residual is (I - A B0)^J.  No P^3
+    product is formed here: B_J is built only when first read.
     """
     if J < 1:
         raise ValueError("need at least one Neumann step")
@@ -114,10 +137,7 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
     tau0, regularized = _initial_inverse(sigma, m, window, grid, theta)
     A = assemble_matrix(sigma, window, grid)
     B0 = assemble_matrix(tau0, window, grid)
-    par = Parametrix(B0, A, B0, m, 1, theta, regularized)
-    for _ in range(J - 1):
-        par = par.refined()
-    return par
+    return Parametrix(A, B0, m, J, theta, regularized)
 
 
 @dataclass
@@ -266,14 +286,15 @@ def solve(sigma: Symbol, m: float, f: LatticeSequence, window: LatticeWindow,
           grid: TorusGrid, tol: float = 1e-8, J: int = 2, max_iter: int = 500) -> SolveResult:
     """Parametrix-preconditioned residual iteration for T_sigma u = f.
 
-    Falls back to a dense direct solve if the interior residual stalls
-    (< 10% reduction over 20 iterations) or the cap is reached without
-    meeting tol; raises ConvergenceError only if even the direct solve
-    misses the target.
+    Each iteration applies B_J to the residual matrix-free (2J-1 products
+    with A or B0), so no P^3 product is formed unless the iteration falls
+    back to a dense direct solve: when the interior residual stalls (< 10%
+    reduction over 20 iterations) or the cap is reached without meeting
+    tol.  Raises ConvergenceError only if even the direct solve misses the
+    target.
     """
     par = parametrix(sigma, m, J, window, grid)
     A = par.sigma_matrix.entries
-    B = par.matrix.entries
     margin = interior_margin(window)
     mask = window.interior_mask(margin)
     fnorm = f.norm() if f.norm() > 0 else 1.0
@@ -300,7 +321,7 @@ def solve(sigma: Symbol, m: float, f: LatticeSequence, window: LatticeWindow,
         if len(history) > 20 and history[-1] > 0.9 * history[-21]:
             fallback = True
             break
-        u = u + B @ r
+        u = u + par.apply(r)
     else:
         fallback = True
     if fallback:

@@ -1,8 +1,10 @@
 """Quantization of symbols on truncated l^2(Z^n).
 
 The operator acts by (T_sigma f)(k) = integral of exp(2 pi i k.x)
-sigma(k,x) fhat(x) dx; on a window x grid truncation this becomes dense
-linear algebra, exact whenever the grid resolves the window (M >= 2N+1).
+sigma(k,x) fhat(x) dx; on a window x grid truncation this is exact whenever
+the grid resolves the window (M >= 2N+1).  Finite sections are gathered
+from the symbol's shift form (``core.shift_coefficients``), and extraction
+scatters a section back into it, so the two are an exact inverse pair.
 Composition and adjoints are finite-section constructions, so grid-backed
 results carry an interior margin outside which truncation contaminates
 the recovered symbol.
@@ -22,8 +24,11 @@ from .core import (
     TorusGrid,
     forward_dft,
     phase_matrix,
+    shift_coefficients,
+    shift_samples,
     _check_resolution,
     _dft_matrix,
+    _shift_index,
 )
 from .errors import DimensionMismatchError
 from .symbols import DualToroidalSymbol, GridSymbol, Symbol
@@ -66,20 +71,19 @@ def apply(sigma: Symbol, f: LatticeSequence, grid: TorusGrid) -> LatticeSequence
     window = f.window
     _check_resolution(window, grid)
     fhat = forward_dft(f, grid)
-    S = sigma.sample(window, grid)
-    B = phase_matrix(window, grid)
-    out = grid.weight * ((B * S) @ fhat.values)
-    return LatticeSequence(window, out)
+    T = sigma.sample(window, grid)
+    T *= fhat.values
+    # vecdot conjugates its first argument: sum_x exp(+2 pi i k.x) T[k, x]
+    E = _dft_matrix(window.n, window.N, grid.M)
+    return LatticeSequence(window, grid.weight * np.vecdot(E.T, T))
 
 
 def assemble_matrix(sigma: Symbol, window: LatticeWindow, grid: TorusGrid) -> OperatorMatrix:
-    """entries(k,l) = quadrature of exp(2 pi i (k-l).x) sigma(k,x), built per row."""
+    """entries(k,l) = quadrature of exp(2 pi i (k-l).x) sigma(k,x), i.e. C[k, (l-k) mod M]."""
     _check_resolution(window, grid)
-    S = sigma.sample(window, grid)
-    B = phase_matrix(window, grid)
-    E = _dft_matrix(window.n, window.N, grid.M)
-    A = grid.weight * ((B * S) @ E)
-    return OperatorMatrix(window, grid, A)
+    C = shift_coefficients(sigma.sample(window, grid), window, grid)
+    A = C.reshape(window.shape + grid.shape)[_shift_index(window.n, window.N, grid.M)]
+    return OperatorMatrix(window, grid, A.reshape(window.size, window.size))
 
 
 def assemble_toroidal_matrix(tau: DualToroidalSymbol, window: LatticeWindow,
@@ -93,11 +97,16 @@ def assemble_toroidal_matrix(tau: DualToroidalSymbol, window: LatticeWindow,
 
 
 def extract_symbol(A: OperatorMatrix, order: float = None) -> GridSymbol:
-    """Recover the grid-backed symbol sigma(k,x) = exp(-2 pi i k.x) (A e_x)(k)."""
+    """Recover the grid-backed symbol sigma(k,x) = exp(-2 pi i k.x) (A e_x)(k).
+
+    Scatters A[k, l] into the shift form at C[k, (l-k) mod M] and
+    synthesizes it on the grid: the exact inverse of assemble_matrix.
+    """
     window, grid = A.window, A.grid
-    B = phase_matrix(window, grid)
-    G = A.entries @ B  # (A e_x)(k), e_x(l) = exp(2 pi i l.x)
-    values = B.conj() * G
+    _check_resolution(window, grid)
+    C = np.zeros(window.shape + grid.shape, dtype=complex)
+    C[_shift_index(window.n, window.N, grid.M)] = A.entries.reshape(window.shape * 2)
+    values = shift_samples(C, window, grid)
     return GridSymbol(window, grid, values, order=order, interior_margin=interior_margin(window))
 
 

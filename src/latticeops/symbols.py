@@ -23,6 +23,7 @@ from .core import (
     binomial_multi,
     multiindex_range,
     multiindices_leq,
+    shift_coefficients,
 )
 from .errors import (
     DimensionMismatchError,
@@ -180,7 +181,7 @@ class _Parser:
             m = re.fullmatch(r"([kx])([0-9]+)", val)
             if m:
                 idx = int(m.group(2))
-                if not 1 <= idx <= self.n:
+                if idx < 1 or (self.n is not None and idx > self.n):
                     raise SymbolSyntaxError(
                         f"variable {val!r} exceeds dimension n={self.n}", at)
                 return Var(m.group(1), idx)
@@ -290,10 +291,15 @@ def pretty_print(node) -> str:
 # -- symbol backends ---------------------------------------------------------
 
 class Symbol:
-    """Function sigma(k,x); immutable after construction."""
+    """Function sigma(k,x); immutable after construction.
+
+    ``n`` None marks a dimension-generic symbol, which samples in every
+    dimension of at least ``min_n``.
+    """
 
     n: int
     order: float
+    min_n: int = 1
 
     def eval(self, k, x) -> complex:
         k = np.atleast_1d(np.asarray(k, dtype=int))
@@ -302,7 +308,10 @@ class Symbol:
         return complex(self._values_at(k.reshape(1, -1), x.reshape(1, -1))[0])
 
     def sample(self, window: LatticeWindow, grid: TorusGrid) -> np.ndarray:
-        """(window.size, grid.size) array of sigma at all (k,x) pairs."""
+        """(window.size, grid.size) array of sigma at all (k,x) pairs.
+
+        The array is fresh on every call, so the caller may overwrite it.
+        """
         return self.sample_shifted(window, grid, np.zeros(window.n, dtype=int))
 
     def sample_shifted(self, window, grid, shift) -> np.ndarray:
@@ -330,6 +339,9 @@ class Symbol:
             raise DimensionMismatchError(f"k dimension {nk} != x dimension {nx}")
         if self.n is not None and nk != self.n:
             raise DimensionMismatchError(f"symbol dimension {self.n}, point dimension {nk}")
+        if nk < self.min_n:
+            raise DimensionMismatchError(
+                f"symbol uses coordinate {self.min_n}, point dimension {nk}")
 
     def _eval_cols(self, kcols, xcols):
         raise NotImplementedError
@@ -339,6 +351,7 @@ class ExprSymbol(Symbol):
     def __init__(self, n: int, ast, order: float = None, text: str = None):
         self.n = n
         self.ast = ast
+        self.min_n = _coordinates_used(ast)
         self.order = order
         self.text = text if text is not None else pretty_print(ast)
 
@@ -374,6 +387,7 @@ class MultiplierSymbol(Symbol):
         self.ast = _Parser(text, n).parse()
         if _uses_x(self.ast):
             raise SymbolSyntaxError("multiplier expression must not use x variables", 0)
+        self.min_n = _coordinates_used(self.ast)
         self.order = order
 
     def _eval_cols(self, kcols, xcols):
@@ -423,12 +437,10 @@ class GridSymbol(Symbol):
         self._coeffs = None
 
     def _fourier_coeffs(self):
-        # row-wise FFT over the x axes; integer frequencies via fftfreq*M
+        # the shift form, row by row; integer frequencies via fftfreq*M
         if self._coeffs is None:
-            M, n = self.grid.M, self.n
-            arr = self.values.reshape((self.window.size,) + (M,) * n)
-            c = np.fft.fftn(arr, axes=tuple(range(1, n + 1))) / (M ** n)
-            freqs = np.rint(np.fft.fftfreq(M) * M).astype(int)
+            c = shift_coefficients(self.values, self.window, self.grid)
+            freqs = np.rint(np.fft.fftfreq(self.grid.M) * self.grid.M).astype(int)
             self._coeffs = (c, freqs)
         return self._coeffs
 
@@ -440,7 +452,7 @@ class GridSymbol(Symbol):
         if not np.all(inside):
             raise OutOfWindowError(
                 f"shifted evaluation leaves the backing window N={self.window.N}")
-        rows = np.array([self.window.index_of(k) for k in K])
+        rows = np.ravel_multi_index((K + self.window.N).T, self.window.shape)
         if grid.M == self.grid.M:
             return self.values[rows]
         return self._interp_rows(rows, grid.nodes)
@@ -448,7 +460,7 @@ class GridSymbol(Symbol):
     def _interp_rows(self, rows, X):
         c, freqs = self._fourier_coeffs()
         n, M = self.n, self.grid.M
-        cc = c.reshape(self.window.size, -1)[rows]  # (R, M^n)
+        cc = c[rows]  # (R, M^n)
         mgrids = np.meshgrid(*([freqs] * n), indexing="ij")
         Mpts = np.stack([g.ravel() for g in mgrids], axis=-1)  # (M^n, n)
         E = np.exp(1j * TWO_PI * (X @ Mpts.T.astype(float)))  # (Q, M^n)
@@ -511,8 +523,25 @@ def _uses_x(node) -> bool:
     return False
 
 
+def _coordinates_used(node) -> int:
+    """Largest coordinate index among the k and x variables of ``node`` (1 if none)."""
+    if isinstance(node, Var):
+        return node.index
+    if isinstance(node, Neg):
+        return _coordinates_used(node.child)
+    if isinstance(node, BinOp):
+        return max(_coordinates_used(node.left), _coordinates_used(node.right))
+    if isinstance(node, Func):
+        return _coordinates_used(node.arg)
+    return 1
+
+
 def parse_symbol(text: str, n: int, order: float = None) -> ExprSymbol:
-    """Parse an expression-backed symbol; raises SymbolSyntaxError with position."""
+    """Parse an expression-backed symbol; raises SymbolSyntaxError with position.
+
+    With ``n`` None the symbol is dimension-generic: any k_j / x_j, j >= 1,
+    parses, and the symbol samples in every dimension n >= max j.
+    """
     if not text or not text.strip():
         raise SymbolSyntaxError("empty symbol expression", 0)
     ast = _Parser(text, n).parse()

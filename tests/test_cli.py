@@ -255,17 +255,29 @@ def generic_bessel(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def generic_expr(tmp_path):
+    path = tmp_path / "expr.json"
+    write_symbol_json(path, parse_symbol("2 + cos(twopi*x1)/(1+k1^2)", None, order=0.0))
+    assert json.loads(path.read_text())["n"] is None
+    return str(path)
+
+
 @pytest.mark.parametrize("argv", [
-    ["classify", "--N", "8"],
-    ["parametrix", "--N", "8"],
-    ["index", "--windows", "8,12"],
-    ["adjoint", "--N", "8"],
+    ["classify", "{bessel}", "--N", "8"],
+    ["parametrix", "{bessel}", "--N", "8"],
+    ["index", "{bessel}", "--windows", "8,12"],
+    ["adjoint", "{bessel}", "--N", "8"],
+    ["classify", "{expr}", "--N", "8"],
+    ["parametrix", "{expr}", "--N", "8"],
+    ["index", "{expr}", "--windows", "8,12"],
+    ["adjoint", "{expr}", "--N", "8"],
 ])
-def test_generic_symbol_takes_dimension_from_n(generic_bessel, capsys, argv):
-    cmd, *rest = argv
-    rep = report_of(capsys, cmd, generic_bessel, *rest, "--n", "2")
+def test_generic_symbol_takes_dimension_from_n(generic_bessel, generic_expr, capsys, argv):
+    argv = [a.format(bessel=generic_bessel, expr=generic_expr) for a in argv]
+    rep = report_of(capsys, *argv, "--n", "2")
     assert rep["config"]["n"] == 2
-    code, out, err = run(capsys, cmd, generic_bessel, *rest)
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     payload = json.loads(err)
     assert payload["error"] == "UsageError" and "--n" in payload["message"]
@@ -277,6 +289,14 @@ def test_generic_symbol_composes_with_a_dimensioned_one(generic_bessel, tmp_path
     assert rep["config"]["n"] == 1 and rep["order"] == 2.0
     code, _, err = run(capsys, "compose", generic_bessel, sym, "--N", "8", "--n", "2")
     assert code == 3
+    assert json.loads(err)["error"] == "DimensionMismatchError"
+
+
+def test_generic_expression_needs_its_coordinates(tmp_path, capsys):
+    path = tmp_path / "k2.json"
+    write_symbol_json(path, parse_symbol("2 + k2^2", None, order=2.0))
+    code, out, err = run(capsys, "classify", str(path), "--n", "1", "--N", "8")
+    assert code == 3 and out == ""
     assert json.loads(err)["error"] == "DimensionMismatchError"
 
 
@@ -330,6 +350,15 @@ def test_bad_torus_csv_is_parse_error(tmp_path, capsys, text):
     assert json.loads(err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("M", [3, 4])
+def test_invft_on_a_small_grid_takes_the_smallest_window(tmp_path, capsys, M):
+    path = tmp_path / "t.csv"
+    path.write_text("x1,re,im\n" + "".join(f"{j / M!r},1.0,0.0\n" for j in range(M)))
+    rep = report_of(capsys, "invft", str(path), "--no-timestamp")
+    assert rep["config"]["N"] == 1 and rep["config"]["M"] == M
+    assert rep["output_norms"]["l2"] == pytest.approx(1.0)  # the delta at k = 0
+
+
 @pytest.mark.parametrize("argv", [
     ["ft", "{f}", "--M", "0"],
     ["invft", "{f}", "--N", "-3"],
@@ -339,6 +368,10 @@ def test_bad_torus_csv_is_parse_error(tmp_path, capsys, text):
     ["spectrum", "--kind", "smoothing", "--windows", "0,16"],
     ["spectrum", "--kind", "smoothing", "--windows", "a,b"],
     ["index", "{s}", "--windows", ""],
+    ["parametrix", "{s}", "--steps", "0"],
+    ["solve", "{s}", "{f}", "--steps", "0"],
+    ["index", "{s}", "--steps", "0"],
+    ["parametrix", "{s}", "--power", "-1"],
 ])
 def test_bad_size_option_is_usage_error(tmp_path, capsys, argv):
     w = LatticeWindow(1, 4)

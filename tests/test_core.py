@@ -212,8 +212,24 @@ def test_sequence_csv_accepts_any_row_order(tmp_path):
     assert np.array_equal(back.values, f.values)
 
 
+@pytest.mark.parametrize("n,N,M", [(1, 8, 17), (1, 8, 19), (1, 8, 7), (1, 8, 3),
+                                   (2, 3, 7), (2, 3, 9), (2, 3, 4), (3, 2, 5), (3, 2, 2)])
+def test_transforms_match_the_direct_sums(n, N, M):
+    # the dense sums stay here as the oracle; M < 2N+1 checks the aliasing sum
+    from latticeops.core import _dft_matrix, phase_matrix
+
+    w, g = LatticeWindow(n, N), TorusGrid(n, M)
+    f = LatticeSequence.random(w, np.random.default_rng(M))
+    F = forward_dft(f, g)
+    assert np.max(np.abs(F.values - _dft_matrix(n, N, M) @ f.values)) < 1e-12
+    if M >= 2 * N + 1:
+        back = inverse_dft(F, w).values
+        assert np.max(np.abs(back - g.weight * (phase_matrix(w, g) @ F.values))) < 1e-12
+        assert np.max(np.abs(back - f.values)) < 1e-12
+
+
 def test_cached_arrays_are_read_only():
-    from latticeops.core import _dft_matrix
+    from latticeops.core import _dft_matrix, _grid_slots, _shift_index
 
     before = LatticeWindow(1, 4).points.copy()
     with pytest.raises(ValueError):
@@ -225,3 +241,8 @@ def test_cached_arrays_are_read_only():
         LatticeWindow(1, 4).radial_weight[0] = 0.0
     with pytest.raises(ValueError):
         _dft_matrix(1, 4, 9)[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        _grid_slots(1, 4, 9)[0] = 1
+    for index in _shift_index(2, 3, 7):
+        with pytest.raises(ValueError):
+            index.flat[0] = 1

@@ -111,6 +111,64 @@ def test_solve_extracts_no_symbol(extractions):
     assert extractions == []
 
 
+@pytest.mark.parametrize("J", [1, 2, 3])
+def test_parametrix_apply_is_the_matrix_times_the_vector(J):
+    w = LatticeWindow(2, 4)
+    g = default_grid(w)
+    sigma = parse_symbol("2 + exp(i*twopi*x1)/(1+k1^2+k2^2)", 2, order=0)
+    par = parametrix(sigma, 0.0, J, w, g)
+    r = LatticeSequence.random(w, np.random.default_rng(J)).values
+    v = par.apply(r)
+    assert "matrix" not in vars(par)
+    assert np.max(np.abs(v - par.matrix.entries @ r)) < 1e-12 * np.max(np.abs(v))
+
+
+def _explicit_solve(sigma, m, f, w, g, tol, J, max_iter=500):
+    """Iterations and fallback of solve's loop run with the assembled B_J."""
+    par = parametrix(sigma, m, J, w, g)
+    A, B = par.sigma_matrix.entries, par.matrix.entries
+    mask = w.interior_mask(interior_margin(w))
+    fnorm = f.norm() if f.norm() > 0 else 1.0
+    u = np.zeros(w.size, dtype=complex)
+    history = []
+    for it in range(1, max_iter + 1):
+        r = f.values - A @ u
+        history.append(float(np.linalg.norm(r[mask])) / fnorm)
+        if history[-1] <= tol:
+            return it - 1, False, u
+        if len(history) > 20 and history[-1] > 0.9 * history[-21]:
+            return it, True, None
+        u = u + B @ r
+    return max_iter, True, None
+
+
+@pytest.mark.parametrize("text,n,N,m,tol,J", [
+    ("bessel", 1, 16, 2.0, 1e-10, 2),
+    ("2", 1, 16, 0.0, 1e-12, 2),
+    (PERTURBED, 1, 32, 0.0, 1e-8, 2),
+    (PERTURBED, 1, 16, 0.0, 1e-8, 2),
+    ("2 + exp(i*twopi*x1)/(1+k1^2+k2^2)", 2, 6, 0.0, 1e-10, 3),
+], ids=["bessel", "constant", "perturbed-32", "perturbed-16", "n2-J3"])
+def test_solve_matches_the_explicit_preconditioner(text, n, N, m, tol, J, monkeypatch):
+    w = LatticeWindow(n, N)
+    g = default_grid(w)
+    sigma = bessel_symbol(2) if text == "bessel" else parse_symbol(text, n, order=m)
+    f = LatticeSequence.random(w, np.random.default_rng(9))
+    built = []
+
+    def recorded(*args, _original=elliptic.parametrix, **kwargs):
+        built.append(_original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(elliptic, "parametrix", recorded)
+    res = solve(sigma, m, f, w, g, tol=tol, J=J)
+    # no P x P product: neither B_J nor a defect was formed
+    assert not {"matrix", "left_defect", "right_defect"} & set(vars(built[0]))
+    iterations, fallback, u = _explicit_solve(sigma, m, f, w, g, tol, J=J)
+    assert (res.iterations, res.fallback_used) == (iterations, fallback)
+    assert np.max(np.abs(res.solution.values - u)) < 1e-10 * np.max(np.abs(u))
+
+
 def test_trace_index_extracts_each_residual_once(extractions):
     trace_index(parse_symbol(PERTURBED, 1, order=0), LatticeWindow(1, 16), J=2)
     assert len(extractions) == 2

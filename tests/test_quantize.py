@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeops import (
+    GridSymbol,
     LatticeSequence,
     LatticeWindow,
     TorusGrid,
@@ -18,8 +21,10 @@ from latticeops import (
     interior_margin,
     parse_symbol,
 )
-from latticeops.core import phase_matrix
+from latticeops.core import _dft_matrix, phase_matrix
+from latticeops.errors import AliasingError
 from latticeops.quantization import (
+    OperatorMatrix,
     assemble_toroidal_matrix,
     read_matrix_binary,
     read_matrix_json,
@@ -74,6 +79,49 @@ def test_extraction_roundtrip(setup):
     A = assemble_matrix(sigma, w, g)
     A2 = assemble_matrix(extract_symbol(A), w, g)
     assert np.max(np.abs(A2.entries - A.entries)) < 1e-10
+
+
+def dense_section(S, w, g):
+    """The direct P^2 Q quadrature of exp(2 pi i (k-l).x) sigma(k,x), as an oracle."""
+    return g.weight * ((phase_matrix(w, g) * S) @ _dft_matrix(w.n, w.N, g.M))
+
+
+def dense_extraction(A, w, g):
+    """The direct exp(-2 pi i k.x) sum_l A[k,l] exp(2 pi i l.x), as an oracle."""
+    B = phase_matrix(w, g)
+    return B.conj() * (A @ B)
+
+
+def check_against_dense(n, N, M, seed):
+    w, g = LatticeWindow(n, N), TorusGrid(n, M)
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((w.size, g.size)) + 1j * rng.standard_normal((w.size, g.size))
+    A = assemble_matrix(GridSymbol(w, g, S), w, g)
+    assert np.max(np.abs(A.entries - dense_section(S, w, g))) < 1e-12
+    ext = extract_symbol(A).values
+    assert np.max(np.abs(ext - dense_extraction(A.entries, w, g))) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_assembly_and_extraction_match_the_dense_sums(data):
+    # every M in [2N+1, 4N+2], so l - k both wraps modulo M and does not
+    n = data.draw(st.integers(1, 3))
+    N = data.draw(st.integers(1, {1: 12, 2: 4, 3: 2}[n]))
+    M = data.draw(st.integers(2 * N + 1, 4 * N + 2))
+    check_against_dense(n, N, M, data.draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (3, 4)])
+@pytest.mark.parametrize("extra", [0, 2])
+def test_assembly_and_extraction_match_the_dense_sums_at_size(n, N, extra):
+    check_against_dense(n, N, 2 * N + 1 + extra, seed=N + extra)
+
+
+def test_extraction_refuses_aliasing_grid():
+    w = LatticeWindow(1, 4)
+    with pytest.raises(AliasingError):
+        extract_symbol(OperatorMatrix(w, TorusGrid(1, 8), np.eye(w.size)))
 
 
 def test_extracted_symbol_matches_on_grid(setup):
