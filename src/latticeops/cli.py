@@ -95,6 +95,8 @@ def read_torus_csv(path) -> TorusFunction:
             *x, re, im = map(float, row)
         except ValueError:
             raise ParseError(f"torus CSV row {row} is not {n + 2} numbers") from None
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ParseError(f"node {x} carries a non-finite value")
         idx = 0
         for c in x:
             j = round(c / spacing) if math.isfinite(c) else -1
@@ -442,8 +444,8 @@ def build_parser() -> _Parser:
 
     s = sp.add_parser("classify", help="order estimate + ellipticity certificate")
     s.add_argument("symbol"); s.add_argument("--m", type=float, default=None)
-    s.add_argument("--alpha-max", type=int, default=1)
-    s.add_argument("--beta-max", type=int, default=1)
+    s.add_argument("--alpha-max", type=_nonnegative_int, default=1)
+    s.add_argument("--beta-max", type=_nonnegative_int, default=1)
     _options(s, "n", "N", "M"); s.set_defaults(func=cmd_classify, N=32)
 
     s = sp.add_parser("parametrix", help="build a parametrix, report residuals")

@@ -11,6 +11,7 @@ is made of; its finite sections are gathers from them.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass, field
@@ -467,7 +468,7 @@ def read_sequence_csv(path, window: LatticeWindow = None) -> LatticeSequence:
 
     Without an explicit window, the smallest window covering all listed
     points is used (unlisted points are zero).  A bad header, a malformed
-    row or a point listed twice raises ParseError.
+    row, a non-finite value or a point listed twice raises ParseError.
     """
     values = {}
     with open(path, newline="") as fh:
@@ -486,6 +487,9 @@ def read_sequence_csv(path, window: LatticeWindow = None) -> LatticeSequence:
             except ValueError:
                 raise ParseError(f"line {reader.line_num}: {row} is not {n} integers "
                                  "and two numbers") from None
+            if not cmath.isfinite(v):
+                raise ParseError(f"line {reader.line_num}: point {list(k)} carries "
+                                 "a non-finite value")
             if k in values:
                 raise ParseError(f"line {reader.line_num}: point {list(k)} is listed twice")
             values[k] = v

@@ -14,11 +14,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import LatticeSequence, LatticeWindow, TorusGrid, default_grid
+from .core import LatticeSequence, LatticeWindow, TorusGrid, _check_resolution, default_grid
 from .errors import ConvergenceError, EllipticityError
 from .quantization import (
     OperatorMatrix,
-    assemble_matrix,
+    _section,
     extract_symbol,
     interior_margin,
 )
@@ -26,6 +26,7 @@ from .sobolev import sobolev_norm
 from .symbols import (
     GridSymbol,
     Symbol,
+    _certificate,
     check_ellipticity,
     estimate_order,
 )
@@ -105,39 +106,38 @@ class Parametrix:
         return extract_symbol(self.right_defect, order=-float(self.steps))
 
 
-def _initial_inverse(sigma: Symbol, m: float, window: LatticeWindow,
-                     grid: TorusGrid, theta: float):
-    """tau0 = conj(sigma) / (|sigma|^2 + delta(k)); delta switches on per k
-    wherever |sigma(k,.)| dips below theta (1+|k|)^m somewhere on the grid."""
-    S = sigma.sample(window, grid)
-    floor = theta * np.power(window.radial_weight, m)
-    low = np.min(np.abs(S), axis=1) < floor
-    delta = np.where(low, floor ** 2, 0.0)
-    vals = S.conj() / (np.abs(S) ** 2 + delta[:, None])
-    tau0 = GridSymbol(window, grid, vals, order=None if m is None else -m,
-                      interior_margin=interior_margin(window))
-    return tau0, np.where(low)[0].tolist()
-
-
 def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
                grid: TorusGrid) -> Parametrix:
     """Approximate inverse of T_sigma with J Neumann steps.
 
-    Step 1 is the regularized pointwise inverse; each further step applies
-    B <- B + B0 (I - A B), so the right residual is (I - A B0)^J.  No P^3
-    product is formed here: B_J is built only when first read.
+    Step 1 is the regularized pointwise inverse tau0 = conj(sigma) /
+    (|sigma|^2 + delta(k)), where delta(k) = floor(k)^2 switches on wherever
+    |sigma(k,.)| dips below floor(k) = theta (1+|k|)^m somewhere on the grid;
+    each further step applies B <- B + B0 (I - A B), so the right residual
+    is (I - A B0)^J.  sigma is sampled once: the certificate, A and B0 all
+    come from that array, which becomes tau0 in place once A is built.  No
+    P^3 product is formed here: B_J is built only when first read.
     """
     if J < 1:
         raise ValueError("need at least one Neumann step")
-    rep = check_ellipticity(sigma, m, window, grid)
+    S = sigma.sample(window, grid)
+    magnitude = np.abs(S)
+    row_min = np.min(magnitude, axis=1)
+    rep = _certificate(magnitude, row_min, m, window)
     if not rep.elliptic:
         raise EllipticityError(
             f"symbol not certified elliptic of order {m} on N={window.N}", rep)
+    _check_resolution(window, grid)
     theta = rep.C / 2.0
-    tau0, regularized = _initial_inverse(sigma, m, window, grid, theta)
-    A = assemble_matrix(sigma, window, grid)
-    B0 = assemble_matrix(tau0, window, grid)
-    return Parametrix(A, B0, m, J, theta, regularized)
+    floor = theta * np.power(window.radial_weight, m)
+    low = row_min < floor
+    A = _section(S, window, grid)
+    np.conjugate(S, out=S)
+    np.square(magnitude, out=magnitude)
+    magnitude += np.where(low, floor ** 2, 0.0)[:, None]
+    S /= magnitude
+    B0 = _section(S, window, grid)
+    return Parametrix(A, B0, m, J, theta, np.where(low)[0].tolist())
 
 
 @dataclass
@@ -270,8 +270,12 @@ class SolveResult:
     residual_interior: float
     residual_boundary: float
     iterations: int
-    fallback_used: bool
+    fallback_reason: str        # None, "stall" or "iteration cap"
     residual_history: list
+
+    @property
+    def fallback_used(self) -> bool:
+        return self.fallback_reason is not None
 
     def report_dict(self):
         return {
@@ -279,6 +283,8 @@ class SolveResult:
             "residual_boundary": self.residual_boundary,
             "iterations": self.iterations,
             "fallback_used": self.fallback_used,
+            "fallback_reason": self.fallback_reason,
+            "residual_history": list(self.residual_history),
         }
 
 
@@ -290,8 +296,9 @@ def solve(sigma: Symbol, m: float, f: LatticeSequence, window: LatticeWindow,
     with A or B0), so no P^3 product is formed unless the iteration falls
     back to a dense direct solve: when the interior residual stalls (< 10%
     reduction over 20 iterations) or the cap is reached without meeting
-    tol.  Raises ConvergenceError only if even the direct solve misses the
-    target.
+    tol.  The result records which of the two caused a fallback and the
+    interior residual of every iterate.  Raises ConvergenceError only if
+    even the direct solve misses the target.
     """
     par = parametrix(sigma, m, J, window, grid)
     A = par.sigma_matrix.entries
@@ -307,34 +314,26 @@ def solve(sigma: Symbol, m: float, f: LatticeSequence, window: LatticeWindow,
 
     u = np.zeros(window.size, dtype=complex)
     history = []
-    best = (math.inf, u.copy())
-    fallback = False
+    reason = "iteration cap"
     it = 0
     for it in range(1, max_iter + 1):
         r, ri, rb = split_residual(u)
         history.append(ri)
-        if ri < best[0]:
-            best = (ri, u.copy())
         if ri <= tol:
             return SolveResult(LatticeSequence(window, u), ri, rb, it - 1,
-                               False, history)
+                               None, history)
         if len(history) > 20 and history[-1] > 0.9 * history[-21]:
-            fallback = True
+            reason = "stall"
             break
         u = u + par.apply(r)
-    else:
-        fallback = True
-    if fallback:
-        u = np.linalg.solve(A, f.values)
-        _, ri, rb = split_residual(u)
-        history.append(ri)
-        if ri <= tol:
-            return SolveResult(LatticeSequence(window, u), ri, rb, it,
-                               True, history)
-        raise ConvergenceError(
-            f"interior residual {ri:.3e} above tol {tol:.3e} even after direct solve",
-            best_iterate=LatticeSequence(window, u), residual_history=history)
-    raise AssertionError("unreachable")
+    u = np.linalg.solve(A, f.values)
+    _, ri, rb = split_residual(u)
+    history.append(ri)
+    if ri <= tol:
+        return SolveResult(LatticeSequence(window, u), ri, rb, it, reason, history)
+    raise ConvergenceError(
+        f"interior residual {ri:.3e} above tol {tol:.3e} even after direct solve",
+        best_iterate=LatticeSequence(window, u), residual_history=history)
 
 
 def residual_order_sequence(sigma: Symbol, m: float, window: LatticeWindow,

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    TWO_PI,
     LatticeSequence,
     LatticeWindow,
     TorusGrid,
     forward_dft,
-    phase_matrix,
     shift_coefficients,
     shift_samples,
     _check_resolution,
@@ -31,7 +31,9 @@ from .core import (
     _shift_index,
 )
 from .errors import DimensionMismatchError
-from .symbols import DualToroidalSymbol, GridSymbol, Symbol
+from .symbols import NON_FINITE_SAMPLES, DualToroidalSymbol, GridSymbol, Symbol
+
+_AXES = "abcdefghijklmnopqrstuvwxyz"  # einsum subscripts: k axes, then x axes
 
 
 def interior_margin(window: LatticeWindow) -> int:
@@ -67,21 +69,45 @@ class OperatorMatrix:
 
 
 def apply(sigma: Symbol, f: LatticeSequence, grid: TorusGrid) -> LatticeSequence:
-    """Quantized action: transform, multiply by sigma(k,.), invert with phase."""
+    """Quantized action: transform, multiply by sigma(k,.), invert with phase.
+
+    The sum over x of exp(2 pi i k.x) sigma(k,x) fhat(x) runs one axis at a
+    time against the (2N+1, M) phase table, innermost axis first, so the
+    only (P, Q) array is the sample array, multiplied by fhat in place.
+    Refuses non-finite f or samples with ValueError; a NaN or infinite
+    sample always leaves its output row non-finite, so checking the output
+    is exact.
+    """
     window = f.window
     _check_resolution(window, grid)
+    if not np.all(np.isfinite(f.values)):
+        raise ValueError("sequence carries non-finite values")
     fhat = forward_dft(f, grid)
     T = sigma.sample(window, grid)
     T *= fhat.values
-    # vecdot conjugates its first argument: sum_x exp(+2 pi i k.x) T[k, x]
-    E = _dft_matrix(window.n, window.N, grid.M)
-    return LatticeSequence(window, grid.weight * np.vecdot(E.T, T))
+    T = T.reshape(window.shape + grid.shape)
+    # exp(2 pi i k_j x_j) for one axis, k_j = -N..N and x_j = j/M; the phase
+    # k_j j is reduced mod M in integers, so its argument stays below 2 pi
+    phase = np.outer(np.arange(-window.N, window.N + 1), np.arange(grid.M)) % grid.M
+    E = np.exp(1j * TWO_PI / grid.M * phase)
+    ks, xs = _AXES[:window.n], _AXES[window.n:2 * window.n]
+    for j in reversed(range(window.n)):
+        T = np.einsum(f"{ks}{xs[:j + 1]},{ks[j]}{xs[j]}->{ks}{xs[:j]}", T, E)
+    out = grid.weight * T.reshape(-1)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(NON_FINITE_SAMPLES)
+    return LatticeSequence(window, out)
 
 
 def assemble_matrix(sigma: Symbol, window: LatticeWindow, grid: TorusGrid) -> OperatorMatrix:
     """entries(k,l) = quadrature of exp(2 pi i (k-l).x) sigma(k,x), i.e. C[k, (l-k) mod M]."""
     _check_resolution(window, grid)
-    C = shift_coefficients(sigma.sample(window, grid), window, grid)
+    return _section(sigma.sample(window, grid), window, grid)
+
+
+def _section(values: np.ndarray, window: LatticeWindow, grid: TorusGrid) -> OperatorMatrix:
+    """The finite section of the symbol sampled as ``values`` on a resolved window x grid."""
+    C = shift_coefficients(values, window, grid)
     A = C.reshape(window.shape + grid.shape)[_shift_index(window.n, window.N, grid.M)]
     return OperatorMatrix(window, grid, A.reshape(window.size, window.size))
 
@@ -90,10 +116,9 @@ def assemble_toroidal_matrix(tau: DualToroidalSymbol, window: LatticeWindow,
                              grid: TorusGrid) -> np.ndarray:
     """Grid-side section C(x,y) = M^-n sum_k exp(2 pi i (x-y).k) tau(x,k)."""
     _check_resolution(window, grid)
-    T = tau.sample_toroidal(window, grid)  # (Q, P)
-    B = phase_matrix(window, grid)         # (P, Q): exp(+2 pi i k.x)
-    # columns of B.T are exp(2 pi i x.k); rows of B are exp(-...) after conj
-    return grid.weight * ((B.T * T) @ B.conj())
+    T = tau.sample_toroidal(window, grid)          # (Q, P)
+    E = _dft_matrix(window.n, window.N, grid.M)    # (Q, P): exp(-2 pi i k.x)
+    return grid.weight * ((E.conj() * T) @ E.T)
 
 
 def extract_symbol(A: OperatorMatrix, order: float = None) -> GridSymbol:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -207,8 +208,17 @@ def _is_constant(node) -> bool:
     raise TypeError(node)
 
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide}
+
+
 def _eval_node(node, kcols, xcols):
-    """Evaluate on broadcastable per-coordinate arrays (or scalars)."""
+    """Evaluate on broadcastable per-coordinate arrays (or scalars).
+
+    Every array a node returns is a temporary it created, except a ``Var``
+    column, so a binary node writes its result into an operand temporary
+    whose shape and dtype already fit it rather than allocating a new one.
+    """
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Const):
@@ -221,15 +231,15 @@ def _eval_node(node, kcols, xcols):
     if isinstance(node, BinOp):
         a = _eval_node(node.left, kcols, xcols)
         b = _eval_node(node.right, kcols, xcols)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        return np.power(np.asarray(a, dtype=complex), b)
+        if node.op == "^":
+            return np.power(np.asarray(a, dtype=complex), b)
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        dtype = np.result_type(a, b)
+        for child, v in ((node.left, a), (node.right, b)):
+            if (isinstance(v, np.ndarray) and not isinstance(child, Var)
+                    and v.shape == shape and v.dtype == dtype):
+                return _UFUNCS[node.op](a, b, out=v)
+        return _ARITHMETIC[node.op](a, b)
     if isinstance(node, Func):
         v = _eval_node(node.arg, kcols, xcols)
         if node.name == "exp":
@@ -324,9 +334,11 @@ class Symbol:
     def _values_on_product(self, K, X) -> np.ndarray:
         kcols = [K[:, j].astype(float)[:, None] for j in range(K.shape[1])]
         xcols = [X[:, j][None, :] for j in range(X.shape[1])]
-        out = self._eval_cols(kcols, xcols)
-        return np.broadcast_to(np.asarray(out, dtype=complex),
-                               (K.shape[0], X.shape[0])).copy()
+        out = np.asarray(self._eval_cols(kcols, xcols), dtype=complex)
+        shape = (K.shape[0], X.shape[0])
+        if out.shape == shape and out.flags.owndata:
+            return out
+        return np.broadcast_to(out, shape).copy()
 
     def _values_at(self, K, X) -> np.ndarray:
         kcols = [K[:, j].astype(float) for j in range(K.shape[1])]
@@ -719,6 +731,9 @@ def estimate_order(sigma: Symbol, window: LatticeWindow, grid: TorusGrid,
 
 # -- ellipticity -------------------------------------------------------------
 
+NON_FINITE_SAMPLES = "symbol samples carry non-finite values"
+
+
 @dataclass
 class EllipticityReport:
     elliptic: bool
@@ -743,10 +758,20 @@ def check_ellipticity(sigma: Symbol, m: float, window: LatticeWindow,
 
     Declared non-elliptic when shell minima hit exact zero or decay by
     10x from the first shell to the last; otherwise certified with
-    C = min ratio over the whole sampled set and M_radius = 0.
+    C = min ratio over the whole sampled set and M_radius = 0.  A NaN or
+    infinite sample raises ValueError.
     """
-    S = np.abs(sigma.sample(window, grid))
-    ratio = np.min(S, axis=1) / np.power(window.radial_weight, m)
+    magnitude = np.abs(sigma.sample(window, grid))
+    return _certificate(magnitude, np.min(magnitude, axis=1), m, window)
+
+
+def _certificate(magnitude: np.ndarray, row_min: np.ndarray, m: float,
+                 window: LatticeWindow) -> EllipticityReport:
+    """The certificate of check_ellipticity from |sigma| on window x grid and
+    its row minima; refuses samples that are not all finite."""
+    if not np.isfinite(np.sum(magnitude)):
+        raise ValueError(NON_FINITE_SAMPLES)
+    ratio = row_min / np.power(window.radial_weight, m)
     labels = window.shell_labels()
     shells = sorted(set(labels))
     profile = [float(np.min(ratio[labels == j])) for j in shells]

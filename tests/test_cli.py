@@ -132,6 +132,38 @@ def test_solve_command(tmp_path, capsys):
     assert rep["fallback_used"] is False
 
 
+def test_solve_reports_its_residual_history(tmp_path, capsys):
+    w = LatticeWindow(1, 8)
+    fpath = seq_csv(tmp_path, "f.csv", LatticeSequence.random(w, np.random.default_rng(13)))
+    sym = sym_json(tmp_path, "s.json", "2 + exp(i*twopi*x1)/(1+k1^2)")
+    argv = ["solve", sym, fpath, "--tol", "1e-10", "--no-timestamp"]
+    code, first, _ = run(capsys, *argv)
+    code2, second, _ = run(capsys, *argv)
+    assert code == code2 == 0 and first == second
+    rep = json.loads(first)
+    assert rep["fallback_reason"] is None
+    assert len(rep["residual_history"]) == rep["iterations"] + 1
+    assert rep["residual_history"][-1] == rep["residual_interior"]
+
+
+def test_sequence_nan_names_the_line(tmp_path, capsys):
+    path = tmp_path / "f.csv"
+    path.write_text("k1,re,im\n0,1.0,0.0\n1,nan,0.0\n")
+    code, out, err = run(capsys, "apply", str(shipped_path("constant")), str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["message"].startswith("line 3: point [1]")
+
+
+def test_apply_non_finite_symbol_is_precondition_error(tmp_path, capsys):
+    w = LatticeWindow(1, 4)
+    fpath = seq_csv(tmp_path, "f.csv", LatticeSequence.delta(w))
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, "apply", sym_json(tmp_path, "s.json", "1/k1"), fpath)
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "symbol samples carry non-finite values"}
+
+
 def test_spectrum_inclusion(tmp_path, capsys):
     out = str(tmp_path / "sv.csv")
     rep = report_of(capsys, "spectrum", "--kind", "inclusion", "--s", "0",
@@ -324,6 +356,7 @@ def test_apply_generic_symbol_takes_the_sequence_dimension(generic_bessel, tmp_p
     "k1,re,im\n0,1.0\n",                # short row
     "k1,re,im\n1,1.0,0.0\n1,2.0,0.0\n",  # duplicate k row
     "",                                 # empty file
+    "k1,re,im\n0,1.0,-inf\n",          # infinite value
 ])
 def test_bad_sequence_csv_is_parse_error(tmp_path, capsys, text):
     path = tmp_path / "f.csv"
@@ -341,6 +374,7 @@ def test_bad_sequence_csv_is_parse_error(tmp_path, capsys, text):
     "x1,re,im\n0.0,1,0\n0.3,1,0\n",              # off-grid node
     "x1,re,im\n0.0,1,0\nnan,1,0\n",              # non-finite node
     "x1,re,im\n",                                # no rows
+    "x1,re,im\n0.0,nan,0\n0.5,1,0\n",            # non-finite value
 ])
 def test_bad_torus_csv_is_parse_error(tmp_path, capsys, text):
     path = tmp_path / "t.csv"
@@ -372,6 +406,8 @@ def test_invft_on_a_small_grid_takes_the_smallest_window(tmp_path, capsys, M):
     ["solve", "{s}", "{f}", "--steps", "0"],
     ["index", "{s}", "--steps", "0"],
     ["parametrix", "{s}", "--power", "-1"],
+    ["classify", "{s}", "--alpha-max", "-1"],
+    ["classify", "{s}", "--beta-max", "-1"],
 ])
 def test_bad_size_option_is_usage_error(tmp_path, capsys, argv):
     w = LatticeWindow(1, 4)

@@ -9,8 +9,10 @@ from latticeops import (
     adn_verify,
     apply,
     bessel_symbol,
+    check_ellipticity,
     default_grid,
     estimate_order,
+    jump_symbol,
     parametrix,
     parse_symbol,
     residual_decay_report,
@@ -23,7 +25,7 @@ from latticeops.elliptic import residual_order_sequence
 from latticeops.errors import EllipticityError
 from latticeops.quantization import assemble_matrix, extract_symbol, interior_margin
 from latticeops.quantization import OperatorMatrix
-from latticeops.symbols import GridSymbol
+from latticeops.symbols import NON_FINITE_SAMPLES, GridSymbol
 
 PERTURBED = "2 + exp(i*twopi*x1)/(1+k1^2)"
 # slower-decaying member of the same family; its residual orders stay
@@ -194,14 +196,79 @@ def test_residual_order_sequence_steps_one_parametrix(monkeypatch):
     want = [estimate_order(par.left_residual, w, g, alpha_max=0, beta_max=0).m_hat
             for par in separate]
     assert np.array_equal(separate[1].refined().matrix.entries, separate[2].matrix.entries)
-    calls = {"check_ellipticity": 0, "assemble_matrix": 0}
-    for name, original in [(name, getattr(elliptic, name)) for name in calls]:
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(elliptic, name, counted)
+    calls = []
+
+    def counted(*args, _original=sigma.sample, **kwargs):
+        calls.append(args)
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(sigma, "sample", counted, raising=False)
+    parametrix(sigma, 0.0, 2, w, g)
+    assert len(calls) == 1
+    solve(sigma, 0.0, LatticeSequence.random(w, np.random.default_rng(2)), w, g)
+    assert len(calls) == 2
     assert residual_order_sequence(sigma, 0.0, w, g, J_max=3) == want
-    assert calls == {"check_ellipticity": 1, "assemble_matrix": 2}
+    assert len(calls) == 3
+
+
+def _three_pass_parametrix(sigma, m, w, g):
+    """A, B0, the regularized points and theta as built before sigma was
+    sampled once: certificate, regularized inverse and A each sampled anew."""
+    rep = check_ellipticity(sigma, m, w, g)
+    theta = rep.C / 2.0
+    S = sigma.sample(w, g)
+    floor = theta * np.power(w.radial_weight, m)
+    low = np.min(np.abs(S), axis=1) < floor
+    delta = np.where(low, floor ** 2, 0.0)
+    tau0 = GridSymbol(w, g, S.conj() / (np.abs(S) ** 2 + delta[:, None]))
+    return (assemble_matrix(sigma, w, g).entries, assemble_matrix(tau0, w, g).entries,
+            np.where(low)[0].tolist(), theta)
+
+
+@pytest.mark.parametrize("sigma,m", [  # the solve-n2 benchmark pool, and the index pair
+    pytest.param(parse_symbol("2 + exp(i*twopi*x1)/(1+k1^2+k2^2) + 0.5*cos(twopi*x2)/(1+k1^2)",
+                              2, order=0), 0.0, id="expr-order0"),
+    pytest.param(parse_symbol("(1+k1^2+k2^2)*(1 + 0.3*cos(twopi*(x1+x2)))", 2, order=2),
+                 2.0, id="expr-order2"),
+    pytest.param(bessel_symbol(2, n=2), 2.0, id="bessel2"),
+    pytest.param(jump_symbol(+1), 0.0, id="jump+1"),
+    pytest.param(jump_symbol(-1), 0.0, id="jump-1"),
+])
+def test_parametrix_matches_the_three_pass_construction(sigma, m):
+    w = LatticeWindow(sigma.n, 8 if sigma.n == 2 else 16)
+    g = default_grid(w)
+    A, B0, regularized, theta = _three_pass_parametrix(sigma, m, w, g)
+    par = parametrix(sigma, m, 2, w, g)
+    assert np.array_equal(par.sigma_matrix.entries, A)
+    assert np.array_equal(par.initial.entries, B0)
+    assert par.regularized_points == regularized
+    assert par.threshold == theta
+
+
+def test_parametrix_refuses_non_finite_samples():
+    w = LatticeWindow(1, 8)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=NON_FINITE_SAMPLES):
+        parametrix(parse_symbol("2 + k1/k1", 1), 0.0, 1, w, default_grid(w))
+
+
+@pytest.mark.parametrize("text,max_iter,reason", [
+    (PERTURBED, 500, None),
+    ("1 + 3*exp(i*twopi*x1)/(1+k1^2)", 500, "stall"),  # B0 A is far from I: diverges
+    (PERTURBED, 1, "iteration cap"),
+])
+def test_solve_reports_why_it_fell_back(text, max_iter, reason):
+    w = LatticeWindow(1, 8)
+    g = default_grid(w)
+    f = LatticeSequence.random(w, np.random.default_rng(3), margin=interior_margin(w))
+    res = solve(parse_symbol(text, 1, order=0), 0.0, f, w, g, tol=1e-10, max_iter=max_iter)
+    assert res.fallback_reason == reason
+    assert res.fallback_used is (reason is not None)
+    report = res.report_dict()
+    assert report["fallback_reason"] == reason
+    assert report["residual_history"] == res.residual_history
+    # one entry per iterate, plus the direct solve after a fallback
+    assert len(res.residual_history) == res.iterations + 1
+    assert res.residual_history[-1] == res.residual_interior <= 1e-10
 
 
 def test_decay_report_zero_residual():
@@ -295,5 +362,5 @@ def test_solve_matches_dense_direct():
     direct = np.linalg.solve(assemble_matrix(sigma, w, g).entries, f.values)
     assert np.max(np.abs(res.solution.values - direct)) < 1e-6
     report = res.report_dict()
-    assert set(report) == {"residual_interior", "residual_boundary",
-                           "iterations", "fallback_used"}
+    assert set(report) == {"residual_interior", "residual_boundary", "iterations",
+                           "fallback_used", "fallback_reason", "residual_history"}

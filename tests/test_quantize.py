@@ -1,5 +1,7 @@
 """Quantization: apply, assembly, extraction, composition, adjoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from latticeops import (
     interior_margin,
     parse_symbol,
 )
-from latticeops.core import _dft_matrix, phase_matrix
+from latticeops.core import _dft_matrix, forward_dft, phase_matrix
 from latticeops.errors import AliasingError
 from latticeops.quantization import (
     OperatorMatrix,
@@ -31,6 +33,7 @@ from latticeops.quantization import (
     write_matrix_binary,
     write_matrix_json,
 )
+from latticeops.symbols import NON_FINITE_SAMPLES
 
 
 @pytest.fixture
@@ -92,6 +95,12 @@ def dense_extraction(A, w, g):
     return B.conj() * (A @ B)
 
 
+def dense_apply(S, f, g):
+    """The direct M^-n sum_x exp(2 pi i k.x) sigma(k,x) fhat(x), as an oracle."""
+    w = f.window
+    return g.weight * np.sum(phase_matrix(w, g) * S * forward_dft(f, g).values, axis=1)
+
+
 def check_against_dense(n, N, M, seed):
     w, g = LatticeWindow(n, N), TorusGrid(n, M)
     rng = np.random.default_rng(seed)
@@ -100,6 +109,10 @@ def check_against_dense(n, N, M, seed):
     assert np.max(np.abs(A.entries - dense_section(S, w, g))) < 1e-12
     ext = extract_symbol(A).values
     assert np.max(np.abs(ext - dense_extraction(A.entries, w, g))) < 1e-12
+    f = LatticeSequence.random(w, rng)
+    want = dense_apply(S, f, g)
+    got = apply(GridSymbol(w, g, S), f, g).values
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 @settings(max_examples=40, deadline=None)
@@ -116,6 +129,42 @@ def test_assembly_and_extraction_match_the_dense_sums(data):
 @pytest.mark.parametrize("extra", [0, 2])
 def test_assembly_and_extraction_match_the_dense_sums_at_size(n, N, extra):
     check_against_dense(n, N, 2 * N + 1 + extra, seed=N + extra)
+
+
+EXPR_ORDER0 = "2 + exp(i*twopi*x1)/(1+k1^2+k2^2) + 0.5*cos(twopi*x2)/(1+k1^2)"
+
+
+def test_apply_holds_one_sample_array_and_no_dft_table():
+    w = LatticeWindow(2, 12)
+    g = default_grid(w)
+    sigma = parse_symbol(EXPR_ORDER0, 2, order=0)
+    f = LatticeSequence.random(w, np.random.default_rng(5))
+    _dft_matrix.cache_clear()
+    apply(sigma, f, g)
+    tracemalloc.start()
+    try:
+        apply(sigma, f, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _dft_matrix.cache_info().currsize == 0
+    # the samples, multiplied by fhat in place, and one evaluator temporary
+    assert peak < 2.5 * w.size * g.size * 16
+
+
+def test_apply_refuses_non_finite_values():
+    w = LatticeWindow(1, 8)
+    g = default_grid(w)
+    f = LatticeSequence.random(w, np.random.default_rng(6))
+    sigma = parse_symbol("1/k1", 1)  # infinite at k1 = 0
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match=NON_FINITE_SAMPLES):
+            apply(sigma, f, g)
+        with pytest.raises(ValueError):
+            assemble_matrix(sigma, w, g)
+    f.values[3] = np.nan
+    with pytest.raises(ValueError, match="sequence carries non-finite values"):
+        apply(parse_symbol("2", 1), f, g)
 
 
 def test_extraction_refuses_aliasing_grid():

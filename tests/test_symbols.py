@@ -1,6 +1,7 @@
 """Symbol expressions, parsing, order estimation, ellipticity."""
 
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -24,7 +25,18 @@ from latticeops import (
 )
 from latticeops.errors import OutOfWindowError, SymbolSyntaxError
 from latticeops.quantization import assemble_matrix, extract_symbol
-from latticeops.symbols import GridSymbol, pretty_print, s0_decay_profile
+from latticeops.symbols import (
+    NON_FINITE_SAMPLES,
+    BinOp,
+    Const,
+    Func,
+    GridSymbol,
+    Neg,
+    Num,
+    Var,
+    pretty_print,
+    s0_decay_profile,
+)
 
 
 def test_parse_constant():
@@ -176,6 +188,69 @@ def test_jump_symbols_are_order_zero_elliptic():
         est = estimate_order(jump_symbol(d), w, g)
         assert abs(est.m_hat) <= 0.1
         assert check_ellipticity(jump_symbol(d), 0.0, w, g).elliptic
+
+
+@pytest.mark.parametrize("text", ["k1/k1", "1/k1", "2 + 1/(k1*x1)"])
+def test_certificate_refuses_non_finite_samples(text):
+    # k1/k1 is NaN and 1/k1 infinite at k1 = 0; before, k1/k1 was certified
+    # elliptic with C = NaN
+    w = LatticeWindow(1, 8)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=NON_FINITE_SAMPLES):
+        check_ellipticity(parse_symbol(text, 1), 0.0, w, default_grid(w))
+
+
+@pytest.mark.parametrize("text", ["x1", "k2", "2", "cos(twopi*x1)", "x1*k1"])
+def test_sample_is_a_fresh_writable_array(text):
+    w = LatticeWindow(2, 3)
+    g = default_grid(w)
+    sigma = parse_symbol(text, 2)
+    first = sigma.sample(w, g)
+    second = sigma.sample(w, g)
+    assert first.shape == (w.size, g.size) and first.flags.writeable
+    for other in (g.nodes, w.points, second):
+        assert not np.shares_memory(first, other)
+    first[:] = 0.0
+    assert np.array_equal(sigma.sample(w, g), second)
+
+
+def _eval_allocating(node, kcols, xcols):
+    """The expression evaluator with a new array at every node, as an oracle."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Const):
+        return 1j if node.name == "i" else 2.0 * np.pi
+    if isinstance(node, Var):
+        return (kcols if node.kind == "k" else xcols)[node.index - 1]
+    if isinstance(node, Neg):
+        return -_eval_allocating(node.child, kcols, xcols)
+    if isinstance(node, BinOp):
+        a = _eval_allocating(node.left, kcols, xcols)
+        b = _eval_allocating(node.right, kcols, xcols)
+        if node.op == "^":
+            return np.power(np.asarray(a, dtype=complex), b)
+        return {"+": operator.add, "-": operator.sub,
+                "*": operator.mul, "/": operator.truediv}[node.op](a, b)
+    assert isinstance(node, Func)
+    return getattr(np, node.name)(_eval_allocating(node.arg, kcols, xcols))  # exp, sin, cos
+
+
+@pytest.mark.parametrize("text", [
+    "2 + exp(i*twopi*x1)/(1+k1^2+k2^2) + 0.5*cos(twopi*x2)/(1+k1^2)",
+    "(1+k1^2+k2^2)*(1 + 0.3*cos(twopi*(x1+x2)))",
+    "x1*x1 - x1*x1 + k1*x2/(1+k2^2) - (x1 + k1)",
+    "k1 - 3 + x2*k2/2 - (1 - x1*k1) * (2 - x2*k2)",
+    "-(x1*k1)*cos(x2*k2) - (k1*x1)/(k2*x2 + 7)",
+])
+def test_in_place_evaluation_matches_allocating_evaluation(text):
+    w = LatticeWindow(2, 5)
+    g = default_grid(w)
+    sigma = parse_symbol(text, 2)
+    K = w.points
+    kcols = [K[:, j].astype(float)[:, None] for j in range(2)]
+    xcols = [g.nodes[:, j][None, :] for j in range(2)]
+    want = np.broadcast_to(np.asarray(_eval_allocating(sigma.ast, kcols, xcols), dtype=complex),
+                           (w.size, g.size))
+    assert np.array_equal(sigma.sample(w, g), want)
 
 
 def test_s0_decay_profile():
