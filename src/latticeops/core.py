@@ -31,9 +31,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
+def _window_axis(N: int) -> np.ndarray:
+    return _frozen(np.arange(-N, N + 1))
+
+
+@lru_cache(maxsize=64)
 def _window_points(n: int, N: int) -> np.ndarray:
-    axes = [np.arange(-N, N + 1)] * n
-    grids = np.meshgrid(*axes, indexing="ij")
+    grids = np.meshgrid(*[_window_axis(N)] * n, indexing="ij")
     return _frozen(np.stack([g.ravel() for g in grids], axis=-1))
 
 
@@ -43,9 +47,13 @@ def _radial_weights(n: int, N: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
+def _grid_axis(M: int) -> np.ndarray:
+    return _frozen(np.arange(M) / M)
+
+
+@lru_cache(maxsize=64)
 def _grid_nodes(n: int, M: int) -> np.ndarray:
-    axes = [np.arange(M) / M] * n
-    grids = np.meshgrid(*axes, indexing="ij")
+    grids = np.meshgrid(*[_grid_axis(M)] * n, indexing="ij")
     return _frozen(np.stack([g.ravel() for g in grids], axis=-1))
 
 
@@ -77,6 +85,11 @@ class LatticeWindow:
     def points(self) -> np.ndarray:
         """(size, n) integer array, lexicographic in k."""
         return _window_points(self.n, self.N)
+
+    @property
+    def axis(self) -> np.ndarray:
+        """(side,) integer array -N..N, the values each coordinate takes."""
+        return _window_axis(self.N)
 
     @property
     def radial_weight(self) -> np.ndarray:
@@ -147,6 +160,11 @@ class TorusGrid:
     def nodes(self) -> np.ndarray:
         """(size, n) array of nodes in [0,1)^n, lexicographic in j."""
         return _grid_nodes(self.n, self.M)
+
+    @property
+    def axis(self) -> np.ndarray:
+        """(M,) array of the values j/M each coordinate takes."""
+        return _grid_axis(self.M)
 
     @property
     def weight(self) -> float:

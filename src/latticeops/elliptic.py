@@ -270,7 +270,7 @@ class SolveResult:
     residual_interior: float
     residual_boundary: float
     iterations: int
-    fallback_reason: str        # None, "stall" or "iteration cap"
+    fallback_reason: str        # None, "divergence", "stall" or "iteration cap"
     residual_history: list
 
     @property
@@ -294,9 +294,10 @@ def solve(sigma: Symbol, m: float, f: LatticeSequence, window: LatticeWindow,
 
     Each iteration applies B_J to the residual matrix-free (2J-1 products
     with A or B0), so no P^3 product is formed unless the iteration falls
-    back to a dense direct solve: when the interior residual stalls (< 10%
-    reduction over 20 iterations) or the cap is reached without meeting
-    tol.  The result records which of the two caused a fallback and the
+    back to a dense direct solve: as soon as the interior residual rises
+    above its starting value (divergence), when it stalls (< 10% reduction
+    over 20 iterations) or when the cap is reached without meeting tol.
+    The result records which of the three caused a fallback and the
     interior residual of every iterate.  Raises ConvergenceError only if
     even the direct solve misses the target.
     """
@@ -322,6 +323,9 @@ def solve(sigma: Symbol, m: float, f: LatticeSequence, window: LatticeWindow,
         if ri <= tol:
             return SolveResult(LatticeSequence(window, u), ri, rb, it - 1,
                                None, history)
+        if ri > history[0]:
+            reason = "divergence"
+            break
         if len(history) > 20 and history[-1] > 0.9 * history[-21]:
             reason = "stall"
             break

@@ -72,8 +72,12 @@ def apply(sigma: Symbol, f: LatticeSequence, grid: TorusGrid) -> LatticeSequence
     """Quantized action: transform, multiply by sigma(k,.), invert with phase.
 
     The sum over x of exp(2 pi i k.x) sigma(k,x) fhat(x) runs one axis at a
-    time against the (2N+1, M) phase table, innermost axis first, so the
-    only (P, Q) array is the sample array, multiplied by fhat in place.
+    time against the (2N+1, M) phase table, innermost axis first.  sigma
+    comes on its per-axis form (``Symbol._sample_axes``): fhat is first
+    summed over the x axes sigma does not vary on, sigma is multiplied in
+    place into one array over the remaining axes, and those x axes are
+    summed last.  So an x-independent symbol never forms a (P, Q) array,
+    and one that varies on every x axis multiplies fhat into its samples.
     Refuses non-finite f or samples with ValueError; a NaN or infinite
     sample always leaves its output row non-finite, so checking the output
     is exact.
@@ -82,27 +86,55 @@ def apply(sigma: Symbol, f: LatticeSequence, grid: TorusGrid) -> LatticeSequence
     _check_resolution(window, grid)
     if not np.all(np.isfinite(f.values)):
         raise ValueError("sequence carries non-finite values")
-    fhat = forward_dft(f, grid)
-    T = sigma.sample(window, grid)
-    T *= fhat.values
-    T = T.reshape(window.shape + grid.shape)
+    n = window.n
+    T = forward_dft(f, grid).values.reshape((1,) * n + grid.shape)
+    S = sigma._sample_axes(window, grid, np.zeros(n, dtype=int))
     # exp(2 pi i k_j x_j) for one axis, k_j = -N..N and x_j = j/M; the phase
     # k_j j is reduced mod M in integers, so its argument stays below 2 pi
-    phase = np.outer(np.arange(-window.N, window.N + 1), np.arange(grid.M)) % grid.M
+    phase = np.outer(window.axis, np.arange(grid.M)) % grid.M
     E = np.exp(1j * TWO_PI / grid.M * phase)
-    ks, xs = _AXES[:window.n], _AXES[window.n:2 * window.n]
-    for j in reversed(range(window.n)):
-        T = np.einsum(f"{ks}{xs[:j + 1]},{ks[j]}{xs[j]}->{ks}{xs[:j]}", T, E)
-    out = grid.weight * T.reshape(-1)
+    with np.errstate(all="ignore"):  # non-finite samples are refused below
+        for j in reversed(range(n)):
+            if S.shape[n + j] == 1:
+                T = _sum_axis(T, E, j)
+        union = np.broadcast_shapes(S.shape, T.shape)
+        if S.shape == union:
+            S *= T
+            T = S
+        elif T.shape == union:
+            T *= S
+        else:
+            T = T * S
+        for j in reversed(range(n)):
+            if T.shape[n + j] > 1:
+                T = _sum_axis(T, E, j)
+        out = grid.weight * T.reshape(-1)
     if not np.all(np.isfinite(out)):
         raise ValueError(NON_FINITE_SAMPLES)
     return LatticeSequence(window, out)
 
 
+def _sum_axis(T: np.ndarray, E: np.ndarray, j: int) -> np.ndarray:
+    """Sum the 2n-axis array T against the phase table E over x axis j.
+
+    The result runs along k axis j and has length 1 on x axis j; the
+    einsum names only the axes of length above 1.
+    """
+    n = T.ndim // 2
+    axes = [a for a in range(2 * n) if T.shape[a] > 1]
+    kept = sorted(set(axes) - {n + j} | {j})
+    spec = "{},{}{}->{}".format("".join(_AXES[a] for a in axes), _AXES[j], _AXES[n + j],
+                               "".join(_AXES[a] for a in kept))
+    shape = list(T.shape)
+    shape[j], shape[n + j] = E.shape[0], 1
+    return np.einsum(spec, T.reshape([T.shape[a] for a in axes]), E).reshape(shape)
+
+
 def assemble_matrix(sigma: Symbol, window: LatticeWindow, grid: TorusGrid) -> OperatorMatrix:
     """entries(k,l) = quadrature of exp(2 pi i (k-l).x) sigma(k,x), i.e. C[k, (l-k) mod M]."""
     _check_resolution(window, grid)
-    return _section(sigma.sample(window, grid), window, grid)
+    with np.errstate(all="ignore"):  # OperatorMatrix refuses non-finite entries
+        return _section(sigma.sample(window, grid), window, grid)
 
 
 def _section(values: np.ndarray, window: LatticeWindow, grid: TorusGrid) -> OperatorMatrix:

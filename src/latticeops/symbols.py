@@ -2,9 +2,10 @@
 
 Three backends: a small expression language over k1..kn / x1..xn, builtin
 families (Bessel multipliers, plain k-multipliers, jump symbols), and grid
-samples on a window x grid.  Diagnostics estimate the symbol-class order
-from dyadic-shell regressions and certify ellipticity from sampled lower
-bounds.
+samples on a window x grid.  Sampling lays k_j and x_j on 2n separate
+axes, so each expression node is computed only on the axes it reads.
+Diagnostics estimate the symbol-class order from dyadic-shell regressions
+and certify ellipticity from sampled lower bounds.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+NON_FINITE_SAMPLES = "symbol samples carry non-finite values"
 
 
 # -- expression AST ----------------------------------------------------------
@@ -212,6 +215,13 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": ope
 _UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide}
 
 
+def _along(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """``values`` laid along ``axis`` of an ``ndim``-dimensional array."""
+    shape = [1] * ndim
+    shape[axis] = values.size
+    return values.reshape(shape)
+
+
 def _eval_node(node, kcols, xcols):
     """Evaluate on broadcastable per-coordinate arrays (or scalars).
 
@@ -327,18 +337,31 @@ class Symbol:
     def sample_shifted(self, window, grid, shift) -> np.ndarray:
         """Sample sigma(k + shift, x); backends evaluable on all of Z^n
         accept any shift."""
-        self._check_dims(window.n, grid.n)
-        K = window.points + np.asarray(shift, dtype=int)
-        return self._values_on_product(K, grid.nodes)
+        S = self._sample_axes(window, grid, shift)
+        full = window.shape + grid.shape
+        if S.shape != full:
+            S = np.broadcast_to(S, full).copy()
+        return S.reshape(window.size, grid.size)
 
-    def _values_on_product(self, K, X) -> np.ndarray:
-        kcols = [K[:, j].astype(float)[:, None] for j in range(K.shape[1])]
-        xcols = [X[:, j][None, :] for j in range(X.shape[1])]
-        out = np.asarray(self._eval_cols(kcols, xcols), dtype=complex)
-        shape = (K.shape[0], X.shape[0])
-        if out.shape == shape and out.flags.owndata:
-            return out
-        return np.broadcast_to(out, shape).copy()
+    def _sample_axes(self, window, grid, shift) -> np.ndarray:
+        """sigma(k + shift, x) on the 2n axes k_1..k_n, x_1..x_n.
+
+        Axis j carries k_j = -N..N plus shift_j and axis n+j carries
+        x_j = 0..M-1 over M.  Each expression node is computed on the
+        product of the axes it reads, so the result has length 1 on every
+        axis sigma does not vary on and broadcasts to window.shape +
+        grid.shape.  It is fresh, so the caller may overwrite it.
+        Non-finite values come back without a numpy warning: apply,
+        assemble_matrix, the certificate and estimate_order refuse them.
+        """
+        self._check_dims(window.n, grid.n)
+        n = window.n
+        shift = np.asarray(shift, dtype=int)
+        kcols = [_along((window.axis + shift[j]).astype(float), j, 2 * n) for j in range(n)]
+        xcols = [_along(grid.axis, n + j, 2 * n) for j in range(n)]
+        with np.errstate(all="ignore"):
+            out = np.asarray(self._eval_cols(kcols, xcols), dtype=complex)
+        return out.reshape((1,) * (2 * n)) if out.ndim == 0 else out
 
     def _values_at(self, K, X) -> np.ndarray:
         kcols = [K[:, j].astype(float) for j in range(K.shape[1])]
@@ -458,13 +481,23 @@ class GridSymbol(Symbol):
 
     def sample_shifted(self, window, grid, shift):
         self._check_dims(window.n, grid.n)
-        shift = np.asarray(shift, dtype=int)
-        K = window.points + shift
-        inside = np.all(np.abs(K) <= self.window.N, axis=1)
+        rows, inside = self._rows(window.points + np.asarray(shift, dtype=int))
         if not np.all(inside):
             raise OutOfWindowError(
                 f"shifted evaluation leaves the backing window N={self.window.N}")
-        rows = np.ravel_multi_index((K + self.window.N).T, self.window.shape)
+        return self._row_samples(rows, grid)
+
+    def _sample_axes(self, window, grid, shift):
+        """The stored rows at k + shift, laid on the 2n axes."""
+        return self.sample_shifted(window, grid, shift).reshape(window.shape + grid.shape)
+
+    def _rows(self, K):
+        """Rows of the points K that lie in the backing window, and the mask of those points."""
+        inside = np.all(np.abs(K) <= self.window.N, axis=1)
+        return np.ravel_multi_index((K[inside] + self.window.N).T, self.window.shape), inside
+
+    def _row_samples(self, rows, grid):
+        """The stored rows on ``grid``: a fresh copy, interpolated when M differs."""
         if grid.M == self.grid.M:
             return self.values[rows]
         return self._interp_rows(rows, grid.nodes)
@@ -518,9 +551,8 @@ class DualToroidalSymbol:
 
     def sample_toroidal(self, window: LatticeWindow, grid: TorusGrid) -> np.ndarray:
         """(grid.size, window.size) array of tau(x,k)."""
-        S = self.base.sample(window, grid)
-        perm = np.array([window.index_of(-k) for k in window.points])
-        return S[perm].conj().T
+        # the window is symmetric and lexicographic, so -k sits at row P-1-row(k)
+        return self.base.sample(window, grid)[::-1].conj().T
 
 
 def _uses_x(node) -> bool:
@@ -604,26 +636,26 @@ class OrderEstimate:
 
 
 def _difference_samples(sigma: Symbol, window, grid, alpha: MultiIndex):
-    """Closed-form Delta^alpha sigma on window x grid; valid-row mask."""
+    """Closed-form Delta^alpha sigma on window x grid; valid-row mask.
+
+    Refuses samples that are not all finite with ValueError.
+    """
     acc = np.zeros((window.size, grid.size), dtype=complex)
     valid = np.ones(window.size, dtype=bool)
-    for beta in multiindices_leq(alpha):
-        sign = (-1) ** (alpha.order - beta.order)
-        coeff = sign * binomial_multi(alpha, beta)
-        if isinstance(sigma, GridSymbol):
-            K = window.points + np.array(tuple(beta))
-            inside = np.all(np.abs(K) <= sigma.window.N, axis=1)
-            valid &= inside
-            part = np.zeros_like(acc)
-            rows_ok = np.where(inside)[0]
-            idx = [sigma.window.index_of(k) for k in K[rows_ok]]
-            if grid.M == sigma.grid.M:
-                part[rows_ok] = sigma.values[idx]
+    with np.errstate(all="ignore"):  # non-finite samples are refused below
+        for beta in multiindices_leq(alpha):
+            sign = (-1) ** (alpha.order - beta.order)
+            coeff = sign * binomial_multi(alpha, beta)
+            if isinstance(sigma, GridSymbol):
+                rows, inside = sigma._rows(window.points + np.array(tuple(beta)))
+                valid &= inside
+                part = np.zeros_like(acc)
+                part[inside] = sigma._row_samples(rows, grid)
+                acc += coeff * part
             else:
-                part[rows_ok] = sigma._interp_rows(np.array(idx), grid.nodes)
-            acc += coeff * part
-        else:
-            acc += coeff * sigma.sample_shifted(window, grid, tuple(beta))
+                acc += coeff * sigma.sample_shifted(window, grid, tuple(beta))
+    if not np.all(np.isfinite(acc)):
+        raise ValueError(NON_FINITE_SAMPLES)
     return acc, valid
 
 
@@ -730,8 +762,6 @@ def estimate_order(sigma: Symbol, window: LatticeWindow, grid: TorusGrid,
 
 
 # -- ellipticity -------------------------------------------------------------
-
-NON_FINITE_SAMPLES = "symbol samples carry non-finite values"
 
 
 @dataclass

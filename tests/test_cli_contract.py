@@ -3,6 +3,8 @@ reads, reports strict JSON and records only the settings its run used."""
 
 import argparse
 import json
+import sys
+import warnings
 
 import pytest
 
@@ -121,3 +123,25 @@ def test_report_is_strict_json_with_only_used_config(files, capsys, cmd):
     report = json.loads(captured.out, parse_constant=_reject)
     assert set(report["config"]) == {"command", "version"} | CONFIG_KEYS[cmd]
     assert report["config"]["command"] == cmd
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+@pytest.mark.parametrize("cmd", ["apply", "classify"])
+def test_non_finite_symbol_leaves_one_json_object_on_stderr(files, capsys, cmd):
+    # 1/k1 has a pole at k1 = 0; a numpy warning would print to stderr
+    # ahead of the JSON error, so warnings are printed as a process prints them
+    sym = files["dir"] / "pole.json"
+    sym.write_text(json.dumps({"n": 1, "order": 0, "kind": "expr", "expr": "1/k1"}))
+    argv = {"apply": [str(sym), files["seq"]], "classify": [str(sym), "--N", "8"]}[cmd]
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _print_warning
+        code = main([cmd, *argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ValueError",
+                                        "message": "symbol samples carry non-finite values"}

@@ -240,6 +240,10 @@ def test_cached_arrays_are_read_only():
     with pytest.raises(ValueError):
         LatticeWindow(1, 4).radial_weight[0] = 0.0
     with pytest.raises(ValueError):
+        LatticeWindow(2, 4).axis[0] = 7
+    with pytest.raises(ValueError):
+        TorusGrid(2, 9).axis[0] = 0.5
+    with pytest.raises(ValueError):
         _dft_matrix(1, 4, 9)[0, 0] = 0.0
     with pytest.raises(ValueError):
         _grid_slots(1, 4, 9)[0] = 1

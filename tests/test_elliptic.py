@@ -138,6 +138,8 @@ def _explicit_solve(sigma, m, f, w, g, tol, J, max_iter=500):
         history.append(float(np.linalg.norm(r[mask])) / fnorm)
         if history[-1] <= tol:
             return it - 1, False, u
+        if history[-1] > history[0]:
+            return it, True, None
         if len(history) > 20 and history[-1] > 0.9 * history[-21]:
             return it, True, None
         u = u + B @ r
@@ -253,7 +255,8 @@ def test_parametrix_refuses_non_finite_samples():
 
 @pytest.mark.parametrize("text,max_iter,reason", [
     (PERTURBED, 500, None),
-    ("1 + 3*exp(i*twopi*x1)/(1+k1^2)", 500, "stall"),  # B0 A is far from I: diverges
+    ("1 + 3*exp(i*twopi*x1)/(1+k1^2)", 500, "divergence"),  # B0 A is far from I
+    ("1 + 2.18*exp(i*twopi*x1)/(1+k1^2)", 500, "stall"),  # plateaus below its start
     (PERTURBED, 1, "iteration cap"),
 ])
 def test_solve_reports_why_it_fell_back(text, max_iter, reason):
@@ -269,6 +272,10 @@ def test_solve_reports_why_it_fell_back(text, max_iter, reason):
     # one entry per iterate, plus the direct solve after a fallback
     assert len(res.residual_history) == res.iterations + 1
     assert res.residual_history[-1] == res.residual_interior <= 1e-10
+    # the iterates stay at or below the start, except the last one on divergence
+    iterates = res.residual_history[:-1] if res.fallback_used else res.residual_history
+    rises = [r > iterates[0] for r in iterates]
+    assert rises == [False] * (len(iterates) - 1) + [reason == "divergence"]
 
 
 def test_decay_report_zero_residual():

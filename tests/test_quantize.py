@@ -21,6 +21,7 @@ from latticeops import (
     dual_toroidal_symbol,
     extract_symbol,
     interior_margin,
+    multiplier_symbol,
     parse_symbol,
 )
 from latticeops.core import _dft_matrix, forward_dft, phase_matrix
@@ -134,22 +135,55 @@ def test_assembly_and_extraction_match_the_dense_sums_at_size(n, N, extra):
 EXPR_ORDER0 = "2 + exp(i*twopi*x1)/(1+k1^2+k2^2) + 0.5*cos(twopi*x2)/(1+k1^2)"
 
 
-def test_apply_holds_one_sample_array_and_no_dft_table():
-    w = LatticeWindow(2, 12)
-    g = default_grid(w)
-    sigma = parse_symbol(EXPR_ORDER0, 2, order=0)
+def _second_apply_peak(sigma, w, g):
+    """tracemalloc peak of a second apply call on w x g."""
     f = LatticeSequence.random(w, np.random.default_rng(5))
-    _dft_matrix.cache_clear()
     apply(sigma, f, g)
     tracemalloc.start()
     try:
         apply(sigma, f, g)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_apply_holds_one_sample_array_and_no_dft_table():
+    w = LatticeWindow(2, 12)
+    g = default_grid(w)
+    _dft_matrix.cache_clear()
+    peak = _second_apply_peak(parse_symbol(EXPR_ORDER0, 2, order=0), w, g)
     assert _dft_matrix.cache_info().currsize == 0
-    # the samples, multiplied by fhat in place, and one evaluator temporary
-    assert peak < 2.5 * w.size * g.size * 16
+    # the samples, multiplied by fhat in place; every other node of the
+    # expression runs on fewer axes than the (P, Q) pairs
+    assert peak < 1.5 * w.size * g.size * 16
+
+
+def _kinds_of_dependence(n):
+    """Symbols varying on no x axis, on no k axis, on some axes, on every axis."""
+    kinds = [bessel_symbol(2), multiplier_symbol("1/(1+k1^2)", n), parse_symbol("cos(twopi*x1)", n),
+             parse_symbol("2+cos(twopi*x1)/(1+k1^2)", n)]
+    if n >= 2:
+        kinds += [parse_symbol("exp(i*twopi*x1)/(1+k2^2)", n), parse_symbol(EXPR_ORDER0, n)]
+    if n == 3:
+        kinds += [parse_symbol("x2*k1 + cos(twopi*x3)*k3", n)]
+    return kinds
+
+
+@pytest.mark.parametrize("n,N", [(1, 9), (2, 5), (3, 2)])
+def test_apply_matches_the_dense_sum_on_every_kind_of_dependence(n, N):
+    w = LatticeWindow(n, N)
+    g = TorusGrid(n, 2 * N + 2)
+    f = LatticeSequence.random(w, np.random.default_rng(n))
+    for sigma in _kinds_of_dependence(n):
+        want = dense_apply(sigma.sample(w, g), f, g)
+        got = apply(sigma, f, g).values
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want)), sigma
+
+
+def test_x_independent_apply_forms_no_sample_array():
+    w = LatticeWindow(2, 12)
+    g = default_grid(w)
+    assert _second_apply_peak(bessel_symbol(2, n=2), w, g) < w.size * g.size * 16
 
 
 def test_apply_refuses_non_finite_values():

@@ -1,6 +1,7 @@
 """Symbol expressions, parsing, order estimation, ellipticity."""
 
 import json
+import math
 import operator
 
 import numpy as np
@@ -23,9 +24,11 @@ from latticeops import (
     read_symbol_json,
     write_symbol_json,
 )
+from latticeops.core import multiindex_range, multiindices_leq
 from latticeops.errors import OutOfWindowError, SymbolSyntaxError
 from latticeops.quantization import assemble_matrix, extract_symbol
 from latticeops.symbols import (
+    _FUNCS,
     NON_FINITE_SAMPLES,
     BinOp,
     Const,
@@ -34,6 +37,7 @@ from latticeops.symbols import (
     Neg,
     Num,
     Var,
+    _difference_samples,
     pretty_print,
     s0_decay_profile,
 )
@@ -231,7 +235,14 @@ def _eval_allocating(node, kcols, xcols):
         return {"+": operator.add, "-": operator.sub,
                 "*": operator.mul, "/": operator.truediv}[node.op](a, b)
     assert isinstance(node, Func)
-    return getattr(np, node.name)(_eval_allocating(node.arg, kcols, xcols))  # exp, sin, cos
+    v = _eval_allocating(node.arg, kcols, xcols)
+    if node.name == "sqrt":
+        return np.sqrt(np.asarray(v, dtype=complex))
+    if node.name == "abs":
+        return np.abs(v) + 0j
+    if node.name == "step":
+        return np.where(np.real(v) >= 0, 1.0, 0.0) + 0j
+    return getattr(np, node.name)(v)  # exp, sin, cos
 
 
 @pytest.mark.parametrize("text", [
@@ -251,6 +262,121 @@ def test_in_place_evaluation_matches_allocating_evaluation(text):
     want = np.broadcast_to(np.asarray(_eval_allocating(sigma.ast, kcols, xcols), dtype=complex),
                            (w.size, g.size))
     assert np.array_equal(sigma.sample(w, g), want)
+
+
+def _flat_samples(sigma, w, g, shift):
+    """sigma(k + shift, x) evaluated with k on a (P, 1) column and x on a
+    (1, Q) row, every node on all P x Q pairs: the reference layout."""
+    K = w.points + np.asarray(shift)
+    kcols = [K[:, j].astype(float)[:, None] for j in range(w.n)]
+    xcols = [g.nodes[:, j][None, :] for j in range(w.n)]
+    with np.errstate(all="ignore"):
+        if hasattr(sigma, "ast"):
+            v = _eval_allocating(sigma.ast, kcols, xcols)
+        else:
+            v = sigma._eval_cols(kcols, xcols)
+    return np.broadcast_to(np.asarray(v, dtype=complex), (w.size, g.size))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        a.view(float), np.ascontiguousarray(b).view(float), equal_nan=True)
+
+
+# one of each node kind: Num only, Var only, k only, x only, mixed, '^',
+# every function, and a pole (non-finite samples)
+NODE_KINDS = [
+    "2", "3*i - twopi", "x1", "k1", "1+k1^2+k2^2", "exp(i*twopi*x1)", "cos(twopi*(x1+x3))",
+    "2 + exp(i*twopi*x1)/(1+k1^2+k2^2) + 0.5*cos(twopi*x2)/(1+k1^2)",
+    "(1+k1^2+k2^2)*(1 + 0.3*cos(twopi*(x1+x2)))", "(k1 + x2)^(3) - (2*k2)^(-0.5)",
+    "sin(k1*x1)", "sqrt(k2 - x1)", "abs(k1 - 0.5*k3)", "step(k1)*exp(i*twopi*x2) + (1 - step(k1))",
+    "-(x1*k1)*cos(x2*k2) - (k1*x1)/(k2*x2 + 7)", "1/k1 + x1",
+]
+
+
+def _shifted_window(data, min_n):
+    n = data.draw(st.integers(max(min_n, 1), 3))
+    N = data.draw(st.integers(1, {1: 6, 2: 3, 3: 2}[n]))
+    w = LatticeWindow(n, N)
+    g = TorusGrid(n, data.draw(st.integers(1, 7)))
+    shift = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    return w, g, shift
+
+
+@pytest.mark.parametrize("text", NODE_KINDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_per_axis_sampling_matches_the_flat_evaluation(text, data):
+    sigma = parse_symbol(text, None)
+    w, g, shift = _shifted_window(data, sigma.min_n)
+    assert _same_bits(sigma.sample_shifted(w, g, shift), _flat_samples(sigma, w, g, shift))
+
+
+def _expressions(max_index):
+    variables = st.builds("{}{}".format, st.sampled_from("kx"), st.integers(1, max_index))
+    leaves = st.one_of(st.sampled_from(["2", "0.5", "3", "i", "twopi"]), variables)
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.builds("-({})".format, sub),
+        st.builds("({}){}({})".format, sub, st.sampled_from("+-*/"), sub),
+        st.builds("({})^({})".format, sub, st.sampled_from(["2", "3", "0.5", "-1"])),
+        st.builds("{}({})".format, st.sampled_from(_FUNCS), sub),
+    ), max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_expressions(3), data=st.data())
+def test_random_expressions_sample_as_the_flat_evaluation(text, data):
+    sigma = parse_symbol(text, None)
+    w, g, shift = _shifted_window(data, sigma.min_n)
+    assert _same_bits(sigma.sample_shifted(w, g, shift), _flat_samples(sigma, w, g, shift))
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: bessel_symbol(-1.5), lambda n: bessel_symbol(2, n=n),
+    lambda n: multiplier_symbol("1/(1+k1^2)", n), lambda n: jump_symbol(-1, n=n),
+], ids=["bessel", "bessel-n", "multiplier", "jump"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_builtin_backends_sample_as_the_flat_evaluation(make, data):
+    w, g, shift = _shifted_window(data, 1)
+    sigma = make(w.n)
+    assert _same_bits(sigma.sample_shifted(w, g, shift), _flat_samples(sigma, w, g, shift))
+
+
+@pytest.mark.parametrize("M", [11, 14])
+def test_grid_difference_rows_match_the_per_point_lookup(M):
+    w = LatticeWindow(2, 4)
+    g = TorusGrid(2, M)
+    sigma = extract_symbol(assemble_matrix(
+        parse_symbol("2 + exp(i*twopi*x1)/(1+k1^2+k2^2)", 2), w, default_grid(w)))
+    for alpha in multiindex_range(2, 2):
+        acc, valid = _difference_samples(sigma, w, g, alpha)
+        want = np.zeros_like(acc)
+        want_valid = np.ones(w.size, dtype=bool)
+        for beta in multiindices_leq(alpha):
+            coeff = (-1) ** (alpha.order - beta.order) * int(
+                np.prod([math.comb(a, b) for a, b in zip(alpha, beta)]))
+            K = w.points + np.array(tuple(beta))
+            inside = np.all(np.abs(K) <= w.N, axis=1)
+            want_valid &= inside
+            idx = np.array([w.index_of(k) for k in K[inside]], dtype=int)
+            part = np.zeros_like(acc)
+            if M == sigma.grid.M:
+                part[inside] = sigma.values[idx]
+            else:
+                part[inside] = sigma._interp_rows(idx, g.nodes)
+            want += coeff * part
+        assert np.array_equal(acc, want) and np.array_equal(valid, want_valid)
+
+
+@pytest.mark.parametrize("n,N", [(1, 6), (2, 3), (3, 2)])
+def test_toroidal_samples_match_the_per_point_permutation(n, N):
+    w = LatticeWindow(n, N)
+    g = default_grid(w)
+    base = parse_symbol("2 + exp(i*twopi*x1)*k1/(1+k1^2) + x{n}*k{n}".format(n=n), n)
+    S = base.sample(w, g)
+    perm = np.array([w.index_of(-k) for k in w.points])
+    assert np.array_equal(dual_toroidal_symbol(base).sample_toroidal(w, g), S[perm].conj().T)
 
 
 def test_s0_decay_profile():
