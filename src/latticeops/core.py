@@ -481,11 +481,11 @@ def write_sequence_csv(path, f: LatticeSequence) -> None:
             writer.writerow([*map(int, k), repr(float(v.real)), repr(float(v.imag))])
 
 
-def read_sequence_csv(path, window: LatticeWindow = None) -> LatticeSequence:
+def read_sequence_csv(path) -> LatticeSequence:
     """Read a sequence CSV; rows may arrive in any order.
 
-    Without an explicit window, the smallest window covering all listed
-    points is used (unlisted points are zero).  A bad header, a malformed
+    The sequence lives on the smallest window covering all listed points
+    (unlisted points are zero).  A bad header, a malformed
     row, a non-finite value or a point listed twice raises ParseError.
     """
     values = {}
@@ -511,11 +511,8 @@ def read_sequence_csv(path, window: LatticeWindow = None) -> LatticeSequence:
             if k in values:
                 raise ParseError(f"line {reader.line_num}: point {list(k)} is listed twice")
             values[k] = v
-    if window is None:
-        N = max(1, max((max(abs(c) for c in k) for k in values), default=1))
-        window = LatticeWindow(n, N)
-    elif window.n != n:
-        raise DimensionMismatchError(f"file dimension {n} != window dimension {window.n}")
+    N = max(1, max((max(abs(c) for c in k) for k in values), default=1))
+    window = LatticeWindow(n, N)
     f = LatticeSequence.zeros(window)
     for k, v in values.items():
         f.values[window.index_of(k)] = v

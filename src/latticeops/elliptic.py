@@ -27,6 +27,7 @@ from .symbols import (
     GridSymbol,
     Symbol,
     _certificate,
+    _decreasing_from_peak,
     check_ellipticity,
     estimate_order,
 )
@@ -170,19 +171,6 @@ def residual_decay_report(rho: GridSymbol, P: int) -> DecayReport:
     return DecayReport(list(range(P + 1)), sups, shells, verdict, tails)
 
 
-def _decreasing_from_peak(prof) -> bool:
-    if len(prof) < 2:
-        return False
-    if max(prof) == 0.0:
-        return True
-    # ties at the top are fine; the decrease is judged from the last peak
-    peak = len(prof) - 1 - int(np.argmax(prof[::-1]))
-    if peak >= len(prof) - 1:
-        return False
-    tail = prof[peak:]
-    return all(b < a for a, b in zip(tail, tail[1:]))
-
-
 def _tail_bound(prof, shells, window) -> float:
     """Geometric extrapolation of the last shells beyond the window.
 
@@ -218,13 +206,6 @@ class ADNReport:
     rerun_N: int = None
     rerun_C1: float = None
     rerun_C2: float = None
-
-    def to_dict(self):
-        return {
-            "C1": self.C1, "C2": self.C2, "samples": self.samples,
-            "seed": self.seed, "rerun_N": self.rerun_N,
-            "rerun_C1": self.rerun_C1, "rerun_C2": self.rerun_C2,
-        }
 
 
 def _adn_ratios(sigma, m, window, grid, samples, rng):

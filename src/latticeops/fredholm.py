@@ -12,15 +12,15 @@ allowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import LatticeWindow, TorusGrid, default_grid
+from .core import LatticeWindow, default_grid
 from .errors import EllipticityError
 from .elliptic import parametrix
 from .quantization import assemble_matrix, interior_margin
-from .symbols import Symbol, check_ellipticity
+from .symbols import EllipticityReport, Symbol, check_ellipticity
 
 RANK_TOL = 1e-8
 GAP_REQUIRED = 100.0
@@ -41,6 +41,14 @@ def _interior_null_count(null_basis: np.ndarray, mask: np.ndarray) -> int:
     return int(np.sum(sv >= 0.5))
 
 
+def _sections(windows, n: int):
+    """Each distinct window of half-width in ``windows``, smallest first,
+    with its default grid."""
+    for N in sorted(set(windows)):
+        window = LatticeWindow(n, N)
+        yield window, default_grid(window)
+
+
 @dataclass
 class WindowEvidence:
     N: int
@@ -49,9 +57,7 @@ class WindowEvidence:
     raw_null_count: int
     gap: float
 
-    def to_dict(self):
-        return {"N": self.N, "dim_ker": self.dim_ker, "dim_coker": self.dim_coker,
-                "raw_null_count": self.raw_null_count, "gap": self.gap}
+    to_dict = asdict
 
 
 @dataclass
@@ -66,31 +72,19 @@ class IndexReport:
     agreement: bool = None
     tail_bound: float = None
 
-    def to_dict(self):
-        return {
-            "windows": self.windows,
-            "dim_ker": self.dim_ker,
-            "dim_coker": self.dim_coker,
-            "svd_index": self.svd_index,
-            "trace_index_raw": self.trace_index_raw,
-            "trace_index": self.trace_index,
-            "agreement": self.agreement,
-            "gap_evidence": [g.to_dict() for g in self.gap_evidence],
-            "tail_bound": self.tail_bound,
-        }
+    to_dict = asdict
 
 
 def svd_index(sigma: Symbol, windows, n: int = 1) -> IndexReport:
-    """Kernel/cokernel counts across growing windows.
+    """Kernel/cokernel counts across the distinct windows, smallest first.
 
     Stabilized when the last two windows agree on both counts and both
-    show a 100x gap between null and non-null singular values; otherwise
-    the verdict is left unstable (None), never an exception.
+    show a 100x gap between null and non-null singular values; otherwise,
+    and with fewer than two distinct windows, the verdict is left unstable
+    (None), never an exception.
     """
     evidence = []
-    for N in sorted(windows):
-        window = LatticeWindow(n, N)
-        grid = default_grid(window)
+    for window, grid in _sections(windows, n):
         A = assemble_matrix(sigma, window, grid).entries
         U, s, Vh = np.linalg.svd(A)
         smax = s[0] if s.size and s[0] > 0 else 1.0
@@ -102,7 +96,7 @@ def svd_index(sigma: Symbol, windows, n: int = 1) -> IndexReport:
         mask = window.interior_mask(interior_margin(window))
         ker = _interior_null_count(Vh[null].conj().T, mask)
         coker = _interior_null_count(U[:, null], mask)
-        evidence.append(WindowEvidence(N, ker, coker, raw, gap))
+        evidence.append(WindowEvidence(window.N, ker, coker, raw, gap))
     stable = (
         len(evidence) >= 2
         and evidence[-1].dim_ker == evidence[-2].dim_ker
@@ -127,12 +121,6 @@ class TraceIndexResult:
     tail_bound: float
     window_N: int
     steps: int
-
-    def to_dict(self):
-        return {"trace_index_raw": self.trace_index_raw,
-                "trace_index": self.trace_index,
-                "tail_bound": self.tail_bound,
-                "window_N": self.window_N, "steps": self.steps}
 
 
 def _weighted_tail_bound(residual, window: LatticeWindow, power: int) -> float:
@@ -165,8 +153,7 @@ def _weighted_tail_bound(residual, window: LatticeWindow, power: int) -> float:
     return s_star * (2.0 ** (n + 1)) / (window.N + 1.0)
 
 
-def trace_index(sigma: Symbol, window: LatticeWindow, grid: TorusGrid = None,
-                J: int = 3) -> TraceIndexResult:
+def trace_index(sigma: Symbol, window: LatticeWindow, J: int = 3) -> TraceIndexResult:
     """Index via the residual traces of a parametrix.
 
     With T_tau T_sigma = I - T1 and T_sigma T_tau = I - T2, the index is
@@ -174,11 +161,9 @@ def trace_index(sigma: Symbol, window: LatticeWindow, grid: TorusGrid = None,
     here summed over interior window points with a certified tail bound.
     T1 and T2 are the negated parametrix defects; on a grid with
     M >= 2N+1 the x-average of an extracted symbol at row k is exactly
-    the (k,k) matrix entry.
+    the (k,k) matrix entry.  The grid is the window's default grid.
     """
-    if grid is None:
-        grid = default_grid(window)
-    par = parametrix(sigma, 0.0, J, window, grid)  # raises on non-elliptic
+    par = parametrix(sigma, 0.0, J, window, default_grid(window))  # raises on non-elliptic
     avg1 = -np.diag(par.left_defect.entries)
     avg2 = -np.diag(par.right_defect.entries)
     mask = window.interior_mask(interior_margin(window))
@@ -211,47 +196,40 @@ class AtkinsonReport:
     left_counts: list    # singular values of T_tau T_sigma - I above 0.1
     right_counts: list   # singular values of T_sigma T_tau - I above 0.1
     sizes: list
-    bounded: bool
+    bounded: bool        # None with fewer than two distinct windows
 
-    def to_dict(self):
-        return {"windows": self.windows, "left_counts": self.left_counts,
-                "right_counts": self.right_counts, "sizes": self.sizes,
-                "bounded": self.bounded}
+    to_dict = asdict
 
 
 def atkinson_check(sigma: Symbol, windows, n: int = 1, J: int = 2) -> AtkinsonReport:
     """Compactness surrogate for the two parametrix defects.
 
     The count of singular values above SV_THRESHOLD must not grow with
-    the section size; bounded means the largest window adds at most two
-    over the smallest.
+    the section size; bounded means the largest of the distinct windows
+    adds at most two over the smallest.  One window shows no growth
+    either way, so bounded is then None.
     """
-    lc, rc, sizes = [], [], []
-    for N in sorted(windows):
-        window = LatticeWindow(n, N)
-        grid = default_grid(window)
+    Ns, lc, rc, sizes = [], [], [], []
+    for window, grid in _sections(windows, n):
         par = parametrix(sigma, 0.0, J, window, grid)
+        Ns.append(window.N)
         lc.append(int(np.sum(par.left_defect.singular_values() > SV_THRESHOLD)))
         rc.append(int(np.sum(par.right_defect.singular_values() > SV_THRESHOLD)))
         sizes.append(window.size)
-    bounded = lc[-1] <= lc[0] + 2 and rc[-1] <= rc[0] + 2
-    return AtkinsonReport(sorted(windows), lc, rc, sizes, bounded)
+    bounded = (lc[-1] <= lc[0] + 2 and rc[-1] <= rc[0] + 2) if len(Ns) >= 2 else None
+    return AtkinsonReport(Ns, lc, rc, sizes, bounded)
 
 
 @dataclass
 class ProbeReport:
     elliptic: bool
-    ellipticity: dict
-    atkinson: dict = None
+    ellipticity: EllipticityReport
+    atkinson: AtkinsonReport = None
     near_kernel_counts: list = None
     windows: list = None
-    consistent: bool = None
+    consistent: bool = None          # None with fewer than two distinct windows
 
-    def to_dict(self):
-        return {"elliptic": self.elliptic, "ellipticity": self.ellipticity,
-                "atkinson": self.atkinson,
-                "near_kernel_counts": self.near_kernel_counts,
-                "windows": self.windows, "consistent": self.consistent}
+    to_dict = asdict
 
 
 def fredholm_ellipticity_probe(sigma: Symbol, windows, n: int = 1) -> ProbeReport:
@@ -259,27 +237,23 @@ def fredholm_ellipticity_probe(sigma: Symbol, windows, n: int = 1) -> ProbeRepor
 
     Elliptic branch: the parametrix defects must pass the compactness
     surrogate.  Non-elliptic branch: the near-kernel (singular values
-    below SV_THRESHOLD) must grow with the window.
+    below SV_THRESHOLD) must grow with the window.  Either way, fewer
+    than two distinct windows give no verdict (consistent is None).
     """
-    windows = sorted(windows)
-    window = LatticeWindow(n, max(windows))
-    grid = default_grid(window)
+    windows = sorted(set(windows))
+    window = LatticeWindow(n, windows[-1])
     # Fredholmness on l^2 is a statement about order-0 behavior, so the
     # certificate is always taken at m = 0 regardless of declared order.
-    rep = check_ellipticity(sigma, 0.0, window, grid)
+    rep = check_ellipticity(sigma, 0.0, window, default_grid(window))
     if rep.elliptic:
         try:
             atk = atkinson_check(sigma, windows, n=n)
         except EllipticityError:
-            return ProbeReport(True, rep.to_dict(), consistent=False)
-        return ProbeReport(True, rep.to_dict(), atkinson=atk.to_dict(),
-                           windows=windows, consistent=atk.bounded)
-    counts = []
-    for N in windows:
-        w = LatticeWindow(n, N)
-        g = default_grid(w)
-        sv = np.linalg.svd(assemble_matrix(sigma, w, g).entries, compute_uv=False)
-        counts.append(int(np.sum(sv < SV_THRESHOLD)))
-    growing = all(b > a for a, b in zip(counts, counts[1:]))
-    return ProbeReport(False, rep.to_dict(), near_kernel_counts=counts,
-                       windows=windows, consistent=growing)
+            return ProbeReport(True, rep, consistent=False)
+        return ProbeReport(True, rep, atkinson=atk, windows=windows,
+                           consistent=atk.bounded)
+    counts = [int(np.sum(assemble_matrix(sigma, w, g).singular_values() < SV_THRESHOLD))
+              for w, g in _sections(windows, n)]
+    growing = all(b > a for a, b in zip(counts, counts[1:])) if len(counts) >= 2 else None
+    return ProbeReport(False, rep, near_kernel_counts=counts, windows=windows,
+                       consistent=growing)

@@ -7,7 +7,7 @@ quadrature is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,13 +65,7 @@ class SpectrumReport:
     singular_values: list  # one descending array per window
     fit_exponent: float
 
-    def to_dict(self):
-        return {
-            "description": self.description,
-            "windows": self.windows,
-            "singular_values": [sv.tolist() for sv in self.singular_values],
-            "fit_exponent": self.fit_exponent,
-        }
+    to_dict = asdict
 
     def count_below(self, threshold: float) -> list:
         return [int(np.sum(sv < threshold)) for sv in self.singular_values]

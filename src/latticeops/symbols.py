@@ -14,7 +14,7 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -529,9 +529,6 @@ class GridSymbol(Symbol):
                 out[i] = self._interp_rows(np.array([row]), x.reshape(1, -1))[0, 0]
         return out
 
-    def _eval_cols(self, kcols, xcols):  # pragma: no cover - not used
-        raise NotImplementedError("grid symbols sample through their stored values")
-
     def __repr__(self):
         return (f"GridSymbol(N={self.window.N}, M={self.grid.M}, "
                 f"order={self.order}, margin={self.interior_margin})")
@@ -772,14 +769,7 @@ class EllipticityReport:
     min_ratio_profile: list
     shells: list
 
-    def to_dict(self):
-        return {
-            "elliptic": self.elliptic,
-            "C": self.C,
-            "M_radius": self.M_radius,
-            "min_ratio_profile": self.min_ratio_profile,
-            "shells": self.shells,
-        }
+    to_dict = asdict
 
 
 def check_ellipticity(sigma: Symbol, m: float, window: LatticeWindow,
@@ -802,9 +792,9 @@ def _certificate(magnitude: np.ndarray, row_min: np.ndarray, m: float,
     if not np.isfinite(np.sum(magnitude)):
         raise ValueError(NON_FINITE_SAMPLES)
     ratio = row_min / np.power(window.radial_weight, m)
-    labels = window.shell_labels()
-    shells = sorted(set(labels))
-    profile = [float(np.min(ratio[labels == j])) for j in shells]
+    # per-shell minima as the negated sups of -ratio; negation is exact
+    shells, neg_sups, _ = window.shell_sups(-ratio, np.ones(window.size, dtype=bool))
+    profile = [-s for s in neg_sups]
     hit_zero = any(p == 0.0 for p in profile)
     # a sampling fluke can make the first shell artificially small, so the
     # decay trigger compares the last shell against the profile peak
@@ -827,8 +817,7 @@ def s0_decay_profile(sigma: Symbol, window: LatticeWindow, grid: TorusGrid,
                      alpha_max: int = 2) -> list:
     """Per-shell sups of (1+|k|)^{|alpha|} |Delta^alpha sigma|, |alpha| <= alpha_max.
 
-    ``decaying`` requires the shell profile to decrease from its peak on
-    and end strictly below its maximum.
+    ``decaying`` is the rule of ``_decreasing_from_peak``.
     """
     labels = window.shell_labels()
     complete = labels <= int(math.floor(math.log2(window.N + 2))) - 1
@@ -837,18 +826,22 @@ def s0_decay_profile(sigma: Symbol, window: LatticeWindow, grid: TorusGrid,
         diff, valid = _difference_samples(sigma, window, grid, alpha)
         rowmax = np.max(np.abs(diff), axis=1) * np.power(window.radial_weight, alpha.order)
         _, sups, _ = window.shell_sups(rowmax, valid & complete)
-        out.append(DecayDiagnostic(tuple(alpha), sups, _tail_decreasing(sups)))
+        out.append(DecayDiagnostic(tuple(alpha), sups, _decreasing_from_peak(sups)))
     return out
 
 
-def _tail_decreasing(sups) -> bool:
-    """True when the profile strictly decreases from its peak to the end."""
-    if len(sups) < 2:
+def _decreasing_from_peak(prof) -> bool:
+    """True when a shell profile strictly decreases from its last peak through
+    the last shell, or is identically zero; False with fewer than two shells."""
+    if len(prof) < 2:
         return False
-    peak = int(np.argmax(sups))
-    if peak >= len(sups) - 1:
+    if max(prof) == 0.0:
+        return True
+    # ties at the top are fine; the decrease is judged from the last peak
+    peak = len(prof) - 1 - int(np.argmax(prof[::-1]))
+    if peak >= len(prof) - 1:
         return False
-    tail = sups[peak:]
+    tail = prof[peak:]
     return all(b < a for a, b in zip(tail, tail[1:]))
 
 

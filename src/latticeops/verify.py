@@ -15,6 +15,7 @@ from .core import (
     LatticeWindow,
     MultiIndex,
     TorusGrid,
+    _shift_values,
     backward_difference,
     binomial_multi,
     default_grid,
@@ -66,13 +67,8 @@ def _leibniz_gap(f, g, alpha, window):
     for beta in multiindices_leq(alpha):
         df = forward_difference(f, beta).sequence.values
         rem = MultiIndex([a - b for a, b in zip(alpha, beta)])
-        dg = forward_difference(g, rem)
-        shifted = np.zeros(window.size, dtype=complex)
-        for i, k in enumerate(window.points):
-            kk = tuple(k + np.asarray(tuple(beta)))
-            if window.contains(kk):
-                shifted[i] = dg.sequence.values[window.index_of(kk)]
-        rhs += binomial_multi(alpha, beta) * df * shifted
+        dg = forward_difference(g, rem).sequence
+        rhs += binomial_multi(alpha, beta) * df * _shift_values(dg, tuple(beta))
     mask = window.interior_mask(alpha.order)
     return float(np.max(np.abs(lhs.values - rhs)[mask]))
 

@@ -125,6 +125,49 @@ def test_report_is_strict_json_with_only_used_config(files, capsys, cmd):
     assert report["config"]["command"] == cmd
 
 
+INDEX_KEYS = {"config", "elliptic", "windows", "dim_ker", "dim_coker", "svd_index",
+              "trace_index_raw", "trace_index", "agreement"}
+PROBE_KEYS = {"elliptic", "ellipticity", "atkinson", "near_kernel_counts", "windows",
+              "consistent"}
+ELLIPTICITY_KEYS = {"elliptic", "C", "M_radius", "min_ratio_profile", "shells"}
+
+
+def _step_symbol(files):
+    sym = files["dir"] / "step.json"
+    sym.write_text(json.dumps({"n": 1, "order": 0, "kind": "expr", "expr": "1 - step(k1)"}))
+    return str(sym)
+
+
+def _report(capsys, argv):
+    code = main([*argv, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return json.loads(captured.out, parse_constant=_reject)
+
+
+def test_report_key_sets(files, capsys):
+    elliptic = _report(capsys, ["index", *good_argv("index", files)])
+    assert set(elliptic) == INDEX_KEYS | {"gap_evidence", "tail_bound"}
+    assert set(elliptic["gap_evidence"][0]) == {"N", "dim_ker", "dim_coker",
+                                                "raw_null_count", "gap"}
+    probed = _report(capsys, ["index", _step_symbol(files), "--windows", "8,12"])
+    assert set(probed) == INDEX_KEYS | {"probe"}
+    assert set(probed["probe"]) == PROBE_KEYS
+    assert set(probed["probe"]["ellipticity"]) == ELLIPTICITY_KEYS
+    classify = _report(capsys, ["classify", *good_argv("classify", files)])
+    assert set(classify["ellipticity"]) == ELLIPTICITY_KEYS
+    spectrum = _report(capsys, ["spectrum", *good_argv("spectrum", files)])
+    assert set(spectrum) == {"config", "kind", "description", "windows", "singular_values",
+                             "fit_exponent", "count_below_0.1", "fraction_below_0.1"}
+
+
+def test_index_probe_gives_no_verdict_from_one_window(files, capsys):
+    rep = _report(capsys, ["index", _step_symbol(files), "--windows", "32"])
+    assert rep["elliptic"] is False
+    assert rep["probe"]["windows"] == [32] and len(rep["probe"]["near_kernel_counts"]) == 1
+    assert rep["probe"]["consistent"] is None
+
+
 def _print_warning(message, category, filename, lineno, file=None, line=None):
     sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 

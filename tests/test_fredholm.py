@@ -163,6 +163,41 @@ def test_atkinson_jump():
     assert rep.bounded
 
 
+def test_svd_index_needs_two_distinct_windows():
+    rep = svd_index(jump_symbol(+1), [16, 16], n=1)
+    assert rep.windows == [16]
+    assert rep.svd_index is None
+
+
+def test_full_report_with_a_repeated_window_gives_no_agreement():
+    rep = full_index_report(jump_symbol(+1), [24, 24], n=1, J=3)
+    assert rep.windows == [24] and rep.svd_index is None
+    assert rep.trace_index == 1
+    assert rep.agreement is None
+
+
+@pytest.mark.parametrize("windows", [[32], [32, 32]])
+def test_atkinson_needs_two_distinct_windows(windows):
+    rep = atkinson_check(jump_symbol(+1), windows, n=1)
+    assert rep.windows == [32] and len(rep.left_counts) == 1
+    assert rep.bounded is None
+
+
+@pytest.mark.parametrize("sigma", [bessel_symbol(0), parse_symbol("1 - step(k1)", 1, order=0)])
+def test_probe_needs_two_distinct_windows(sigma):
+    rep = fredholm_ellipticity_probe(sigma, [32, 32], n=1)
+    assert rep.windows == [32]
+    assert rep.consistent is None
+
+
+def test_probe_nests_its_reports():
+    rep = fredholm_ellipticity_probe(bessel_symbol(0), [16, 32], n=1)
+    d = rep.to_dict()
+    assert d["ellipticity"] == rep.ellipticity.to_dict()
+    assert d["atkinson"] == rep.atkinson.to_dict()
+    assert d["atkinson"]["bounded"] is True
+
+
 def test_probe_elliptic_branch():
     rep = fredholm_ellipticity_probe(bessel_symbol(0), [16, 32], n=1)
     assert rep.elliptic and rep.consistent

@@ -195,6 +195,26 @@ def test_jump_symbols_are_order_zero_elliptic():
 
 
 @pytest.mark.parametrize("text", ["k1/k1", "1/k1", "2 + 1/(k1*x1)"])
+def _direct_shell_minima(sigma, m, w):
+    """The per-shell minimum of |sigma| / (1+|k|)^m, one shell at a time."""
+    ratio = np.min(np.abs(sigma.sample(w, default_grid(w))), axis=1) / w.radial_weight ** m
+    labels = w.shell_labels()
+    shells = sorted(set(labels.tolist()))
+    return shells, [float(np.min(ratio[labels == j])) for j in shells]
+
+
+@pytest.mark.parametrize("sigma,m,n", [
+    (bessel_symbol(2), 2.0, 1), (bessel_symbol(-2), -2.0, 1), (bessel_symbol(2), 2.0, 2),
+    (jump_symbol(+1), 0.0, 1), (parse_symbol("1/(1+k1^2)", 1), 0.0, 1)])
+def test_certificate_profile_is_the_direct_shell_minimum(sigma, m, n):
+    w = LatticeWindow(n, 32 if n == 1 else 8)
+    rep = check_ellipticity(sigma, m, w, default_grid(w))
+    shells, minima = _direct_shell_minima(sigma, m, w)
+    assert rep.shells == shells
+    assert rep.min_ratio_profile == minima   # bit for bit
+
+
+@pytest.mark.parametrize("text", ["k1/k1", "1/k1", "2 + 1/(k1*x1)"])
 def test_certificate_refuses_non_finite_samples(text):
     # k1/k1 is NaN and 1/k1 infinite at k1 = 0; before, k1/k1 was certified
     # elliptic with C = NaN
@@ -384,6 +404,34 @@ def test_s0_decay_profile():
     diag = s0_decay_profile(parse_symbol("exp(i*twopi*x1)/(1+k1^2)", 1),
                             w, default_grid(w), alpha_max=2)
     assert all(d.decaying for d in diag)
+
+
+def test_s0_decay_profile_counts_a_vanishing_difference_as_decaying():
+    # sigma does not depend on k, so Delta^1 sigma and Delta^2 sigma are
+    # identically zero: nothing is left to decay
+    w = LatticeWindow(1, 32)
+    diag = s0_decay_profile(parse_symbol("2 + cos(twopi*x1)", 1), w, default_grid(w),
+                            alpha_max=2)
+    assert [d.alpha for d in diag] == [(0,), (1,), (2,)]
+    assert diag[0].shell_sups == [3.0] * 5 and not diag[0].decaying
+    assert all(d.shell_sups == [0.0] * 5 and d.decaying for d in diag[1:])
+
+
+@pytest.mark.parametrize("per_shell,decaying", [
+    ([1.0, 3.0, 3.0, 2.0, 1.0], True),    # tied peak: judged from the last one
+    ([3.0, 3.0, 2.0, 2.0, 1.0], False),   # a tie after the peak is no decrease
+    ([1.0, 2.0, 3.0, 3.0, 3.0], False)])  # the peak reaches the last shell
+def test_s0_decay_profile_judges_a_tied_peak_from_the_last_one(per_shell, decaying):
+    # an x-independent grid symbol that is constant on each dyadic shell, so
+    # the alpha = 0 profile is exactly per_shell on the five complete shells
+    w = LatticeWindow(1, 32)
+    g = default_grid(w)
+    labels = w.shell_labels()
+    values = np.array(per_shell + [0.5])[np.minimum(labels, 5)]
+    sigma = GridSymbol(w, g, np.repeat(values[:, None], g.size, axis=1))
+    diag = s0_decay_profile(sigma, w, g, alpha_max=0)
+    assert diag[0].shell_sups == per_shell
+    assert diag[0].decaying is decaying
 
 
 def test_dual_toroidal_pointwise():
