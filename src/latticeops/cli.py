@@ -9,7 +9,6 @@ errors go to stderr as JSON with a stable exit-code contract:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -23,27 +22,27 @@ from . import __version__
 from .core import (
     LatticeSequence,
     LatticeWindow,
-    TorusFunction,
     TorusGrid,
     _check_resolution,
+    _write_table,
     default_grid,
     forward_dft,
     inverse_dft,
     read_sequence_csv,
+    read_torus_csv,
     write_sequence_csv,
+    write_torus_csv,
 )
 from .elliptic import parametrix, residual_decay_report, solve
 from .errors import (
-    AliasingError,
     ConvergenceError,
     DimensionMismatchError,
     EllipticityError,
     LatticeOpsError,
-    OutOfWindowError,
     ParseError,
     SymbolSyntaxError,
 )
-from .fredholm import fredholm_ellipticity_probe, full_index_report
+from .fredholm import IndexReport, fredholm_ellipticity_probe, full_index_report
 from .quantization import adjoint_symbol, apply as q_apply, compose
 from .sobolev import inclusion_spectrum, smoothing_spectrum, sobolev_norm
 from .symbols import (
@@ -57,57 +56,6 @@ from .verify import SUITES, run_suites
 
 USAGE_ERROR = 2
 PRECONDITION_ERROR = 3
-
-
-# -- torus-sample CSV (x1..xn,re,im), the transform-side twin of the
-#    sequence format -----------------------------------------------------
-
-def write_torus_csv(path, F: TorusFunction) -> None:
-    n = F.grid.n
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x{j + 1}" for j in range(n)] + ["re", "im"])
-        for x, v in zip(F.grid.nodes, F.values):
-            w.writerow([repr(float(c)) for c in x]
-                       + [repr(float(v.real)), repr(float(v.imag))])
-
-
-def read_torus_csv(path) -> TorusFunction:
-    """Read a torus CSV listing each node of a full M^n grid once, else ParseError."""
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    header = rows[0] if rows else []
-    n = len(header) - 2
-    if n < 1 or header != [f"x{j + 1}" for j in range(n)] + ["re", "im"]:
-        raise ParseError(f"bad torus CSV header {header!r}")
-    data = rows[1:]
-    M = round(len(data) ** (1.0 / n))
-    if not data or M ** n != len(data):
-        raise ParseError(f"torus CSV has {len(data)} rows, not a full M^n grid")
-    if any(len(row) != n + 2 for row in data):
-        raise ParseError(f"torus CSV rows must hold {n + 2} fields")
-    grid = TorusGrid(n, M)
-    values = np.zeros(grid.size, dtype=complex)
-    seen = set()
-    spacing = 1.0 / M
-    for row in data:
-        try:
-            *x, re, im = map(float, row)
-        except ValueError:
-            raise ParseError(f"torus CSV row {row} is not {n + 2} numbers") from None
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise ParseError(f"node {x} carries a non-finite value")
-        idx = 0
-        for c in x:
-            j = round(c / spacing) if math.isfinite(c) else -1
-            if abs(c - j * spacing) > 1e-9 or not (0 <= j < M):
-                raise ParseError(f"node {x} is not on the uniform {M}-point grid")
-            idx = idx * M + j
-        if idx in seen:
-            raise ParseError(f"node {x} is listed twice")
-        seen.add(idx)
-        values[idx] = re + 1j * im
-    return TorusFunction(grid, values)
 
 
 # -- config plumbing -----------------------------------------------------
@@ -283,15 +231,10 @@ def cmd_parametrix(args):
                   "shell_sups": {str(p): decay.shell_sups[p] for p in decay.powers},
                   "schwartz_like": decay.schwartz_like},
     }
-
-    def write(path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["shell", "power", "weighted_sup"])
-            for p in decay.powers:
-                for j, s in zip(decay.shells, decay.shell_sups[p]):
-                    w.writerow([j, p, repr(s)])
-    return _finish(args, report, write)
+    rows = ([j, p, repr(s)] for p in decay.powers
+            for j, s in zip(decay.shells, decay.shell_sups[p]))
+    return _finish(args, report, lambda path: _write_table(
+        path, ["shell", "power", "weighted_sup"], rows))
 
 
 def cmd_solve(args):
@@ -317,15 +260,10 @@ def cmd_spectrum(args):
     if args.kind == "smoothing":
         report["count_below_0.1"] = rep.count_below(0.1)
         report["fraction_below_0.1"] = rep.fraction_below(0.1)
-
-    def write(path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["window", "j", "singular_value"])
-            for N, sv in zip(rep.windows, rep.singular_values):
-                for j, s in enumerate(sv, start=1):
-                    w.writerow([N, j, repr(float(s))])
-    return _finish(args, report, write)
+    rows = ([N, j, repr(float(s))] for N, sv in zip(rep.windows, rep.singular_values)
+            for j, s in enumerate(sv, start=1))
+    return _finish(args, report, lambda path: _write_table(
+        path, ["window", "j", "singular_value"], rows))
 
 
 def cmd_index(args):
@@ -338,15 +276,12 @@ def cmd_index(args):
     cert = check_ellipticity(sigma, 0.0, window, grid)
     if not cert.elliptic:
         probe = fredholm_ellipticity_probe(sigma, windows, n=n)
-        report = {"config": config, "elliptic": False,
-                  "probe": probe.to_dict(),
-                  "windows": windows, "dim_ker": None, "dim_coker": None,
-                  "svd_index": None, "trace_index_raw": None,
-                  "trace_index": None, "agreement": None}
+        report = {"config": config, "elliptic": False, "probe": probe.to_dict()}
+        # the verdict fields of IndexReport, each null
+        report.update(IndexReport(windows, None, None, None).to_dict())
         return _finish(args, report)
-    rep = full_index_report(sigma, windows, n=n, J=args.steps)
     report = {"config": config, "elliptic": True}
-    report.update(rep.to_dict())
+    report.update(full_index_report(sigma, windows, n=n, J=args.steps).to_dict())
     return _finish(args, report)
 
 
@@ -512,9 +447,6 @@ def main(argv=None) -> int:
     except ConvergenceError as e:
         _error_json("ConvergenceError", e,
                     residual_history=[float(r) for r in e.residual_history])
-        return PRECONDITION_ERROR
-    except (AliasingError, DimensionMismatchError, OutOfWindowError) as e:
-        _error_json(type(e).__name__, e)
         return PRECONDITION_ERROR
     except (LatticeOpsError, ValueError) as e:
         _error_json(type(e).__name__, e)

@@ -421,38 +421,28 @@ class DifferenceResult:
 
 def forward_difference(f: LatticeSequence, alpha: MultiIndex) -> DifferenceResult:
     """Iterated forward difference; upper-boundary margin of |alpha| layers."""
-    if alpha.n != f.window.n:
-        raise DimensionMismatchError("multi-index dimension mismatch")
-    vals = f.values
-    w = f.window
-    for j, a in enumerate(alpha):
-        e = np.zeros(w.n, dtype=int)
-        e[j] = 1
-        g = LatticeSequence(w, vals)
-        for _ in range(a):
-            vals = _shift_values(g, e) - g.values
-            g = LatticeSequence(w, vals)
-    m = alpha.order
-    pts = w.points
-    valid = np.all(pts + np.array(tuple(alpha)) <= w.N, axis=1)
-    return DifferenceResult(LatticeSequence(w, vals), m, valid)
+    return _difference(f, alpha, 1)
 
 
 def backward_difference(f: LatticeSequence, alpha: MultiIndex) -> DifferenceResult:
     """Iterated backward difference; lower-boundary margin of |alpha| layers."""
+    return _difference(f, alpha, -1)
+
+
+def _difference(f: LatticeSequence, alpha: MultiIndex, step: int) -> DifferenceResult:
+    """Forward (``step`` 1) or backward (-1) difference; a point is valid
+    when its |alpha| steps stay in the window."""
     if alpha.n != f.window.n:
         raise DimensionMismatchError("multi-index dimension mismatch")
-    vals = f.values
     w = f.window
+    vals = f.values
     for j, a in enumerate(alpha):
         e = np.zeros(w.n, dtype=int)
-        e[j] = 1
-        g = LatticeSequence(w, vals)
+        e[j] = step
         for _ in range(a):
-            vals = g.values - _shift_values(g, -e)
-            g = LatticeSequence(w, vals)
-    pts = w.points
-    valid = np.all(pts - np.array(tuple(alpha)) >= -w.N, axis=1)
+            shifted = _shift_values(LatticeSequence(w, vals), e)
+            vals = shifted - vals if step > 0 else vals - shifted
+    valid = np.all(np.abs(w.points + step * np.array(tuple(alpha))) <= w.N, axis=1)
     return DifferenceResult(LatticeSequence(w, vals), alpha.order, valid)
 
 
@@ -470,50 +460,106 @@ def forward_difference_closed_form(f: LatticeSequence, alpha: MultiIndex) -> Dif
     return DifferenceResult(LatticeSequence(w, acc), alpha.order, valid)
 
 
-# -- sequence file format ----------------------------------------------------
+# -- sequence and torus-sample file formats ---------------------------------
 
 def write_sequence_csv(path, f: LatticeSequence) -> None:
     """CSV with header k1..kn,re,im, one row per window point, lexicographic."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"k{j + 1}" for j in range(f.window.n)] + ["re", "im"])
-        for k, v in zip(f.window.points, f.values):
-            writer.writerow([*map(int, k), repr(float(v.real)), repr(float(v.imag))])
+    _write_rows(path, "k", f.window.points, f.values)
 
 
 def read_sequence_csv(path) -> LatticeSequence:
     """Read a sequence CSV; rows may arrive in any order.
 
     The sequence lives on the smallest window covering all listed points
-    (unlisted points are zero).  A bad header, a malformed
-    row, a non-finite value or a point listed twice raises ParseError.
+    (unlisted points are zero).  A malformed file raises ParseError.
     """
-    values = {}
+    n, rows = _read_rows(path, "k", int)
+    N = max(1, max((abs(c) for _, k, _ in rows for c in k), default=1))
+    window = LatticeWindow(n, N)
+    return LatticeSequence(window, _placed(rows, n, window.side, lambda c: c + N))
+
+
+def write_torus_csv(path, F: TorusFunction) -> None:
+    """CSV with header x1..xn,re,im, one row per grid node, lexicographic."""
+    _write_rows(path, "x", F.grid.nodes, F.values)
+
+
+def read_torus_csv(path) -> TorusFunction:
+    """Read a torus CSV listing each node of a full M^n grid once, in any
+    order; anything else raises ParseError."""
+    n, rows = _read_rows(path, "x", float)
+    M = round(len(rows) ** (1.0 / n))
+    if not rows or M ** n != len(rows):
+        raise ParseError(f"torus CSV has {len(rows)} rows, not a full M^n grid")
+
+    def node(c):
+        j = round(c * M) if math.isfinite(c) else -1
+        if abs(c - j / M) > 1e-9 or not 0 <= j < M:
+            raise ParseError(f"coordinate {c} is not a node of the uniform {M}-point grid")
+        return j
+    return TorusFunction(TorusGrid(n, M), _placed(rows, n, M, node))
+
+
+def _header(letter: str, n: int) -> list:
+    return [f"{letter}{j + 1}" for j in range(n)] + ["re", "im"]
+
+
+def _write_table(path, header: list, rows) -> None:
+    """CSV with one line for the header and one per row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_rows(path, letter: str, points: np.ndarray, values: np.ndarray) -> None:
+    """CSV with header {letter}1..{letter}n,re,im and one row per point."""
+    # tolist gives Python ints and floats, which csv writes as str and repr
+    _write_table(path, _header(letter, points.shape[1]),
+                 ([*p, repr(float(v.real)), repr(float(v.imag))]
+                  for p, v in zip(points.tolist(), values)))
+
+
+def _read_rows(path, letter: str, coordinate):
+    """Dimension n and rows (line, point, value) of a file written by _write_rows;
+    ParseError on a bad header or a row that is not n coordinates (read by
+    ``coordinate``) and two finite numbers.  Blank lines are skipped."""
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         n = len(header) - 2
-        if n < 1 or header != [f"k{j + 1}" for j in range(n)] + ["re", "im"]:
-            raise ParseError(f"bad sequence header: {header}")
+        if n < 1 or header != _header(letter, n):
+            raise ParseError(f"bad header {header}: need {letter}1..{letter}n,re,im")
         for row in reader:
             if not row:
                 continue
             try:
                 re, im = row[n:]
-                k = tuple(int(c) for c in row[:n])
+                point = tuple(map(coordinate, row[:n]))
                 v = complex(float(re), float(im))
             except ValueError:
-                raise ParseError(f"line {reader.line_num}: {row} is not {n} integers "
+                raise ParseError(f"line {reader.line_num}: {row} is not {n} coordinates "
                                  "and two numbers") from None
             if not cmath.isfinite(v):
-                raise ParseError(f"line {reader.line_num}: point {list(k)} carries "
+                raise ParseError(f"line {reader.line_num}: point {list(point)} carries "
                                  "a non-finite value")
-            if k in values:
-                raise ParseError(f"line {reader.line_num}: point {list(k)} is listed twice")
-            values[k] = v
-    N = max(1, max((max(abs(c) for c in k) for k in values), default=1))
-    window = LatticeWindow(n, N)
-    f = LatticeSequence.zeros(window)
-    for k, v in values.items():
-        f.values[window.index_of(k)] = v
-    return f
+            rows.append((reader.line_num, point, v))
+    return n, rows
+
+
+def _placed(rows, n: int, side: int, slot) -> np.ndarray:
+    """Values of ``rows`` on n axes of length ``side``, flattened
+    lexicographically: coordinate c sits at ``slot(c)`` on its axis, and
+    points without a row are zero.  A point listed twice raises ParseError."""
+    values = np.zeros(side ** n, dtype=complex)
+    seen = set()
+    for line, point, v in rows:
+        idx = 0
+        for c in point:
+            idx = idx * side + slot(c)
+        if idx in seen:
+            raise ParseError(f"line {line}: point {list(point)} is listed twice")
+        seen.add(idx)
+        values[idx] = v
+    return values

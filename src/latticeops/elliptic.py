@@ -322,11 +322,11 @@ def solve(sigma: Symbol, m: float, f: LatticeSequence, window: LatticeWindow,
 
 
 def residual_order_sequence(sigma: Symbol, m: float, window: LatticeWindow,
-                            grid: TorusGrid, J_max: int = 3) -> list:
-    """Estimated order of the left residual for J = 1..J_max, refining one parametrix."""
+                            grid: TorusGrid) -> list:
+    """Estimated order of the left residual for J = 1, 2, 3, refining one parametrix."""
     orders = []
     par = None
-    for _ in range(J_max):
+    for _ in range(3):
         par = parametrix(sigma, m, 1, window, grid) if par is None else par.refined()
         est = estimate_order(par.left_residual, window, grid, alpha_max=0, beta_max=0)
         orders.append(est.m_hat)

@@ -119,8 +119,6 @@ class TraceIndexResult:
     trace_index_raw: float
     trace_index: int  # None when unresolved
     tail_bound: float
-    window_N: int
-    steps: int
 
 
 def _weighted_tail_bound(residual, window: LatticeWindow, power: int) -> float:
@@ -174,7 +172,7 @@ def trace_index(sigma: Symbol, window: LatticeWindow, J: int = 3) -> TraceIndexR
     verdict = None
     if tail < 0.05 and abs(raw - round(raw)) < 0.25:
         verdict = int(round(raw))
-    return TraceIndexResult(raw, verdict, float(tail), window.N, J)
+    return TraceIndexResult(raw, verdict, float(tail))
 
 
 def full_index_report(sigma: Symbol, windows, n: int = 1, J: int = 3) -> IndexReport:
@@ -201,8 +199,8 @@ class AtkinsonReport:
     to_dict = asdict
 
 
-def atkinson_check(sigma: Symbol, windows, n: int = 1, J: int = 2) -> AtkinsonReport:
-    """Compactness surrogate for the two parametrix defects.
+def atkinson_check(sigma: Symbol, windows, n: int = 1) -> AtkinsonReport:
+    """Compactness surrogate for the two defects of the two-step parametrix.
 
     The count of singular values above SV_THRESHOLD must not grow with
     the section size; bounded means the largest of the distinct windows
@@ -211,7 +209,7 @@ def atkinson_check(sigma: Symbol, windows, n: int = 1, J: int = 2) -> AtkinsonRe
     """
     Ns, lc, rc, sizes = [], [], [], []
     for window, grid in _sections(windows, n):
-        par = parametrix(sigma, 0.0, J, window, grid)
+        par = parametrix(sigma, 0.0, 2, window, grid)
         Ns.append(window.N)
         lc.append(int(np.sum(par.left_defect.singular_values() > SV_THRESHOLD)))
         rc.append(int(np.sum(par.right_defect.singular_values() > SV_THRESHOLD)))

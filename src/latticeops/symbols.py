@@ -14,7 +14,7 @@ import json
 import math
 import operator
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .core import (
 from .errors import (
     DimensionMismatchError,
     OutOfWindowError,
+    ParseError,
     SymbolSyntaxError,
 )
 
@@ -163,7 +164,7 @@ class _Parser:
         if kind == "op" and val == "^":
             self.advance()
             exponent = self.base()
-            if not _is_constant(exponent):
+            if next(_variables(exponent), None) is not None:
                 raise SymbolSyntaxError("exponent must be a constant", at)
             node = BinOp("^", node, exponent)
         return node
@@ -197,18 +198,17 @@ class _Parser:
         raise SymbolSyntaxError(f"unexpected token {val!r}", at)
 
 
-def _is_constant(node) -> bool:
-    if isinstance(node, (Num, Const)):
-        return True
+def _variables(node):
+    """Every k and x variable of the expression ``node``, left to right."""
     if isinstance(node, Var):
-        return False
-    if isinstance(node, Neg):
-        return _is_constant(node.child)
-    if isinstance(node, BinOp):
-        return _is_constant(node.left) and _is_constant(node.right)
-    if isinstance(node, Func):
-        return _is_constant(node.arg)
-    raise TypeError(node)
+        yield node
+    elif isinstance(node, Neg):
+        yield from _variables(node.child)
+    elif isinstance(node, BinOp):
+        yield from _variables(node.left)
+        yield from _variables(node.right)
+    elif isinstance(node, Func):
+        yield from _variables(node.arg)
 
 
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -249,7 +249,10 @@ def _eval_node(node, kcols, xcols):
             if (isinstance(v, np.ndarray) and not isinstance(child, Var)
                     and v.shape == shape and v.dtype == dtype):
                 return _UFUNCS[node.op](a, b, out=v)
-        return _ARITHMETIC[node.op](a, b)
+        try:
+            return _ARITHMETIC[node.op](a, b)
+        except ZeroDivisionError:  # a constant divisor of 0: inf or nan, as an array one gives
+            return _UFUNCS[node.op](a, b)
     if isinstance(node, Func):
         v = _eval_node(node.arg, kcols, xcols)
         if node.name == "exp":
@@ -322,10 +325,11 @@ class Symbol:
     min_n: int = 1
 
     def eval(self, k, x) -> complex:
-        k = np.atleast_1d(np.asarray(k, dtype=int))
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        self._check_dims(k.shape[-1], x.shape[-1])
-        return complex(self._values_at(k.reshape(1, -1), x.reshape(1, -1))[0])
+        k = np.asarray(k, dtype=int).reshape(-1, 1).astype(float)
+        x = np.asarray(x, dtype=float).reshape(-1, 1)
+        self._check_dims(len(k), len(x))
+        # row j of k and x is the one-element column of coordinate j
+        return complex(np.ravel(self._eval_cols(k, x))[0])
 
     def sample(self, window: LatticeWindow, grid: TorusGrid) -> np.ndarray:
         """(window.size, grid.size) array of sigma at all (k,x) pairs.
@@ -363,12 +367,6 @@ class Symbol:
             out = np.asarray(self._eval_cols(kcols, xcols), dtype=complex)
         return out.reshape((1,) * (2 * n)) if out.ndim == 0 else out
 
-    def _values_at(self, K, X) -> np.ndarray:
-        kcols = [K[:, j].astype(float) for j in range(K.shape[1])]
-        xcols = [X[:, j] for j in range(X.shape[1])]
-        out = self._eval_cols(kcols, xcols)
-        return np.broadcast_to(np.asarray(out, dtype=complex), (K.shape[0],)).copy()
-
     def _check_dims(self, nk, nx):
         if nk != nx:
             raise DimensionMismatchError(f"k dimension {nk} != x dimension {nx}")
@@ -383,12 +381,17 @@ class Symbol:
 
 
 class ExprSymbol(Symbol):
-    def __init__(self, n: int, ast, order: float = None, text: str = None):
+    """Symbol given by an expression over k1..kn and x1..xn (see parse_symbol)."""
+
+    def __init__(self, n: int, text: str, order: float = None):
+        if not text or not text.strip():
+            raise SymbolSyntaxError("empty symbol expression", 0)
         self.n = n
-        self.ast = ast
-        self.min_n = _coordinates_used(ast)
+        self.text = text
+        self.ast = _Parser(text, n).parse()
+        # the largest coordinate index the expression reads
+        self.min_n = max((v.index for v in _variables(self.ast)), default=1)
         self.order = order
-        self.text = text if text is not None else pretty_print(ast)
 
     def _eval_cols(self, kcols, xcols):
         return _eval_node(self.ast, kcols, xcols)
@@ -413,20 +416,13 @@ class BesselSymbol(Symbol):
         return f"BesselSymbol(s={self.s})"
 
 
-class MultiplierSymbol(Symbol):
+class MultiplierSymbol(ExprSymbol):
     """x-independent symbol a(k) given by an expression over k1..kn."""
 
     def __init__(self, n: int, text: str, order: float = None):
-        self.n = n
-        self.text = text
-        self.ast = _Parser(text, n).parse()
-        if _uses_x(self.ast):
+        super().__init__(n, text, order=order)
+        if any(v.kind == "x" for v in _variables(self.ast)):
             raise SymbolSyntaxError("multiplier expression must not use x variables", 0)
-        self.min_n = _coordinates_used(self.ast)
-        self.order = order
-
-    def _eval_cols(self, kcols, xcols):
-        return _eval_node(self.ast, kcols, xcols)
 
     def __repr__(self):
         return f"MultiplierSymbol({self.text!r}, n={self.n})"
@@ -511,23 +507,19 @@ class GridSymbol(Symbol):
         E = np.exp(1j * TWO_PI * (X @ Mpts.T.astype(float)))  # (Q, M^n)
         return cc @ E.T
 
-    def _values_at(self, K, X):
-        K = np.asarray(K, dtype=int)
-        out = np.empty(K.shape[0], dtype=complex)
-        for i, (k, x) in enumerate(zip(K, X)):
-            if not self.window.contains(k):
-                raise OutOfWindowError(f"point {k.tolist()} outside backing window")
-            row = self.window.index_of(k)
-            # exact column when x is a grid node
-            jx = x * self.grid.M
-            if np.allclose(jx, np.rint(jx), atol=1e-12):
-                col = 0
-                for j in range(self.n):
-                    col = col * self.grid.M + int(np.rint(jx[j])) % self.grid.M
-                out[i] = self.values[row, col]
-            else:
-                out[i] = self._interp_rows(np.array([row]), x.reshape(1, -1))[0, 0]
-        return out
+    def eval(self, k, x) -> complex:
+        k = np.asarray(k, dtype=int).reshape(-1)
+        x = np.asarray(x, dtype=float).reshape(-1)
+        self._check_dims(k.size, x.size)
+        if not self.window.contains(k):
+            raise OutOfWindowError(f"point {k.tolist()} outside backing window")
+        row = self.window.index_of(k)
+        # the stored sample when x is a grid node, else the interpolant
+        jx = x * self.grid.M
+        if np.allclose(jx, np.rint(jx), atol=1e-12):
+            col = np.ravel_multi_index(np.rint(jx).astype(int) % self.grid.M, self.grid.shape)
+            return complex(self.values[row, col])
+        return complex(self._interp_rows([row], x.reshape(1, -1))[0, 0])
 
     def __repr__(self):
         return (f"GridSymbol(N={self.window.N}, M={self.grid.M}, "
@@ -552,41 +544,13 @@ class DualToroidalSymbol:
         return self.base.sample(window, grid)[::-1].conj().T
 
 
-def _uses_x(node) -> bool:
-    if isinstance(node, Var):
-        return node.kind == "x"
-    if isinstance(node, Neg):
-        return _uses_x(node.child)
-    if isinstance(node, BinOp):
-        return _uses_x(node.left) or _uses_x(node.right)
-    if isinstance(node, Func):
-        return _uses_x(node.arg)
-    return False
-
-
-def _coordinates_used(node) -> int:
-    """Largest coordinate index among the k and x variables of ``node`` (1 if none)."""
-    if isinstance(node, Var):
-        return node.index
-    if isinstance(node, Neg):
-        return _coordinates_used(node.child)
-    if isinstance(node, BinOp):
-        return max(_coordinates_used(node.left), _coordinates_used(node.right))
-    if isinstance(node, Func):
-        return _coordinates_used(node.arg)
-    return 1
-
-
 def parse_symbol(text: str, n: int, order: float = None) -> ExprSymbol:
     """Parse an expression-backed symbol; raises SymbolSyntaxError with position.
 
     With ``n`` None the symbol is dimension-generic: any k_j / x_j, j >= 1,
     parses, and the symbol samples in every dimension n >= max j.
     """
-    if not text or not text.strip():
-        raise SymbolSyntaxError("empty symbol expression", 0)
-    ast = _Parser(text, n).parse()
-    return ExprSymbol(n, ast, order=order, text=text)
+    return ExprSymbol(n, text, order=order)
 
 
 def eval_symbol(sigma, k, x) -> complex:
@@ -852,6 +816,9 @@ def dual_toroidal_symbol(sigma: Symbol) -> DualToroidalSymbol:
 # -- symbol file format ------------------------------------------------------
 
 def symbol_to_dict(sigma) -> dict:
+    if isinstance(sigma, MultiplierSymbol):
+        return {"n": sigma.n, "order": sigma.order, "kind": "builtin",
+                "builtin": {"name": "multiplier", "params": {"expr": sigma.text}}}
     if isinstance(sigma, ExprSymbol):
         return {"n": sigma.n, "order": sigma.order, "kind": "expr", "expr": sigma.text}
     if isinstance(sigma, BesselSymbol):
@@ -860,9 +827,6 @@ def symbol_to_dict(sigma) -> dict:
     if isinstance(sigma, JumpSymbol):
         return {"n": sigma.n, "order": 0.0, "kind": "builtin",
                 "builtin": {"name": "jump", "params": {"direction": sigma.direction}}}
-    if isinstance(sigma, MultiplierSymbol):
-        return {"n": sigma.n, "order": sigma.order, "kind": "builtin",
-                "builtin": {"name": "multiplier", "params": {"expr": sigma.text}}}
     if isinstance(sigma, GridSymbol):
         vals = np.stack([sigma.values.real.ravel(), sigma.values.imag.ravel()], axis=-1)
         return {"n": sigma.n, "order": sigma.order, "kind": "grid",
@@ -873,7 +837,22 @@ def symbol_to_dict(sigma) -> dict:
     raise TypeError(f"cannot serialize {type(sigma).__name__}")
 
 
+def _parsed(convert, value, what):
+    """``convert(value)`` for a value read from a symbol file; ParseError if it fails."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{what} {value!r} is not valid") from None
+
+
 def symbol_from_dict(d: dict):
+    """The symbol a symbol file describes.
+
+    A description of the wrong shape raises ParseError; expression text
+    that does not parse raises SymbolSyntaxError with its position.
+    """
+    if not isinstance(d, dict):
+        raise ParseError(f"a symbol file holds a JSON object, not {type(d).__name__}")
     kind = d["kind"]
     n = d.get("n")
     order = d.get("order")
@@ -883,21 +862,27 @@ def symbol_from_dict(d: dict):
         b = d["builtin"]
         name, params = b["name"], b.get("params", {})
         if name == "bessel":
-            return BesselSymbol(params["s"], n=n)
+            return BesselSymbol(_parsed(float, params["s"], "bessel s"), n=n)
         if name == "jump":
-            return JumpSymbol(int(params.get("direction", 1)), n=n or 1)
+            direction = _parsed(int, params.get("direction", 1), "jump direction")
+            if direction not in (1, -1):
+                raise ParseError(f"jump direction must be +1 or -1, not {direction}")
+            return JumpSymbol(direction, n=n or 1)
         if name == "multiplier":
             return MultiplierSymbol(n, params["expr"], order=order)
-        raise ValueError(f"unknown builtin symbol family {name!r}")
+        raise ParseError(f"unknown builtin symbol family {name!r}")
     if kind == "grid":
         g = d["grid"]
         window = LatticeWindow(g["window"]["n"], g["window"]["N"])
         grid = TorusGrid(g["grid"]["n"], g["grid"]["M"])
-        vals = np.asarray(g["values"], dtype=float)
+        vals = _parsed(lambda v: np.asarray(v, dtype=float), g["values"], "grid values")
+        if vals.shape != (window.size * grid.size, 2):
+            raise ParseError(f"grid values of shape {vals.shape}; the window and grid "
+                             f"need {window.size * grid.size} [re, im] pairs")
         values = vals[:, 0] + 1j * vals[:, 1]
         return GridSymbol(window, grid, values.reshape(window.size, grid.size),
                           order=order, interior_margin=g.get("interior_margin", 0))
-    raise ValueError(f"unknown symbol kind {kind!r}")
+    raise ParseError(f"unknown symbol kind {kind!r}")
 
 
 def write_symbol_json(path, sigma) -> None:

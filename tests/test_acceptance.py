@@ -177,7 +177,7 @@ def test_criterion_05_parametrix():
     w = LatticeWindow(1, 32)
     g = default_grid(w)
     fam = parse_symbol(PERTURBED_SLOW, 1, order=0)
-    orders = residual_order_sequence(fam, 0.0, w, g, J_max=3)
+    orders = residual_order_sequence(fam, 0.0, w, g)
     drops = [a - b for a, b in zip(orders, orders[1:])]
     par3 = parametrix(parse_symbol(PERTURBED, 1, order=0), 0.0, 3, w, g)
     decay = residual_decay_report(par3.left_residual, 3)
@@ -272,7 +272,7 @@ def test_criterion_10_ellipticity_fredholm_probe():
     atk_ok = True
     for sig in (shipped_symbol("constant"), shipped_symbol("jump_plus"),
                 parse_symbol(PERTURBED, 1, order=0)):
-        atk_ok = atk_ok and atkinson_check(sig, [16, 32], n=1, J=2).bounded
+        atk_ok = atk_ok and atkinson_check(sig, [16, 32], n=1).bounded
     probe = fredholm_ellipticity_probe(
         parse_symbol("1/(1+k1^2)^(1/2)", 1, order=0), [16, 32, 64], n=1)
     counts = probe.near_kernel_counts

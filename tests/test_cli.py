@@ -237,6 +237,28 @@ def test_bad_symbol_text_is_usage_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "SymbolSyntaxError"
 
 
+GRID = {"window": {"n": 1, "N": 1}, "grid": {"n": 1, "M": 3}}  # 3 x 3 samples
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    "expr",
+    {"n": 1, "kind": "grid", "grid": {**GRID, "values": [1, 2]}},
+    {"n": 1, "kind": "grid", "grid": {**GRID, "values": [[1, 0]] * 4}},
+    {"n": 1, "kind": "table"},
+    {"n": 1, "kind": "builtin", "builtin": {"name": "gauss"}},
+    {"n": 1, "kind": "builtin", "builtin": {"name": "jump", "params": {"direction": 2}}},
+    {"n": 1, "kind": "builtin", "builtin": {"name": "bessel", "params": {"s": "two"}}},
+], ids=["array", "string", "values-not-pairs", "values-count", "unknown-kind",
+        "unknown-builtin", "jump-direction", "bessel-s"])
+def test_malformed_symbol_file_is_parse_error(tmp_path, capsys, doc):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", str(path), "--N", "8")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, out, err = run(capsys, "verify", "--bogus")
     assert code == 2

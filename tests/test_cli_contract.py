@@ -125,8 +125,8 @@ def test_report_is_strict_json_with_only_used_config(files, capsys, cmd):
     assert report["config"]["command"] == cmd
 
 
-INDEX_KEYS = {"config", "elliptic", "windows", "dim_ker", "dim_coker", "svd_index",
-              "trace_index_raw", "trace_index", "agreement"}
+INDEX_KEYS = {"config", "elliptic", "windows", "dim_ker", "dim_coker", "gap_evidence",
+              "svd_index", "trace_index_raw", "trace_index", "agreement", "tail_bound"}
 PROBE_KEYS = {"elliptic", "ellipticity", "atkinson", "near_kernel_counts", "windows",
               "consistent"}
 ELLIPTICITY_KEYS = {"elliptic", "C", "M_radius", "min_ratio_profile", "shells"}
@@ -147,7 +147,7 @@ def _report(capsys, argv):
 
 def test_report_key_sets(files, capsys):
     elliptic = _report(capsys, ["index", *good_argv("index", files)])
-    assert set(elliptic) == INDEX_KEYS | {"gap_evidence", "tail_bound"}
+    assert set(elliptic) == INDEX_KEYS
     assert set(elliptic["gap_evidence"][0]) == {"N", "dim_ker", "dim_coker",
                                                 "raw_null_count", "gap"}
     probed = _report(capsys, ["index", _step_symbol(files), "--windows", "8,12"])
@@ -183,6 +183,19 @@ def test_non_finite_symbol_leaves_one_json_object_on_stderr(files, capsys, cmd):
         warnings.simplefilter("always")
         warnings.showwarning = _print_warning
         code = main([cmd, *argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ValueError",
+                                        "message": "symbol samples carry non-finite values"}
+
+
+def test_constant_zero_divisor_is_refused_as_non_finite(files, capsys):
+    # Python raises ZeroDivisionError on the scalar 2/0; the samples carry inf
+    # instead, as 1/k1 does at k1 = 0, and the non-finite rule refuses them
+    sym = files["dir"] / "zero.json"
+    sym.write_text(json.dumps({"n": 1, "order": 0, "kind": "expr", "expr": "2/(2-2) + k1"}))
+    code = main(["classify", str(sym), "--N", "8"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""

@@ -182,7 +182,7 @@ def test_residual_order_drops_per_step():
     w = LatticeWindow(1, 32)
     g = default_grid(w)
     sigma = parse_symbol(PERTURBED_SLOW, 1, order=0)
-    orders = residual_order_sequence(sigma, 0.0, w, g, J_max=3)
+    orders = residual_order_sequence(sigma, 0.0, w, g)
     drops = [a - b for a, b in zip(orders, orders[1:])]
     assert all(d >= 0.8 for d in drops), (orders, drops)
     # regression guard from the residual order invariant
@@ -209,7 +209,7 @@ def test_residual_order_sequence_steps_one_parametrix(monkeypatch):
     assert len(calls) == 1
     solve(sigma, 0.0, LatticeSequence.random(w, np.random.default_rng(2)), w, g)
     assert len(calls) == 2
-    assert residual_order_sequence(sigma, 0.0, w, g, J_max=3) == want
+    assert residual_order_sequence(sigma, 0.0, w, g) == want
     assert len(calls) == 3
 
 

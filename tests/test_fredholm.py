@@ -147,7 +147,7 @@ def test_index_additivity_under_composition():
 
 def test_atkinson_bounded_for_elliptic():
     sigma = parse_symbol("2 + exp(i*twopi*x1)/(1+k1^2)", 1, order=0)
-    rep = atkinson_check(sigma, [32, 64], n=1, J=2)
+    rep = atkinson_check(sigma, [32, 64], n=1)
     assert rep.bounded
     assert rep.left_counts[0] == rep.left_counts[1]
     assert rep.right_counts[0] == rep.right_counts[1]
@@ -159,7 +159,7 @@ def test_atkinson_constant_defects_vanish():
 
 
 def test_atkinson_jump():
-    rep = atkinson_check(jump_symbol(+1), [16, 32], n=1, J=2)
+    rep = atkinson_check(jump_symbol(+1), [16, 32], n=1)
     assert rep.bounded
 
 

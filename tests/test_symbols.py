@@ -40,6 +40,7 @@ from latticeops.symbols import (
     _difference_samples,
     pretty_print,
     s0_decay_profile,
+    symbol_to_dict,
 )
 
 
@@ -252,8 +253,11 @@ def _eval_allocating(node, kcols, xcols):
         b = _eval_allocating(node.right, kcols, xcols)
         if node.op == "^":
             return np.power(np.asarray(a, dtype=complex), b)
-        return {"+": operator.add, "-": operator.sub,
-                "*": operator.mul, "/": operator.truediv}[node.op](a, b)
+        try:
+            return {"+": operator.add, "-": operator.sub,
+                    "*": operator.mul, "/": operator.truediv}[node.op](a, b)
+        except ZeroDivisionError:  # a constant divisor of 0 gives inf or nan, as an array one does
+            return np.true_divide(a, b)
     assert isinstance(node, Func)
     v = _eval_allocating(node.arg, kcols, xcols)
     if node.name == "sqrt":
@@ -464,6 +468,19 @@ def test_symbol_json_roundtrip_all_kinds(tmp_path):
                 eval_symbol(sigma, k, x), abs=1e-12)
         d = json.loads(path.read_text())
         assert set(d) >= {"n", "order", "kind"}
+        assert type(back) is type(sigma)
+        assert symbol_to_dict(back) == symbol_to_dict(sigma)
+
+
+def test_grid_symbol_eval_at_each_node_is_the_stored_sample():
+    w = LatticeWindow(2, 2)
+    g = TorusGrid(2, 5)
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((w.size, g.size)) + 1j * rng.standard_normal((w.size, g.size))
+    sigma = GridSymbol(w, g, values)
+    for row, k in enumerate(w.points):
+        for col, x in enumerate(g.nodes):
+            assert eval_symbol(sigma, k, x) == values[row, col]
 
 
 def test_grid_symbol_out_of_window():
