@@ -18,6 +18,8 @@ from .core import LatticeSequence, LatticeWindow, TorusGrid, _check_resolution, 
 from .errors import ConvergenceError, EllipticityError
 from .quantization import (
     OperatorMatrix,
+    _fold,
+    _matvec,
     _section,
     extract_symbol,
     interior_margin,
@@ -37,26 +39,57 @@ from .symbols import (
 class Parametrix:
     """Finite-section parametrix B_J of A = T_sigma after J Neumann steps.
 
-    Only A and the first step B0 are built eagerly.  ``apply`` gives B_J r
-    from matrix-vector products alone.  B_J itself, the defects and the
-    symbols extracted from B_J and from them are computed on first access
-    and kept, so each P^3 product and each extraction is paid at most once,
-    and only by a caller that reads it.
+    A and the first step B0 are kept as folded samples
+    (``quantization._fold``), so each product A v or B0 v is one size-Q
+    transform and one matrix-vector product, and ``apply`` gives B_J r
+    from those products alone.  Built on first read and kept, each at
+    most once: the sections ``sigma_matrix`` (A) and ``initial`` (B0),
+    each of which replaces its folded samples, so later products use the
+    section; B_J (``matrix``); the defects; and the symbols extracted from
+    B_J and from them.  So a caller that only applies the parametrix
+    forms no P x P array.
     """
-    sigma_matrix: OperatorMatrix = field(repr=False)  # A
-    initial: OperatorMatrix = field(repr=False)       # B0, the first step
+    window: LatticeWindow
+    grid: TorusGrid
+    sigma_folded: np.ndarray = field(repr=False)    # A; None once sigma_matrix is built
+    initial_folded: np.ndarray = field(repr=False)  # B0; None once initial is built
     sigma_order: float          # m
     steps: int                  # J
     threshold: float
     regularized_points: list    # window indices where delta(k) > 0
 
+    def sigma_apply(self, v: np.ndarray) -> np.ndarray:
+        """A v."""
+        if self.sigma_folded is None:
+            return self.sigma_matrix.entries @ v
+        return _matvec(self.sigma_folded, v, self.window, self.grid)
+
+    def initial_apply(self, v: np.ndarray) -> np.ndarray:
+        """B0 v."""
+        if self.initial_folded is None:
+            return self.initial.entries @ v
+        return _matvec(self.initial_folded, v, self.window, self.grid)
+
     def apply(self, r: np.ndarray) -> np.ndarray:
         """B_J r: v = B0 r, then J-1 times v <- v + B0 (r - A v)."""
-        A, B0 = self.sigma_matrix.entries, self.initial.entries
-        v = B0 @ r
+        v = self.initial_apply(r)
         for _ in range(self.steps - 1):
-            v += B0 @ (r - A @ v)
+            v += self.initial_apply(r - self.sigma_apply(v))
         return v
+
+    @cached_property
+    def sigma_matrix(self) -> OperatorMatrix:
+        """A, the section of the folded samples, which it replaces."""
+        A = _section(self.sigma_folded, self.window, self.grid)
+        self.sigma_folded = None
+        return A
+
+    @cached_property
+    def initial(self) -> OperatorMatrix:
+        """B0, the section of the folded samples, which it replaces."""
+        B0 = _section(self.initial_folded, self.window, self.grid)
+        self.initial_folded = None
+        return B0
 
     @cached_property
     def matrix(self) -> OperatorMatrix:
@@ -72,9 +105,13 @@ class Parametrix:
                               B.entries + B0 @ (np.eye(B.window.size) - A @ B.entries))
 
     def refined(self) -> "Parametrix":
-        """The parametrix with one more Neumann step; a B_J already built is
-        carried forward by one step, not rebuilt."""
+        """The parametrix with one more Neumann step.  Sections already built
+        are carried forward as they are, and a B_J already built by one
+        step, not rebuilt."""
         par = replace(self, steps=self.steps + 1)
+        for name in ("sigma_matrix", "initial"):
+            if name in vars(self):
+                vars(par)[name] = vars(self)[name]
         if "matrix" in vars(self):
             par.matrix = self._step(self.matrix)
         return par
@@ -115,9 +152,10 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
     (|sigma|^2 + delta(k)), where delta(k) = floor(k)^2 switches on wherever
     |sigma(k,.)| dips below floor(k) = theta (1+|k|)^m somewhere on the grid;
     each further step applies B <- B + B0 (I - A B), so the right residual
-    is (I - A B0)^J.  sigma is sampled once: the certificate, A and B0 all
-    come from that array, which becomes tau0 in place once A is built.  No
-    P^3 product is formed here: B_J is built only when first read.
+    is (I - A B0)^J.  sigma is sampled once: the certificate and both
+    folded sample arrays come from that array, which is folded in place
+    into A's once tau0 is formed from it.  No P x P array is formed here:
+    the sections and B_J are built only when first read.
     """
     if J < 1:
         raise ValueError("need at least one Neumann step")
@@ -132,13 +170,12 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
     theta = rep.C / 2.0
     floor = theta * np.power(window.radial_weight, m)
     low = row_min < floor
-    A = _section(S, window, grid)
-    np.conjugate(S, out=S)
     np.square(magnitude, out=magnitude)
     magnitude += np.where(low, floor ** 2, 0.0)[:, None]
-    S /= magnitude
-    B0 = _section(S, window, grid)
-    return Parametrix(A, B0, m, J, theta, np.where(low)[0].tolist())
+    tau0 = np.conjugate(S)
+    tau0 /= magnitude
+    return Parametrix(window, grid, _fold(S, window, grid), _fold(tau0, window, grid),
+                      m, J, theta, np.where(low)[0].tolist())
 
 
 @dataclass
@@ -273,9 +310,10 @@ def solve(sigma: Symbol, m: float, f: LatticeSequence, window: LatticeWindow,
           grid: TorusGrid, tol: float = 1e-8, J: int = 2, max_iter: int = 500) -> SolveResult:
     """Parametrix-preconditioned residual iteration for T_sigma u = f.
 
-    Each iteration applies B_J to the residual matrix-free (2J-1 products
-    with A or B0), so no P^3 product is formed unless the iteration falls
-    back to a dense direct solve: as soon as the interior residual rises
+    The residual f - A u and each application of B_J (2J-1 products with
+    A or B0) run on the parametrix's folded samples, so no P x P array is
+    formed unless the iteration falls back to a dense direct solve on the
+    section of A: as soon as the interior residual rises
     above its starting value (divergence), when it stalls (< 10% reduction
     over 20 iterations) or when the cap is reached without meeting tol.
     The result records which of the three caused a fallback and the
@@ -283,13 +321,12 @@ def solve(sigma: Symbol, m: float, f: LatticeSequence, window: LatticeWindow,
     even the direct solve misses the target.
     """
     par = parametrix(sigma, m, J, window, grid)
-    A = par.sigma_matrix.entries
     margin = interior_margin(window)
     mask = window.interior_mask(margin)
-    fnorm = f.norm() if f.norm() > 0 else 1.0
+    fnorm = f.norm() or 1.0
 
     def split_residual(u):
-        r = f.values - A @ u
+        r = f.values - par.sigma_apply(u)
         ri = float(np.linalg.norm(r[mask])) / fnorm
         rb = float(np.linalg.norm(r[~mask])) / fnorm
         return r, ri, rb
@@ -311,7 +348,7 @@ def solve(sigma: Symbol, m: float, f: LatticeSequence, window: LatticeWindow,
             reason = "stall"
             break
         u = u + par.apply(r)
-    u = np.linalg.solve(A, f.values)
+    u = np.linalg.solve(par.sigma_matrix.entries, f.values)
     _, ri, rb = split_residual(u)
     history.append(ri)
     if ri <= tol:

@@ -845,43 +845,74 @@ def _parsed(convert, value, what):
         raise ParseError(f"{what} {value!r} is not valid") from None
 
 
+_REQUIRED = object()
+
+
+def _field(d, key, what, kind=object, default=_REQUIRED, ok=lambda v: True):
+    """Field ``key`` of the JSON object ``d`` of a symbol file, named ``what``.
+
+    A missing or null field gives ``default``; ParseError names the field
+    when it is required, when ``d`` is no object, or when its value is not
+    a ``kind`` (a JSON boolean counts as no number) or fails ``ok``.
+    """
+    if not isinstance(d, dict):
+        raise ParseError(f"{what} must be a JSON object, not {type(d).__name__}")
+    value = d.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ParseError(f"{what} lacks the field {key!r}")
+        return default
+    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+        raise ParseError(f"{what} field {key!r} holds {value!r}, which is not valid")
+    return value
+
+
+def _positive(v) -> bool:
+    return v >= 1
+
+
 def symbol_from_dict(d: dict):
     """The symbol a symbol file describes.
 
     A description of the wrong shape raises ParseError; expression text
     that does not parse raises SymbolSyntaxError with its position.
     """
-    if not isinstance(d, dict):
-        raise ParseError(f"a symbol file holds a JSON object, not {type(d).__name__}")
-    kind = d["kind"]
-    n = d.get("n")
-    order = d.get("order")
+    kind = _field(d, "kind", "symbol file", str)
+    n = _field(d, "n", "symbol file", int, None, _positive)
+    order = _field(d, "order", "symbol file", (int, float), None, math.isfinite)
     if kind == "expr":
-        return parse_symbol(d["expr"], n, order=order)
+        return parse_symbol(_field(d, "expr", "symbol file", str), n, order=order)
     if kind == "builtin":
-        b = d["builtin"]
-        name, params = b["name"], b.get("params", {})
+        b = _field(d, "builtin", "symbol file", dict)
+        name = _field(b, "name", "builtin", str)
+        params = _field(b, "params", "builtin", dict, {})
         if name == "bessel":
-            return BesselSymbol(_parsed(float, params["s"], "bessel s"), n=n)
+            return BesselSymbol(_parsed(float, _field(params, "s", "bessel params"), "bessel s"),
+                                n=n)
         if name == "jump":
             direction = _parsed(int, params.get("direction", 1), "jump direction")
             if direction not in (1, -1):
                 raise ParseError(f"jump direction must be +1 or -1, not {direction}")
             return JumpSymbol(direction, n=n or 1)
         if name == "multiplier":
-            return MultiplierSymbol(n, params["expr"], order=order)
+            return MultiplierSymbol(n, _field(params, "expr", "multiplier params", str),
+                                    order=order)
         raise ParseError(f"unknown builtin symbol family {name!r}")
     if kind == "grid":
-        g = d["grid"]
-        window = LatticeWindow(g["window"]["n"], g["window"]["N"])
-        grid = TorusGrid(g["grid"]["n"], g["grid"]["M"])
-        vals = _parsed(lambda v: np.asarray(v, dtype=float), g["values"], "grid values")
+        g = _field(d, "grid", "symbol file", dict)
+        w, t = _field(g, "window", "grid", dict), _field(g, "grid", "grid", dict)
+        window = LatticeWindow(*(_field(w, key, "grid window", int, ok=_positive)
+                                 for key in ("n", "N")))
+        grid = TorusGrid(*(_field(t, key, "grid grid", int, ok=_positive) for key in ("n", "M")))
+        vals = _parsed(lambda v: np.asarray(v, dtype=float), _field(g, "values", "grid"),
+                       "grid values")
         if vals.shape != (window.size * grid.size, 2):
             raise ParseError(f"grid values of shape {vals.shape}; the window and grid "
                              f"need {window.size * grid.size} [re, im] pairs")
         values = vals[:, 0] + 1j * vals[:, 1]
+        margin = _field(g, "interior_margin", "grid", int, 0, lambda v: v >= 0)
         return GridSymbol(window, grid, values.reshape(window.size, grid.size),
-                          order=order, interior_margin=g.get("interior_margin", 0))
+                          order=order, interior_margin=margin)
     raise ParseError(f"unknown symbol kind {kind!r}")
 
 

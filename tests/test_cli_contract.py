@@ -201,3 +201,25 @@ def test_constant_zero_divisor_is_refused_as_non_finite(files, capsys):
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": "ValueError",
                                         "message": "symbol samples carry non-finite values"}
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"n": 1, "kind": "builtin", "builtin": "bessel"}, "builtin"),
+    ({"n": 1, "kind": "builtin", "builtin": {"name": "bessel", "params": []}}, "params"),
+    ({"n": "1", "kind": "expr", "expr": "1 + k1^2"}, "n"),
+    ({"n": 1, "order": "two", "kind": "expr", "expr": "1 + k1^2"}, "order"),
+    ({"n": 1, "kind": "grid", "grid": {"window": {"n": 1, "N": 0}, "grid": {"n": 1, "M": 3},
+                                       "values": []}}, "N"),
+    ({"n": 1, "expr": "1 + k1^2"}, "kind"),
+], ids=["builtin-string", "params-list", "n-string", "order-string", "window-N-zero",
+        "kind-missing"])
+def test_malformed_symbol_field_is_parse_error_naming_it(files, capsys, doc, field):
+    sym = files["dir"] / "malformed.json"
+    sym.write_text(json.dumps(doc))
+    code = main(["classify", str(sym), "--N", "8"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = json.loads(captured.err)  # exactly one JSON document
+    assert isinstance(err, dict) and err["error"] == "ParseError"
+    assert repr(field) in err["message"]

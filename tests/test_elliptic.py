@@ -146,6 +146,19 @@ def _explicit_solve(sigma, m, f, w, g, tol, J, max_iter=500):
     return max_iter, True, None
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """Each parametrix built through the elliptic binding, as solve builds it."""
+    out = []
+
+    def recorded(*args, _original=elliptic.parametrix, **kwargs):
+        out.append(_original(*args, **kwargs))
+        return out[-1]
+
+    monkeypatch.setattr(elliptic, "parametrix", recorded)
+    return out
+
+
 @pytest.mark.parametrize("text,n,N,m,tol,J", [
     ("bessel", 1, 16, 2.0, 1e-10, 2),
     ("2", 1, 16, 0.0, 1e-12, 2),
@@ -153,24 +166,59 @@ def _explicit_solve(sigma, m, f, w, g, tol, J, max_iter=500):
     (PERTURBED, 1, 16, 0.0, 1e-8, 2),
     ("2 + exp(i*twopi*x1)/(1+k1^2+k2^2)", 2, 6, 0.0, 1e-10, 3),
 ], ids=["bessel", "constant", "perturbed-32", "perturbed-16", "n2-J3"])
-def test_solve_matches_the_explicit_preconditioner(text, n, N, m, tol, J, monkeypatch):
+def test_solve_matches_the_explicit_preconditioner(text, n, N, m, tol, J, built):
     w = LatticeWindow(n, N)
     g = default_grid(w)
     sigma = bessel_symbol(2) if text == "bessel" else parse_symbol(text, n, order=m)
     f = LatticeSequence.random(w, np.random.default_rng(9))
-    built = []
-
-    def recorded(*args, _original=elliptic.parametrix, **kwargs):
-        built.append(_original(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(elliptic, "parametrix", recorded)
     res = solve(sigma, m, f, w, g, tol=tol, J=J)
     # no P x P product: neither B_J nor a defect was formed
     assert not {"matrix", "left_defect", "right_defect"} & set(vars(built[0]))
     iterations, fallback, u = _explicit_solve(sigma, m, f, w, g, tol, J=J)
     assert (res.iterations, res.fallback_used) == (iterations, fallback)
     assert np.max(np.abs(res.solution.values - u)) < 1e-10 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("sigma,m", [  # the solve-n2 benchmark pool, and n=1
+    pytest.param(parse_symbol("2 + exp(i*twopi*x1)/(1+k1^2+k2^2) + 0.5*cos(twopi*x2)/(1+k1^2)",
+                              2, order=0), 0.0, id="expr-order0"),
+    pytest.param(parse_symbol("(1+k1^2+k2^2)*(1 + 0.3*cos(twopi*(x1+x2)))", 2, order=2),
+                 2.0, id="expr-order2"),
+    pytest.param(bessel_symbol(2, n=2), 2.0, id="bessel2"),
+    pytest.param(parse_symbol(PERTURBED, 1, order=0), 0.0, id="perturbed"),
+])
+def test_converged_solve_builds_no_section(sigma, m, built):
+    w = LatticeWindow(sigma.n, 6 if sigma.n == 2 else 16)
+    f = LatticeSequence.random(w, np.random.default_rng(5), margin=interior_margin(w))
+    res = solve(sigma, m, f, w, default_grid(w), tol=1e-10)
+    assert res.fallback_reason is None and res.residual_interior <= 1e-10
+    assert len(built) == 1
+    assert not {"sigma_matrix", "initial"} & set(vars(built[0]))
+    assert built[0].sigma_folded is not None and built[0].initial_folded is not None
+
+
+def test_divergence_fallback_builds_the_section_of_a_only(built):
+    w = LatticeWindow(1, 8)
+    f = LatticeSequence.random(w, np.random.default_rng(3), margin=interior_margin(w))
+    res = solve(parse_symbol("1 + 3*exp(i*twopi*x1)/(1+k1^2)", 1, order=0), 0.0, f, w,
+                default_grid(w), tol=1e-10)
+    assert res.fallback_reason == "divergence"
+    assert "sigma_matrix" in vars(built[0]) and "initial" not in vars(built[0])
+    # each operator is held in one form: A's folded samples went with its section
+    assert built[0].sigma_folded is None and built[0].initial_folded is not None
+
+
+def test_residual_order_sequence_builds_each_section_once(monkeypatch):
+    w = LatticeWindow(1, 16)
+    calls = []
+
+    def counted(*args, _original=elliptic._section, **kwargs):
+        calls.append(args)
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "_section", counted)
+    residual_order_sequence(parse_symbol(PERTURBED, 1, order=0), 0.0, w, default_grid(w))
+    assert len(calls) == 2
 
 
 def test_trace_index_extracts_each_residual_once(extractions):

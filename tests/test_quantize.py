@@ -22,12 +22,15 @@ from latticeops import (
     extract_symbol,
     interior_margin,
     multiplier_symbol,
+    parametrix,
     parse_symbol,
 )
 from latticeops.core import _dft_matrix, forward_dft, phase_matrix
 from latticeops.errors import AliasingError
 from latticeops.quantization import (
     OperatorMatrix,
+    _fold,
+    _matvec,
     assemble_toroidal_matrix,
     read_matrix_binary,
     read_matrix_json,
@@ -124,6 +127,34 @@ def test_assembly_and_extraction_match_the_dense_sums(data):
     N = data.draw(st.integers(1, {1: 12, 2: 4, 3: 2}[n]))
     M = data.draw(st.integers(2 * N + 1, 4 * N + 2))
     check_against_dense(n, N, M, data.draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_folded_products_match_the_dense_section(data):
+    # every M in [2N+1, 4N+2], so the phase k.x mod M both wraps and does not
+    n = data.draw(st.integers(1, 2))
+    N = data.draw(st.integers(1, {1: 12, 2: 4}[n]))
+    M = data.draw(st.integers(2 * N + 1, 4 * N + 2))
+    w, g = LatticeWindow(n, N), TorusGrid(n, M)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    S = rng.standard_normal((w.size, g.size)) + 1j * rng.standard_normal((w.size, g.size))
+    v = LatticeSequence.random(w, rng).values
+    assert _close(_matvec(_fold(S.copy(), w, g), v, w, g), dense_section(S, w, g) @ v)
+    # |sigma| >= 2, so the parametrix is certified at order 0
+    par = parametrix(GridSymbol(w, g, 3 + S / (1 + np.abs(S))), 0.0, 1, w, g)
+    Av, B0v = par.sigma_apply(v), par.initial_apply(v)
+    assert _close(Av, par.sigma_matrix.entries @ v)
+    assert _close(B0v, par.initial.entries @ v)
+    # the sections come out in C order, as the dense products downstream expect
+    assert par.sigma_matrix.entries.flags["C_CONTIGUOUS"]
+    # once built, the sections carry the products
+    assert np.array_equal(par.sigma_apply(v), par.sigma_matrix.entries @ v)
+    assert np.array_equal(par.initial_apply(v), par.initial.entries @ v)
 
 
 @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (3, 4)])
