@@ -190,6 +190,15 @@ def test_index_jump(capsys):
     assert rep["agreement"] is True
 
 
+def test_index_reports_are_deterministic(capsys):
+    argv = ("index", str(shipped_path("jump_plus")), "--windows", "16,24",
+            "--json", "--no-timestamp")
+    code1, out1, _ = run(capsys, *argv)
+    code2, out2, _ = run(capsys, *argv)
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
 def test_index_non_elliptic_reports_probe(tmp_path, capsys):
     path = sym_json(tmp_path, "dec.json", "1/(1+k1^2)^(1/2)")
     rep = report_of(capsys, "index", path, "--windows", "16,32")

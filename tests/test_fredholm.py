@@ -19,7 +19,7 @@ from latticeops import (
 )
 from latticeops.elliptic import parametrix
 from latticeops.errors import EllipticityError
-from latticeops.fredholm import _weighted_tail_bound
+from latticeops.fredholm import RANK_TOL, _interior_null_count, _null_basis, _weighted_tail_bound
 from latticeops.quantization import (
     OperatorMatrix,
     adjoint_symbol,
@@ -29,6 +29,23 @@ from latticeops.quantization import (
 )
 
 WINDOWS = [16, 24, 32]
+
+JUMP2 = "step(k1)*exp({}2*i*twopi*x1) + (1-step(k1))"
+PERTURBED_JUMP = "step(k1)*exp(i*twopi*x1) + (1-step(k1)) + 0.15*exp(-i*twopi*x1)/(1+k1^2)"
+
+
+def _dense_svd_oracle(sigma, N):
+    """The section, its counts and null bases from the full SVD with U and V^H."""
+    w = LatticeWindow(1, N)
+    A = assemble_matrix(sigma, w, default_grid(w)).entries
+    U, s, Vh = np.linalg.svd(A)
+    smax = s[0] if s[0] > 0 else 1.0
+    null = s < RANK_TOL * smax
+    mask = w.interior_mask(interior_margin(w))
+    right, left = Vh[null].conj().T, U[:, null]
+    return {"A": A, "raw": int(np.sum(null)), "smax": smax, "right": right, "left": left,
+            "ker": _interior_null_count(right, mask),
+            "coker": _interior_null_count(left, mask)}
 
 
 def test_constant_symbol_index_zero():
@@ -219,3 +236,50 @@ def test_probe_vanishing_x_symbol():
     sigma = parse_symbol("sin(twopi*x1) + 1/(1+k1^2)", 1, order=0)
     rep = fredholm_ellipticity_probe(sigma, [32, 64], n=1)
     assert not rep.elliptic
+
+
+@pytest.mark.parametrize("text,raw,gap,index", [
+    ("0*k1", [33, 49, 129], 0.0, None),   # all null: no non-null value, no gap
+    ("2", [0, 0, 0], np.inf, 0),          # no null value: an infinite gap
+])
+def test_gap_without_null_or_non_null_values(text, raw, gap, index):
+    rep = svd_index(parse_symbol(text, 1, order=0), [16, 24, 64], n=1)
+    assert [e.raw_null_count for e in rep.gap_evidence] == raw
+    assert [e.gap for e in rep.gap_evidence] == [gap] * 3
+    assert rep.svd_index == index
+
+
+@pytest.mark.parametrize("text", ["1 - step(k1)", "0*k1", "step(k1)*exp(i*twopi*x1)",
+                                  "(1-step(k1))*cos(twopi*x1)"])
+def test_structurally_singular_sections_match_the_dense_svd(text):
+    # exactly singular sections: the null-basis solve must stay regular
+    sigma = parse_symbol(text, 1, order=0)
+    rep = svd_index(sigma, [16, 24, 64], n=1)
+    for e in rep.gap_evidence:
+        want = _dense_svd_oracle(sigma, e.N)
+        assert (e.raw_null_count, e.dim_ker, e.dim_coker) == \
+            (want["raw"], want["ker"], want["coker"])
+        assert e.raw_null_count > 0
+
+
+@pytest.mark.parametrize("sigma,raw", [
+    (jump_symbol(+1), 1),
+    (jump_symbol(-1), 1),
+    (parse_symbol(JUMP2.format(""), 1, order=0), 2),
+    (parse_symbol(JUMP2.format("-"), 1, order=0), 2),
+    (parse_symbol(PERTURBED_JUMP, 1, order=0), 1),
+    (shipped_symbol("perturbed_bessel"), 0),
+], ids=["jump+1", "jump-1", "jump+2", "jump-2", "perturbed-jump", "perturbed_bessel"])
+@pytest.mark.parametrize("N", [16, 24, 48])
+def test_null_bases_span_the_dense_svd_null_columns(sigma, raw, N):
+    want = _dense_svd_oracle(sigma, N)
+    assert want["raw"] == raw
+    gap = svd_index(sigma, [N], n=1).gap_evidence[0].gap
+    assert gap >= 100
+    A = want["A"]
+    for M, oracle in ((A, want["right"]), (A.conj().T, want["left"])):
+        basis = _null_basis(M, raw, want["smax"])
+        assert basis.shape == oracle.shape
+        # cosines of the principal angles between the two subspaces
+        cosines = np.linalg.svd(basis.conj().T @ oracle, compute_uv=False)
+        assert np.all(cosines >= 1 - 1e-8)

@@ -1,6 +1,8 @@
 """Static checks on the package source."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,3 +27,26 @@ def test_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(_imported_names(tree)) - used) == []
+
+
+def _declared_dependencies():
+    # a regular expression rather than tomllib, which needs Python 3.11
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    listed = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text, re.M | re.S).group(1)
+    deps = re.findall(r'"([^"]+)"', listed)
+    return {re.split(r"[<>=!~\[; ]", d, maxsplit=1)[0].lower().replace("-", "_")
+            for d in deps}
+
+
+def test_source_imports_only_declared_dependencies():
+    # a stray third-party import (scipy, say) would bring its own BLAS
+    # thread pool alongside numpy's
+    imported = set()
+    for path in Path(latticeops.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"latticeops"}
+    assert sorted(third_party - _declared_dependencies()) == []
