@@ -9,21 +9,14 @@ preconditioned solver both ride on that parametrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .core import LatticeSequence, LatticeWindow, TorusGrid, _check_resolution, default_grid
 from .errors import ConvergenceError, EllipticityError
-from .quantization import (
-    OperatorMatrix,
-    _fold,
-    _matvec,
-    _section,
-    extract_symbol,
-    interior_margin,
-)
+from .quantization import OperatorMatrix, extract_symbol, interior_margin
 from .sobolev import sobolev_norm
 from .symbols import (
     GridSymbol,
@@ -39,57 +32,31 @@ from .symbols import (
 class Parametrix:
     """Finite-section parametrix B_J of A = T_sigma after J Neumann steps.
 
-    A and the first step B0 are kept as folded samples
-    (``quantization._fold``), so each product A v or B0 v is one size-Q
-    transform and one matrix-vector product, and ``apply`` gives B_J r
-    from those products alone.  Built on first read and kept, each at
-    most once: the sections ``sigma_matrix`` (A) and ``initial`` (B0),
-    each of which replaces its folded samples, so later products use the
-    section; B_J (``matrix``); the defects; and the symbols extracted from
-    B_J and from them.  So a caller that only applies the parametrix
-    forms no P x P array.
+    A (``sigma_matrix``) and the first step B0 (``initial``) start as
+    folded samples (``OperatorMatrix.from_samples``), so ``apply`` gives
+    B_J r from products A v and B0 v alone, each one size-Q transform and
+    one matrix-vector product.  Built on first read and kept, each at most
+    once: the sections of A and B0, each of which replaces its folded
+    samples; B_J (``matrix``); the defects; and the symbols extracted from
+    B_J and from them.  So a caller that only applies the parametrix forms
+    no P x P array.
     """
     window: LatticeWindow
     grid: TorusGrid
-    sigma_folded: np.ndarray = field(repr=False)    # A; None once sigma_matrix is built
-    initial_folded: np.ndarray = field(repr=False)  # B0; None once initial is built
+    sigma_matrix: OperatorMatrix  # A
+    initial: OperatorMatrix       # B0
     sigma_order: float          # m
     steps: int                  # J
     threshold: float
     regularized_points: list    # window indices where delta(k) > 0
 
-    def sigma_apply(self, v: np.ndarray) -> np.ndarray:
-        """A v."""
-        if self.sigma_folded is None:
-            return self.sigma_matrix.entries @ v
-        return _matvec(self.sigma_folded, v, self.window, self.grid)
-
-    def initial_apply(self, v: np.ndarray) -> np.ndarray:
-        """B0 v."""
-        if self.initial_folded is None:
-            return self.initial.entries @ v
-        return _matvec(self.initial_folded, v, self.window, self.grid)
-
     def apply(self, r: np.ndarray) -> np.ndarray:
         """B_J r: v = B0 r, then J-1 times v <- v + B0 (r - A v)."""
-        v = self.initial_apply(r)
+        A, B0 = self.sigma_matrix, self.initial
+        v = B0 @ r
         for _ in range(self.steps - 1):
-            v += self.initial_apply(r - self.sigma_apply(v))
+            v += B0 @ (r - A @ v)
         return v
-
-    @cached_property
-    def sigma_matrix(self) -> OperatorMatrix:
-        """A, the section of the folded samples, which it replaces."""
-        A = _section(self.sigma_folded, self.window, self.grid)
-        self.sigma_folded = None
-        return A
-
-    @cached_property
-    def initial(self) -> OperatorMatrix:
-        """B0, the section of the folded samples, which it replaces."""
-        B0 = _section(self.initial_folded, self.window, self.grid)
-        self.initial_folded = None
-        return B0
 
     @cached_property
     def matrix(self) -> OperatorMatrix:
@@ -105,13 +72,10 @@ class Parametrix:
                               B.entries + B0 @ (np.eye(B.window.size) - A @ B.entries))
 
     def refined(self) -> "Parametrix":
-        """The parametrix with one more Neumann step.  Sections already built
-        are carried forward as they are, and a B_J already built by one
-        step, not rebuilt."""
+        """The parametrix with one more Neumann step.  It shares A and B0, so
+        their sections carry over, and a B_J already built is carried
+        forward by one step, not rebuilt."""
         par = replace(self, steps=self.steps + 1)
-        for name in ("sigma_matrix", "initial"):
-            if name in vars(self):
-                vars(par)[name] = vars(self)[name]
         if "matrix" in vars(self):
             par.matrix = self._step(self.matrix)
         return par
@@ -174,7 +138,8 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
     magnitude += np.where(low, floor ** 2, 0.0)[:, None]
     tau0 = np.conjugate(S)
     tau0 /= magnitude
-    return Parametrix(window, grid, _fold(S, window, grid), _fold(tau0, window, grid),
+    return Parametrix(window, grid, OperatorMatrix.from_samples(S, window, grid),
+                      OperatorMatrix.from_samples(tau0, window, grid),
                       m, J, theta, np.where(low)[0].tolist())
 
 
@@ -198,7 +163,7 @@ def residual_decay_report(rho: GridSymbol, P: int) -> DecayReport:
         raise ValueError("the decay report needs a nonnegative power")
     window = rho.window
     mask = window.interior_mask(rho.interior_margin)
-    rowmax = np.max(np.abs(rho.sample(window, rho.grid)), axis=1)
+    rowmax = np.max(np.abs(rho.values), axis=1)
     sups = {}
     tails = {}
     for p in range(P + 1):
@@ -326,7 +291,7 @@ def solve(sigma: Symbol, m: float, f: LatticeSequence, window: LatticeWindow,
     fnorm = f.norm() or 1.0
 
     def split_residual(u):
-        r = f.values - par.sigma_apply(u)
+        r = f.values - par.sigma_matrix @ u
         ri = float(np.linalg.norm(r[mask])) / fnorm
         rb = float(np.linalg.norm(r[~mask])) / fnorm
         return r, ri, rb

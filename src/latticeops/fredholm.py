@@ -27,6 +27,7 @@ from .symbols import EllipticityReport, Symbol, check_ellipticity
 
 RANK_TOL = 1e-8
 GAP_REQUIRED = 100.0
+EPS = np.finfo(float).eps
 SV_THRESHOLD = 0.1    # defect singular values above it, near-kernel ones below
 
 
@@ -113,12 +114,10 @@ def svd_index(sigma: Symbol, windows, n: int = 1) -> IndexReport:
         gap, ker, coker = np.inf, 0, 0
         if raw:
             # s descends: s[-raw] is the largest null value and s[-raw - 1]
-            # the smallest non-null one; an all-null section has no gap at
-            # all, exactly zero null values an infinite one
-            if raw == s.size:
-                gap = 0.0
-            elif s[-raw] > 0:
-                gap = float(s[-raw - 1]) / float(s[-raw])
+            # the smallest non-null one.  Null values below the roundoff
+            # floor P eps s_max of the SVD are read as the floor, and an
+            # all-null section has no gap at all.
+            gap = 0.0 if raw == s.size else float(s[-raw - 1] / max(s[-raw], s.size * EPS * smax))
             mask = window.interior_mask(interior_margin(window))
             ker = _interior_null_count(_null_basis(A, raw, smax), mask)
             coker = _interior_null_count(_null_basis(A.conj().T, raw, smax), mask)
@@ -147,16 +146,16 @@ class TraceIndexResult:
     tail_bound: float
 
 
-def _weighted_tail_bound(residual, window: LatticeWindow, power: int) -> float:
+def _weighted_tail_bound(residual, power: int) -> float:
     """Off-window bound for sum |rho(k)| from shellwise (1+|k|)^power sups.
 
     If (1+|k|)^power |rho| <= s* on the observed interior shells and the
     same envelope persists beyond the window, the off-window sum is below
     s* 2^(n+1) / (N+1) for power = n+1.
     """
+    window = residual.window
     mask = window.interior_mask(residual.interior_margin)
-    vals = residual.sample(window, residual.grid)
-    rowmax = np.max(np.abs(vals), axis=1)
+    rowmax = np.max(np.abs(residual.values), axis=1)
     # rows at roundoff level are exact zeros of the residual in disguise
     floor = 1e-13 * max(1.0, float(np.max(rowmax)))
     rowmax = np.where(rowmax < floor, 0.0, rowmax)
@@ -193,8 +192,8 @@ def trace_index(sigma: Symbol, window: LatticeWindow, J: int = 3) -> TraceIndexR
     mask = window.interior_mask(interior_margin(window))
     raw = float(np.real(np.sum((avg1 - avg2)[mask])))
     # the bound reads only |T1| and |T2|, the parametrix residuals' magnitudes
-    tail = _weighted_tail_bound(par.left_residual, window, window.n + 1) + \
-        _weighted_tail_bound(par.right_residual, window, window.n + 1)
+    tail = _weighted_tail_bound(par.left_residual, window.n + 1) + \
+        _weighted_tail_bound(par.right_residual, window.n + 1)
     verdict = None
     if tail < 0.05 and abs(raw - round(raw)) < 0.25:
         verdict = int(round(raw))

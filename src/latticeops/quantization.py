@@ -4,8 +4,9 @@ The operator acts by (T_sigma f)(k) = integral of exp(2 pi i k.x)
 sigma(k,x) fhat(x) dx; on a window x grid truncation this is exact whenever
 the grid resolves the window (M >= 2N+1).  Multiplying the samples by
 exp(2 pi i k.x) folds the phase in (``_fold``): the finite section is then
-the FFT of each row of the folded samples, and one product with the
-operator is one matrix-vector product against fhat (``_matvec``).
+the FFT of each row of the folded samples (``_section``), and one product
+with the operator is one matrix-vector product against fhat.  An
+``OperatorMatrix`` holds either form and forms the section on first read.
 Extraction scatters a section back into the symbol's shift form
 (``core.shift_samples``), the exact inverse of assembly.
 Composition and adjoints are finite-section constructions, so grid-backed
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,6 +28,7 @@ from .core import (
     LatticeWindow,
     TorusGrid,
     forward_dft,
+    shift_coefficients,
     shift_samples,
     _check_resolution,
     _dft_matrix,
@@ -48,25 +49,53 @@ def interior_margin(window: LatticeWindow) -> int:
     return max(1, window.N // 4)
 
 
-@dataclass
 class OperatorMatrix:
-    """Dense finite section of T_sigma on a window."""
+    """T_sigma on a window, held as its dense finite section ``entries`` or
+    as sigma's samples folded in place, W = sigma exp(2 pi i k.x).
 
-    window: LatticeWindow
-    grid: TorusGrid
-    entries: np.ndarray
+    ``from_samples`` gives the folded form, on which each product ``A @ v``
+    is one size-Q transform and one matrix-vector product.  Its section is
+    formed on first read of ``entries`` and replaces the folded samples, so
+    later products use the section.
+    """
 
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
+    def __init__(self, window: LatticeWindow, grid: TorusGrid, entries: np.ndarray):
+        self.window, self.grid = window, grid
+        self.entries = entries
+
+    @classmethod
+    def from_samples(cls, samples: np.ndarray, window: LatticeWindow,
+                     grid: TorusGrid) -> "OperatorMatrix":
+        """The operator of sigma's (window.size, grid.size) samples, folded in place."""
+        A = cls.__new__(cls)
+        A.window, A.grid, A._entries = window, grid, None
+        A._folded = _fold(samples, window, grid)
+        return A
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            self.entries = _section(self._folded, self.window, self.grid)
+        return self._entries
+
+    @entries.setter
+    def entries(self, value: np.ndarray) -> None:
+        value = np.asarray(value, dtype=complex)
         P = self.window.size
-        if self.entries.shape != (P, P):
-            raise DimensionMismatchError(
-                f"entries shape {self.entries.shape}, window size {P}")
-        if not np.all(np.isfinite(self.entries)):
+        if value.shape != (P, P):
+            raise DimensionMismatchError(f"entries shape {value.shape}, window size {P}")
+        if not np.all(np.isfinite(value)):
             raise ValueError("operator matrix carries non-finite entries")
+        self._entries, self._folded = value, None
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        if self._entries is None:
+            vhat = forward_dft(LatticeSequence(self.window, v), self.grid).values
+            return self.grid.weight * (self._folded @ vhat)
+        return self._entries @ v
 
     def matvec(self, f: LatticeSequence) -> LatticeSequence:
-        return LatticeSequence(self.window, self.entries @ f.values)
+        return LatticeSequence(self.window, self @ f.values)
 
     def adjoint(self) -> "OperatorMatrix":
         return OperatorMatrix(self.window, self.grid, self.entries.conj().T)
@@ -180,31 +209,24 @@ def _fold(values: np.ndarray, window: LatticeWindow, grid: TorusGrid) -> np.ndar
     return W.reshape(window.size, grid.size)
 
 
-def _section(W: np.ndarray, window: LatticeWindow, grid: TorusGrid) -> OperatorMatrix:
+def _section(W: np.ndarray, window: LatticeWindow, grid: TorusGrid) -> np.ndarray:
     """The finite section A[k, l] = M^-n sum_x exp(-2 pi i l.x) W[k, x] of folded samples W.
 
-    That is the forward FFT of each row of W, read at the grid slot of l.
+    That is the shift form of W (the forward FFT of each row) read at the
+    grid slot of l.
     """
-    arr = W.reshape((window.size,) + grid.shape)
-    # a given output buffer spares fftn one temporary per axis
-    C = np.fft.fftn(arr, axes=tuple(range(1, grid.n + 1)), norm="forward",
-                    out=np.empty(arr.shape, dtype=complex))
     # take, unlike C[:, slots], returns the section in C order, as the
     # products and extractions downstream expect
-    A = np.take(C.reshape(window.size, grid.size), _grid_slots(window.n, window.N, grid.M), axis=1)
-    return OperatorMatrix(window, grid, A)
-
-
-def _matvec(W: np.ndarray, v: np.ndarray, window: LatticeWindow, grid: TorusGrid) -> np.ndarray:
-    """A v = M^-n W @ vhat for the folded samples W of A: one transform, one gemv."""
-    return grid.weight * (W @ forward_dft(LatticeSequence(window, v), grid).values)
+    return np.take(shift_coefficients(W, window, grid),
+                   _grid_slots(window.n, window.N, grid.M), axis=1)
 
 
 def assemble_matrix(sigma: Symbol, window: LatticeWindow, grid: TorusGrid) -> OperatorMatrix:
     """entries(k,l) = quadrature of exp(2 pi i (k-l).x) sigma(k,x), from the folded samples."""
     _check_resolution(window, grid)
     with np.errstate(all="ignore"):  # OperatorMatrix refuses non-finite entries
-        return _section(_fold(sigma.sample(window, grid), window, grid), window, grid)
+        W = _fold(sigma.sample(window, grid), window, grid)
+        return OperatorMatrix(window, grid, _section(W, window, grid))
 
 
 def assemble_toroidal_matrix(tau: DualToroidalSymbol, window: LatticeWindow,

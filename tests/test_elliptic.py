@@ -20,7 +20,7 @@ from latticeops import (
     sobolev_norm,
     trace_index,
 )
-from latticeops import elliptic
+from latticeops import elliptic, quantization
 from latticeops.elliptic import residual_order_sequence
 from latticeops.errors import EllipticityError
 from latticeops.quantization import assemble_matrix, extract_symbol, interior_margin
@@ -193,8 +193,8 @@ def test_converged_solve_builds_no_section(sigma, m, built):
     res = solve(sigma, m, f, w, default_grid(w), tol=1e-10)
     assert res.fallback_reason is None and res.residual_interior <= 1e-10
     assert len(built) == 1
-    assert not {"sigma_matrix", "initial"} & set(vars(built[0]))
-    assert built[0].sigma_folded is not None and built[0].initial_folded is not None
+    # both operators are still held as folded samples only
+    assert built[0].sigma_matrix._entries is None and built[0].initial._entries is None
 
 
 def test_divergence_fallback_builds_the_section_of_a_only(built):
@@ -203,20 +203,21 @@ def test_divergence_fallback_builds_the_section_of_a_only(built):
     res = solve(parse_symbol("1 + 3*exp(i*twopi*x1)/(1+k1^2)", 1, order=0), 0.0, f, w,
                 default_grid(w), tol=1e-10)
     assert res.fallback_reason == "divergence"
-    assert "sigma_matrix" in vars(built[0]) and "initial" not in vars(built[0])
+    A, B0 = built[0].sigma_matrix, built[0].initial
+    assert A._entries is not None and B0._entries is None
     # each operator is held in one form: A's folded samples went with its section
-    assert built[0].sigma_folded is None and built[0].initial_folded is not None
+    assert A._folded is None and B0._folded is not None
 
 
 def test_residual_order_sequence_builds_each_section_once(monkeypatch):
     w = LatticeWindow(1, 16)
     calls = []
 
-    def counted(*args, _original=elliptic._section, **kwargs):
+    def counted(*args, _original=quantization._section, **kwargs):
         calls.append(args)
         return _original(*args, **kwargs)
 
-    monkeypatch.setattr(elliptic, "_section", counted)
+    monkeypatch.setattr(quantization, "_section", counted)
     residual_order_sequence(parse_symbol(PERTURBED, 1, order=0), 0.0, w, default_grid(w))
     assert len(calls) == 2
 
@@ -245,7 +246,11 @@ def test_residual_order_sequence_steps_one_parametrix(monkeypatch):
     separate = [parametrix(sigma, 0.0, J, w, g) for J in (1, 2, 3)]
     want = [estimate_order(par.left_residual, w, g, alpha_max=0, beta_max=0).m_hat
             for par in separate]
-    assert np.array_equal(separate[1].refined().matrix.entries, separate[2].matrix.entries)
+    refined = separate[1].refined()
+    # the refined parametrix shares A and B0, so their sections carry over
+    assert refined.sigma_matrix is separate[1].sigma_matrix
+    assert refined.initial is separate[1].initial
+    assert np.array_equal(refined.matrix.entries, separate[2].matrix.entries)
     calls = []
 
     def counted(*args, _original=sigma.sample, **kwargs):

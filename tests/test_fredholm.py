@@ -48,6 +48,17 @@ def _dense_svd_oracle(sigma, N):
             "coker": _interior_null_count(left, mask)}
 
 
+def _values_only_gap(A):
+    """The gap from the values-only SVD, with the null values read no lower
+    than the roundoff floor P eps s_max."""
+    s = np.linalg.svd(A, compute_uv=False)
+    smax = s[0] if s[0] > 0 else 1.0
+    raw = int(np.sum(s < RANK_TOL * smax))
+    if raw in (0, s.size):
+        return np.inf if raw == 0 else 0.0
+    return float(s[-raw - 1] / max(s[-raw], s.size * np.finfo(float).eps * smax))
+
+
 def test_constant_symbol_index_zero():
     rep = svd_index(parse_symbol("2", 1, order=0), WINDOWS, n=1)
     assert rep.svd_index == 0
@@ -125,7 +136,7 @@ def test_trace_index_matches_x_sums_of_extracted_defects(direction):
     tau2 = extract_symbol(OperatorMatrix(w, g, I - A @ B))
     mask = w.interior_mask(interior_margin(w))
     raw = float(np.real(np.sum((g.weight * np.sum(tau1.values - tau2.values, axis=1))[mask])))
-    tail = _weighted_tail_bound(tau1, w, 2) + _weighted_tail_bound(tau2, w, 2)
+    tail = _weighted_tail_bound(tau1, 2) + _weighted_tail_bound(tau2, 2)
     rep = trace_index(sigma, w, J=3)
     assert abs(rep.trace_index_raw - raw) < 1e-12
     assert rep.tail_bound == tail
@@ -260,6 +271,8 @@ def test_structurally_singular_sections_match_the_dense_svd(text):
         assert (e.raw_null_count, e.dim_ker, e.dim_coker) == \
             (want["raw"], want["ker"], want["coker"])
         assert e.raw_null_count > 0
+        # exact zeros beside non-null values give a finite gap
+        assert e.gap == _values_only_gap(want["A"]) < np.inf
 
 
 @pytest.mark.parametrize("sigma,raw", [
@@ -275,8 +288,10 @@ def test_null_bases_span_the_dense_svd_null_columns(sigma, raw, N):
     want = _dense_svd_oracle(sigma, N)
     assert want["raw"] == raw
     gap = svd_index(sigma, [N], n=1).gap_evidence[0].gap
-    assert gap >= 100
     A = want["A"]
+    assert gap == _values_only_gap(A) and gap >= 100
+    # the floored null value bounds the gap by s_max / (P eps s_max)
+    assert raw == 0 or gap <= 1 / (A.shape[0] * np.finfo(float).eps)
     for M, oracle in ((A, want["right"]), (A.conj().T, want["left"])):
         basis = _null_basis(M, raw, want["smax"])
         assert basis.shape == oracle.shape

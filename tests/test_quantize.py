@@ -29,8 +29,6 @@ from latticeops.core import _dft_matrix, forward_dft, phase_matrix
 from latticeops.errors import AliasingError
 from latticeops.quantization import (
     OperatorMatrix,
-    _fold,
-    _matvec,
     assemble_toroidal_matrix,
     read_matrix_binary,
     read_matrix_json,
@@ -143,18 +141,26 @@ def test_folded_products_match_the_dense_section(data):
     w, g = LatticeWindow(n, N), TorusGrid(n, M)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     S = rng.standard_normal((w.size, g.size)) + 1j * rng.standard_normal((w.size, g.size))
-    v = LatticeSequence.random(w, rng).values
-    assert _close(_matvec(_fold(S.copy(), w, g), v, w, g), dense_section(S, w, g) @ v)
+    f = LatticeSequence.random(w, rng)
+    v = f.values
+    A = OperatorMatrix.from_samples(S.copy(), w, g)
+    Av = A @ v
+    assert _close(Av, dense_section(S, w, g) @ v)
+    assert np.array_equal(A.matvec(f).values, Av)
+    # the section, formed on first read, replaces the folded samples
+    assert _close(A.entries, dense_section(S, w, g))
+    assert A._folded is None and _close(A @ v, Av)
+    assert np.array_equal(A.matvec(f).values, A.entries @ v)
     # |sigma| >= 2, so the parametrix is certified at order 0
     par = parametrix(GridSymbol(w, g, 3 + S / (1 + np.abs(S))), 0.0, 1, w, g)
-    Av, B0v = par.sigma_apply(v), par.initial_apply(v)
+    Av, B0v = par.sigma_matrix @ v, par.initial @ v
     assert _close(Av, par.sigma_matrix.entries @ v)
     assert _close(B0v, par.initial.entries @ v)
     # the sections come out in C order, as the dense products downstream expect
     assert par.sigma_matrix.entries.flags["C_CONTIGUOUS"]
     # once built, the sections carry the products
-    assert np.array_equal(par.sigma_apply(v), par.sigma_matrix.entries @ v)
-    assert np.array_equal(par.initial_apply(v), par.initial.entries @ v)
+    assert np.array_equal(par.sigma_matrix @ v, par.sigma_matrix.entries @ v)
+    assert np.array_equal(par.initial @ v, par.initial.entries @ v)
 
 
 @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (3, 4)])

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -50,3 +51,18 @@ def test_source_imports_only_declared_dependencies():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"latticeops"}
     assert sorted(third_party - _declared_dependencies()) == []
+
+
+def test_benchmark_trace_targets_resolve():
+    # the tracer wraps these names from outside the package, and the smoke
+    # test deletes quantization._dft_matrix
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    expected = next(ast.literal_eval(node.value) for node in ast.parse(tracer.read_text()).body
+                    if isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", None) == "EXPECTED")
+    for target in (*expected, "quantization._dft_matrix"):
+        module, *attrs = target.split(".")
+        obj = importlib.import_module(f"latticeops.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        assert callable(obj), target
