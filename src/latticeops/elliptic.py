@@ -8,7 +8,6 @@ preconditioned solver both ride on that parametrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -41,8 +40,6 @@ class Parametrix:
     B_J and from them.  So a caller that only applies the parametrix forms
     no P x P array.
     """
-    window: LatticeWindow
-    grid: TorusGrid
     sigma_matrix: OperatorMatrix  # A
     initial: OperatorMatrix       # B0
     sigma_order: float          # m
@@ -138,7 +135,7 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
     magnitude += np.where(low, floor ** 2, 0.0)[:, None]
     tau0 = np.conjugate(S)
     tau0 /= magnitude
-    return Parametrix(window, grid, OperatorMatrix.from_samples(S, window, grid),
+    return Parametrix(OperatorMatrix.from_samples(S, window, grid),
                       OperatorMatrix.from_samples(tau0, window, grid),
                       m, J, theta, np.where(low)[0].tolist())
 
@@ -149,7 +146,6 @@ class DecayReport:
     shell_sups: dict          # p -> per-shell sup of (1+|k|)^p |rho|
     shells: list
     schwartz_like: bool
-    tail_estimates: dict      # p -> bound on the off-window weighted sum
 
 
 def residual_decay_report(rho: GridSymbol, P: int) -> DecayReport:
@@ -165,37 +161,10 @@ def residual_decay_report(rho: GridSymbol, P: int) -> DecayReport:
     mask = window.interior_mask(rho.interior_margin)
     rowmax = np.max(np.abs(rho.values), axis=1)
     sups = {}
-    tails = {}
     for p in range(P + 1):
         shells, sups[p], _ = window.shell_sups(rowmax * np.power(window.radial_weight, p), mask)
-        tails[p] = _tail_bound(sups[p], shells, window)
     verdict = all(_decreasing_from_peak(sups[p]) for p in range(P + 1))
-    return DecayReport(list(range(P + 1)), sups, shells, verdict, tails)
-
-
-def _tail_bound(prof, shells, window) -> float:
-    """Geometric extrapolation of the last shells beyond the window.
-
-    With per-shell sup s_j and observed decay ratio q < 1, the off-window
-    shell sups are bounded by s_last q, s_last q^2, ...; each shell holds
-    O((2^j)^n) points, so the sum converges when q 2^n < 1 and is reported
-    as infinity otherwise.
-    """
-    pos = [s for s in prof if s > 0]
-    if not pos or prof[-1] == 0.0:
-        return 0.0
-    if len(pos) < 2:
-        return math.inf
-    q = prof[-1] / max(prof[-2], 1e-300)
-    n = window.n
-    growth = q * (2.0 ** n)
-    if growth >= 1.0:
-        return math.inf
-    # points per off-window shell j: < (2^{j+1})^n; first off shell carries
-    # s_last * q
-    j_last = shells[-1]
-    first_count = (2.0 ** (j_last + 2)) ** n
-    return prof[-1] * q * first_count / (1.0 - growth)
+    return DecayReport(list(range(P + 1)), sups, shells, verdict)
 
 
 @dataclass

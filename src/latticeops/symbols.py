@@ -1,11 +1,13 @@
 """Symbols sigma(k,x) on Z^n x T^n and diagnostics on them.
 
 Three backends: a small expression language over k1..kn / x1..xn, builtin
-families (Bessel multipliers, plain k-multipliers, jump symbols), and grid
-samples on a window x grid.  Sampling lays k_j and x_j on 2n separate
-axes, so each expression node is computed only on the axes it reads.
-Diagnostics estimate the symbol-class order from dyadic-shell regressions
-and certify ellipticity from sampled lower bounds.
+families (Bessel multipliers; plain k-multipliers and jump symbols, both
+expression symbols), and grid samples on a window x grid.  Sampling lays
+k_j and x_j on 2n separate axes, so each expression node is computed only
+on the axes it reads.  Diagnostics estimate the symbol-class order from
+dyadic-shell regressions and certify ellipticity from sampled lower
+bounds; the class diagnostics sample sigma once, on the window grown by
+the largest |alpha|, and take every Delta^alpha sigma from that sample.
 """
 
 from __future__ import annotations
@@ -428,8 +430,8 @@ class MultiplierSymbol(ExprSymbol):
         return f"MultiplierSymbol({self.text!r}, n={self.n})"
 
 
-class JumpSymbol(Symbol):
-    """step(k1)*exp(i*d*twopi*x1) + (1 - step(k1)) with d = +1 or -1.
+class JumpSymbol(ExprSymbol):
+    """step(k1)*exp(d*i*twopi*x1) + (1-step(k1)) with d = +1 or -1.
 
     Order 0; the quantized operator shifts by d on k1 >= 0 and is the
     identity on k1 < 0, the basic index +/-1 construction.
@@ -438,13 +440,9 @@ class JumpSymbol(Symbol):
     def __init__(self, direction: int, n: int = 1):
         if direction not in (1, -1):
             raise ValueError("direction must be +1 or -1")
+        sign = "" if direction == 1 else "-"
+        super().__init__(n, f"step(k1)*exp({sign}i*twopi*x1) + (1-step(k1))", order=0.0)
         self.direction = int(direction)
-        self.n = n
-        self.order = 0.0
-
-    def _eval_cols(self, kcols, xcols):
-        s = np.where(np.real(kcols[0]) >= 0, 1.0, 0.0)
-        return s * np.exp(1j * self.direction * TWO_PI * xcols[0]) + (1.0 - s)
 
     def __repr__(self):
         return f"JumpSymbol(direction={self.direction:+d})"
@@ -577,7 +575,6 @@ class SlopeEntry:
     alpha: tuple
     beta: tuple
     slope: float
-    residual: float
     degenerate: bool
     shell_sups: list
 
@@ -588,51 +585,56 @@ class OrderEstimate:
     table: list
     shells: list
 
-    def entry(self, alpha, beta):
-        a, b = tuple(alpha), tuple(beta)
-        for e in self.table:
-            if e.alpha == a and e.beta == b:
-                return e
-        raise KeyError((a, b))
 
+def _differences(sigma: Symbol, window, grid, alpha_max: int):
+    """Yield (alpha, Delta^alpha sigma, valid rows) on window x grid for every
+    |alpha| <= alpha_max, in the order of multiindex_range.
 
-def _difference_samples(sigma: Symbol, window, grid, alpha: MultiIndex):
-    """Closed-form Delta^alpha sigma on window x grid; valid-row mask.
-
-    Refuses samples that are not all finite with ValueError.
+    sigma is sampled once, on the window grown by alpha_max, and each
+    sigma(k + beta, .) is a slice of that array.  A GridSymbol's rows outside
+    its backing window are zero and not valid.  Delta^alpha sigma is the
+    closed-form sum over beta <= alpha; one that is not all finite raises
+    ValueError.  The grown rows with k < -N are sampled but never read, so
+    a pole there raises nothing.
     """
-    acc = np.zeros((window.size, grid.size), dtype=complex)
-    valid = np.ones(window.size, dtype=bool)
-    with np.errstate(all="ignore"):  # non-finite samples are refused below
-        for beta in multiindices_leq(alpha):
-            sign = (-1) ** (alpha.order - beta.order)
-            coeff = sign * binomial_multi(alpha, beta)
-            if isinstance(sigma, GridSymbol):
-                rows, inside = sigma._rows(window.points + np.array(tuple(beta)))
-                valid &= inside
-                part = np.zeros_like(acc)
-                part[inside] = sigma._row_samples(rows, grid)
-                acc += coeff * part
-            else:
-                acc += coeff * sigma.sample_shifted(window, grid, tuple(beta))
-    if not np.all(np.isfinite(acc)):
-        raise ValueError(NON_FINITE_SAMPLES)
-    return acc, valid
+    grown = LatticeWindow(window.n, window.N + alpha_max)
+    if isinstance(sigma, GridSymbol):
+        rows, inside = sigma._rows(grown.points)
+        S = np.zeros((grown.size, grid.size), dtype=complex)
+        S[inside] = sigma._row_samples(rows, grid)
+    else:
+        S, inside = sigma.sample(grown, grid), np.ones(grown.size, dtype=bool)
+    S = S.reshape(grown.shape + (grid.size,))
+    inside = inside.reshape(grown.shape)
+
+    def at(values, beta):
+        """``values`` at k + beta for the points k of ``window``, one row each."""
+        cut = tuple(slice(alpha_max + b, alpha_max + b + window.side) for b in beta)
+        return values[cut].reshape((window.size,) + values.shape[window.n:])
+
+    for alpha in multiindex_range(window.n, alpha_max):
+        acc = np.zeros((window.size, grid.size), dtype=complex)
+        valid = np.ones(window.size, dtype=bool)
+        with np.errstate(all="ignore"):  # non-finite samples are refused below
+            for beta in multiindices_leq(alpha):
+                coeff = (-1) ** (alpha.order - beta.order) * binomial_multi(alpha, beta)
+                acc += coeff * at(S, beta)
+                valid &= at(inside, beta)
+        if not np.all(np.isfinite(acc)):
+            raise ValueError(NON_FINITE_SAMPLES)
+        yield alpha, acc, valid
 
 
-def _spectral_shifted_derivative(values: np.ndarray, grid: TorusGrid, beta: MultiIndex):
-    """Apply the shifted-derivative product D^(beta) along the x axes.
+def _spectral_shifted_derivative(modes: np.ndarray, grid: TorusGrid, beta: MultiIndex):
+    """The shifted-derivative product D^(beta) along the x axes, on the grid,
+    from ``modes``: the rows' unnormalized FFT over the n x axes.
 
     On the mode exp(2 pi i m.x) the axis-j factor of order l acts as the
-    falling factorial m(m-1)...(m-l+1); order 0 is the identity.
+    falling factorial m(m-1)...(m-l+1).
     """
-    if beta.order == 0:
-        return values
     M, n = grid.M, grid.n
-    P = values.shape[0]
-    arr = values.reshape((P,) + (M,) * n)
-    c = np.fft.fftn(arr, axes=tuple(range(1, n + 1)))
     freqs = np.rint(np.fft.fftfreq(M) * M).astype(int)
+    c = modes
     for j, l in enumerate(beta):
         if l == 0:
             continue
@@ -643,7 +645,7 @@ def _spectral_shifted_derivative(values: np.ndarray, grid: TorusGrid, beta: Mult
         shape[j + 1] = M
         c = c * fac.reshape(shape)
     out = np.fft.ifftn(c, axes=tuple(range(1, n + 1)))
-    return out.reshape(P, -1)
+    return out.reshape(modes.shape[0], -1)
 
 
 def _fit_slope(sups, args):
@@ -652,16 +654,15 @@ def _fit_slope(sups, args):
     Consecutive-shell slopes converge geometrically in the shell index
     as the class constant settles, so when the last two agree the
     extrapolated value 2*d_last - d_prev is used; otherwise a plain
-    least-squares fit.  Returns (slope, rms residual of the LSQ fit).
+    least-squares fit.  None with fewer than three usable shells.
     """
     pts = [(a, s) for a, s in zip(args, sups) if s > 0 and a > 1.0]
     if len(pts) < 3:
-        return None, None
+        return None
     lx = np.log([a for a, _ in pts])
     ly = np.log([s for _, s in pts])
     A = np.stack([lx, np.ones_like(lx)], axis=1)
     coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    rms = float(np.sqrt(np.mean((A @ coef - ly) ** 2)))
     slope = float(coef[0])
     diffs = []
     for i in range(len(pts) - 1):
@@ -669,7 +670,7 @@ def _fit_slope(sups, args):
             diffs.append((ly[i + 1] - ly[i]) / (lx[i + 1] - lx[i]))
     if len(diffs) >= 2 and abs(diffs[-1] - diffs[-2]) <= 0.75:
         slope = float(2.0 * diffs[-1] - diffs[-2])
-    return slope, rms
+    return slope
 
 
 def estimate_order(sigma: Symbol, window: LatticeWindow, grid: TorusGrid,
@@ -677,49 +678,42 @@ def estimate_order(sigma: Symbol, window: LatticeWindow, grid: TorusGrid,
     """Regress shell sups of |D^(beta) Delta^alpha sigma| to estimate the order.
 
     m_hat is the max over (alpha, beta) of slope + |alpha|; entries whose
-    difference vanishes identically are recorded with slope 0 and flagged
-    degenerate (they carry no order information).
+    difference vanishes identically, or that are too localized for a
+    shell regression, are recorded with slope 0 and flagged degenerate
+    (they carry no order information).
     """
     if window.N < 8:
         raise ValueError("window too small for a three-shell regression (need N >= 8)")
     sup_norm = np.max(np.abs(window.points), axis=1)
     table = []
-    m_hat = None
+    candidates = []
     shells_used = sorted(set(window.shell_labels()))
-    for alpha in multiindex_range(window.n, alpha_max):
-        diff, valid = _difference_samples(sigma, window, grid, alpha)
+    for alpha, diff, valid in _differences(sigma, window, grid, alpha_max):
         scale = float(np.max(np.abs(diff))) if diff.size else 0.0
+        # one forward transform serves every beta
+        modes = np.fft.fftn(diff.reshape((window.size,) + grid.shape),
+                            axes=tuple(range(1, window.n + 1))) if beta_max else None
         for beta in multiindex_range(window.n, beta_max):
-            g = _spectral_shifted_derivative(diff, grid, beta)
+            g = diff if beta.order == 0 else _spectral_shifted_derivative(modes, grid, beta)
             rowmax = np.max(np.abs(g), axis=1)
             _, sups, rows = window.shell_sups(rowmax, valid)
             # trailing shells whose sup sits on the window boundary are
             # geometry-capped, not symbol-governed; drop them
             while rows and sup_norm[rows[-1]] >= window.N:
                 sups, rows = sups[:-1], rows[:-1]
+            pos = [s for s in sups if s > 0]
+            slope = None
             # spectral differentiation noise floor: relative to the
             # undifferentiated magnitude, an all-noise entry is degenerate
-            if max(sups, default=0.0) <= 1e-9 * scale + 1e-280:
-                table.append(SlopeEntry(tuple(alpha), tuple(beta), 0.0, 0.0, True, sups))
-                continue
-            pos = [s for s in sups if s > 0]
-            if len(pos) < 3:
-                # too localized for a shell regression
-                table.append(SlopeEntry(tuple(alpha), tuple(beta), 0.0, 0.0, True, sups))
-                continue
-            if np.ptp(np.log(pos)) < 1e-12:
-                # exactly shell-constant profile: slope 0 by convention
-                table.append(SlopeEntry(tuple(alpha), tuple(beta), 0.0, 0.0, False, sups))
-                m_hat = alpha.order if m_hat is None else max(m_hat, alpha.order)
-                continue
-            slope, resid = _fit_slope(sups, [float(window.radial_weight[i]) for i in rows])
-            if slope is None:
-                table.append(SlopeEntry(tuple(alpha), tuple(beta), 0.0, 0.0, True, sups))
-                continue
-            table.append(SlopeEntry(tuple(alpha), tuple(beta), slope, resid, False, sups))
-            cand = slope + alpha.order
-            m_hat = cand if m_hat is None else max(m_hat, cand)
-    return OrderEstimate(0.0 if m_hat is None else float(m_hat), table, shells_used)
+            if max(sups, default=0.0) > 1e-9 * scale + 1e-280 and len(pos) >= 3:
+                # an exactly shell-constant profile has slope 0 by convention
+                slope = 0.0 if np.ptp(np.log(pos)) < 1e-12 else _fit_slope(
+                    sups, [float(window.radial_weight[i]) for i in rows])
+            table.append(SlopeEntry(tuple(alpha), tuple(beta), 0.0 if slope is None else slope,
+                                     slope is None, sups))
+            if slope is not None:
+                candidates.append(slope + alpha.order)
+    return OrderEstimate(float(max(candidates, default=0.0)), table, shells_used)
 
 
 # -- ellipticity -------------------------------------------------------------
@@ -786,8 +780,7 @@ def s0_decay_profile(sigma: Symbol, window: LatticeWindow, grid: TorusGrid,
     labels = window.shell_labels()
     complete = labels <= int(math.floor(math.log2(window.N + 2))) - 1
     out = []
-    for alpha in multiindex_range(window.n, alpha_max):
-        diff, valid = _difference_samples(sigma, window, grid, alpha)
+    for alpha, diff, valid in _differences(sigma, window, grid, alpha_max):
         rowmax = np.max(np.abs(diff), axis=1) * np.power(window.radial_weight, alpha.order)
         _, sups, _ = window.shell_sups(rowmax, valid & complete)
         out.append(DecayDiagnostic(tuple(alpha), sups, _decreasing_from_peak(sups)))
@@ -819,14 +812,14 @@ def symbol_to_dict(sigma) -> dict:
     if isinstance(sigma, MultiplierSymbol):
         return {"n": sigma.n, "order": sigma.order, "kind": "builtin",
                 "builtin": {"name": "multiplier", "params": {"expr": sigma.text}}}
+    if isinstance(sigma, JumpSymbol):
+        return {"n": sigma.n, "order": 0.0, "kind": "builtin",
+                "builtin": {"name": "jump", "params": {"direction": sigma.direction}}}
     if isinstance(sigma, ExprSymbol):
         return {"n": sigma.n, "order": sigma.order, "kind": "expr", "expr": sigma.text}
     if isinstance(sigma, BesselSymbol):
         return {"n": sigma.n, "order": sigma.order, "kind": "builtin",
                 "builtin": {"name": "bessel", "params": {"s": sigma.s}}}
-    if isinstance(sigma, JumpSymbol):
-        return {"n": sigma.n, "order": 0.0, "kind": "builtin",
-                "builtin": {"name": "jump", "params": {"direction": sigma.direction}}}
     if isinstance(sigma, GridSymbol):
         vals = np.stack([sigma.values.real.ravel(), sigma.values.imag.ravel()], axis=-1)
         return {"n": sigma.n, "order": sigma.order, "kind": "grid",

@@ -39,6 +39,7 @@ from .sobolev import bessel_apply, embedding_check, sobolev_norm
 from .symbols import (
     bessel_symbol,
     check_ellipticity,
+    estimate_order,
     jump_symbol,
     parse_symbol,
     pretty_print,
@@ -123,7 +124,6 @@ def suite_symbol_model(seed=42):
     out.append(_check("x-periodicity", per, 1e-12))
     w = LatticeWindow(1, 64)
     g = default_grid(w)
-    from .symbols import estimate_order
     worst = max(abs(estimate_order(bessel_symbol(s), w, g).m_hat - s)
                 for s in (-2, -1, 1, 2))
     out.append(_check("bessel order estimate", worst, 0.1))

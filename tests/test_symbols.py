@@ -34,12 +34,15 @@ from latticeops.symbols import (
     Const,
     Func,
     GridSymbol,
+    JumpSymbol,
     Neg,
     Num,
+    Symbol,
     Var,
-    _difference_samples,
+    _differences,
     pretty_print,
     s0_decay_profile,
+    symbol_from_dict,
     symbol_to_dict,
 )
 
@@ -373,8 +376,7 @@ def test_grid_difference_rows_match_the_per_point_lookup(M):
     g = TorusGrid(2, M)
     sigma = extract_symbol(assemble_matrix(
         parse_symbol("2 + exp(i*twopi*x1)/(1+k1^2+k2^2)", 2), w, default_grid(w)))
-    for alpha in multiindex_range(2, 2):
-        acc, valid = _difference_samples(sigma, w, g, alpha)
+    for alpha, acc, valid in _differences(sigma, w, g, 2):
         want = np.zeros_like(acc)
         want_valid = np.ones(w.size, dtype=bool)
         for beta in multiindices_leq(alpha):
@@ -391,6 +393,66 @@ def test_grid_difference_rows_match_the_per_point_lookup(M):
                 part[inside] = sigma._interp_rows(idx, g.nodes)
             want += coeff * part
         assert np.array_equal(acc, want) and np.array_equal(valid, want_valid)
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: parse_symbol(f"2 + exp(i*twopi*x1)*k{n}/(1+k1^2+k{n}^2) + cos(twopi*x{n})", n),
+    lambda n: bessel_symbol(-1.5), lambda n: jump_symbol(+1, n), lambda n: jump_symbol(-1, n),
+], ids=["expr", "bessel", "jump+1", "jump-1"])
+@pytest.mark.parametrize("n,N,M", [(1, 8, 19), (1, 8, 24), (2, 4, 11), (2, 4, 14)])
+def test_differences_match_one_shifted_sample_per_beta(make, n, N, M):
+    w = LatticeWindow(n, N)
+    g = TorusGrid(n, M)
+    sigma = make(n)
+    got = list(_differences(sigma, w, g, 2))
+    assert [alpha for alpha, _, _ in got] == multiindex_range(n, 2)
+    for alpha, acc, valid in got:
+        want = np.zeros_like(acc)
+        for beta in multiindices_leq(alpha):
+            coeff = (-1) ** (alpha.order - beta.order) * int(
+                np.prod([math.comb(a, b) for a, b in zip(alpha, beta)]))
+            want += coeff * sigma.sample_shifted(w, g, tuple(beta))
+        assert np.array_equal(acc, want) and valid.all()
+
+
+def test_a_pole_below_the_window_is_sampled_but_never_read():
+    # the grown window reaches k1 = -N-1, which no forward difference reads;
+    # k1 = N+1 is read by Delta^1 at k1 = N
+    w = LatticeWindow(1, 8)
+    g = default_grid(w)
+    below = parse_symbol(f"1/(k1+{w.N + 1})", 1)
+    estimate_order(below, w, g)
+    s0_decay_profile(below, w, g)
+    above = parse_symbol(f"1/(k1-{w.N + 1})", 1)
+    for diagnostic in (estimate_order, s0_decay_profile):
+        with pytest.raises(ValueError, match=NON_FINITE_SAMPLES):
+            diagnostic(above, w, g)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_class_diagnostics_sample_sigma_once(n, monkeypatch):
+    samples, shifts = [], []
+
+    def sample(self, *args, _original=Symbol.sample):
+        samples.append(args)
+        return _original(self, *args)
+
+    def sample_shifted(self, window, grid, shift, _original=Symbol.sample_shifted):
+        shifts.append(tuple(np.asarray(shift).tolist()))
+        return _original(self, window, grid, shift)
+
+    monkeypatch.setattr(Symbol, "sample", sample)
+    monkeypatch.setattr(Symbol, "sample_shifted", sample_shifted)
+    sigma = parse_symbol(f"2 + exp(i*twopi*x1)/(1+k1^2+k{n}^2)", n)
+    w = LatticeWindow(n, 8)
+    g = default_grid(w)
+    for diagnose in (lambda: s0_decay_profile(sigma, w, g, alpha_max=2),
+                     lambda: estimate_order(sigma, w, g)):
+        samples.clear()
+        shifts.clear()
+        diagnose()
+        assert len(samples) == 1
+        assert not any(any(shift) for shift in shifts)
 
 
 @pytest.mark.parametrize("n,N", [(1, 6), (2, 3), (3, 2)])
@@ -470,6 +532,17 @@ def test_symbol_json_roundtrip_all_kinds(tmp_path):
         assert set(d) >= {"n", "order", "kind"}
         assert type(back) is type(sigma)
         assert symbol_to_dict(back) == symbol_to_dict(sigma)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("direction", [+1, -1])
+def test_jump_symbol_keeps_its_builtin_file_form(direction, n):
+    d = symbol_to_dict(jump_symbol(direction, n))
+    assert d == {"n": n, "order": 0.0, "kind": "builtin",
+                 "builtin": {"name": "jump", "params": {"direction": direction}}}
+    back = symbol_from_dict(d)
+    assert type(back) is JumpSymbol and (back.direction, back.n) == (direction, n)
+    assert repr(back) == f"JumpSymbol(direction={direction:+d})"
 
 
 def test_grid_symbol_eval_at_each_node_is_the_stored_sample():
