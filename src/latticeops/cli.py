@@ -39,6 +39,7 @@ from .errors import (
     DimensionMismatchError,
     EllipticityError,
     LatticeOpsError,
+    OutOfWindowError,
     ParseError,
     SymbolSyntaxError,
 )
@@ -46,6 +47,7 @@ from .fredholm import IndexReport, fredholm_ellipticity_probe, full_index_report
 from .quantization import adjoint_symbol, apply as q_apply, compose
 from .sobolev import inclusion_spectrum, smoothing_spectrum, sobolev_norm
 from .symbols import (
+    GridSymbol,
     check_ellipticity,
     estimate_order,
     read_symbol_json,
@@ -85,6 +87,17 @@ def _dimension(symbols, n, source: str) -> int:
     if n is None:
         raise UsageError('the symbol file has "n": null; give the dimension with --n')
     return n
+
+
+def _window(symbols, n: int, N: int, option: str) -> LatticeWindow:
+    """The window of half-width N, given by ``option``; refuses one that leaves
+    the backing window of a grid symbol among ``symbols`` before any work."""
+    for sigma in symbols:
+        if isinstance(sigma, GridSymbol) and N > sigma.window.N:
+            raise OutOfWindowError(
+                f"{option} {N} leaves the backing window N={sigma.window.N} of the grid "
+                f"symbol; give {option} {sigma.window.N} or less")
+    return LatticeWindow(n, N)
 
 
 def _config(args, window: LatticeWindow = None, grid: TorusGrid = None) -> dict:
@@ -166,7 +179,7 @@ def cmd_invft(args):
 def cmd_compose(args):
     sigma = read_symbol_json(args.symbol)
     tau = read_symbol_json(args.symbol2)
-    window = LatticeWindow(_dimension([sigma, tau], args.n, "--n"), args.N)
+    window = _window([sigma, tau], _dimension([sigma, tau], args.n, "--n"), args.N, "--N")
     grid = _grid(args, window)
     comp = compose(sigma, tau, window, grid)
     report = {"config": _config(args, window, grid), "order": comp.order,
@@ -176,7 +189,7 @@ def cmd_compose(args):
 
 def cmd_adjoint(args):
     sigma = read_symbol_json(args.symbol)
-    window = LatticeWindow(_dimension([sigma], args.n, "--n"), args.N)
+    window = _window([sigma], _dimension([sigma], args.n, "--n"), args.N, "--N")
     grid = _grid(args, window)
     adj = adjoint_symbol(sigma, window, grid)
     report = {"config": _config(args, window, grid), "order": adj.order}
@@ -192,7 +205,7 @@ def cmd_norm(args):
 
 def cmd_classify(args):
     sigma = read_symbol_json(args.symbol)
-    window = LatticeWindow(_dimension([sigma], args.n, "--n"), args.N)
+    window = _window([sigma], _dimension([sigma], args.n, "--n"), args.N, "--N")
     grid = _grid(args, window)
     est = estimate_order(sigma, window, grid,
                          alpha_max=args.alpha_max, beta_max=args.beta_max)
@@ -214,7 +227,7 @@ def cmd_classify(args):
 
 def cmd_parametrix(args):
     sigma = read_symbol_json(args.symbol)
-    window = LatticeWindow(_dimension([sigma], args.n, "--n"), args.N)
+    window = _window([sigma], _dimension([sigma], args.n, "--n"), args.N, "--N")
     grid = _grid(args, window)
     m = args.m if args.m is not None else (sigma.order or 0.0)
     par = parametrix(sigma, m, args.steps, window, grid)
@@ -270,7 +283,7 @@ def cmd_index(args):
     sigma = read_symbol_json(args.symbol)
     n = _dimension([sigma], args.n, "--n")
     windows = args.windows
-    window = LatticeWindow(n, max(windows))
+    window = _window([sigma], n, max(windows), "--windows")
     grid = default_grid(window)  # the grid both index routes use
     config = _config(args, window, grid)
     cert = check_ellipticity(sigma, 0.0, window, grid)

@@ -1,8 +1,9 @@
 """Parametrix construction and elliptic solving on finite sections.
 
-The starting guess is the regularized pointwise inverse of the symbol;
-Neumann refinement at matrix level multiplies the residual order down by
-one per step.  The two-sided graph-norm/Sobolev-norm equivalence and the
+The starting guess is the pointwise inverse of the symbol, held as
+separated factors when the symbol is one k-only times x-only term and as
+folded samples otherwise; Neumann refinement at matrix level multiplies
+the residual order down by one per step.  The two-sided graph-norm/Sobolev-norm equivalence and the
 preconditioned solver both ride on that parametrix.
 """
 
@@ -20,8 +21,10 @@ from .sobolev import sobolev_norm
 from .symbols import (
     GridSymbol,
     Symbol,
+    _blocks,
     _certificate,
     _decreasing_from_peak,
+    _row_minima,
     check_ellipticity,
     estimate_order,
 )
@@ -32,20 +35,21 @@ class Parametrix:
     """Finite-section parametrix B_J of A = T_sigma after J Neumann steps.
 
     A (``sigma_matrix``) and the first step B0 (``initial``) start as
-    folded samples (``OperatorMatrix.from_samples``), so ``apply`` gives
-    B_J r from products A v and B0 v alone, each one size-Q transform and
-    one matrix-vector product.  Built on first read and kept, each at most
-    once: the sections of A and B0, each of which replaces its folded
-    samples; B_J (``matrix``); the defects; and the symbols extracted from
-    B_J and from them.  So a caller that only applies the parametrix forms
-    no P x P array.
+    separated factors or folded samples, whichever ``parametrix`` chose
+    for sigma, so ``apply`` gives B_J r from products A v and B0 v alone:
+    a few size-Q transforms and, on folded samples, one matrix-vector
+    product.  Built on first read and kept, each at most once: the
+    sections of A and B0, each of which replaces the form it came from;
+    B_J (``matrix``); the defects; and the symbols extracted from B_J and
+    from them.  So a caller that only applies the parametrix forms no
+    P x P array.
     """
     sigma_matrix: OperatorMatrix  # A
     initial: OperatorMatrix       # B0
     sigma_order: float          # m
     steps: int                  # J
     threshold: float
-    regularized_points: list    # window indices where delta(k) > 0
+    regularized_points: list    # window indices where min |sigma| < theta (1+|k|)^m
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """B_J r: v = B0 r, then J-1 times v <- v + B0 (r - A v)."""
@@ -109,35 +113,69 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
                grid: TorusGrid) -> Parametrix:
     """Approximate inverse of T_sigma with J Neumann steps.
 
-    Step 1 is the regularized pointwise inverse tau0 = conj(sigma) /
-    (|sigma|^2 + delta(k)), where delta(k) = floor(k)^2 switches on wherever
-    |sigma(k,.)| dips below floor(k) = theta (1+|k|)^m somewhere on the grid;
-    each further step applies B <- B + B0 (I - A B), so the right residual
-    is (I - A B0)^J.  sigma is sampled once: the certificate and both
-    folded sample arrays come from that array, which is folded in place
-    into A's once tau0 is formed from it.  No P x P array is formed here:
-    the sections and B_J are built only when first read.
+    Step 1 is the pointwise inverse tau0 = conj(sigma) / |sigma|^2; each
+    further step applies B <- B + B0 (I - A B), so the right residual is
+    (I - A B0)^J.  sigma is evaluated once, and A and B0 take their form
+    from how it splits (``Symbol._terms``):
+
+    - one separated term a(k) b(x): A is held as its factors and B0 as the
+      factors 1/a and 1/b, and the certificate reads |a| min |b|, so no
+      (P, Q) array is formed;
+    - several terms: A is held as its factors, and one pass over row
+      blocks of a @ b gives the row minima of |sigma| and B0's samples,
+      which are folded in place;
+    - no split: sigma is sampled once; the certificate and B0 come from
+      that array, which is then folded in place into A.
+
+    The certificate's threshold theta = C/2 sets floor(k) = theta
+    (1+|k|)^m; on a certified symbol every row minimum is at least twice
+    the floor, so ``regularized_points`` is empty.  No P x P array is
+    formed here: the sections and B_J are built only when first read.
     """
     if J < 1:
         raise ValueError("need at least one Neumann step")
-    S = sigma.sample(window, grid)
-    magnitude = np.abs(S)
-    row_min = np.min(magnitude, axis=1)
-    rep = _certificate(magnitude, row_min, m, window)
+    terms = sigma._terms(window, grid)
+    single = terms is not None and terms[0].shape[1] == 1
+    if single:
+        row_min = _row_minima(sigma, terms, window, grid)
+    else:
+        minima, tau0 = [], np.empty((window.size, grid.size), dtype=complex)
+        for rows, S, magnitude in _blocks(sigma, terms, window, grid):
+            minima.append(np.min(magnitude, axis=1))
+            with np.errstate(all="ignore"):  # a zero of sigma is refused below
+                _conjugate_over_square(S, magnitude, tau0[rows])
+        row_min = np.concatenate(minima)
+    rep = _certificate(row_min, m, window)
     if not rep.elliptic:
         raise EllipticityError(
             f"symbol not certified elliptic of order {m} on N={window.N}", rep)
     _check_resolution(window, grid)
     theta = rep.C / 2.0
-    floor = theta * np.power(window.radial_weight, m)
-    low = row_min < floor
-    np.square(magnitude, out=magnitude)
-    magnitude += np.where(low, floor ** 2, 0.0)[:, None]
-    tau0 = np.conjugate(S)
-    tau0 /= magnitude
-    return Parametrix(OperatorMatrix.from_samples(S, window, grid),
-                      OperatorMatrix.from_samples(tau0, window, grid),
-                      m, J, theta, np.where(low)[0].tolist())
+    low = row_min < theta * np.power(window.radial_weight, m)
+    if terms is None:  # the one block was sigma's fresh samples
+        A = OperatorMatrix.from_samples(S, window, grid)
+    else:
+        A = OperatorMatrix.from_factors(*terms, window, grid)
+    if single:
+        B0 = OperatorMatrix.from_factors(1 / terms[0], 1 / terms[1], window, grid)
+    else:
+        B0 = OperatorMatrix.from_samples(tau0, window, grid)
+    return Parametrix(A, B0, m, J, theta, np.where(low)[0].tolist())
+
+
+def _conjugate_over_square(S: np.ndarray, magnitude: np.ndarray, out: np.ndarray) -> None:
+    """out = conj(S) / |S|^2 from S and its modulus, which is overwritten.
+
+    numpy divides a complex number by a real one as a product with the
+    real reciprocal, so this is that quotient bit for bit (up to the sign
+    of a zero), written through real views: no complex copy of |S|^2 and
+    no conjugate pass.
+    """
+    recip = np.reciprocal(np.square(magnitude, out=magnitude), out=magnitude)
+    parts = out.view(float).reshape(S.shape + (2,))
+    np.multiply(S.real, recip, out=parts[..., 0])
+    np.negative(recip, out=recip)
+    np.multiply(S.imag, recip, out=parts[..., 1])
 
 
 @dataclass

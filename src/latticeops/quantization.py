@@ -5,8 +5,12 @@ sigma(k,x) fhat(x) dx; on a window x grid truncation this is exact whenever
 the grid resolves the window (M >= 2N+1).  Multiplying the samples by
 exp(2 pi i k.x) folds the phase in (``_fold``): the finite section is then
 the FFT of each row of the folded samples (``_section``), and one product
-with the operator is one matrix-vector product against fhat.  An
-``OperatorMatrix`` holds either form and forms the section on first read.
+with the operator is one matrix-vector product against fhat.  A symbol
+that splits exactly as sigma = sum_r a_r(k) b_r(x) (``Symbol._terms``)
+needs no samples: a product is R inverse FFTs of b_r fhat, and the
+section is sum_r a_r(k) times the shift form of b_r at l - k
+(``_factor_section``).  An ``OperatorMatrix`` holds the section, the
+folded samples or the factors, and forms the section on first read.
 Extraction scatters a section back into the symbol's shift form
 (``core.shift_samples``), the exact inverse of assembly.
 Composition and adjoints are finite-section constructions, so grid-backed
@@ -21,6 +25,7 @@ import struct
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     TWO_PI,
@@ -50,12 +55,17 @@ def interior_margin(window: LatticeWindow) -> int:
 
 
 class OperatorMatrix:
-    """T_sigma on a window, held as its dense finite section ``entries`` or
-    as sigma's samples folded in place, W = sigma exp(2 pi i k.x).
+    """T_sigma on a window, held in one of three forms: its dense finite
+    section ``entries``; sigma's samples folded in place,
+    W = sigma exp(2 pi i k.x); or sigma's separated factors, sigma = a @ b
+    with a (P, R) in k and b (R, Q) in x.
 
-    ``from_samples`` gives the folded form, on which each product ``A @ v``
-    is one size-Q transform and one matrix-vector product.  Its section is
-    formed on first read of ``entries`` and replaces the folded samples, so
+    ``from_symbol`` picks the form: the factors when sigma splits
+    (``Symbol._terms``), else the folded samples.  A product ``A @ v`` on
+    the folded form is one size-Q transform and one matrix-vector product;
+    on the factors it is one forward transform of v, R inverse transforms
+    of size Q and R multiply-adds of length P.  The section is formed on
+    first read of ``entries`` and replaces the form held before it, so
     later products use the section.
     """
 
@@ -64,18 +74,41 @@ class OperatorMatrix:
         self.entries = entries
 
     @classmethod
+    def _held(cls, window, grid, folded, factors) -> "OperatorMatrix":
+        A = cls.__new__(cls)
+        A.window, A.grid = window, grid
+        A._entries, A._folded, A._factors = None, folded, factors
+        return A
+
+    @classmethod
     def from_samples(cls, samples: np.ndarray, window: LatticeWindow,
                      grid: TorusGrid) -> "OperatorMatrix":
         """The operator of sigma's (window.size, grid.size) samples, folded in place."""
-        A = cls.__new__(cls)
-        A.window, A.grid, A._entries = window, grid, None
-        A._folded = _fold(samples, window, grid)
-        return A
+        return cls._held(window, grid, _fold(samples, window, grid), None)
+
+    @classmethod
+    def from_factors(cls, a: np.ndarray, b: np.ndarray, window: LatticeWindow,
+                     grid: TorusGrid) -> "OperatorMatrix":
+        """The operator of sigma = a @ b, a (window.size, R) and b (R, grid.size)."""
+        return cls._held(window, grid, None, (a, b))
+
+    @classmethod
+    def from_symbol(cls, sigma: Symbol, window: LatticeWindow,
+                    grid: TorusGrid) -> "OperatorMatrix":
+        """T_sigma from sigma's separated factors, or from its folded samples
+        when sigma does not split."""
+        terms = sigma._terms(window, grid)
+        if terms is None:
+            return cls.from_samples(sigma.sample(window, grid), window, grid)
+        return cls.from_factors(*terms, window, grid)
 
     @property
     def entries(self) -> np.ndarray:
         if self._entries is None:
-            self.entries = _section(self._folded, self.window, self.grid)
+            if self._factors is None:
+                self.entries = _section(self._folded, self.window, self.grid)
+            else:
+                self.entries = _factor_section(*self._factors, self.window, self.grid)
         return self._entries
 
     @entries.setter
@@ -86,13 +119,21 @@ class OperatorMatrix:
             raise DimensionMismatchError(f"entries shape {value.shape}, window size {P}")
         if not np.all(np.isfinite(value)):
             raise ValueError("operator matrix carries non-finite entries")
-        self._entries, self._folded = value, None
+        self._entries, self._folded, self._factors = value, None, None
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        if self._entries is None:
-            vhat = forward_dft(LatticeSequence(self.window, v), self.grid).values
-            return self.grid.weight * (self._folded @ vhat)
-        return self._entries @ v
+        if self._entries is not None:
+            return self._entries @ v
+        window, grid = self.window, self.grid
+        vhat = forward_dft(LatticeSequence(window, v), grid).values
+        if self._factors is None:
+            return grid.weight * (self._folded @ vhat)
+        # sum_r a_r(k) M^-n sum_x exp(2 pi i k.x) b_r(x) vhat(x): the
+        # inverse FFT of each b_r vhat, read at the grid slot of k
+        a, b = self._factors
+        U = np.fft.ifftn((b * vhat).reshape((-1,) + grid.shape), axes=tuple(range(1, grid.n + 1)))
+        U = U.reshape(len(b), grid.size)[:, _grid_slots(window.n, window.N, grid.M)]
+        return np.einsum("kr,rk->k", a, U)
 
     def matvec(self, f: LatticeSequence) -> LatticeSequence:
         return LatticeSequence(self.window, self @ f.values)
@@ -221,12 +262,37 @@ def _section(W: np.ndarray, window: LatticeWindow, grid: TorusGrid) -> np.ndarra
                    _grid_slots(window.n, window.N, grid.M), axis=1)
 
 
+def _factor_section(a: np.ndarray, b: np.ndarray, window: LatticeWindow,
+                    grid: TorusGrid) -> np.ndarray:
+    """The finite section A[k, l] = sum_r a_r(k) C_r[(l - k) mod M] of sigma = a @ b,
+    C_r the shift form of b_r.
+
+    Each term is a multilevel Toeplitz matrix: row k reads C_r at the
+    differences l - k in [-2N, 2N]^n, a sliding window over one (4N+1)^n
+    table, so the section is R strided passes over P x P entries and no
+    transform of size Q per row.
+    """
+    n, N, P = window.n, window.N, window.size
+    C = np.fft.fftn(b.reshape((-1,) + grid.shape), axes=tuple(range(1, n + 1)), norm="forward")
+    d = np.arange(-2 * N, 2 * N + 1) % grid.M
+    out = np.empty(window.shape * 2, dtype=complex)
+    for r in range(a.shape[1]):
+        # [k, l] of the reversed window view is table[2N - (k + N) + (l + N)], at l - k
+        view = sliding_window_view(C[r][np.ix_(*[d] * n)], window.shape)[(slice(None, None, -1),) * n]
+        ar = a[:, r].reshape(window.shape + (1,) * n)
+        if r == 0:
+            np.multiply(view, ar, out=out)
+        else:
+            out += view * ar
+    return out.reshape(P, P)
+
+
 def assemble_matrix(sigma: Symbol, window: LatticeWindow, grid: TorusGrid) -> OperatorMatrix:
-    """entries(k,l) = quadrature of exp(2 pi i (k-l).x) sigma(k,x), from the folded samples."""
+    """entries(k,l) = quadrature of exp(2 pi i (k-l).x) sigma(k,x), from
+    sigma's separated factors or its folded samples (``OperatorMatrix.from_symbol``)."""
     _check_resolution(window, grid)
     with np.errstate(all="ignore"):  # OperatorMatrix refuses non-finite entries
-        W = _fold(sigma.sample(window, grid), window, grid)
-        return OperatorMatrix(window, grid, _section(W, window, grid))
+        return OperatorMatrix(window, grid, OperatorMatrix.from_symbol(sigma, window, grid).entries)
 
 
 def assemble_toroidal_matrix(tau: DualToroidalSymbol, window: LatticeWindow,

@@ -272,6 +272,63 @@ def _eval_node(node, kcols, xcols):
     raise TypeError(node)
 
 
+# A product of sums distributes into the product of their term counts, so
+# the walk needs a bound.  Each term costs one P x P pass when the section
+# is formed, where the folded samples cost one FFT per row: at n=2 N=16 a
+# section from 8 terms takes about 50 ms, as long as the folded one, while
+# at n=1 N=256 the two meet near 16 terms.  Past this many terms the walk
+# gives up and sigma is sampled instead.
+MAX_TERMS = 8
+
+
+def _separate(node, kcols, xcols):
+    """The expression ``node`` as a list of terms (a, b) with node = sum a*b,
+    each a read only on the k axes and each b only on the x axes; None when
+    it does not split into at most MAX_TERMS of them.
+
+    A sub-tree that reads only k, only x or no variable is one term,
+    evaluated by ``_eval_node``; + and - join term lists, * distributes,
+    and / needs a one-term divisor.  Terms are never written in place:
+    distributing shares one array among several of them.
+    """
+    kinds = {v.kind for v in _variables(node)}
+    if len(kinds) < 2:
+        value = _eval_node(node, kcols, xcols)
+        return [(1.0, value)] if kinds == {"x"} else [(value, 1.0)]
+    if isinstance(node, Neg):
+        terms = _separate(node.child, kcols, xcols)
+        return None if terms is None else [(np.negative(a), b) for a, b in terms]
+    if not isinstance(node, BinOp) or node.op == "^":
+        return None
+    left = _separate(node.left, kcols, xcols)
+    right = _separate(node.right, kcols, xcols) if left is not None else None
+    if right is None:
+        return None
+    if node.op == "+":
+        terms = left + right
+    elif node.op == "-":
+        terms = left + [(np.negative(a), b) for a, b in right]
+    elif node.op == "*" and len(left) * len(right) <= MAX_TERMS:
+        terms = [(a * c, b * d) for a, b in left for c, d in right]
+    elif node.op == "/" and len(right) == 1:
+        (c, d), = right
+        terms = [(np.true_divide(a, c), np.true_divide(b, d)) for a, b in left]
+    else:
+        return None
+    return terms if len(terms) <= MAX_TERMS else None
+
+
+def _factors(terms, window, grid):
+    """The (P, R) factor a and (R, Q) factor b of per-axis terms (a_r, b_r)."""
+    n = window.n
+    a = np.empty((window.size, len(terms)), dtype=complex)
+    b = np.empty((len(terms), grid.size), dtype=complex)
+    for r, (ar, br) in enumerate(terms):
+        a[:, r] = np.broadcast_to(ar, window.shape + (1,) * n).reshape(-1)
+        b[r] = np.broadcast_to(br, (1,) * n + grid.shape).reshape(-1)
+    return a, b
+
+
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
 
@@ -360,14 +417,24 @@ class Symbol:
         Non-finite values come back without a numpy warning: apply,
         assemble_matrix, the certificate and estimate_order refuse them.
         """
+        kcols, xcols = self._columns(window, grid, shift)
+        with np.errstate(all="ignore"):
+            out = np.asarray(self._eval_cols(kcols, xcols), dtype=complex)
+        return out.reshape((1,) * (2 * window.n)) if out.ndim == 0 else out
+
+    def _columns(self, window, grid, shift):
+        """The per-axis columns k_j + shift_j on axis j and x_j on axis n+j."""
         self._check_dims(window.n, grid.n)
         n = window.n
         shift = np.asarray(shift, dtype=int)
         kcols = [_along((window.axis + shift[j]).astype(float), j, 2 * n) for j in range(n)]
         xcols = [_along(grid.axis, n + j, 2 * n) for j in range(n)]
-        with np.errstate(all="ignore"):
-            out = np.asarray(self._eval_cols(kcols, xcols), dtype=complex)
-        return out.reshape((1,) * (2 * n)) if out.ndim == 0 else out
+        return kcols, xcols
+
+    def _terms(self, window, grid):
+        """sigma on window x grid split exactly as a @ b: factors a (P, R) in k
+        and b (R, Q) in x, or None when the backend has no such split."""
+        return None
 
     def _check_dims(self, nk, nx):
         if nk != nx:
@@ -398,6 +465,12 @@ class ExprSymbol(Symbol):
     def _eval_cols(self, kcols, xcols):
         return _eval_node(self.ast, kcols, xcols)
 
+    def _terms(self, window, grid):
+        kcols, xcols = self._columns(window, grid, np.zeros(window.n, dtype=int))
+        with np.errstate(all="ignore"):
+            terms = _separate(self.ast, kcols, xcols)
+            return None if terms is None else _factors(terms, window, grid)
+
     def __repr__(self):
         return f"ExprSymbol({self.text!r}, n={self.n}, order={self.order})"
 
@@ -413,6 +486,10 @@ class BesselSymbol(Symbol):
     def _eval_cols(self, kcols, xcols):
         k2 = sum(c * c for c in kcols)
         return np.power(1.0 + k2, self.s / 2.0) + 0j
+
+    def _terms(self, window, grid):
+        kcols, xcols = self._columns(window, grid, np.zeros(window.n, dtype=int))
+        return _factors([(self._eval_cols(kcols, xcols), 1.0)], window, grid)
 
     def __repr__(self):
         return f"BesselSymbol(s={self.s})"
@@ -737,18 +814,73 @@ def check_ellipticity(sigma: Symbol, m: float, window: LatticeWindow,
     Declared non-elliptic when shell minima hit exact zero or decay by
     10x from the first shell to the last; otherwise certified with
     C = min ratio over the whole sampled set and M_radius = 0.  A NaN or
-    infinite sample raises ValueError.
+    infinite sample raises ValueError.  The row minima of |sigma| come
+    from ``_row_minima``, as in ``elliptic.parametrix``.
     """
-    magnitude = np.abs(sigma.sample(window, grid))
-    return _certificate(magnitude, np.min(magnitude, axis=1), m, window)
+    return _certificate(_row_minima(sigma, sigma._terms(window, grid), window, grid), m, window)
 
 
-def _certificate(magnitude: np.ndarray, row_min: np.ndarray, m: float,
-                 window: LatticeWindow) -> EllipticityReport:
-    """The certificate of check_ellipticity from |sigma| on window x grid and
-    its row minima; refuses samples that are not all finite."""
-    if not np.isfinite(np.sum(magnitude)):
+_BLOCK = 1 << 14  # samples in one row block of separated factors
+
+
+def _blocks(sigma: Symbol, terms, window: LatticeWindow, grid: TorusGrid):
+    """Yield sigma's samples on window x grid as (rows, S, |S|).
+
+    Without a split (``terms`` None) that is one block: a fresh sample
+    array.  From separated factors (a, b) it is row blocks a[rows] @ b of
+    about ``_BLOCK`` samples, each written over the last one's buffers, so
+    no (P, Q) array is formed here and the caller may overwrite a block.
+    Non-finite factors or samples raise ValueError; under IEEE arithmetic
+    a non-finite factor leaves some sample non-finite.
+    """
+    if terms is None:
+        S = sigma.sample(window, grid)
+        yield slice(None), S, _modulus(S, None)
+        return
+    a, b = terms
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError(NON_FINITE_SAMPLES)
+    step = min(window.size, max(1, _BLOCK // grid.size))
+    S, magnitude = np.empty((step, grid.size), dtype=complex), np.empty((step, grid.size))
+    for start in range(0, window.size, step):
+        rows = slice(start, min(start + step, window.size))
+        block = S[:rows.stop - start]
+        with np.errstate(all="ignore"):  # an overflow is refused by _modulus
+            np.matmul(a[rows], b, out=block)
+        yield rows, block, _modulus(block, out=magnitude[:len(block)])
+
+
+def _modulus(S: np.ndarray, out) -> np.ndarray:
+    """|S|, written into ``out`` when it is an array; refuses samples that
+    are not all finite with ValueError."""
+    with np.errstate(all="ignore"):
+        magnitude = np.abs(S, out=out)
+        finite = np.isfinite(np.sum(magnitude))
+    if not finite:
+        raise ValueError(NON_FINITE_SAMPLES)
+    return magnitude
+
+
+def _row_minima(sigma: Symbol, terms, window: LatticeWindow, grid: TorusGrid) -> np.ndarray:
+    """min over x of |sigma(k, x)| for each window point k.
+
+    One separated term gives |a(k)| min |b| with no (P, Q) array; otherwise
+    the minima are taken block by block from ``_blocks``.  Refuses
+    non-finite factors or samples, and a single term whose samples
+    overflow, with ValueError.
+    """
+    if terms is not None and terms[0].shape[1] == 1:
+        a, b = np.abs(terms[0][:, 0]), np.abs(terms[1][0])
+        with np.errstate(all="ignore"):
+            if not np.isfinite(np.max(a) * np.max(b)):
+                raise ValueError(NON_FINITE_SAMPLES)
+        return a * np.min(b)
+    return np.concatenate([np.min(magnitude, axis=1)
+                           for _, _, magnitude in _blocks(sigma, terms, window, grid)])
+
+
+def _certificate(row_min: np.ndarray, m: float, window: LatticeWindow) -> EllipticityReport:
+    """The certificate of check_ellipticity from the row minima of |sigma|."""
     ratio = row_min / np.power(window.radial_weight, m)
     # per-shell minima as the negated sups of -ratio; negation is exact
     shells, neg_sups, _ = window.shell_sups(-ratio, np.ones(window.size, dtype=bool))

@@ -289,6 +289,27 @@ def test_dimension_mismatch_is_precondition_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "DimensionMismatchError"
 
 
+@pytest.mark.parametrize("argv", [("classify",), ("parametrix", "--N", "32"),
+                                  ("index", "--windows", "16,24")])
+def test_grid_symbol_beyond_its_backing_window_is_refused_first(tmp_path, capsys, argv):
+    comp = str(tmp_path / "comp.json")
+    report_of(capsys, "compose", str(shipped_path("jump_plus")),
+              str(shipped_path("perturbed_bessel")), "--out", comp)  # backed by N=16
+    command, *options = argv
+    code, out, err = run(capsys, command, comp, *options)
+    assert code == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "OutOfWindowError"
+    option = "--windows" if command == "index" else "--N"
+    want = "{} {} leaves the backing window N=16".format(option, 24 if command == "index" else 32)
+    assert payload["message"].startswith(want) and f"give {option} 16 or less" in payload["message"]
+    # at the backing window the diagnostics run (parametrix then finds the
+    # truncated outer shell of the composition not elliptic)
+    code, out, err = run(capsys, command, comp,
+                         *(["--windows", "8,16"] if command == "index" else ["--N", "16"]))
+    assert "OutOfWindowError" not in err and (code == 0) == (command != "parametrix")
+
+
 def test_non_elliptic_parametrix_is_precondition_error(tmp_path, capsys):
     path = sym_json(tmp_path, "sin.json", "sin(twopi*x1)")
     code, out, err = run(capsys, "parametrix", path, "--N", "16")

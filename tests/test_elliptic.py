@@ -1,7 +1,11 @@
 """Parametrix construction, decay reports, ADN estimates, solving."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latticeops import (
     LatticeSequence,
@@ -193,7 +197,7 @@ def test_converged_solve_builds_no_section(sigma, m, built):
     res = solve(sigma, m, f, w, default_grid(w), tol=1e-10)
     assert res.fallback_reason is None and res.residual_interior <= 1e-10
     assert len(built) == 1
-    # both operators are still held as folded samples only
+    # both operators are still held as factors or folded samples, with no section
     assert built[0].sigma_matrix._entries is None and built[0].initial._entries is None
 
 
@@ -205,19 +209,20 @@ def test_divergence_fallback_builds_the_section_of_a_only(built):
     assert res.fallback_reason == "divergence"
     A, B0 = built[0].sigma_matrix, built[0].initial
     assert A._entries is not None and B0._entries is None
-    # each operator is held in one form: A's folded samples went with its section
-    assert A._folded is None and B0._folded is not None
+    # each operator is held in one form: A's factors went with its section
+    assert A._folded is None and A._factors is None and B0._folded is not None
 
 
 def test_residual_order_sequence_builds_each_section_once(monkeypatch):
     w = LatticeWindow(1, 16)
     calls = []
+    # a section is formed from folded samples or from separated factors
+    for name in ("_section", "_factor_section"):
+        def counted(*args, _original=getattr(quantization, name), **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
 
-    def counted(*args, _original=quantization._section, **kwargs):
-        calls.append(args)
-        return _original(*args, **kwargs)
-
-    monkeypatch.setattr(quantization, "_section", counted)
+        monkeypatch.setattr(quantization, name, counted)
     residual_order_sequence(parse_symbol(PERTURBED, 1, order=0), 0.0, w, default_grid(w))
     assert len(calls) == 2
 
@@ -252,18 +257,23 @@ def test_residual_order_sequence_steps_one_parametrix(monkeypatch):
     assert refined.initial is separate[1].initial
     assert np.array_equal(refined.matrix.entries, separate[2].matrix.entries)
     calls = []
+    # sigma is evaluated by sampling it or by splitting it into factors
+    for name in ("sample", "_terms"):
+        def counted(*args, _original=getattr(sigma, name), **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
 
-    def counted(*args, _original=sigma.sample, **kwargs):
-        calls.append(args)
-        return _original(*args, **kwargs)
-
-    monkeypatch.setattr(sigma, "sample", counted, raising=False)
+        monkeypatch.setattr(sigma, name, counted, raising=False)
     parametrix(sigma, 0.0, 2, w, g)
     assert len(calls) == 1
     solve(sigma, 0.0, LatticeSequence.random(w, np.random.default_rng(2)), w, g)
     assert len(calls) == 2
     assert residual_order_sequence(sigma, 0.0, w, g) == want
     assert len(calls) == 3
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def _three_pass_parametrix(sigma, m, w, g):
@@ -292,12 +302,69 @@ def _three_pass_parametrix(sigma, m, w, g):
 def test_parametrix_matches_the_three_pass_construction(sigma, m):
     w = LatticeWindow(sigma.n, 8 if sigma.n == 2 else 16)
     g = default_grid(w)
-    A, B0, regularized, theta = _three_pass_parametrix(sigma, m, w, g)
-    par = parametrix(sigma, m, 2, w, g)
-    assert np.array_equal(par.sigma_matrix.entries, A)
-    assert np.array_equal(par.initial.entries, B0)
-    assert par.regularized_points == regularized
-    assert par.threshold == theta
+    # each symbol splits into separated factors; its grid copy takes the folded path
+    for sym in (sigma, GridSymbol(w, g, sigma.sample(w, g), order=sigma.order)):
+        A, B0, regularized, theta = _three_pass_parametrix(sym, m, w, g)
+        par = parametrix(sym, m, 2, w, g)
+        assert np.array_equal(par.sigma_matrix.entries, A)
+        if sym._terms(w, g) is None:
+            assert np.array_equal(par.initial.entries, B0)
+        else:
+            # B0 from the factors: conj(sigma) / |sigma|^2 from a @ b, not from the samples
+            assert _close(par.initial.entries, B0)
+        assert par.regularized_points == regularized
+        assert par.threshold == theta
+
+
+def _second_solve_peak(sigma, m, w, g):
+    """tracemalloc peak of a second solve call on w x g."""
+    f = LatticeSequence.random(w, np.random.default_rng(6), margin=interior_margin(w))
+    solve(sigma, m, f, w, g, tol=1e-10)
+    tracemalloc.start()
+    try:
+        solve(sigma, m, f, w, g, tol=1e-10)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("sigma,m,arrays", [  # the solve-n2 benchmark pool
+    pytest.param(parse_symbol("2 + exp(i*twopi*x1)/(1+k1^2+k2^2) + 0.5*cos(twopi*x2)/(1+k1^2)",
+                              2, order=0), 0.0, 1.5, id="expr-order0"),
+    pytest.param(parse_symbol("(1+k1^2+k2^2)*(1 + 0.3*cos(twopi*(x1+x2)))", 2, order=2),
+                 2.0, 1.0, id="expr-order2"),
+    pytest.param(bessel_symbol(2, n=2), 2.0, 1.0, id="bessel2"),
+])
+def test_solve_holds_at_most_the_folded_inverse(sigma, m, arrays):
+    # one separated term: A and B0 are held as factors, and no (P, Q) array
+    # is formed; several terms: B0's folded samples are the one (P, Q)
+    # array, and sigma's samples pass through row blocks
+    w = LatticeWindow(2, 8)
+    g = default_grid(w)
+    assert _second_solve_peak(sigma, m, w, g) < arrays * w.size * g.size * 16
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_certified_symbols_regularize_no_point(data):
+    # a certified row minimum is at least C (1+|k|)^m, twice the floor
+    n = data.draw(st.integers(1, 2))
+    w = LatticeWindow(n, data.draw(st.integers(2, {1: 12, 2: 4}[n])))
+    g = default_grid(w)
+    m = data.draw(st.sampled_from([-1.0, 0.0, 1.0, 2.0]))
+    if data.draw(st.booleans()):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        S = rng.standard_normal((w.size, g.size)) + 1j * rng.standard_normal((w.size, g.size))
+        sigma = GridSymbol(w, g, S * w.radial_weight[:, None] ** m)
+    else:
+        c = data.draw(st.floats(1.0, 3.0))
+        d = data.draw(st.floats(-0.9, 0.9))
+        sigma = parse_symbol(f"(1+k1^2)^({m}/2)*({c!r} + {d!r}*exp(i*twopi*x1)/(1+k1^2))", n)
+    try:
+        par = parametrix(sigma, m, 1, w, g)
+    except EllipticityError:
+        assume(False)
+    assert par.regularized_points == []
 
 
 def test_parametrix_refuses_non_finite_samples():

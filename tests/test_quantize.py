@@ -24,6 +24,7 @@ from latticeops import (
     multiplier_symbol,
     parametrix,
     parse_symbol,
+    solve,
 )
 from latticeops.core import _dft_matrix, forward_dft, phase_matrix
 from latticeops.errors import AliasingError
@@ -35,7 +36,7 @@ from latticeops.quantization import (
     write_matrix_binary,
     write_matrix_json,
 )
-from latticeops.symbols import NON_FINITE_SAMPLES
+from latticeops.symbols import MAX_TERMS, NON_FINITE_SAMPLES
 
 
 @pytest.fixture
@@ -167,6 +168,100 @@ def test_folded_products_match_the_dense_section(data):
 @pytest.mark.parametrize("extra", [0, 2])
 def test_assembly_and_extraction_match_the_dense_sums_at_size(n, N, extra):
     check_against_dense(n, N, 2 * N + 1 + extra, seed=N + extra)
+
+
+# factors that read only k or only x, and one-term divisors free of zeros
+_K_FACTORS = ["(1+k1^2)", "1/(2+k1^2)", "step(k1)", "(3+k1^2)^(1/4)", "0.5", "i"]
+_X_FACTORS = ["exp(i*twopi*x1)", "(2+cos(twopi*x1))", "x1", "sin(twopi*x1)"]
+_DIVISORS = ["(1+k1^2)", "(2+cos(twopi*x1))", "(2+k1^2)*(3-sin(twopi*x1))"]
+_N2_FACTORS = ["(1+k1^2+k2^2)", "cos(k2)", "cos(twopi*(x1+x2))", "exp(-i*twopi*x2)"]
+
+
+def _separable_text(data, n, depth):
+    """A random expression in sums, differences, negations, products and
+    quotients of k-only and x-only factors: at most 4 terms."""
+    factors = _K_FACTORS + _X_FACTORS + (_N2_FACTORS if n == 2 else [])
+    op = data.draw(st.sampled_from(["factor", "+", "-", "*", "/", "neg"] if depth else ["factor"]))
+    if op == "factor":
+        return data.draw(st.sampled_from(factors))
+    if op == "neg":
+        return f"-({_separable_text(data, n, depth - 1)})"
+    right = (data.draw(st.sampled_from(_DIVISORS)) if op == "/"
+             else _separable_text(data, n, depth - 1))
+    return f"({_separable_text(data, n, depth - 1)}){op}({right})"
+
+
+def _near(got, want, scale):
+    """got matches want to 1e-12 relative to ``scale``, the size of the
+    terms that were summed (a cancelling sum keeps their roundoff)."""
+    return np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_separated_factors_match_the_samples_and_the_dense_section(data):
+    n = data.draw(st.integers(1, 2))
+    N = data.draw(st.integers(1, {1: 10, 2: 4}[n]))
+    M = data.draw(st.integers(2 * N + 1, 4 * N + 2))
+    w, g = LatticeWindow(n, N), TorusGrid(n, M)
+    sigma = parse_symbol(_separable_text(data, n, 2), n)
+    terms = sigma._terms(w, g)
+    assert terms is not None and terms[0].shape[1] <= 4
+    a, b = terms
+    S = sigma.sample(w, g)
+    scale = np.max(np.abs(a) @ np.abs(b))
+    assert _near(a @ b, S, scale)
+    A = OperatorMatrix.from_symbol(sigma, w, g)
+    assert A._factors is not None and A._folded is None
+    f = LatticeSequence.random(w, np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
+    want = dense_section(S, w, g)
+    assert _near(A @ f.values, want @ f.values, scale * np.sum(np.abs(f.values)))
+    # the section, formed on first read, replaces the factors
+    assert _near(A.entries, want, scale) and A._factors is None
+    assert np.array_equal(assemble_matrix(sigma, w, g).entries, A.entries)
+
+
+@pytest.mark.parametrize("text", ["exp(i*k1*x1)", "cos(twopi*(k1*x1))", "1/(2 + k1*x1)",
+                                  "(k1 + x1)^2", "2 + abs(k1 - x1)"])
+def test_non_separable_symbols_take_the_folded_form(text):
+    w = LatticeWindow(1, 4)
+    g = default_grid(w)
+    sigma = parse_symbol(text, 1)
+    for sym in (sigma, GridSymbol(w, g, sigma.sample(w, g))):
+        assert sym._terms(w, g) is None
+        A = OperatorMatrix.from_symbol(sym, w, g)
+        assert A._factors is None and A._folded is not None
+        assert _close(A.entries, dense_section(sigma.sample(w, g), w, g))
+
+
+def test_separation_stops_at_the_term_cap():
+    w = LatticeWindow(2, 2)
+    g = default_grid(w)
+    pairs = ["(1 + k1*x1)", "(1 + k2*x2)", "(2 + k1*x2)", "(3 + k2*x1)"]
+    for count in range(1, len(pairs) + 1):
+        terms = parse_symbol("*".join(pairs[:count]), 2)._terms(w, g)
+        if 2 ** count <= MAX_TERMS:
+            assert terms[0].shape[1] == 2 ** count
+        else:
+            assert terms is None
+
+
+@pytest.mark.parametrize("text", ["2 + k1/k1", "2 + (1+k1^2)/sin(twopi*x1)",
+                                  "2 + exp(i*twopi*x1)/(k1*(2+cos(twopi*x1)))"])
+def test_non_finite_separated_symbols_are_refused_as_before(text):
+    # NaN at k1 = 0, or a pole on the grid node x1 = 0
+    w = LatticeWindow(1, 4)
+    g = default_grid(w)
+    sigma = parse_symbol(text, 1, order=0)
+    assert sigma._terms(w, g) is not None
+    f = LatticeSequence.random(w, np.random.default_rng(1))
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="operator matrix carries non-finite entries"):
+            assemble_matrix(sigma, w, g)
+        with pytest.raises(ValueError, match=NON_FINITE_SAMPLES):
+            parametrix(sigma, 0.0, 1, w, g)
+        with pytest.raises(ValueError, match=NON_FINITE_SAMPLES):
+            solve(sigma, 0.0, f, w, g)
 
 
 EXPR_ORDER0 = "2 + exp(i*twopi*x1)/(1+k1^2+k2^2) + 0.5*cos(twopi*x2)/(1+k1^2)"
