@@ -101,12 +101,15 @@ def _window(symbols, n: int, N: int, option: str) -> LatticeWindow:
 
 
 def _config(args, window: LatticeWindow = None, grid: TorusGrid = None) -> dict:
-    """Command, version, the run's window and grid, and --out/--seed where taken."""
+    """Command, version, the run's window and grid, the aliasing margin
+    M - (2N+1) when both are given, and --out/--seed where taken."""
     config = {"command": args.command, "version": __version__}
     if window is not None:
         config.update(n=window.n, N=window.N)
     if grid is not None:
         config["M"] = grid.M
+    if window is not None and grid is not None:
+        config["aliasing_margin"] = grid.M - window.side
     config.update({k: getattr(args, k) for k in ("out", "seed") if hasattr(args, k)})
     return config
 

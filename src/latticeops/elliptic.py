@@ -124,8 +124,10 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
     - several terms: A is held as its factors, and one pass over row
       blocks of a @ b gives the row minima of |sigma| and B0's samples,
       which are folded in place;
-    - no split: sigma is sampled once; the certificate and B0 come from
-      that array, which is then folded in place into A.
+    - no split: sigma is sampled once, in slabs of k_1 rows; each slab
+      gives its row minima and B0's samples and is gathered into A's
+      sample array, so two (P, Q) arrays are held, A's and B0's, and both
+      are folded in place.
 
     The certificate's threshold theta = C/2 sets floor(k) = theta
     (1+|k|)^m; on a certified symbol every row minimum is at least twice
@@ -140,8 +142,11 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
         row_min = _row_minima(sigma, terms, window, grid)
     else:
         minima, tau0 = [], np.empty((window.size, grid.size), dtype=complex)
+        samples = np.empty_like(tau0) if terms is None else None
         for rows, S, magnitude in _blocks(sigma, terms, window, grid):
             minima.append(np.min(magnitude, axis=1))
+            if samples is not None:
+                samples[rows] = S
             with np.errstate(all="ignore"):  # a zero of sigma is refused below
                 _conjugate_over_square(S, magnitude, tau0[rows])
         row_min = np.concatenate(minima)
@@ -152,8 +157,8 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
     _check_resolution(window, grid)
     theta = rep.C / 2.0
     low = row_min < theta * np.power(window.radial_weight, m)
-    if terms is None:  # the one block was sigma's fresh samples
-        A = OperatorMatrix.from_samples(S, window, grid)
+    if terms is None:
+        A = OperatorMatrix.from_samples(samples, window, grid)
     else:
         A = OperatorMatrix.from_factors(*terms, window, grid)
     if single:
@@ -186,18 +191,29 @@ class DecayReport:
     schwartz_like: bool
 
 
+def _row_sups(rho: GridSymbol) -> np.ndarray:
+    """max over x of |rho(k, x)| for each row k, with the rows below 1e-13
+    max(1, the largest) read as 0: at roundoff level they are exact zeros
+    of the residual in disguise."""
+    rowmax = np.max(np.abs(rho.values), axis=1)
+    floor = 1e-13 * max(1.0, float(np.max(rowmax)))
+    return np.where(rowmax < floor, 0.0, rowmax)
+
+
 def residual_decay_report(rho: GridSymbol, P: int) -> DecayReport:
     """Weighted shell sups of a grid-backed residual for powers p = 0..P.
 
     The verdict requires every power's shell profile to decrease strictly
     from its peak through the last shell.  Shells contaminated by the
-    interior margin are excluded.
+    interior margin are excluded, and rows at roundoff level count as
+    zero (``_row_sups``), so a residual that is pure roundoff is zero,
+    which decays.
     """
     if P < 0:
         raise ValueError("the decay report needs a nonnegative power")
     window = rho.window
     mask = window.interior_mask(rho.interior_margin)
-    rowmax = np.max(np.abs(rho.values), axis=1)
+    rowmax = _row_sups(rho)
     sups = {}
     for p in range(P + 1):
         shells, sups[p], _ = window.shell_sups(rowmax * np.power(window.radial_weight, p), mask)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import LatticeWindow, default_grid
 from .errors import EllipticityError
-from .elliptic import parametrix
+from .elliptic import _row_sups, parametrix
 from .quantization import assemble_matrix, interior_margin
 from .symbols import EllipticityReport, Symbol, check_ellipticity
 
@@ -155,11 +155,8 @@ def _weighted_tail_bound(residual, power: int) -> float:
     """
     window = residual.window
     mask = window.interior_mask(residual.interior_margin)
-    rowmax = np.max(np.abs(residual.values), axis=1)
-    # rows at roundoff level are exact zeros of the residual in disguise
-    floor = 1e-13 * max(1.0, float(np.max(rowmax)))
-    rowmax = np.where(rowmax < floor, 0.0, rowmax)
-    _, sups, _ = window.shell_sups(rowmax * np.power(window.radial_weight, power), mask)
+    _, sups, _ = window.shell_sups(_row_sups(residual) * np.power(window.radial_weight, power),
+                                   mask)
     if not sups:
         return np.inf
     if max(sups) == 0.0:

@@ -2,8 +2,11 @@
 
 The operator acts by (T_sigma f)(k) = integral of exp(2 pi i k.x)
 sigma(k,x) fhat(x) dx; on a window x grid truncation this is exact whenever
-the grid resolves the window (M >= 2N+1).  Multiplying the samples by
-exp(2 pi i k.x) folds the phase in (``_fold``): the finite section is then
+the grid resolves the window (M >= 2N+1).  ``apply`` computes it slab by
+slab of k_1 rows of sigma's samples (``symbols._slabs``), so it forms no
+(P, Q) array, only slabs of about ``symbols._BLOCK`` entries or one k_1
+row.  Multiplying the samples by exp(2 pi i k.x) folds the phase in
+(``_fold``): the finite section is then
 the FFT of each row of the folded samples (``_section``), and one product
 with the operator is one matrix-vector product against fhat.  A symbol
 that splits exactly as sigma = sum_r a_r(k) b_r(x) (``Symbol._terms``)
@@ -21,6 +24,7 @@ the recovered symbol.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from functools import lru_cache
 
@@ -43,7 +47,7 @@ from .core import (
     _window_axis,
 )
 from .errors import DimensionMismatchError
-from .symbols import NON_FINITE_SAMPLES, DualToroidalSymbol, GridSymbol, Symbol
+from .symbols import NON_FINITE_SAMPLES, DualToroidalSymbol, GridSymbol, Symbol, _slabs
 
 _AXES = "abcdefghijklmnopqrstuvwxyz"  # einsum subscripts: k axes, then x axes
 _FOLD_BLOCK = 1 << 16  # phase-table entries ``_fold`` forms at a time
@@ -150,11 +154,15 @@ def apply(sigma: Symbol, f: LatticeSequence, grid: TorusGrid) -> LatticeSequence
 
     The sum over x of exp(2 pi i k.x) sigma(k,x) fhat(x) runs one axis at a
     time against the (2N+1, M) phase table, innermost axis first.  sigma
-    comes on its per-axis form (``Symbol._sample_axes``): fhat is first
-    summed over the x axes sigma does not vary on, sigma is multiplied in
-    place into one array over the remaining axes, and those x axes are
-    summed last.  So an x-independent symbol never forms a (P, Q) array,
-    and one that varies on every x axis multiplies fhat into its samples.
+    comes on its per-axis form (``Symbol._sample_axes``), and an empty slab
+    of it shows the axes it reads.  fhat is first summed, once, over the x
+    axes sigma does not vary on.  Then, slab by slab of k_1 rows
+    (``symbols._slabs``, about ``symbols._BLOCK`` entries of the product
+    each), sigma's slab is multiplied into fhat and the remaining x axes
+    are summed, x_1 against the slab's rows of the phase table, into the
+    slab's output rows.  A product that carries no k_1 axis is one slab.
+    So no (P, Q) array is formed: an x-independent symbol multiplies only
+    window-sized arrays, and one that varies on every axis holds one slab.
     Refuses non-finite f or samples with ValueError; a NaN or infinite
     sample always leaves its output row non-finite, so checking the output
     is exact.
@@ -163,26 +171,30 @@ def apply(sigma: Symbol, f: LatticeSequence, grid: TorusGrid) -> LatticeSequence
     _check_resolution(window, grid)
     if not np.all(np.isfinite(f.values)):
         raise ValueError("sequence carries non-finite values")
-    n = window.n
+    n, zero = window.n, np.zeros(window.n, dtype=int)
     T = forward_dft(f, grid).values.reshape((1,) * n + grid.shape)
-    S = sigma._sample_axes(window, grid, np.zeros(n, dtype=int))
+    reads = sigma._sample_axes(window, grid, zero, slice(0)).shape  # 0 on k_1 if read
     E = _phases(window.N, grid.M)
+    for j in reversed(range(n)):
+        if reads[n + j] == 1:
+            T = _sum_axis(T, E, j)
+    row_size = math.prod(np.broadcast_shapes(reads[1:], T.shape[1:]))
+    # a product that carries no k_1 axis is the same in every k_1 row
+    slabs = _slabs(window.side, row_size) if reads[0] == 0 or T.shape[0] > 1 else [slice(None)]
+    out = np.empty(window.shape, dtype=complex)
     with np.errstate(all="ignore"):  # non-finite samples are refused below
-        for j in reversed(range(n)):
-            if S.shape[n + j] == 1:
-                T = _sum_axis(T, E, j)
-        union = np.broadcast_shapes(S.shape, T.shape)
-        if S.shape == union:
-            S *= T
-            T = S
-        elif T.shape == union:
-            T *= S
-        else:
-            T = T * S
-        for j in reversed(range(n)):
-            if T.shape[n + j] > 1:
-                T = _sum_axis(T, E, j)
-        out = grid.weight * T.reshape(-1)
+        for rows in slabs:
+            S = sigma._sample_axes(window, grid, zero, rows)
+            Tr = T[rows] if T.shape[0] > 1 else T  # T is shared by every slab
+            if S.shape == np.broadcast_shapes(S.shape, Tr.shape):
+                S *= Tr
+            else:
+                S = S * Tr
+            for j in reversed(range(n)):
+                if S.shape[n + j] > 1:
+                    S = _sum_axis(S, E[rows] if j == 0 else E, j)
+            out[rows] = S.reshape(S.shape[:n])
+        out = grid.weight * out.reshape(-1)
     if not np.all(np.isfinite(out)):
         raise ValueError(NON_FINITE_SAMPLES)
     return LatticeSequence(window, out)

@@ -4,7 +4,9 @@ Three backends: a small expression language over k1..kn / x1..xn, builtin
 families (Bessel multipliers; plain k-multipliers and jump symbols, both
 expression symbols), and grid samples on a window x grid.  Sampling lays
 k_j and x_j on 2n separate axes, so each expression node is computed only
-on the axes it reads.  Diagnostics estimate the symbol-class order from
+on the axes it reads, and runs on a slab of k_1 rows as well as on the
+whole window, so ``apply`` and the certificate never form a (P, Q) array.
+Diagnostics estimate the symbol-class order from
 dyadic-shell regressions and certify ellipticity from sampled lower
 bounds; the class diagnostics sample sigma once, on the window grown by
 the largest |alpha|, and take every Delta^alpha sigma from that sample.
@@ -406,28 +408,31 @@ class Symbol:
             S = np.broadcast_to(S, full).copy()
         return S.reshape(window.size, grid.size)
 
-    def _sample_axes(self, window, grid, shift) -> np.ndarray:
+    def _sample_axes(self, window, grid, shift, rows: slice = slice(None)) -> np.ndarray:
         """sigma(k + shift, x) on the 2n axes k_1..k_n, x_1..x_n.
 
-        Axis j carries k_j = -N..N plus shift_j and axis n+j carries
-        x_j = 0..M-1 over M.  Each expression node is computed on the
-        product of the axes it reads, so the result has length 1 on every
-        axis sigma does not vary on and broadcasts to window.shape +
-        grid.shape.  It is fresh, so the caller may overwrite it.
+        Axis j carries k_j = -N..N plus shift_j (axis 0 only the k_1 rows
+        ``rows`` of that range, a slab) and axis n+j carries x_j = 0..M-1
+        over M.  Each expression node is computed on the product of the
+        axes it reads, so the result has length 1 on every axis sigma does
+        not vary on and broadcasts to the slab times grid.shape.  It is
+        fresh, so the caller may overwrite it.
         Non-finite values come back without a numpy warning: apply,
         assemble_matrix, the certificate and estimate_order refuse them.
         """
-        kcols, xcols = self._columns(window, grid, shift)
+        kcols, xcols = self._columns(window, grid, shift, rows)
         with np.errstate(all="ignore"):
             out = np.asarray(self._eval_cols(kcols, xcols), dtype=complex)
         return out.reshape((1,) * (2 * window.n)) if out.ndim == 0 else out
 
-    def _columns(self, window, grid, shift):
-        """The per-axis columns k_j + shift_j on axis j and x_j on axis n+j."""
+    def _columns(self, window, grid, shift, rows: slice = slice(None)):
+        """The per-axis columns k_j + shift_j on axis j (k_1 on its rows
+        ``rows`` only) and x_j on axis n+j."""
         self._check_dims(window.n, grid.n)
         n = window.n
         shift = np.asarray(shift, dtype=int)
-        kcols = [_along((window.axis + shift[j]).astype(float), j, 2 * n) for j in range(n)]
+        k = [window.axis[rows]] + [window.axis] * (n - 1)
+        kcols = [_along((k[j] + shift[j]).astype(float), j, 2 * n) for j in range(n)]
         xcols = [_along(grid.axis, n + j, 2 * n) for j in range(n)]
         return kcols, xcols
 
@@ -541,6 +546,7 @@ class GridSymbol(Symbol):
         self.order = order
         self.interior_margin = int(interior_margin)
         self._coeffs = None
+        self._synthesis = None  # (M, table) of the last other grid sampled on
 
     def _fourier_coeffs(self):
         # the shift form, row by row; integer frequencies via fftfreq*M
@@ -550,17 +556,16 @@ class GridSymbol(Symbol):
             self._coeffs = (c, freqs)
         return self._coeffs
 
-    def sample_shifted(self, window, grid, shift):
+    def _sample_axes(self, window, grid, shift, rows: slice = slice(None)):
+        """The stored rows at k + shift for the k_1 rows ``rows``, laid on the 2n axes."""
         self._check_dims(window.n, grid.n)
-        rows, inside = self._rows(window.points + np.asarray(shift, dtype=int))
+        K = window.points.reshape(window.shape + (window.n,))[rows].reshape(-1, window.n)
+        stored, inside = self._rows(K + np.asarray(shift, dtype=int))
         if not np.all(inside):
             raise OutOfWindowError(
                 f"shifted evaluation leaves the backing window N={self.window.N}")
-        return self._row_samples(rows, grid)
-
-    def _sample_axes(self, window, grid, shift):
-        """The stored rows at k + shift, laid on the 2n axes."""
-        return self.sample_shifted(window, grid, shift).reshape(window.shape + grid.shape)
+        samples = self._row_samples(stored, grid)
+        return samples.reshape((len(window.axis[rows]),) + window.shape[1:] + grid.shape)
 
     def _rows(self, K):
         """Rows of the points K that lie in the backing window, and the mask of those points."""
@@ -568,19 +573,27 @@ class GridSymbol(Symbol):
         return np.ravel_multi_index((K[inside] + self.window.N).T, self.window.shape), inside
 
     def _row_samples(self, rows, grid):
-        """The stored rows on ``grid``: a fresh copy, interpolated when M differs."""
+        """The stored rows on ``grid``: a fresh copy, interpolated when M differs.
+
+        The synthesis table of the last other grid is kept, so the slabs
+        of one sampling pass build it once.
+        """
         if grid.M == self.grid.M:
             return self.values[rows]
-        return self._interp_rows(rows, grid.nodes)
+        if self._synthesis is None or self._synthesis[0] != grid.M:
+            self._synthesis = (grid.M, self._synthesis_table(grid.nodes))
+        return self._fourier_coeffs()[0][rows] @ self._synthesis[1].T
 
     def _interp_rows(self, rows, X):
-        c, freqs = self._fourier_coeffs()
-        n, M = self.n, self.grid.M
-        cc = c[rows]  # (R, M^n)
-        mgrids = np.meshgrid(*([freqs] * n), indexing="ij")
+        return self._fourier_coeffs()[0][rows] @ self._synthesis_table(X).T
+
+    def _synthesis_table(self, X):
+        """(len(X), M^n) table exp(2 pi i m.x) of the stored grid's Fourier
+        modes m at the points X."""
+        _, freqs = self._fourier_coeffs()
+        mgrids = np.meshgrid(*([freqs] * self.n), indexing="ij")
         Mpts = np.stack([g.ravel() for g in mgrids], axis=-1)  # (M^n, n)
-        E = np.exp(1j * TWO_PI * (X @ Mpts.T.astype(float)))  # (Q, M^n)
-        return cc @ E.T
+        return np.exp(1j * TWO_PI * (X @ Mpts.T.astype(float)))
 
     def eval(self, k, x) -> complex:
         k = np.asarray(k, dtype=int).reshape(-1)
@@ -820,33 +833,48 @@ def check_ellipticity(sigma: Symbol, m: float, window: LatticeWindow,
     return _certificate(_row_minima(sigma, sigma._terms(window, grid), window, grid), m, window)
 
 
-_BLOCK = 1 << 14  # samples in one row block of separated factors
+_BLOCK = 1 << 14  # samples in one row block or slab
+
+
+def _slabs(count: int, row_size: int) -> list:
+    """Rows 0..count-1 of an array with ``row_size`` entries per row, cut
+    into slices of about ``_BLOCK`` entries and at least one row each."""
+    width = max(1, _BLOCK // row_size)
+    return [slice(start, min(start + width, count)) for start in range(0, count, width)]
 
 
 def _blocks(sigma: Symbol, terms, window: LatticeWindow, grid: TorusGrid):
-    """Yield sigma's samples on window x grid as (rows, S, |S|).
+    """Yield sigma's samples on window x grid as (rows, S, |S|), ``rows``
+    the slice of window points that S holds, in blocks of about ``_BLOCK``
+    samples.
 
-    Without a split (``terms`` None) that is one block: a fresh sample
-    array.  From separated factors (a, b) it is row blocks a[rows] @ b of
-    about ``_BLOCK`` samples, each written over the last one's buffers, so
-    no (P, Q) array is formed here and the caller may overwrite a block.
-    Non-finite factors or samples raise ValueError; under IEEE arithmetic
-    a non-finite factor leaves some sample non-finite.
+    Without a split (``terms`` None) the blocks are slabs of k_1 rows
+    (``Symbol._sample_axes``); from separated factors (a, b) they are row
+    blocks a[rows] @ b.  Each block is written over the last one's
+    buffers, so no (P, Q) array is formed here and the caller may
+    overwrite a block.  Non-finite factors or samples raise ValueError;
+    under IEEE arithmetic a non-finite factor leaves some sample
+    non-finite.
     """
     if terms is None:
-        S = sigma.sample(window, grid)
-        yield slice(None), S, _modulus(S, None)
-        return
-    a, b = terms
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError(NON_FINITE_SAMPLES)
-    step = min(window.size, max(1, _BLOCK // grid.size))
+        width = window.size // window.side  # a slab row is a k_1 row of window points
+    else:
+        a, b = terms
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValueError(NON_FINITE_SAMPLES)
+        width = 1
+    slabs = _slabs(window.size // width, width * grid.size)
+    step, zero = slabs[0].stop * width, np.zeros(window.n, dtype=int)
     S, magnitude = np.empty((step, grid.size), dtype=complex), np.empty((step, grid.size))
-    for start in range(0, window.size, step):
-        rows = slice(start, min(start + step, window.size))
-        block = S[:rows.stop - start]
+    for slab in slabs:
+        rows = slice(slab.start * width, slab.stop * width)
+        block = S[:rows.stop - rows.start]
         with np.errstate(all="ignore"):  # an overflow is refused by _modulus
-            np.matmul(a[rows], b, out=block)
+            if terms is None:
+                np.copyto(block.reshape((-1,) + window.shape[1:] + grid.shape),
+                          sigma._sample_axes(window, grid, zero, slab))
+            else:
+                np.matmul(a[rows], b, out=block)
         yield rows, block, _modulus(block, out=magnitude[:len(block)])
 
 

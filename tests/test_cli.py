@@ -56,6 +56,7 @@ def test_apply_constant_doubles(tmp_path, capsys):
     assert g[(2,)] == pytest.approx(2.0)
     assert rep["output_norms"]["l2"] == pytest.approx(2.0)
     assert rep["config"]["M"] == 13  # default 2N+3
+    assert rep["config"]["aliasing_margin"] == 2  # M - (2N+1)
 
 
 def test_apply_bessel_weights_delta(tmp_path, capsys):
@@ -442,6 +443,7 @@ def test_invft_on_a_small_grid_takes_the_smallest_window(tmp_path, capsys, M):
     path.write_text("x1,re,im\n" + "".join(f"{j / M!r},1.0,0.0\n" for j in range(M)))
     rep = report_of(capsys, "invft", str(path), "--no-timestamp")
     assert rep["config"]["N"] == 1 and rep["config"]["M"] == M
+    assert rep["config"]["aliasing_margin"] == M - 3
     assert rep["output_norms"]["l2"] == pytest.approx(1.0)  # the delta at k = 0
 
 

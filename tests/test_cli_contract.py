@@ -36,17 +36,17 @@ REMOVED = [(cmd, opt) for cmd, (shared, _) in OPTIONS.items()
 
 # config keys beyond command and version
 CONFIG_KEYS = {
-    "apply": {"n", "N", "M", "out"},
-    "ft": {"n", "N", "M", "out"},
-    "invft": {"n", "N", "M", "out"},
-    "compose": {"n", "N", "M", "out"},
-    "adjoint": {"n", "N", "M", "out"},
+    "apply": {"n", "N", "M", "aliasing_margin", "out"},
+    "ft": {"n", "N", "M", "aliasing_margin", "out"},
+    "invft": {"n", "N", "M", "aliasing_margin", "out"},
+    "compose": {"n", "N", "M", "aliasing_margin", "out"},
+    "adjoint": {"n", "N", "M", "aliasing_margin", "out"},
     "norm": {"n", "N"},
-    "classify": {"n", "N", "M"},
-    "parametrix": {"n", "N", "M", "out"},
-    "solve": {"n", "N", "M", "out"},
+    "classify": {"n", "N", "M", "aliasing_margin"},
+    "parametrix": {"n", "N", "M", "aliasing_margin", "out"},
+    "solve": {"n", "N", "M", "aliasing_margin", "out"},
     "spectrum": {"n", "N", "out"},
-    "index": {"n", "N", "M"},
+    "index": {"n", "N", "M", "aliasing_margin"},
     "verify": {"seed", "out"},
 }
 

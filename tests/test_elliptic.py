@@ -344,6 +344,30 @@ def test_solve_holds_at_most_the_folded_inverse(sigma, m, arrays):
     assert _second_solve_peak(sigma, m, w, g) < arrays * w.size * g.size * 16
 
 
+def _second_parametrix_peak(sigma, w, g):
+    """tracemalloc peak of a second parametrix call on w x g."""
+    parametrix(sigma, 0.0, 1, w, g)
+    tracemalloc.start()
+    try:
+        parametrix(sigma, 0.0, 1, w, g)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("grid_backed", [False, True], ids=["expression", "grid"])
+def test_parametrix_without_a_split_holds_two_sample_arrays(grid_backed):
+    # sigma's slabs are gathered into A's samples beside B0's: two (P, Q)
+    # arrays, where a whole sample array and its modulus made 2.5
+    w = LatticeWindow(2, 16)
+    g = default_grid(w)
+    sigma = parse_symbol("2 + exp(i*k1*x1)", 2)
+    if grid_backed:
+        sigma = GridSymbol(w, g, sigma.sample(w, g))
+    assert sigma._terms(w, g) is None
+    assert _second_parametrix_peak(sigma, w, g) <= 2.1 * w.size * g.size * 16
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_certified_symbols_regularize_no_point(data):
@@ -406,6 +430,21 @@ def test_decay_report_zero_residual():
     rep = residual_decay_report(rho, 3)
     assert all(max(rep.shell_sups[p], default=0.0) == 0.0 for p in rep.powers)
     assert rep.schwartz_like
+
+
+@pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
+def test_decay_report_reads_roundoff_as_zero(n, N):
+    # residuals at the 1e-16 level, as a parametrix that inverts its symbol
+    # exactly leaves: every seed gives the verdict of the zero residual
+    w = LatticeWindow(n, N)
+    g = default_grid(w)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal((w.size, g.size)) * 10.0 ** rng.uniform(-30, -15, (w.size, 1))
+        rho = GridSymbol(w, g, noise.astype(complex), interior_margin=interior_margin(w))
+        rep = residual_decay_report(rho, 3)
+        assert all(max(rep.shell_sups[p], default=0.0) == 0.0 for p in rep.powers)
+        assert rep.schwartz_like
 
 
 def test_decay_report_superpolynomial():

@@ -16,6 +16,7 @@ from latticeops import (
     apply,
     assemble_matrix,
     bessel_symbol,
+    check_ellipticity,
     compose,
     default_grid,
     dual_toroidal_symbol,
@@ -36,7 +37,7 @@ from latticeops.quantization import (
     write_matrix_binary,
     write_matrix_json,
 )
-from latticeops.symbols import MAX_TERMS, NON_FINITE_SAMPLES
+from latticeops.symbols import MAX_TERMS, NON_FINITE_SAMPLES, Symbol, _slabs
 
 
 @pytest.fixture
@@ -285,9 +286,9 @@ def test_apply_holds_one_sample_array_and_no_dft_table():
     _dft_matrix.cache_clear()
     peak = _second_apply_peak(parse_symbol(EXPR_ORDER0, 2, order=0), w, g)
     assert _dft_matrix.cache_info().currsize == 0
-    # the samples, multiplied by fhat in place; every other node of the
-    # expression runs on fewer axes than the (P, Q) pairs
-    assert peak < 1.5 * w.size * g.size * 16
+    # one k_1 row of samples at a time, multiplied by fhat in place; every
+    # other node of the expression runs on fewer axes than the slab
+    assert peak <= 0.25 * w.size * g.size * 16
 
 
 def _kinds_of_dependence(n):
@@ -310,6 +311,82 @@ def test_apply_matches_the_dense_sum_on_every_kind_of_dependence(n, N):
         want = dense_apply(sigma.sample(w, g), f, g)
         got = apply(sigma, f, g).values
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want)), sigma
+
+
+def _slab_cases(n, w, g):
+    """Every kind of dependence, sigma without a split, a grid symbol, and
+    symbols that read x_1 but not k_1 or k_1 but not x_1."""
+    cases = _kinds_of_dependence(n) + [parse_symbol("2 + exp(i*k1*x1)", n)]
+    cases.append(GridSymbol(w, g, cases[-1].sample(w, g)))
+    if n == 2:
+        cases += [parse_symbol("exp(i*twopi*(x1+x2))*(1+k2^2)", n),
+                  parse_symbol("cos(twopi*x2)*(1+k2^2)/(1+k1^2)", n)]
+    return cases
+
+
+@pytest.mark.parametrize("n,N", [(2, 24), (1, 256)])
+def test_apply_in_slabs_matches_the_dense_sum(n, N):
+    w = LatticeWindow(n, N)
+    g = default_grid(w)
+    assert len(_slabs(w.side, w.size // w.side * g.size)) > 1
+    f = LatticeSequence.random(w, np.random.default_rng(n))
+    try:
+        for sigma in _slab_cases(n, w, g):
+            want = dense_apply(sigma.sample(w, g), f, g)
+            got = apply(sigma, f, g).values
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want)), sigma
+    finally:
+        _dft_matrix.cache_clear()  # the oracle's (Q, P) table
+
+
+def test_a_grid_symbol_on_another_grid_synthesizes_once(monkeypatch):
+    # every slab interpolates its stored rows through one synthesis table
+    w = LatticeWindow(2, 12)
+    g, other = default_grid(w), TorusGrid(2, 2 * w.N + 8)
+    values = parse_symbol("2 + exp(i*k1*x1) + cos(twopi*x2)*k1", 2).sample(w, g)
+    f = LatticeSequence.random(w, np.random.default_rng(9))
+    want = dense_apply(GridSymbol(w, g, values).sample(w, other), f, other)
+    _dft_matrix.cache_clear()
+    tables = []
+
+    def synthesis_table(self, X, _original=GridSymbol._synthesis_table):
+        tables.append(len(X))
+        return _original(self, X)
+
+    monkeypatch.setattr(GridSymbol, "_synthesis_table", synthesis_table)
+    got = apply(GridSymbol(w, g, values), f, other).values
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+    assert tables == [other.size]
+
+
+@pytest.mark.parametrize("sigma", [bessel_symbol(2, n=2), parse_symbol("cos(twopi*x1)*(1+k2^2)", 2)],
+                         ids=["x-independent", "k1-independent"])
+def test_a_small_product_is_one_slab(sigma, monkeypatch):
+    # the product of bessel2 with the summed fhat is P entries, and one
+    # that carries no k_1 axis repeats in every k_1 row: neither is cut
+    w = LatticeWindow(2, 24)
+    g = default_grid(w)
+    slabs = []
+
+    def sample_axes(self, window, grid, shift, rows=slice(None), _original=Symbol._sample_axes):
+        slabs.append(range(window.side)[rows])
+        return _original(self, window, grid, shift, rows)
+
+    monkeypatch.setattr(Symbol, "_sample_axes", sample_axes)
+    apply(sigma, LatticeSequence.random(w, np.random.default_rng(8)), g)
+    assert slabs == [range(0), range(w.side)]  # the empty probe, then one slab
+
+
+@pytest.mark.parametrize("text", ["1/(k1-{N})", "exp(i*k1*x1)/(k1-{N})"])
+def test_a_pole_in_the_last_slab_is_refused(text):
+    w = LatticeWindow(2, 12)
+    g = default_grid(w)
+    sigma = parse_symbol(text.format(N=w.N), 2)
+    f = LatticeSequence.random(w, np.random.default_rng(7))
+    with pytest.raises(ValueError, match=NON_FINITE_SAMPLES):
+        apply(sigma, f, g)
+    with pytest.raises(ValueError, match=NON_FINITE_SAMPLES):
+        check_ellipticity(sigma, 0.0, w, g)
 
 
 def test_x_independent_apply_forms_no_sample_array():

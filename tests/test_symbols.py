@@ -3,6 +3,7 @@
 import json
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from latticeops.symbols import (
     Num,
     Symbol,
     Var,
+    _certificate,
     _differences,
     pretty_print,
     s0_decay_profile,
@@ -216,6 +218,33 @@ def test_certificate_profile_is_the_direct_shell_minimum(sigma, m, n):
     shells, minima = _direct_shell_minima(sigma, m, w)
     assert rep.shells == shells
     assert rep.min_ratio_profile == minima   # bit for bit
+
+
+@pytest.mark.parametrize("n,N", [(1, 256), (2, 16)])
+def test_certificate_in_slabs_is_the_certificate_of_the_whole_sample(n, N):
+    w = LatticeWindow(n, N)
+    g = default_grid(w)
+    for sigma in (parse_symbol("exp(i*k1*x1)", n), parse_symbol("2 + exp(i*k1*x1)/(1+k1^2)", n)):
+        assert sigma._terms(w, g) is None
+        whole = _certificate(np.min(np.abs(sigma.sample(w, g)), axis=1), 0.0, w)
+        assert check_ellipticity(sigma, 0.0, w, g) == whole
+
+
+@pytest.mark.parametrize("grid_backed", [False, True], ids=["expression", "grid"])
+def test_certificate_without_a_split_forms_no_sample_array(grid_backed):
+    w = LatticeWindow(2, 12)
+    g = default_grid(w)
+    sigma = parse_symbol("2 + exp(i*k1*x1)", 2)
+    if grid_backed:
+        sigma = GridSymbol(w, g, sigma.sample(w, g))
+    check_ellipticity(sigma, 0.0, w, g)
+    tracemalloc.start()
+    try:
+        check_ellipticity(sigma, 0.0, w, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * w.size * g.size * 16
 
 
 @pytest.mark.parametrize("text", ["k1/k1", "1/k1", "2 + 1/(k1*x1)"])
