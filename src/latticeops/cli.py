@@ -239,8 +239,6 @@ def cmd_parametrix(args):
         "config": _config(args, window, grid),
         "order": m,
         "steps": par.steps,
-        "threshold": par.threshold,
-        "regularized_points": par.regularized_points,
         "max_left_residual": float(np.max(np.abs(par.left_residual.values))),
         "max_right_residual": float(np.max(np.abs(par.right_residual.values))),
         "decay": {"powers": decay.powers, "shells": decay.shells,

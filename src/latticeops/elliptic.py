@@ -40,16 +40,13 @@ class Parametrix:
     a few size-Q transforms and, on folded samples, one matrix-vector
     product.  Built on first read and kept, each at most once: the
     sections of A and B0, each of which replaces the form it came from;
-    B_J (``matrix``); the defects; and the symbols extracted from B_J and
+    B_J (``matrix``); the defects; and the residual symbols extracted
     from them.  So a caller that only applies the parametrix forms no
     P x P array.
     """
     sigma_matrix: OperatorMatrix  # A
     initial: OperatorMatrix       # B0
-    sigma_order: float          # m
-    steps: int                  # J
-    threshold: float
-    regularized_points: list    # window indices where min |sigma| < theta (1+|k|)^m
+    steps: int                    # J
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """B_J r: v = B0 r, then J-1 times v <- v + B0 (r - A v)."""
@@ -62,24 +59,12 @@ class Parametrix:
     @cached_property
     def matrix(self) -> OperatorMatrix:
         """B_J, from B_1 = B0 and B_{j+1} = B_j + B0 (I - A B_j)."""
-        B = self.initial
+        A, B0 = self.sigma_matrix, self.initial
+        B = B0
         for _ in range(self.steps - 1):
-            B = self._step(B)
+            B = OperatorMatrix(B.window, B.grid, B.entries + B0.entries @ (
+                np.eye(B.window.size) - A.entries @ B.entries))
         return B
-
-    def _step(self, B: OperatorMatrix) -> OperatorMatrix:
-        A, B0 = self.sigma_matrix.entries, self.initial.entries
-        return OperatorMatrix(B.window, B.grid,
-                              B.entries + B0 @ (np.eye(B.window.size) - A @ B.entries))
-
-    def refined(self) -> "Parametrix":
-        """The parametrix with one more Neumann step.  It shares A and B0, so
-        their sections carry over, and a B_J already built is carried
-        forward by one step, not rebuilt."""
-        par = replace(self, steps=self.steps + 1)
-        if "matrix" in vars(self):
-            par.matrix = self._step(self.matrix)
-        return par
 
     @cached_property
     def left_defect(self) -> OperatorMatrix:
@@ -92,11 +77,6 @@ class Parametrix:
         """A B - I."""
         B, A = self.matrix, self.sigma_matrix
         return OperatorMatrix(B.window, B.grid, A.entries @ B.entries - np.eye(B.window.size))
-
-    @cached_property
-    def tau(self) -> GridSymbol:
-        """Symbol of B, of order -m."""
-        return extract_symbol(self.matrix, order=-float(self.sigma_order))
 
     @cached_property
     def left_residual(self) -> GridSymbol:
@@ -129,10 +109,8 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
       sample array, so two (P, Q) arrays are held, A's and B0's, and both
       are folded in place.
 
-    The certificate's threshold theta = C/2 sets floor(k) = theta
-    (1+|k|)^m; on a certified symbol every row minimum is at least twice
-    the floor, so ``regularized_points`` is empty.  No P x P array is
-    formed here: the sections and B_J are built only when first read.
+    No P x P array is formed here: the sections and B_J are built only
+    when first read.
     """
     if J < 1:
         raise ValueError("need at least one Neumann step")
@@ -155,8 +133,6 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
         raise EllipticityError(
             f"symbol not certified elliptic of order {m} on N={window.N}", rep)
     _check_resolution(window, grid)
-    theta = rep.C / 2.0
-    low = row_min < theta * np.power(window.radial_weight, m)
     if terms is None:
         A = OperatorMatrix.from_samples(samples, window, grid)
     else:
@@ -165,7 +141,7 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
         B0 = OperatorMatrix.from_factors(1 / terms[0], 1 / terms[1], window, grid)
     else:
         B0 = OperatorMatrix.from_samples(tau0, window, grid)
-    return Parametrix(A, B0, m, J, theta, np.where(low)[0].tolist())
+    return Parametrix(A, B0, J)
 
 
 def _conjugate_over_square(S: np.ndarray, magnitude: np.ndarray, out: np.ndarray) -> None:
@@ -348,14 +324,14 @@ def solve(sigma: Symbol, m: float, f: LatticeSequence, window: LatticeWindow,
 
 def residual_order_sequence(sigma: Symbol, m: float, window: LatticeWindow,
                             grid: TorusGrid) -> list:
-    """Estimated order of the left residual for J = 1, 2, 3, refining one parametrix."""
-    orders = []
-    par = None
-    for _ in range(3):
-        par = parametrix(sigma, m, 1, window, grid) if par is None else par.refined()
-        est = estimate_order(par.left_residual, window, grid, alpha_max=0, beta_max=0)
-        orders.append(est.m_hat)
-    return orders
+    """Estimated order of the left residual for J = 1, 2, 3.
+
+    One parametrix is built; its copies at J steps share A and B0, so
+    sigma is evaluated once and each section is formed once.
+    """
+    par = parametrix(sigma, m, 1, window, grid)
+    return [estimate_order(replace(par, steps=J).left_residual, window, grid,
+                           alpha_max=0, beta_max=0).m_hat for J in (1, 2, 3)]
 
 
 __all__ = [

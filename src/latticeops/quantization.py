@@ -23,9 +23,7 @@ the recovered symbol.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from functools import lru_cache
 
 import numpy as np
@@ -301,10 +299,13 @@ def _factor_section(a: np.ndarray, b: np.ndarray, window: LatticeWindow,
 
 def assemble_matrix(sigma: Symbol, window: LatticeWindow, grid: TorusGrid) -> OperatorMatrix:
     """entries(k,l) = quadrature of exp(2 pi i (k-l).x) sigma(k,x), from
-    sigma's separated factors or its folded samples (``OperatorMatrix.from_symbol``)."""
+    sigma's separated factors or its folded samples (``OperatorMatrix.from_symbol``),
+    with the section formed."""
     _check_resolution(window, grid)
     with np.errstate(all="ignore"):  # OperatorMatrix refuses non-finite entries
-        return OperatorMatrix(window, grid, OperatorMatrix.from_symbol(sigma, window, grid).entries)
+        A = OperatorMatrix.from_symbol(sigma, window, grid)
+        A.entries  # formed now, so non-finite samples are refused at the call
+    return A
 
 
 def assemble_toroidal_matrix(tau: DualToroidalSymbol, window: LatticeWindow,
@@ -348,51 +349,3 @@ def adjoint_symbol(sigma: Symbol, window: LatticeWindow,
     A = assemble_matrix(sigma, window, grid)
     return extract_symbol(A.adjoint(), order=sigma.order)
 
-
-# -- matrix file format ------------------------------------------------------
-
-_MAGIC = b"LOPM"
-
-
-def write_matrix_binary(path, A: OperatorMatrix) -> None:
-    """Header + row-major little-endian float64 (re, im) pairs."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<4i", A.window.n, A.window.N, A.grid.n, A.grid.M))
-        inter = np.empty(A.entries.size * 2, dtype="<f8")
-        inter[0::2] = A.entries.real.ravel()
-        inter[1::2] = A.entries.imag.ravel()
-        fh.write(inter.tobytes())
-
-
-def read_matrix_binary(path) -> OperatorMatrix:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not an operator-matrix file")
-        n, N, gn, M = struct.unpack("<4i", fh.read(16))
-        window = LatticeWindow(n, N)
-        grid = TorusGrid(gn, M)
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-        entries = (raw[0::2] + 1j * raw[1::2]).reshape(window.size, window.size)
-        return OperatorMatrix(window, grid, entries)
-
-
-def write_matrix_json(path, A: OperatorMatrix) -> None:
-    payload = {
-        "window": {"n": A.window.n, "N": A.window.N},
-        "grid": {"n": A.grid.n, "M": A.grid.M},
-        "entries": np.stack(
-            [A.entries.real.ravel(), A.entries.imag.ravel()], axis=-1).tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def read_matrix_json(path) -> OperatorMatrix:
-    with open(path) as fh:
-        d = json.load(fh)
-    window = LatticeWindow(d["window"]["n"], d["window"]["N"])
-    grid = TorusGrid(d["grid"]["n"], d["grid"]["M"])
-    raw = np.asarray(d["entries"], dtype=float)
-    entries = (raw[:, 0] + 1j * raw[:, 1]).reshape(window.size, window.size)
-    return OperatorMatrix(window, grid, entries)

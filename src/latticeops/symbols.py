@@ -546,7 +546,6 @@ class GridSymbol(Symbol):
         self.order = order
         self.interior_margin = int(interior_margin)
         self._coeffs = None
-        self._synthesis = None  # (M, table) of the last other grid sampled on
 
     def _fourier_coeffs(self):
         # the shift form, row by row; integer frequencies via fftfreq*M
@@ -573,27 +572,29 @@ class GridSymbol(Symbol):
         return np.ravel_multi_index((K[inside] + self.window.N).T, self.window.shape), inside
 
     def _row_samples(self, rows, grid):
-        """The stored rows on ``grid``: a fresh copy, interpolated when M differs.
-
-        The synthesis table of the last other grid is kept, so the slabs
-        of one sampling pass build it once.
-        """
+        """The stored rows on ``grid``: a fresh copy, resampled when M differs."""
         if grid.M == self.grid.M:
             return self.values[rows]
-        if self._synthesis is None or self._synthesis[0] != grid.M:
-            self._synthesis = (grid.M, self._synthesis_table(grid.nodes))
-        return self._fourier_coeffs()[0][rows] @ self._synthesis[1].T
+        return self._synthesize(rows, [grid.axis] * self.n)
 
-    def _interp_rows(self, rows, X):
-        return self._fourier_coeffs()[0][rows] @ self._synthesis_table(X).T
+    def _synthesize(self, rows, coords) -> np.ndarray:
+        """The stored rows ``rows`` as trigonometric polynomials, sum over m of
+        C[k, m] exp(2 pi i m.x), at the points x of the product grid
+        coords[0] x ... x coords[n-1], as a (len(rows), prod len(coords[j])) array.
 
-    def _synthesis_table(self, X):
-        """(len(X), M^n) table exp(2 pi i m.x) of the stored grid's Fourier
-        modes m at the points X."""
-        _, freqs = self._fourier_coeffs()
-        mgrids = np.meshgrid(*([freqs] * self.n), indexing="ij")
-        Mpts = np.stack([g.ravel() for g in mgrids], axis=-1)  # (M^n, n)
-        return np.exp(1j * TWO_PI * (X @ Mpts.T.astype(float)))
+        The shift form C is contracted one axis at a time against the
+        (len(coords[j]), M) table exp(2 pi i m x_j), last axis first, so no
+        table over all M^n modes is formed.
+        """
+        C, freqs = self._fourier_coeffs()
+        T = C[rows]
+        M, after = self.grid.M, 1
+        for x in reversed(coords):
+            E = np.exp(1j * TWO_PI * np.outer(x, freqs))
+            # (.., M) @ E^T on the last axis; E @ (.., M, after) on an inner one
+            T = T.reshape(-1, M) @ E.T if after == 1 else E @ T.reshape(-1, M, after)
+            after *= len(x)
+        return T.reshape(-1, after)
 
     def eval(self, k, x) -> complex:
         k = np.asarray(k, dtype=int).reshape(-1)
@@ -604,10 +605,10 @@ class GridSymbol(Symbol):
         row = self.window.index_of(k)
         # the stored sample when x is a grid node, else the interpolant
         jx = x * self.grid.M
-        if np.allclose(jx, np.rint(jx), atol=1e-12):
+        if np.allclose(jx, np.rint(jx), rtol=0.0, atol=1e-12):
             col = np.ravel_multi_index(np.rint(jx).astype(int) % self.grid.M, self.grid.shape)
             return complex(self.values[row, col])
-        return complex(self._interp_rows([row], x.reshape(1, -1))[0, 0])
+        return complex(self._synthesize([row], x[:, None])[0, 0])
 
     def __repr__(self):
         return (f"GridSymbol(N={self.window.N}, M={self.grid.M}, "
@@ -949,7 +950,8 @@ def s0_decay_profile(sigma: Symbol, window: LatticeWindow, grid: TorusGrid,
 
 def _decreasing_from_peak(prof) -> bool:
     """True when a shell profile strictly decreases from its last peak through
-    the last shell, or is identically zero; False with fewer than two shells."""
+    the last shell, where a shell of exact zero may follow another, or is
+    identically zero; False with fewer than two shells."""
     if len(prof) < 2:
         return False
     if max(prof) == 0.0:
@@ -959,7 +961,7 @@ def _decreasing_from_peak(prof) -> bool:
     if peak >= len(prof) - 1:
         return False
     tail = prof[peak:]
-    return all(b < a for a, b in zip(tail, tail[1:]))
+    return all(b < a or a == b == 0.0 for a, b in zip(tail, tail[1:]))
 
 
 def dual_toroidal_symbol(sigma: Symbol) -> DualToroidalSymbol:

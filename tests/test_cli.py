@@ -8,8 +8,11 @@ import pytest
 from latticeops import (
     LatticeSequence,
     LatticeWindow,
+    check_ellipticity,
+    default_grid,
     parse_symbol,
     shipped_path,
+    shipped_symbol,
     write_sequence_csv,
     write_symbol_json,
 )
@@ -113,10 +116,24 @@ def test_parametrix_command_and_csv(tmp_path, capsys):
     rep = report_of(capsys, "parametrix", str(shipped_path("constant")),
                     "--N", "16", "--steps", "2", "--out", out)
     assert rep["max_left_residual"] < 1e-12
-    assert rep["regularized_points"] == []
+    # every row minimum of |sigma| is at least twice the floor theta (1+|k|)^m, theta = C/2
+    sigma = shipped_symbol("constant")
+    w = LatticeWindow(1, 16)
+    g = default_grid(w)
+    theta = check_ellipticity(sigma, rep["order"], w, g).C / 2.0
+    row_min = np.min(np.abs(sigma.sample(w, g)), axis=1)
+    assert np.all(row_min >= 2 * theta * np.power(w.radial_weight, rep["order"]))
     lines = open(out).read().splitlines()
     assert lines[0] == "shell,power,weighted_sup"
     assert len(lines) > 1
+
+
+def test_parametrix_reads_a_residual_zero_after_its_peak_as_decaying(capsys):
+    # jump_plus's left residual is exactly zero beyond the first shell
+    rep = report_of(capsys, "parametrix", str(shipped_path("jump_plus")), "--N", "16")
+    for sups in rep["decay"]["shell_sups"].values():
+        assert sups[0] > 0.0 and sups[1:] == [0.0] * (len(sups) - 1)
+    assert rep["decay"]["schwartz_like"] is True
 
 
 def test_solve_command(tmp_path, capsys):

@@ -130,6 +130,9 @@ INDEX_KEYS = {"config", "elliptic", "windows", "dim_ker", "dim_coker", "gap_evid
 PROBE_KEYS = {"elliptic", "ellipticity", "atkinson", "near_kernel_counts", "windows",
               "consistent"}
 ELLIPTICITY_KEYS = {"elliptic", "C", "M_radius", "min_ratio_profile", "shells"}
+PARAMETRIX_KEYS = {"config", "order", "steps", "max_left_residual", "max_right_residual",
+                   "decay"}
+DECAY_KEYS = {"powers", "shells", "shell_sups", "schwartz_like"}
 
 
 def _step_symbol(files):
@@ -156,6 +159,9 @@ def test_report_key_sets(files, capsys):
     assert set(probed["probe"]["ellipticity"]) == ELLIPTICITY_KEYS
     classify = _report(capsys, ["classify", *good_argv("classify", files)])
     assert set(classify["ellipticity"]) == ELLIPTICITY_KEYS
+    par = _report(capsys, ["parametrix", *good_argv("parametrix", files)])
+    assert set(par) == PARAMETRIX_KEYS
+    assert set(par["decay"]) == DECAY_KEYS
     spectrum = _report(capsys, ["spectrum", *good_argv("spectrum", files)])
     assert set(spectrum) == {"config", "kind", "description", "windows", "singular_values",
                              "fit_exponent", "count_below_0.1", "fraction_below_0.1"}

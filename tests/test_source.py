@@ -55,12 +55,12 @@ def test_source_imports_only_declared_dependencies():
 
 def test_benchmark_trace_targets_resolve():
     # the tracer wraps these names from outside the package, and the smoke
-    # test deletes quantization._dft_matrix
+    # test deletes core._dft_matrix, quantization._dft_matrix and core.phase_matrix
     tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     expected = next(ast.literal_eval(node.value) for node in ast.parse(tracer.read_text()).body
                     if isinstance(node, ast.Assign)
                     and getattr(node.targets[0], "id", None) == "EXPECTED")
-    for target in (*expected, "quantization._dft_matrix"):
+    for target in (*expected, "quantization._dft_matrix", "core.phase_matrix"):
         module, *attrs = target.split(".")
         obj = importlib.import_module(f"latticeops.{module}")
         for attr in attrs:
