@@ -241,6 +241,7 @@ def cmd_parametrix(args):
         "steps": par.steps,
         "max_left_residual": float(np.max(np.abs(par.left_residual.values))),
         "max_right_residual": float(np.max(np.abs(par.right_residual.values))),
+        "sections": par.form_report(),
         "decay": {"powers": decay.powers, "shells": decay.shells,
                   "shell_sups": {str(p): decay.shell_sups[p] for p in decay.powers},
                   "schwartz_like": decay.schwartz_like},

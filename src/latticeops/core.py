@@ -337,45 +337,27 @@ def shift_coefficients(values: np.ndarray, window: LatticeWindow,
     """Shift form C[k, m] = M^-n sum_x exp(-2 pi i m.x) sigma(k, x) of samples.
 
     ``values`` holds sigma on window x grid as a (window.size, grid.size)
-    array; column m of C is the flat grid index of m mod M.  T_sigma acts as
-    sum_m C[k, m] f(k + m), so its section on a resolved window is the
-    gather A[k, l] = C[k, (l - k) mod M] through :func:`_shift_index`.
+    array, or on some of the window's rows; column m of C is the flat grid
+    index of m mod M.  T_sigma acts as sum_m C[k, m] f(k + m), so its
+    section on a resolved window is the gather A[k, l] = C[k, (l - k) mod M];
+    for each k the map l -> (l - k) mod M is one to one when M >= 2N+1, so
+    scattering the section back inverts the gather.
     """
-    arr = np.asarray(values).reshape((window.size,) + grid.shape)
+    arr = np.asarray(values).reshape((-1,) + grid.shape)
     # a given output buffer spares fftn one temporary per axis
     C = np.fft.fftn(arr, axes=tuple(range(1, grid.n + 1)), norm="forward",
                     out=np.empty(arr.shape, dtype=complex))
-    return C.reshape(window.size, grid.size)
+    return C.reshape(-1, grid.size)
 
 
 def shift_samples(coeffs: np.ndarray, window: LatticeWindow,
                   grid: TorusGrid) -> np.ndarray:
-    """Samples sigma(k, x) = sum_m C[k, m] exp(2 pi i m.x); inverts shift_coefficients."""
-    arr = np.asarray(coeffs).reshape((window.size,) + grid.shape)
+    """Samples sigma(k, x) = sum_m C[k, m] exp(2 pi i m.x), on all of the
+    window's rows or some of them; inverts shift_coefficients."""
+    arr = np.asarray(coeffs).reshape((-1,) + grid.shape)
     S = np.fft.ifftn(arr, axes=tuple(range(1, grid.n + 1)), norm="forward",
                      out=np.empty(arr.shape, dtype=complex))
-    return S.reshape(window.size, grid.size)
-
-
-@lru_cache(maxsize=64)
-def _shift_index(n: int, N: int, M: int) -> tuple:
-    """Index of the finite section in the shift form, axis by axis.
-
-    Applied to C viewed as ``window.shape + grid.shape``, it gives the
-    (2N+1,) * 2n array C[k, (l - k) mod M] at [k, l].  For each k the map
-    l -> (l - k) mod M is one to one when M >= 2N+1, so scattering through
-    the same index inverts the gather.
-    """
-    ks = _frozen(np.arange(2 * N + 1))
-    diff = _frozen((ks[None, :] - ks[:, None]) % M)
-    rows, cols = [], []
-    for j in range(n):
-        shape = [1] * (2 * n)
-        shape[j] = ks.size
-        rows.append(ks.reshape(shape))
-        shape[n + j] = ks.size
-        cols.append(diff.reshape(shape))
-    return tuple(rows + cols)
+    return S.reshape(-1, grid.size)
 
 
 def torus_quadrature(F: TorusFunction) -> complex:

@@ -38,11 +38,12 @@ class Parametrix:
     separated factors or folded samples, whichever ``parametrix`` chose
     for sigma, so ``apply`` gives B_J r from products A v and B0 v alone:
     a few size-Q transforms and, on folded samples, one matrix-vector
-    product.  Built on first read and kept, each at most once: the
-    sections of A and B0, each of which replaces the form it came from;
-    B_J (``matrix``); the defects; and the residual symbols extracted
-    from them.  So a caller that only applies the parametrix forms no
-    P x P array.
+    product.  Built on first read and kept, each at most once: B_J
+    (``matrix``), the defects and the residual symbols extracted from
+    them.  B_J and the defects are ``OperatorMatrix.product``s, sparse
+    when A's and B0's sections are sparse enough and dense otherwise, so
+    a caller that only applies the parametrix, or reads the defects of a
+    sparse one, forms no P x P array.
     """
     sigma_matrix: OperatorMatrix  # A
     initial: OperatorMatrix       # B0
@@ -62,21 +63,24 @@ class Parametrix:
         A, B0 = self.sigma_matrix, self.initial
         B = B0
         for _ in range(self.steps - 1):
-            B = OperatorMatrix(B.window, B.grid, B.entries + B0.entries @ (
-                np.eye(B.window.size) - A.entries @ B.entries))
+            B = B0.product(A.product(B, scale=-1.0, shift=1.0), add=B)
         return B
 
     @cached_property
     def left_defect(self) -> OperatorMatrix:
         """B A - I."""
-        B, A = self.matrix, self.sigma_matrix
-        return OperatorMatrix(B.window, B.grid, B.entries @ A.entries - np.eye(B.window.size))
+        return self.matrix.product(self.sigma_matrix, shift=-1.0)
 
     @cached_property
     def right_defect(self) -> OperatorMatrix:
         """A B - I."""
-        B, A = self.matrix, self.sigma_matrix
-        return OperatorMatrix(B.window, B.grid, A.entries @ B.entries - np.eye(B.window.size))
+        return self.sigma_matrix.product(self.matrix, shift=-1.0)
+
+    def form_report(self) -> dict:
+        """The form of B_J and of each defect, with its entries per row."""
+        return {"B_J": self.matrix.form_report(),
+                "left_defect": self.left_defect.form_report(),
+                "right_defect": self.right_defect.form_report()}
 
     @cached_property
     def left_residual(self) -> GridSymbol:
@@ -167,11 +171,10 @@ class DecayReport:
     schwartz_like: bool
 
 
-def _row_sups(rho: GridSymbol) -> np.ndarray:
-    """max over x of |rho(k, x)| for each row k, with the rows below 1e-13
+def _row_sups(rowmax: np.ndarray) -> np.ndarray:
+    """The row sups max over x of |rho(k, x)|, with the rows below 1e-13
     max(1, the largest) read as 0: at roundoff level they are exact zeros
     of the residual in disguise."""
-    rowmax = np.max(np.abs(rho.values), axis=1)
     floor = 1e-13 * max(1.0, float(np.max(rowmax)))
     return np.where(rowmax < floor, 0.0, rowmax)
 
@@ -189,7 +192,7 @@ def residual_decay_report(rho: GridSymbol, P: int) -> DecayReport:
         raise ValueError("the decay report needs a nonnegative power")
     window = rho.window
     mask = window.interior_mask(rho.interior_margin)
-    rowmax = _row_sups(rho)
+    rowmax = _row_sups(np.max(np.abs(rho.values), axis=1))
     sups = {}
     for p in range(P + 1):
         shells, sups[p], _ = window.shell_sups(rowmax * np.power(window.radial_weight, p), mask)

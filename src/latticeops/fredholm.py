@@ -92,6 +92,7 @@ class IndexReport:
     trace_index: int = None          # None encodes "unresolved"
     agreement: bool = None
     tail_bound: float = None
+    trace_sections: dict = None      # form and entries per row of B_J and the defects
 
     to_dict = asdict
 
@@ -144,18 +145,21 @@ class TraceIndexResult:
     trace_index_raw: float
     trace_index: int  # None when unresolved
     tail_bound: float
+    sections: dict    # Parametrix.form_report of the parametrix read
 
 
-def _weighted_tail_bound(residual, power: int) -> float:
+def _weighted_tail_bound(rowmax: np.ndarray, window: LatticeWindow, power: int) -> float:
     """Off-window bound for sum |rho(k)| from shellwise (1+|k|)^power sups.
 
-    If (1+|k|)^power |rho| <= s* on the observed interior shells and the
-    same envelope persists beyond the window, the off-window sum is below
+    ``rowmax`` holds max over x of |rho(k, x)| for each window row; rows
+    at roundoff level count as zero (``_row_sups``), and only the rows at
+    least ``interior_margin`` layers inside the window are read.  If
+    (1+|k|)^power |rho| <= s* on the observed interior shells and the same
+    envelope persists beyond the window, the off-window sum is below
     s* 2^(n+1) / (N+1) for power = n+1.
     """
-    window = residual.window
-    mask = window.interior_mask(residual.interior_margin)
-    _, sups, _ = window.shell_sups(_row_sups(residual) * np.power(window.radial_weight, power),
+    mask = window.interior_mask(interior_margin(window))
+    _, sups, _ = window.shell_sups(_row_sups(rowmax) * np.power(window.radial_weight, power),
                                    mask)
     if not sups:
         return np.inf
@@ -181,20 +185,22 @@ def trace_index(sigma: Symbol, window: LatticeWindow, J: int = 3) -> TraceIndexR
     here summed over interior window points with a certified tail bound.
     T1 and T2 are the negated parametrix defects; on a grid with
     M >= 2N+1 the x-average of an extracted symbol at row k is exactly
-    the (k,k) matrix entry.  The grid is the window's default grid.
+    the (k,k) matrix entry.  The grid is the window's default grid.  The
+    diagonals come from the defects' sparse forms when they are sparse,
+    and the tail bound reads the residual symbols' row sups, synthesized
+    only on the rows that hold an entry (``symbol_row_maxima``).
     """
     par = parametrix(sigma, 0.0, J, window, default_grid(window))  # raises on non-elliptic
-    avg1 = -np.diag(par.left_defect.entries)
-    avg2 = -np.diag(par.right_defect.entries)
+    left, right = par.left_defect, par.right_defect
     mask = window.interior_mask(interior_margin(window))
-    raw = float(np.real(np.sum((avg1 - avg2)[mask])))
+    raw = float(np.real(np.sum((right.diagonal() - left.diagonal())[mask])))
     # the bound reads only |T1| and |T2|, the parametrix residuals' magnitudes
-    tail = _weighted_tail_bound(par.left_residual, window.n + 1) + \
-        _weighted_tail_bound(par.right_residual, window.n + 1)
+    tail = _weighted_tail_bound(left.symbol_row_maxima(), window, window.n + 1) + \
+        _weighted_tail_bound(right.symbol_row_maxima(), window, window.n + 1)
     verdict = None
     if tail < 0.05 and abs(raw - round(raw)) < 0.25:
         verdict = int(round(raw))
-    return TraceIndexResult(raw, verdict, float(tail))
+    return TraceIndexResult(raw, verdict, float(tail), par.form_report())
 
 
 def full_index_report(sigma: Symbol, windows, n: int = 1, J: int = 3) -> IndexReport:
@@ -205,6 +211,7 @@ def full_index_report(sigma: Symbol, windows, n: int = 1, J: int = 3) -> IndexRe
     report.trace_index_raw = tr.trace_index_raw
     report.trace_index = tr.trace_index
     report.tail_bound = tr.tail_bound
+    report.trace_sections = tr.sections
     if report.svd_index is not None and report.trace_index is not None:
         report.agreement = report.svd_index == report.trace_index
     return report

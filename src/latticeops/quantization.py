@@ -14,7 +14,16 @@ needs no samples: a product is R inverse FFTs of b_r fhat, and the
 section is sum_r a_r(k) times the shift form of b_r at l - k
 (``_factor_section``).  An ``OperatorMatrix`` holds the section, the
 folded samples or the factors, and forms the section on first read.
-Extraction scatters a section back into the symbol's shift form
+Its fourth form is the section in compressed sparse rows
+(``SparseRows``), built beside the form held, slab by slab, with each
+row's entries below ``_ROUNDOFF`` of its largest dropped: from the
+factors as sum_r a_r(k) C_r[(l - k) mod M] over the modes kept, from
+the folded samples as the row FFTs read at the window's slots.  Two
+sparse forms multiply in work of the terms they expand, about P m^2 for
+m entries per row, instead of P^3 (``OperatorMatrix.product``); a
+section fuller than ``_MAX_FILL`` stays dense.
+Extraction scatters a section, or only the kept entries of a sparse
+one, back into the symbol's shift form and synthesizes it
 (``core.shift_samples``), the exact inverse of assembly.
 Composition and adjoints are finite-section constructions, so grid-backed
 results carry an interior margin outside which truncation contaminates
@@ -25,6 +34,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,12 +51,12 @@ from .core import (
     _dft_matrix,
     _frozen,
     _grid_slots,
-    _shift_index,
     _window_axis,
 )
 from .errors import DimensionMismatchError
 from .symbols import NON_FINITE_SAMPLES, DualToroidalSymbol, GridSymbol, Symbol, _slabs
 
+NON_FINITE_ENTRIES = "operator matrix carries non-finite entries"
 _AXES = "abcdefghijklmnopqrstuvwxyz"  # einsum subscripts: k axes, then x axes
 _FOLD_BLOCK = 1 << 16  # phase-table entries ``_fold`` forms at a time
 
@@ -56,19 +66,65 @@ def interior_margin(window: LatticeWindow) -> int:
     return max(1, window.N // 4)
 
 
+# An entry below this fraction of its row's scale is dropped from the
+# sparse form: the scale is the row's largest entry for a section built
+# from a held form, and the largest term its sums add for a product
+# (``_product_blocks``).  Each row comes from a length-Q FFT or a sum of
+# such terms, which leaves absolute errors of a few eps (2.2e-16) times
+# that scale, so such an entry is inside the roundoff of the dense section
+# it stands for.  The rule is per row, not global: the rows of B0 for an
+# order-2 symbol shrink like |k|^-2, and a cut against the whole
+# section's largest entry would cut the outer ones a thousand times
+# coarser than their own roundoff at n=2 N=24.  On the index pool
+# at n=1 N=256 it leaves B0 of perturbed_bessel 4.4 entries per row (4.8
+# at eps itself) and B0 of each jump symbol exactly 1.
+_ROUNDOFF = 1e-15
+
+# The sparse form is kept while a section holds at most this fraction of
+# its row length per row on average; above it the section is held dense.
+# Two sections of m entries per row give P m^2 candidate product terms
+# against the P^3 multiply-adds of the dense product.  On expr-order0 at
+# n=2 N=24 (P=2401, 2 cores, numpy 2.4, OpenBLAS) the sparse B0 (I - A B)
+# product, 6.0e6 candidate terms of which the roundoff floor expands a
+# third, took about 0.12 s, some 20 ns per candidate term, while zgemm took
+# 1.8 s for the P^3 = 1.4e10 multiply-adds, 0.13 ns each: about 150
+# multiply-adds per term, so the sparse product is the faster one while
+# m < P / sqrt(150), about P / 12.
+_MAX_FILL = 1 / 12
+
+_TERMS_BLOCK = 1 << 15  # product terms expanded and sorted at a time
+
+
+class SparseRows(NamedTuple):
+    """A P x P section in compressed sparse rows: row k holds the entries
+    ``data[indptr[k]:indptr[k + 1]]`` at the columns ``indices[...]``, in
+    no set order within the row and each column at most once."""
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def row_ids(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+
+
 class OperatorMatrix:
-    """T_sigma on a window, held in one of three forms: its dense finite
+    """T_sigma on a window, held in one of four forms: its dense finite
     section ``entries``; sigma's samples folded in place,
-    W = sigma exp(2 pi i k.x); or sigma's separated factors, sigma = a @ b
-    with a (P, R) in k and b (R, Q) in x.
+    W = sigma exp(2 pi i k.x); sigma's separated factors, sigma = a @ b
+    with a (P, R) in k and b (R, Q) in x; or its section in compressed
+    sparse rows (``sparse``).
 
     ``from_symbol`` picks the form: the factors when sigma splits
     (``Symbol._terms``), else the folded samples.  A product ``A @ v`` on
     the folded form is one size-Q transform and one matrix-vector product;
     on the factors it is one forward transform of v, R inverse transforms
     of size Q and R multiply-adds of length P.  The section is formed on
-    first read of ``entries`` and replaces the form held before it, so
-    later products use the section.
+    first read of ``entries`` and replaces the folded samples or factors,
+    so later products use the section.  The sparse form is built on first
+    read of ``sparse`` beside the form held, without a P x P array, and
+    ``product`` multiplies two sparse forms in P m^2 work for m entries
+    per row; a section whose fill is above ``_MAX_FILL`` is held dense.
     """
 
     def __init__(self, window: LatticeWindow, grid: TorusGrid, entries: np.ndarray):
@@ -76,23 +132,29 @@ class OperatorMatrix:
         self.entries = entries
 
     @classmethod
-    def _held(cls, window, grid, folded, factors) -> "OperatorMatrix":
+    def _held(cls, window, grid, folded=None, factors=None, sparse=None) -> "OperatorMatrix":
         A = cls.__new__(cls)
         A.window, A.grid = window, grid
-        A._entries, A._folded, A._factors = None, folded, factors
+        A._entries, A._folded, A._factors, A._sparse = None, folded, factors, sparse
         return A
 
     @classmethod
     def from_samples(cls, samples: np.ndarray, window: LatticeWindow,
                      grid: TorusGrid) -> "OperatorMatrix":
         """The operator of sigma's (window.size, grid.size) samples, folded in place."""
-        return cls._held(window, grid, _fold(samples, window, grid), None)
+        return cls._held(window, grid, folded=_fold(samples, window, grid))
 
     @classmethod
     def from_factors(cls, a: np.ndarray, b: np.ndarray, window: LatticeWindow,
                      grid: TorusGrid) -> "OperatorMatrix":
         """The operator of sigma = a @ b, a (window.size, R) and b (R, grid.size)."""
-        return cls._held(window, grid, None, (a, b))
+        return cls._held(window, grid, factors=(a, b))
+
+    @classmethod
+    def from_sparse(cls, sparse: SparseRows, window: LatticeWindow,
+                    grid: TorusGrid) -> "OperatorMatrix":
+        """The operator of a section in compressed sparse rows."""
+        return cls._held(window, grid, sparse=sparse)
 
     @classmethod
     def from_symbol(cls, sigma: Symbol, window: LatticeWindow,
@@ -107,10 +169,16 @@ class OperatorMatrix:
     @property
     def entries(self) -> np.ndarray:
         if self._entries is None:
-            if self._factors is None:
+            sparse = self._sparse
+            if self._factors is not None:
+                self.entries = _factor_section(*self._factors, self.window, self.grid)
+            elif self._folded is not None:
                 self.entries = _section(self._folded, self.window, self.grid)
             else:
-                self.entries = _factor_section(*self._factors, self.window, self.grid)
+                E = np.zeros((self.window.size,) * 2, dtype=complex)
+                E[sparse.row_ids(), sparse.indices] = sparse.data
+                self.entries = E
+            self._sparse = sparse  # the same operator, so a sparse form built stays valid
         return self._entries
 
     @entries.setter
@@ -120,12 +188,36 @@ class OperatorMatrix:
         if value.shape != (P, P):
             raise DimensionMismatchError(f"entries shape {value.shape}, window size {P}")
         if not np.all(np.isfinite(value)):
-            raise ValueError("operator matrix carries non-finite entries")
-        self._entries, self._folded, self._factors = value, None, None
+            raise ValueError(NON_FINITE_ENTRIES)
+        self._entries, self._folded, self._factors, self._sparse = value, None, None, None
+
+    @property
+    def sparse(self):
+        """The section as ``SparseRows``, built on first read from the form
+        held without a P x P array, or None when its fill is above
+        ``_MAX_FILL`` and the section is held dense.  Entries below
+        ``_ROUNDOFF`` times their row's largest are dropped."""
+        if self._sparse is None:
+            with np.errstate(all="ignore"):  # non-finite entries are refused by _kept
+                blocks = _assembled(_row_blocks(self), self.window.size, stop=True)
+            # False marks a section measured too full for the sparse form
+            self._sparse = blocks or False
+        return self._sparse or None
+
+    def form_report(self) -> dict:
+        """The form the section is held in, and its entries per row, mean
+        and max; a dense section holds every entry of its rows."""
+        S = self.sparse if self._entries is None else None
+        if S is None:
+            P = self.window.size
+            return {"form": "dense", "mean_row_entries": float(P), "max_row_entries": P}
+        counts = np.diff(S.indptr)
+        return {"form": "sparse", "mean_row_entries": float(np.mean(counts)),
+                "max_row_entries": int(np.max(counts))}
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        if self._entries is not None:
-            return self._entries @ v
+        if self._entries is not None or (self._folded is None and self._factors is None):
+            return self.entries @ v
         window, grid = self.window, self.grid
         vhat = forward_dft(LatticeSequence(window, v), grid).values
         if self._factors is None:
@@ -140,11 +232,252 @@ class OperatorMatrix:
     def matvec(self, f: LatticeSequence) -> LatticeSequence:
         return LatticeSequence(self.window, self @ f.values)
 
+    def product(self, other: "OperatorMatrix", scale: complex = 1.0, shift: complex = 0.0,
+                add: "OperatorMatrix" = None) -> "OperatorMatrix":
+        """scale * self @ other + shift * I (+ add), as one operator.
+
+        When every operand has a sparse form, the product terms
+        self[k, j] other[j, l] are expanded for a block of rows at a time
+        and summed by (k, l) with add's entries and the shift
+        (``_product_blocks``), so the work is the number of terms, about
+        P m^2 for m entries per row, and each row drops its entries at
+        roundoff level.  The result is held dense when that leaves it too
+        full.  Otherwise the product is the dense one of the sections.
+        """
+        window, grid, P = self.window, self.grid, self.window.size
+        operands = [self.sparse, other.sparse] + ([] if add is None else [add.sparse])
+        if any(S is None for S in operands):
+            E = scale * (self.entries @ other.entries)
+            E.flat[::P + 1] += shift
+            if add is not None:
+                E += add.entries
+            return OperatorMatrix(window, grid, E)
+        blocks = _product_blocks(*operands[:2], scale, shift, operands[2] if add else None)
+        result = OperatorMatrix.from_sparse(_assembled(blocks, P), window, grid)
+        if result.sparse.indptr[-1] > _MAX_FILL * P * P:  # too full: held dense
+            result = OperatorMatrix(window, grid, result.entries)
+        return result
+
     def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.window, self.grid, self.entries.conj().T)
+        S = self.sparse
+        if S is None:
+            return OperatorMatrix(self.window, self.grid, self.entries.conj().T)
+        order = np.argsort(S.indices, kind="stable")  # the entries by column, then by row
+        transposed = SparseRows(np.searchsorted(S.indices[order], np.arange(len(S.indptr))),
+                                S.row_ids()[order], S.data[order].conj())
+        return OperatorMatrix.from_sparse(transposed, self.window, self.grid)
+
+    def diagonal(self) -> np.ndarray:
+        """The section's diagonal entries A[k, k]."""
+        if self._entries is not None or self.sparse is None:
+            return np.diagonal(self.entries).copy()
+        S = self.sparse
+        rows = S.row_ids()
+        on = S.indices == rows
+        out = np.zeros(self.window.size, dtype=complex)
+        out[rows[on]] = S.data[on]
+        return out
+
+    def symbol_row_maxima(self) -> np.ndarray:
+        """max over the grid of |sigma(k, x)| for each row k of the symbol
+        ``extract_symbol`` recovers from this section, synthesizing only
+        the rows that hold an entry, a slab at a time: a row with none is 0."""
+        out = np.zeros(self.window.size)
+        for ids, C in _shift_slabs(self):
+            out[ids] = np.max(np.abs(shift_samples(C, self.window, self.grid)), axis=1)
+        return out
 
     def singular_values(self) -> np.ndarray:
         return np.linalg.svd(self.entries, compute_uv=False)
+
+
+def _row_blocks(A: OperatorMatrix):
+    """The kept entries of A's section (``_kept``) as (rows, cols, vals),
+    sorted by row, a block of rows at a time, from the form A holds, with
+    no P x P array: slabs of the dense section's rows; row FFTs of slabs of
+    the folded samples, read at the grid slots of the window as
+    ``_section`` reads them; or, from the factors, sum_r a_r(k) C_r[(l - k) mod M]
+    at the modes where some C_r is above roundoff.  Refuses non-finite
+    entries with ValueError."""
+    window, grid, P = A.window, A.grid, A.window.size
+    if A._entries is not None:
+        for rows in _slabs(P, P):
+            yield _kept(A._entries[rows], rows.start)
+    elif A._folded is not None:
+        slots = _grid_slots(window.n, window.N, grid.M)
+        for rows in _slabs(P, grid.size):
+            C = shift_coefficients(A._folded[rows], window, grid)
+            yield _kept(np.take(C, slots, axis=1), rows.start)
+    else:
+        a, b = A._factors
+        C = shift_coefficients(b, window, grid)
+        mag = np.abs(C)
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(mag))):
+            raise ValueError(NON_FINITE_ENTRIES)
+        modes = np.flatnonzero(np.any((mag >= _ROUNDOFF * np.max(mag, axis=1, keepdims=True))
+                                      & (mag > 0), axis=0))
+        slots, C = np.unravel_index(modes, grid.shape), C[:, modes]
+        for rows in _slabs(P, max(1, len(modes))):
+            cols, valid = _mode_columns(window.points[rows], slots, window, grid)
+            vals = a[rows] @ C
+            vals[~valid] = 0
+            yield _kept(vals, rows.start, cols)
+
+
+def _mode_columns(K: np.ndarray, slots, window: LatticeWindow, grid: TorusGrid):
+    """The columns l of the section rows at the window points K (one per
+    row of K) with (l - k) mod M at each grid slot of ``slots`` (per-axis
+    coordinates), and where such an l lies in the window.
+
+    Since M >= 2N+1, each k and slot meet at most one l: per axis
+    l_j + N = (k_j + N + s_j) mod M when it is at most 2N.
+    """
+    cols, valid = 0, True
+    for k, s in zip((K + window.N).T, slots):
+        l = (k[:, None] + s[None, :]) % grid.M
+        cols, valid = cols * window.side + l, valid & (l < window.side)
+    return cols, valid
+
+
+def _kept(block: np.ndarray, first: int, cols: np.ndarray = None):
+    """(rows, cols, vals) of the dense rows ``block``, the first of them
+    row ``first``: the nonzero entries at or above ``_ROUNDOFF`` times
+    their row's largest.  ``cols`` gives the section column of each block
+    entry when the block is not laid out by column.  Refuses non-finite
+    entries with ValueError."""
+    mag = np.abs(block)
+    peak = np.max(mag, axis=1, initial=0.0)  # NaN or inf when some entry is
+    if not np.all(np.isfinite(peak)):
+        raise ValueError(NON_FINITE_ENTRIES)
+    k, j = np.nonzero((mag >= _ROUNDOFF * peak[:, None]) & (mag > 0))
+    return k + first, (j if cols is None else cols[k, j]), block[k, j]
+
+
+def _row_peaks(S: SparseRows, values: np.ndarray) -> np.ndarray:
+    """The largest of ``values`` (one per entry of S) in each row, 0 in a row with none."""
+    out = np.zeros(len(S.indptr) - 1)
+    rows = np.flatnonzero(np.diff(S.indptr))
+    if len(rows):
+        out[rows] = np.maximum.reduceat(values, S.indptr[rows])
+    return out
+
+
+def _product_blocks(SA: SparseRows, SB: SparseRows, scale, shift, SC: SparseRows):
+    """The kept entries of scale * SA @ SB + shift * I (+ SC) as
+    (rows, cols, vals), sorted by row and column, a block of rows of about
+    ``_TERMS_BLOCK`` product terms at a time.
+
+    Row k's scale s_k is the largest term it can hold: max over its
+    entries of |scale SA[k, j]| max |SB[j, .]|, the shift or SC's row.
+    An entry of row k sums at most one term per entry of SA's row, so the
+    terms below _ROUNDOFF s_k / (SA's entries in row k) are not expanded:
+    all of them in one sum stay below _ROUNDOFF s_k.  SB's rows are read
+    largest entry first, so each entry of SA expands a prefix of its row
+    of SB.  The terms are then sorted by (k, l) and summed, and each row
+    keeps the sums at or above _ROUNDOFF s_k, the roundoff of a sum of
+    terms as large as s_k.
+    """
+    P = len(SA.indptr) - 1
+    rows_a, mag_a = SA.row_ids(), np.abs(scale) * np.abs(SA.data)
+    mag_b = np.abs(SB.data)
+    # SB's entries by row, largest first: log2 |b| is finite for a nonzero b
+    # and stays within (-1075, 1024), so key j 4096 + 1100 - log2 |b| sorts them
+    key = SB.row_ids() * 4096.0 + (1100.0 - np.log2(mag_b))
+    order = np.argsort(key)
+    key, cols_b, data_b = key[order], SB.indices[order], SB.data[order]
+    s = np.maximum(_row_peaks(SA, mag_a * _row_peaks(SB, mag_b)[SA.indices]), abs(shift))
+    if SC is not None:
+        s = np.maximum(s, _row_peaks(SC, np.abs(SC.data)))
+    floor = _ROUNDOFF * s / np.maximum(1, np.diff(SA.indptr))
+    # each entry of SA expands the entries of its SB row at or above floor / |a|
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = SA.indices * 4096.0 + (1100.0 - np.log2(floor[rows_a] / mag_a))
+    j = SA.indices
+    per_entry = np.clip(np.searchsorted(key, reach, side="right") - SB.indptr[j],
+                        0, SB.indptr[j + 1] - SB.indptr[j])
+    before = np.concatenate([[0], np.cumsum(per_entry)])[SA.indptr]  # terms before each row
+    r0 = 0
+    while r0 < P:
+        r1 = int(np.searchsorted(before, before[r0] + _TERMS_BLOCK, side="right")) - 1
+        r1 = min(P, max(r0 + 1, r1))
+        e0, e1 = SA.indptr[r0], SA.indptr[r1]
+        counts, terms = per_entry[e0:e1], int(before[r1] - before[r0])
+        start = SB.indptr[j[e0:e1]] - (np.cumsum(counts) - counts)
+        pos = np.arange(terms) + np.repeat(start, counts)
+        extra = []  # (rows, cols, vals) added to the terms: the shift, then SC's rows
+        if shift:
+            diag = np.arange(r0, r1)
+            extra.append((diag, diag, np.full(r1 - r0, shift, dtype=complex)))
+        if SC is not None:
+            c0, c1 = SC.indptr[r0], SC.indptr[r1]
+            extra.append((np.repeat(np.arange(r0, r1), np.diff(SC.indptr[r0:r1 + 1])),
+                          SC.indices[c0:c1], SC.data[c0:c1]))
+        size = terms + sum(len(rows) for rows, _, _ in extra)
+        keys, vals = np.empty(size, dtype=np.intp), np.empty(size, dtype=complex)
+        # key (k - r0) P + l of each term
+        local = np.repeat(np.arange(r1 - r0) * P, np.diff(SA.indptr[r0:r1 + 1]))
+        np.add(np.repeat(local, counts), cols_b[pos], out=keys[:terms])
+        np.multiply(np.repeat(scale * SA.data[e0:e1], counts), data_b[pos], out=vals[:terms])
+        at = terms
+        for rows, cols, data in extra:
+            keys[at:at + len(rows)] = (rows - r0) * P + cols
+            vals[at:at + len(rows)] = data
+            at += len(rows)
+        # sort the keys with each term's place in the low bits, then sum runs of one key
+        bits = max(1, size.bit_length())
+        keys <<= bits
+        keys |= np.arange(size)
+        keys.sort()
+        vals = vals[keys & ((1 << bits) - 1)]
+        keys >>= bits
+        if size:
+            heads = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+            keys, vals = keys[heads], np.add.reduceat(vals, heads)
+        rows, cols = np.divmod(keys, P)
+        mag = np.abs(vals)
+        if not np.all(np.isfinite(mag)):
+            raise ValueError(NON_FINITE_ENTRIES)
+        keep = (mag >= _ROUNDOFF * s[r0 + rows]) & (mag > 0)
+        yield rows[keep] + r0, cols[keep], vals[keep]
+        r0 = r1
+
+
+def _assembled(blocks, P: int, stop: bool = False):
+    """``SparseRows`` of the blocks' entries, which come sorted by row;
+    with ``stop``, None as soon as they pass ``_MAX_FILL``."""
+    parts, count = [], 0
+    for block in blocks:
+        parts.append(block)
+        count += len(block[0])
+        if stop and count > _MAX_FILL * P * P:
+            return None
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    return SparseRows(np.searchsorted(rows, np.arange(P + 1)), cols, vals)
+
+
+def _shift_slabs(A: OperatorMatrix):
+    """A's section in shift form, C[k, (l - k) mod M] = A[k, l], as
+    (row ids, C rows), for the rows that hold an entry of the sparse form
+    (every row of a dense one), in slabs of about ``symbols._BLOCK``
+    entries of C."""
+    window, grid, P = A.window, A.grid, A.window.size
+    S = A.sparse if A._entries is None else None
+    ids = np.arange(P) if S is None else np.flatnonzero(np.diff(S.indptr))
+    points = window.points
+    for slab in _slabs(len(ids), grid.size):
+        rows = ids[slab]
+        if S is None:
+            dense = A.entries[rows]
+            k, cols = np.nonzero(dense)
+            vals = dense[k, cols]
+        else:
+            counts = np.diff(S.indptr)[rows]
+            lo, hi = S.indptr[rows[0]], S.indptr[rows[-1] + 1]
+            k, cols, vals = np.repeat(np.arange(len(rows)), counts), S.indices[lo:hi], S.data[lo:hi]
+        slots = np.ravel_multi_index(((points[cols] - points[rows[k]]) % grid.M).T, grid.shape)
+        C = np.zeros((len(rows), grid.size), dtype=complex)
+        C[k, slots] = vals
+        yield rows, C
 
 
 def apply(sigma: Symbol, f: LatticeSequence, grid: TorusGrid) -> LatticeSequence:
@@ -320,32 +653,42 @@ def assemble_toroidal_matrix(tau: DualToroidalSymbol, window: LatticeWindow,
 def extract_symbol(A: OperatorMatrix, order: float = None) -> GridSymbol:
     """Recover the grid-backed symbol sigma(k,x) = exp(-2 pi i k.x) (A e_x)(k).
 
-    Scatters A[k, l] into the shift form at C[k, (l-k) mod M] and
-    synthesizes it on the grid: the exact inverse of assemble_matrix.
+    Scatters A[k, l] into the shift form at C[k, (l-k) mod M], only the
+    kept entries of a sparse form, and synthesizes it on the grid slab by
+    slab: the exact inverse of assemble_matrix.
     """
     window, grid = A.window, A.grid
     _check_resolution(window, grid)
-    C = np.zeros(window.shape + grid.shape, dtype=complex)
-    C[_shift_index(window.n, window.N, grid.M)] = A.entries.reshape(window.shape * 2)
-    values = shift_samples(C, window, grid)
+    values = np.zeros((window.size, grid.size), dtype=complex)
+    for rows, C in _shift_slabs(A):
+        values[rows] = shift_samples(C, window, grid)
     return GridSymbol(window, grid, values, order=order, interior_margin=interior_margin(window))
+
+
+def _operator(sigma: Symbol, window: LatticeWindow, grid: TorusGrid) -> OperatorMatrix:
+    """T_sigma with its sparse form built or its section formed, so
+    non-finite samples are refused here, as by assemble_matrix."""
+    _check_resolution(window, grid)
+    with np.errstate(all="ignore"):  # OperatorMatrix refuses non-finite entries
+        A = OperatorMatrix.from_symbol(sigma, window, grid)
+        if A.sparse is None:
+            A.entries
+    return A
 
 
 def compose(sigma: Symbol, tau: Symbol, window: LatticeWindow,
             grid: TorusGrid) -> GridSymbol:
-    """Finite-section product symbol of T_sigma T_tau (orders add)."""
-    A = assemble_matrix(sigma, window, grid)
-    Bm = assemble_matrix(tau, window, grid)
+    """Finite-section product symbol of T_sigma T_tau (orders add), from
+    the sparse product of the two sections when both are sparse."""
     order = None
     if sigma.order is not None and tau.order is not None:
         order = sigma.order + tau.order
-    prod = OperatorMatrix(window, grid, A.entries @ Bm.entries)
+    prod = _operator(sigma, window, grid).product(_operator(tau, window, grid))
     return extract_symbol(prod, order=order)
 
 
 def adjoint_symbol(sigma: Symbol, window: LatticeWindow,
                    grid: TorusGrid) -> GridSymbol:
     """Symbol of the formal adjoint via the conjugate-transposed section."""
-    A = assemble_matrix(sigma, window, grid)
-    return extract_symbol(A.adjoint(), order=sigma.order)
+    return extract_symbol(_operator(sigma, window, grid).adjoint(), order=sigma.order)
 

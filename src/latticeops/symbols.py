@@ -545,15 +545,6 @@ class GridSymbol(Symbol):
         self.n = window.n
         self.order = order
         self.interior_margin = int(interior_margin)
-        self._coeffs = None
-
-    def _fourier_coeffs(self):
-        # the shift form, row by row; integer frequencies via fftfreq*M
-        if self._coeffs is None:
-            c = shift_coefficients(self.values, self.window, self.grid)
-            freqs = np.rint(np.fft.fftfreq(self.grid.M) * self.grid.M).astype(int)
-            self._coeffs = (c, freqs)
-        return self._coeffs
 
     def _sample_axes(self, window, grid, shift, rows: slice = slice(None)):
         """The stored rows at k + shift for the k_1 rows ``rows``, laid on the 2n axes."""
@@ -582,19 +573,27 @@ class GridSymbol(Symbol):
         C[k, m] exp(2 pi i m.x), at the points x of the product grid
         coords[0] x ... x coords[n-1], as a (len(rows), prod len(coords[j])) array.
 
-        The shift form C is contracted one axis at a time against the
-        (len(coords[j]), M) table exp(2 pi i m x_j), last axis first, so no
-        table over all M^n modes is formed.
+        A slab of the rows at a time, the shift form C of only those rows
+        is taken and contracted one axis at a time against the
+        (len(coords[j]), M) table exp(2 pi i m x_j), last axis first, so
+        neither a table over all M^n modes nor the shift form of every
+        stored row is formed.
         """
-        C, freqs = self._fourier_coeffs()
-        T = C[rows]
-        M, after = self.grid.M, 1
-        for x in reversed(coords):
-            E = np.exp(1j * TWO_PI * np.outer(x, freqs))
-            # (.., M) @ E^T on the last axis; E @ (.., M, after) on an inner one
-            T = T.reshape(-1, M) @ E.T if after == 1 else E @ T.reshape(-1, M, after)
-            after *= len(x)
-        return T.reshape(-1, after)
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+        M = self.grid.M
+        # integer frequencies via fftfreq * M
+        tables = [np.exp(1j * TWO_PI * np.outer(x, np.rint(np.fft.fftfreq(M) * M)))
+                  for x in coords]
+        out = np.empty((len(rows), math.prod(len(x) for x in coords)), dtype=complex)
+        for slab in _slabs(len(rows), max(self.grid.size, out.shape[1])):
+            T = shift_coefficients(self.values[rows[slab]], self.window, self.grid)
+            after = 1
+            for E in reversed(tables):
+                # (.., M) @ E^T on the last axis; E @ (.., M, after) on an inner one
+                T = T.reshape(-1, M) @ E.T if after == 1 else E @ T.reshape(-1, M, after)
+                after *= len(E)
+            out[slab] = T.reshape(-1, after)
+        return out
 
     def eval(self, k, x) -> complex:
         k = np.asarray(k, dtype=int).reshape(-1)

@@ -126,12 +126,14 @@ def test_report_is_strict_json_with_only_used_config(files, capsys, cmd):
 
 
 INDEX_KEYS = {"config", "elliptic", "windows", "dim_ker", "dim_coker", "gap_evidence",
-              "svd_index", "trace_index_raw", "trace_index", "agreement", "tail_bound"}
+              "svd_index", "trace_index_raw", "trace_index", "agreement", "tail_bound",
+              "trace_sections"}
 PROBE_KEYS = {"elliptic", "ellipticity", "atkinson", "near_kernel_counts", "windows",
               "consistent"}
 ELLIPTICITY_KEYS = {"elliptic", "C", "M_radius", "min_ratio_profile", "shells"}
 PARAMETRIX_KEYS = {"config", "order", "steps", "max_left_residual", "max_right_residual",
-                   "decay"}
+                   "sections", "decay"}
+SECTION_KEYS = {"form", "mean_row_entries", "max_row_entries"}
 DECAY_KEYS = {"powers", "shells", "shell_sups", "schwartz_like"}
 
 
@@ -161,6 +163,9 @@ def test_report_key_sets(files, capsys):
     assert set(classify["ellipticity"]) == ELLIPTICITY_KEYS
     par = _report(capsys, ["parametrix", *good_argv("parametrix", files)])
     assert set(par) == PARAMETRIX_KEYS
+    assert set(par["sections"]) == {"B_J", "left_defect", "right_defect"}
+    assert all(set(v) == SECTION_KEYS for v in par["sections"].values())
+    assert set(elliptic["trace_sections"]) == set(par["sections"])
     assert set(par["decay"]) == DECAY_KEYS
     spectrum = _report(capsys, ["spectrum", *good_argv("spectrum", files)])
     assert set(spectrum) == {"config", "kind", "description", "windows", "singular_values",

@@ -229,7 +229,7 @@ def test_transforms_match_the_direct_sums(n, N, M):
 
 
 def test_cached_arrays_are_read_only():
-    from latticeops.core import _dft_matrix, _grid_slots, _shift_index
+    from latticeops.core import _dft_matrix, _grid_slots
 
     before = LatticeWindow(1, 4).points.copy()
     with pytest.raises(ValueError):
@@ -247,6 +247,3 @@ def test_cached_arrays_are_read_only():
         _dft_matrix(1, 4, 9)[0, 0] = 0.0
     with pytest.raises(ValueError):
         _grid_slots(1, 4, 9)[0] = 1
-    for index in _shift_index(2, 3, 7):
-        with pytest.raises(ValueError):
-            index.flat[0] = 1

@@ -238,9 +238,28 @@ def test_residual_order_sequence_builds_each_section_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_trace_index_extracts_each_residual_once(extractions):
+def test_trace_index_extracts_no_residual(extractions):
+    # the diagonals and the residuals' row sups come from the defects themselves
     trace_index(parse_symbol(PERTURBED, 1, order=0), LatticeWindow(1, 16), J=2)
-    assert len(extractions) == 2
+    assert len(extractions) == 0
+
+
+def test_parametrix_of_a_near_zero_symbol_stays_dense():
+    # min |sigma| = 0.2, so tau0 = 1/sigma has slowly decaying modes: B0
+    # keeps every entry of its rows and each section is held dense
+    w = LatticeWindow(2, 8)
+    g = default_grid(w)
+    par = parametrix(parse_symbol("1.2 + cos(twopi*x1)*cos(twopi*x2)", 2, order=0), 0.0, 3, w, g)
+    assert par.sigma_matrix.sparse is not None and par.initial.sparse is None
+    assert {v["form"] for v in par.form_report().values()} == {"dense"}
+    # the products are then the dense ones, bit for bit
+    A, B0, I = par.sigma_matrix.entries, par.initial.entries, np.eye(w.size)
+    B = B0
+    for _ in range(2):
+        B = B + B0 @ (I - A @ B)
+    assert np.array_equal(par.matrix.entries, B)
+    assert np.array_equal(par.left_defect.entries, B @ A - I)
+    assert np.array_equal(par.right_defect.entries, A @ B - I)
 
 
 def test_residual_order_drops_per_step():

@@ -1,5 +1,7 @@
 """Index computations: finite sections, trace formula, diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,7 +138,8 @@ def test_trace_index_matches_x_sums_of_extracted_defects(direction):
     tau2 = extract_symbol(OperatorMatrix(w, g, I - A @ B))
     mask = w.interior_mask(interior_margin(w))
     raw = float(np.real(np.sum((g.weight * np.sum(tau1.values - tau2.values, axis=1))[mask])))
-    tail = _weighted_tail_bound(tau1, 2) + _weighted_tail_bound(tau2, 2)
+    tail = sum(_weighted_tail_bound(np.max(np.abs(tau.values), axis=1), w, 2)
+               for tau in (tau1, tau2))
     rep = trace_index(sigma, w, J=3)
     assert abs(rep.trace_index_raw - raw) < 1e-12
     assert rep.tail_bound == tail
@@ -298,3 +301,21 @@ def test_null_bases_span_the_dense_svd_null_columns(sigma, raw, N):
         # cosines of the principal angles between the two subspaces
         cosines = np.linalg.svd(basis.conj().T @ oracle, compute_uv=False)
         assert np.all(cosines >= 1 - 1e-8)
+
+
+def test_trace_index_forms_no_p_by_p_array():
+    # a one-term symbol: A and B0 are held as factors, and B_J and the
+    # defects are sparse, so trace_index holds nothing near one P x P
+    # complex array (19 MB at n=2 N=16)
+    w = LatticeWindow(2, 16)
+    sigma = parse_symbol("(2 + exp(i*twopi*x1))*(1 + 0.5/(1+k1^2+k2^2))", 2, order=0)
+    trace_index(sigma, LatticeWindow(2, 4))
+    tracemalloc.start()
+    try:
+        rep = trace_index(sigma, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.trace_index == 0
+    assert {v["form"] for v in rep.sections.values()} == {"sparse"}
+    assert peak < w.size ** 2 * 16

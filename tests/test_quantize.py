@@ -29,7 +29,7 @@ from latticeops import (
 )
 from latticeops.core import _dft_matrix, forward_dft, phase_matrix
 from latticeops.errors import AliasingError
-from latticeops.quantization import OperatorMatrix, assemble_toroidal_matrix
+from latticeops.quantization import OperatorMatrix, SparseRows, assemble_toroidal_matrix
 from latticeops.symbols import MAX_TERMS, NON_FINITE_SAMPLES, Symbol, _slabs
 
 
@@ -476,3 +476,84 @@ def test_toroidal_duality_identity(setup):
     E = phase_matrix(w, g).conj().T  # (Q, P): e^{-2 pi i x l}
     lhs = g.weight * (E.conj().T @ C.conj().T @ E)
     assert np.max(np.abs(lhs - A)) < 1e-8
+
+
+def _random_section(data, w, rng):
+    """A random P x P section: entries of one of several densities, rows
+    scaled over 16 decades, some rows empty, or all zero."""
+    P = w.size
+    density = data.draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    D = (rng.standard_normal((P, P)) + 1j * rng.standard_normal((P, P))) * (rng.random((P, P)) < density)
+    D *= 10.0 ** rng.uniform(-8, 8, size=(P, 1))
+    D[rng.random(P) < 0.2] = 0
+    return D
+
+
+def _sparse_rows(D):
+    """The nonzero entries of D in compressed sparse rows, built with numpy alone."""
+    k, l = np.nonzero(D)
+    return SparseRows(np.searchsorted(k, np.arange(D.shape[0] + 1)), l, D[k, l])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sparse_form_matches_dense_numpy(data):
+    n = data.draw(st.integers(1, 2))
+    N = data.draw(st.integers(1, {1: 12, 2: 4}[n]))
+    w, g = LatticeWindow(n, N), TorusGrid(n, data.draw(st.integers(2 * N + 1, 4 * N + 2)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    D1, D2, D3 = (_random_section(data, w, rng) for _ in range(3))
+    A, B, C = (OperatorMatrix.from_sparse(_sparse_rows(D), w, g) for D in (D1, D2, D3))
+    assert np.array_equal(A.entries, D1)
+    scale, shift = data.draw(st.sampled_from([(1.0, 0.0), (-1.0, 1.0), (0.5 - 2j, -1.0)]))
+    with_add = data.draw(st.booleans())
+    got = A.product(B, scale=scale, shift=shift, add=C if with_add else None).entries
+    P = w.size
+    want = scale * (D1 @ D2) + shift * np.eye(P) + (D3 if with_add else 0)
+    # each row agrees to roundoff of the largest term it sums: an empty or
+    # all-zero row stays exactly zero, however small its neighbours
+    terms = np.max(abs(scale) * (np.abs(D1) @ np.abs(D2)), axis=1)
+    terms = np.maximum(terms, abs(shift))
+    if with_add:
+        terms = np.maximum(terms, np.max(np.abs(D3), axis=1))
+    assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * terms)
+    # the diagonal, the adjoint, and the extracted symbol and its row sups
+    A = OperatorMatrix.from_sparse(_sparse_rows(D1), w, g)
+    assert np.array_equal(A.diagonal(), np.diag(D1))
+    assert np.array_equal(A.adjoint().entries, D1.conj().T)
+    values = dense_extraction(D1, w, g)
+    rows = np.max(np.abs(D1), axis=1, keepdims=True) * P
+    assert np.all(np.abs(extract_symbol(A).values - values) <= 1e-12 * rows)
+    assert np.all(np.abs(A.symbol_row_maxima() - np.max(np.abs(values), axis=1)) <= 1e-12 * rows[:, 0])
+    assert np.array_equal(A.symbol_row_maxima() == 0, ~D1.any(axis=1))
+    assert A._entries is None  # none of these densified the sparse form
+
+
+@pytest.mark.parametrize("text,N", [  # from the factors, then the folded samples
+    ("2 + exp(i*twopi*x1)/(1+k1^2+k2^2) + 0.5*cos(twopi*x2)/(1+k1^2)", 6),
+    ("1/(2 + cos(twopi*x1)/(1+k1^2+k2^2))", 10)])
+def test_sparse_form_keeps_the_section_to_roundoff(text, N):
+    # and from the dense section alike
+    w = LatticeWindow(2, N)
+    g = default_grid(w)
+    sigma = parse_symbol(text, 2)
+    want = dense_section(sigma.sample(w, g), w, g)
+    A = OperatorMatrix.from_symbol(sigma, w, g)
+    assert A.sparse is not None and A._entries is None
+    dense = OperatorMatrix(w, g, want.copy())
+    for S in (A.sparse, dense.sparse):
+        got = OperatorMatrix.from_sparse(S, w, g).entries
+        # relative per row: each row is kept to roundoff of its own largest entry
+        assert np.all(np.max(np.abs(got - want), axis=1)
+                      <= 1e-12 * np.max(np.abs(want), axis=1))
+
+
+def test_sparse_form_refuses_non_finite_entries():
+    w = LatticeWindow(1, 4)
+    g = default_grid(w)
+    S = np.ones((w.size, g.size), dtype=complex)
+    S[3, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        OperatorMatrix.from_samples(S, w, g).sparse
+    with pytest.raises(ValueError, match="non-finite"):
+        compose(parse_symbol("1/(k1 - 1)", 1), parse_symbol("1", 1), w, g)

@@ -2,7 +2,9 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,3 +68,15 @@ def test_benchmark_trace_targets_resolve():
         for attr in attrs:
             obj = getattr(obj, attr, None)
         assert callable(obj), target
+
+
+def test_cli_import_loads_no_scipy():
+    # a cold `import scipy.sparse` costs about 190 ms, which every
+    # latticeops process would pay before its first job
+    src = str(Path(latticeops.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, latticeops.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

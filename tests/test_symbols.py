@@ -440,15 +440,16 @@ def test_grid_symbol_resampling_forms_no_table_of_all_modes():
     w = LatticeWindow(2, 4)
     g, other = TorusGrid(2, 40), TorusGrid(2, 41)
     sigma = GridSymbol(w, g, np.random.default_rng(3).standard_normal((w.size, g.size)))
-    sigma._fourier_coeffs()  # the shift form, cached
     tracemalloc.start()
     try:
         sigma.sample(w, other)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the stored rows' copy, one half-contracted array and the samples
-    assert peak < 3 * w.size * other.size * 16
+    # the samples and one slab's copy, shift form and half-contracted array
+    assert peak < 2 * w.size * other.size * 16
+    # and the symbol keeps no shift form of its rows once sampled
+    assert [k for k, v in vars(sigma).items() if isinstance(v, np.ndarray)] == ["values"]
 
 
 @pytest.mark.parametrize("M", [11, 14])
