@@ -33,7 +33,7 @@ from .core import (
     write_sequence_csv,
     write_torus_csv,
 )
-from .elliptic import parametrix, residual_decay_report, solve
+from .elliptic import _decay_report, parametrix, solve
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -234,13 +234,14 @@ def cmd_parametrix(args):
     grid = _grid(args, window)
     m = args.m if args.m is not None else (sigma.order or 0.0)
     par = parametrix(sigma, m, args.steps, window, grid)
-    decay = residual_decay_report(par.left_residual, args.power)
+    left = par.left_defect.symbol_row_maxima()
+    decay = _decay_report(left, window, args.power)
     report = {
         "config": _config(args, window, grid),
         "order": m,
         "steps": par.steps,
-        "max_left_residual": float(np.max(np.abs(par.left_residual.values))),
-        "max_right_residual": float(np.max(np.abs(par.right_residual.values))),
+        "max_left_residual": float(np.max(left)),
+        "max_right_residual": float(np.max(par.right_defect.symbol_row_maxima())),
         "sections": par.form_report(),
         "decay": {"powers": decay.powers, "shells": decay.shells,
                   "shell_sups": {str(p): decay.shell_sups[p] for p in decay.powers},

@@ -25,8 +25,8 @@ from .symbols import (
     _certificate,
     _decreasing_from_peak,
     _row_minima,
+    _shell_slope,
     check_ellipticity,
-    estimate_order,
 )
 
 
@@ -39,11 +39,11 @@ class Parametrix:
     for sigma, so ``apply`` gives B_J r from products A v and B0 v alone:
     a few size-Q transforms and, on folded samples, one matrix-vector
     product.  Built on first read and kept, each at most once: B_J
-    (``matrix``), the defects and the residual symbols extracted from
-    them.  B_J and the defects are ``OperatorMatrix.product``s, sparse
+    (``matrix``) and the defects, ``OperatorMatrix.product``s, sparse
     when A's and B0's sections are sparse enough and dense otherwise, so
     a caller that only applies the parametrix, or reads the defects of a
-    sparse one, forms no P x P array.
+    sparse one, forms no P x P array.  The residuals' sizes are the
+    defects' ``symbol_row_maxima``; ``left_residual`` extracts a symbol.
     """
     sigma_matrix: OperatorMatrix  # A
     initial: OperatorMatrix       # B0
@@ -86,11 +86,6 @@ class Parametrix:
     def left_residual(self) -> GridSymbol:
         """S with T_tau T_sigma = I + S."""
         return extract_symbol(self.left_defect, order=-float(self.steps))
-
-    @cached_property
-    def right_residual(self) -> GridSymbol:
-        """R with T_sigma T_tau = I + R."""
-        return extract_symbol(self.right_defect, order=-float(self.steps))
 
 
 def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
@@ -171,12 +166,27 @@ class DecayReport:
     schwartz_like: bool
 
 
-def _row_sups(rowmax: np.ndarray) -> np.ndarray:
-    """The row sups max over x of |rho(k, x)|, with the rows below 1e-13
-    max(1, the largest) read as 0: at roundoff level they are exact zeros
-    of the residual in disguise."""
+def _weighted_shell_sups(rowmax: np.ndarray, window: LatticeWindow, power: int, margin=None):
+    """The shells and per-shell sups of (1+|k|)^power |rho| from the row
+    sups max over x of |rho(k, x)| of a residual, on the rows at least
+    ``margin`` layers inside the window (default ``interior_margin``).
+    Rows below 1e-13 max(1, the largest) read as 0: at roundoff level they
+    are exact zeros of the residual in disguise."""
     floor = 1e-13 * max(1.0, float(np.max(rowmax)))
-    return np.where(rowmax < floor, 0.0, rowmax)
+    weighted = np.where(rowmax < floor, 0.0, rowmax) * np.power(window.radial_weight, power)
+    mask = window.interior_mask(interior_margin(window) if margin is None else margin)
+    return window.shell_sups(weighted, mask)[:2]
+
+
+def _decay_report(rowmax: np.ndarray, window: LatticeWindow, P: int, margin=None) -> DecayReport:
+    """``residual_decay_report`` from the residual's row sups ``rowmax``."""
+    if P < 0:
+        raise ValueError("the decay report needs a nonnegative power")
+    sups = {}
+    for p in range(P + 1):
+        shells, sups[p] = _weighted_shell_sups(rowmax, window, p, margin)
+    verdict = all(_decreasing_from_peak(sups[p]) for p in range(P + 1))
+    return DecayReport(list(range(P + 1)), sups, shells, verdict)
 
 
 def residual_decay_report(rho: GridSymbol, P: int) -> DecayReport:
@@ -185,19 +195,10 @@ def residual_decay_report(rho: GridSymbol, P: int) -> DecayReport:
     The verdict requires every power's shell profile to decrease strictly
     from its peak through the last shell.  Shells contaminated by the
     interior margin are excluded, and rows at roundoff level count as
-    zero (``_row_sups``), so a residual that is pure roundoff is zero,
-    which decays.
+    zero (``_weighted_shell_sups``), so a residual that is pure roundoff
+    is zero, which decays.
     """
-    if P < 0:
-        raise ValueError("the decay report needs a nonnegative power")
-    window = rho.window
-    mask = window.interior_mask(rho.interior_margin)
-    rowmax = _row_sups(np.max(np.abs(rho.values), axis=1))
-    sups = {}
-    for p in range(P + 1):
-        shells, sups[p], _ = window.shell_sups(rowmax * np.power(window.radial_weight, p), mask)
-    verdict = all(_decreasing_from_peak(sups[p]) for p in range(P + 1))
-    return DecayReport(list(range(P + 1)), sups, shells, verdict)
+    return _decay_report(np.max(np.abs(rho.values), axis=1), rho.window, P, rho.interior_margin)
 
 
 @dataclass
@@ -330,11 +331,13 @@ def residual_order_sequence(sigma: Symbol, m: float, window: LatticeWindow,
     """Estimated order of the left residual for J = 1, 2, 3.
 
     One parametrix is built; its copies at J steps share A and B0, so
-    sigma is evaluated once and each section is formed once.
+    sigma is evaluated once and each section is formed once.  Each order
+    is ``estimate_order``'s m_hat at alpha_max = beta_max = 0, read from
+    the left defect's row maxima.
     """
     par = parametrix(sigma, m, 1, window, grid)
-    return [estimate_order(replace(par, steps=J).left_residual, window, grid,
-                           alpha_max=0, beta_max=0).m_hat for J in (1, 2, 3)]
+    rows = (replace(par, steps=J).left_defect.symbol_row_maxima() for J in (1, 2, 3))
+    return [_shell_slope(r, window.interior_mask(0), window, float(np.max(r)))[0] for r in rows]
 
 
 __all__ = [

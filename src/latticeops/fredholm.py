@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import LatticeWindow, default_grid
 from .errors import EllipticityError
-from .elliptic import _row_sups, parametrix
+from .elliptic import _weighted_shell_sups, parametrix
 from .quantization import assemble_matrix, interior_margin
 from .symbols import EllipticityReport, Symbol, check_ellipticity
 
@@ -53,12 +53,21 @@ def _null_basis(A: np.ndarray, r: int, smax: float) -> np.ndarray:
     singular vectors whose singular values lie below the threshold.  The
     shift keeps the solve regular on exactly singular sections, and the
     fixed seed makes the basis the same on every run.
+
+    The shift is delta G H^H / (2P), G and H seeded P x (r + 2) Gaussian
+    blocks, of norm about delta = 1e-3 RANK_TOL s_max, and not delta I:
+    on an exact shift section (a jump symbol with its roundoff cut) the
+    left and right null vectors u and v have u^H v = 0, so delta I
+    leaves sigma_min about delta^(N+1) and the solve overflows, while
+    u^H G H^H v is nonzero.
     """
     P = A.shape[0]
     rng = np.random.default_rng(0)
-    R = rng.standard_normal((P, r + 2)) + 1j * rng.standard_normal((P, r + 2))
-    shift = 1e-3 * RANK_TOL * smax
-    X = np.linalg.solve(A + shift * np.eye(P), R)
+    R, G, H = (rng.standard_normal((P, r + 2)) + 1j * rng.standard_normal((P, r + 2))
+               for _ in range(3))
+    shifted = (1e-3 * RANK_TOL * smax / (2 * P) * G) @ H.conj().T
+    shifted += A  # in place: one P x P array beside A
+    X = np.linalg.solve(shifted, R)
     return np.linalg.svd(X, full_matrices=False)[0][:, :r]
 
 
@@ -151,30 +160,21 @@ class TraceIndexResult:
 def _weighted_tail_bound(rowmax: np.ndarray, window: LatticeWindow, power: int) -> float:
     """Off-window bound for sum |rho(k)| from shellwise (1+|k|)^power sups.
 
-    ``rowmax`` holds max over x of |rho(k, x)| for each window row; rows
-    at roundoff level count as zero (``_row_sups``), and only the rows at
-    least ``interior_margin`` layers inside the window are read.  If
+    ``rowmax`` holds max over x of |rho(k, x)| for each window row, read
+    on the interior shells as ``_weighted_shell_sups`` reads them.  If
     (1+|k|)^power |rho| <= s* on the observed interior shells and the same
     envelope persists beyond the window, the off-window sum is below
     s* 2^(n+1) / (N+1) for power = n+1.
     """
-    mask = window.interior_mask(interior_margin(window))
-    _, sups, _ = window.shell_sups(_row_sups(rowmax) * np.power(window.radial_weight, power),
-                                   mask)
+    _, sups = _weighted_shell_sups(rowmax, window, power)
     if not sups:
         return np.inf
-    if max(sups) == 0.0:
-        return 0.0
     # require the envelope itself to be non-increasing on the outer shells,
-    # otherwise extrapolation is not justified
+    # otherwise extrapolation is not justified; all-zero sups bound 0
     outer = sups[len(sups) // 2:]
     if len(outer) >= 2 and outer[-1] > 2.0 * max(outer[:-1]):
         return np.inf
-    s_star = max(sups[-2:]) if len(sups) >= 2 else sups[-1]
-    if s_star == 0.0:
-        return 0.0
-    n = window.n
-    return s_star * (2.0 ** (n + 1)) / (window.N + 1.0)
+    return max(sups[-2:]) * 2.0 ** (window.n + 1) / (window.N + 1.0)
 
 
 def trace_index(sigma: Symbol, window: LatticeWindow, J: int = 3) -> TraceIndexResult:
@@ -187,8 +187,8 @@ def trace_index(sigma: Symbol, window: LatticeWindow, J: int = 3) -> TraceIndexR
     M >= 2N+1 the x-average of an extracted symbol at row k is exactly
     the (k,k) matrix entry.  The grid is the window's default grid.  The
     diagonals come from the defects' sparse forms when they are sparse,
-    and the tail bound reads the residual symbols' row sups, synthesized
-    only on the rows that hold an entry (``symbol_row_maxima``).
+    and the tail bound reads the defects' row maxima
+    (``symbol_row_maxima``), so no residual symbol is extracted.
     """
     par = parametrix(sigma, 0.0, J, window, default_grid(window))  # raises on non-elliptic
     left, right = par.left_defect, par.right_defect

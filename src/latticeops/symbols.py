@@ -763,6 +763,28 @@ def _fit_slope(sups, args):
     return slope
 
 
+def _shell_slope(rowmax: np.ndarray, valid: np.ndarray, window: LatticeWindow, scale: float):
+    """(slope, degenerate, shell sups) of one ``estimate_order`` entry from the row
+    sups ``rowmax`` over the ``valid`` rows and the entry's magnitude ``scale``."""
+    if window.N < 8:
+        raise ValueError("window too small for a three-shell regression (need N >= 8)")
+    _, sups, rows = window.shell_sups(rowmax, valid)
+    # trailing shells whose sup sits on the window boundary are
+    # geometry-capped, not symbol-governed; drop them
+    sup_norm = np.max(np.abs(window.points), axis=1)
+    while rows and sup_norm[rows[-1]] >= window.N:
+        sups, rows = sups[:-1], rows[:-1]
+    pos = [s for s in sups if s > 0]
+    slope = None
+    # spectral differentiation noise floor: relative to the
+    # undifferentiated magnitude, an all-noise entry is degenerate
+    if max(sups, default=0.0) > 1e-9 * scale + 1e-280 and len(pos) >= 3:
+        # an exactly shell-constant profile has slope 0 by convention
+        slope = 0.0 if np.ptp(np.log(pos)) < 1e-12 else _fit_slope(
+            sups, [float(window.radial_weight[i]) for i in rows])
+    return (0.0 if slope is None else slope), slope is None, sups
+
+
 def estimate_order(sigma: Symbol, window: LatticeWindow, grid: TorusGrid,
                    alpha_max: int = 1, beta_max: int = 1) -> OrderEstimate:
     """Regress shell sups of |D^(beta) Delta^alpha sigma| to estimate the order.
@@ -772,9 +794,6 @@ def estimate_order(sigma: Symbol, window: LatticeWindow, grid: TorusGrid,
     shell regression, are recorded with slope 0 and flagged degenerate
     (they carry no order information).
     """
-    if window.N < 8:
-        raise ValueError("window too small for a three-shell regression (need N >= 8)")
-    sup_norm = np.max(np.abs(window.points), axis=1)
     table = []
     candidates = []
     shells_used = sorted(set(window.shell_labels()))
@@ -785,23 +804,9 @@ def estimate_order(sigma: Symbol, window: LatticeWindow, grid: TorusGrid,
                             axes=tuple(range(1, window.n + 1))) if beta_max else None
         for beta in multiindex_range(window.n, beta_max):
             g = diff if beta.order == 0 else _spectral_shifted_derivative(modes, grid, beta)
-            rowmax = np.max(np.abs(g), axis=1)
-            _, sups, rows = window.shell_sups(rowmax, valid)
-            # trailing shells whose sup sits on the window boundary are
-            # geometry-capped, not symbol-governed; drop them
-            while rows and sup_norm[rows[-1]] >= window.N:
-                sups, rows = sups[:-1], rows[:-1]
-            pos = [s for s in sups if s > 0]
-            slope = None
-            # spectral differentiation noise floor: relative to the
-            # undifferentiated magnitude, an all-noise entry is degenerate
-            if max(sups, default=0.0) > 1e-9 * scale + 1e-280 and len(pos) >= 3:
-                # an exactly shell-constant profile has slope 0 by convention
-                slope = 0.0 if np.ptp(np.log(pos)) < 1e-12 else _fit_slope(
-                    sups, [float(window.radial_weight[i]) for i in rows])
-            table.append(SlopeEntry(tuple(alpha), tuple(beta), 0.0 if slope is None else slope,
-                                     slope is None, sups))
-            if slope is not None:
+            slope, degenerate, sups = _shell_slope(np.max(np.abs(g), axis=1), valid, window, scale)
+            table.append(SlopeEntry(tuple(alpha), tuple(beta), slope, degenerate, sups))
+            if not degenerate:
                 candidates.append(slope + alpha.order)
     return OrderEstimate(float(max(candidates, default=0.0)), table, shells_used)
 

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end and its exit codes."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,15 +9,27 @@ import pytest
 from latticeops import (
     LatticeSequence,
     LatticeWindow,
+    bessel_symbol,
     check_ellipticity,
     default_grid,
+    extract_symbol,
+    parametrix,
     parse_symbol,
+    residual_decay_report,
     shipped_path,
     shipped_symbol,
     write_sequence_csv,
     write_symbol_json,
 )
 from latticeops.cli import main, read_torus_csv, write_torus_csv
+from latticeops.shipped import SHIPPED
+
+# the three symbols of the benchmark's solve-n2 pool
+EXPR_ORDER0 = "2 + exp(i*twopi*x1)/(1+k1^2+k2^2) + 0.5*cos(twopi*x2)/(1+k1^2)"
+EXPR_ORDER2 = "(1+k1^2+k2^2)*(1 + 0.3*cos(twopi*(x1+x2)))"
+N2_POOL = {"expr-order0": parse_symbol(EXPR_ORDER0, 2, order=0.0),
+           "expr-order2": parse_symbol(EXPR_ORDER2, 2, order=2.0),
+           "bessel2": bessel_symbol(2, n=2)}
 
 
 def run(capsys, *argv):
@@ -126,6 +139,47 @@ def test_parametrix_command_and_csv(tmp_path, capsys):
     lines = open(out).read().splitlines()
     assert lines[0] == "shell,power,weighted_sup"
     assert len(lines) > 1
+
+
+@pytest.mark.parametrize("name,n,N", [(name, 1, 32) for name in SHIPPED]
+                         + [(name, 2, 8) for name in N2_POOL])
+def test_parametrix_report_reads_the_residuals_the_extractions_give(name, n, N, tmp_path,
+                                                                   capsys):
+    # the report reads each residual from its defect's row maxima; its
+    # numbers are those of the extracted residual symbols, bit for bit
+    if n == 1:
+        sigma, path = shipped_symbol(name), shipped_path(name)
+    else:
+        sigma, path = N2_POOL[name], tmp_path / "sigma.json"
+        write_symbol_json(path, sigma)
+    w = LatticeWindow(n, N)
+    rep = report_of(capsys, "parametrix", str(path), "--n", str(n), "--N", str(N),
+                    "--json", "--no-timestamp")
+    par = parametrix(sigma, sigma.order or 0.0, 2, w, default_grid(w))
+    assert rep["max_left_residual"] == np.max(np.abs(par.left_residual.values))
+    assert rep["max_right_residual"] == np.max(np.abs(extract_symbol(par.right_defect).values))
+    decay = residual_decay_report(par.left_residual, 3)
+    assert rep["decay"] == {"powers": decay.powers, "shells": decay.shells,
+                            "shell_sups": {str(p): decay.shell_sups[p] for p in decay.powers},
+                            "schwartz_like": decay.schwartz_like}
+
+
+def test_parametrix_command_forms_no_p_by_q_array(tmp_path, capsys):
+    # a one-term symbol: the residuals' sizes come from the defects' row
+    # maxima, so the command holds less than one (P, Q) complex array
+    # (21 MB at n=2 N=16; extracting the two residual symbols holds 2.7 of them)
+    path = tmp_path / "sigma.json"
+    write_symbol_json(path, N2_POOL["expr-order2"])
+    w = LatticeWindow(2, 16)
+    report_of(capsys, "parametrix", str(path), "--n", "2", "--N", "4")  # first-call caches
+    tracemalloc.start()
+    try:
+        rep = report_of(capsys, "parametrix", str(path), "--n", "2", "--N", str(w.N))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {v["form"] for v in rep["sections"].values()} == {"sparse"}
+    assert peak < w.size * default_grid(w).size * 16
 
 
 def test_parametrix_reads_a_residual_zero_after_its_peak_as_decaying(capsys):

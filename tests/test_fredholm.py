@@ -319,3 +319,29 @@ def test_trace_index_forms_no_p_by_p_array():
     assert rep.trace_index == 0
     assert {v["form"] for v in rep.sections.values()} == {"sparse"}
     assert peak < w.size ** 2 * 16
+
+
+@pytest.mark.parametrize("name,counts", [("jump_plus", (1, 0)), ("jump_minus", (0, 1))])
+@pytest.mark.parametrize("N", [32, 64])
+def test_null_bases_of_exact_jump_sections(name, counts, N):
+    # the jump sections with their FFT roundoff cut (entries below 1e-15 of
+    # their row's largest set to 0) are exact shift blocks, whose left and
+    # right null vectors a shift by delta I does not couple
+    want = _dense_svd_oracle(shipped_symbol(name), N)
+    A = want["A"].copy()
+    mag = np.abs(A)
+    cut = mag < 1e-15 * np.max(mag, axis=1, keepdims=True)
+    assert np.any(cut & (mag > 0))
+    A[cut] = 0
+    U, s, Vh = np.linalg.svd(A)
+    null = s < RANK_TOL * s[0]
+    assert int(np.sum(null)) == want["raw"] == 1
+    w = LatticeWindow(1, N)
+    mask = w.interior_mask(interior_margin(w))
+    bases = []
+    for M, oracle in ((A, Vh[null].conj().T), (A.conj().T, U[:, null])):
+        basis = _null_basis(M, 1, s[0])
+        cosines = np.linalg.svd(basis.conj().T @ oracle, compute_uv=False)
+        assert np.all(cosines >= 1 - 1e-8)
+        bases.append(basis)
+    assert tuple(_interior_null_count(b, mask) for b in bases) == counts
