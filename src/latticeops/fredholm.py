@@ -4,7 +4,9 @@ Route one counts kernel and cokernel dimensions from the singular
 spectrum of growing finite sections.  It computes singular values only;
 when some fall below the rank threshold, one shifted solve per side
 (inverse iteration on A for the kernel, on A^H for the cokernel) gives
-an orthonormal basis of each null space.  A square section always
+an orthonormal basis of each null space.  A section whose sparse
+pattern falls apart into independent blocks (``OperatorMatrix.blocks``)
+takes its values and null bases block by block.  A square section always
 balances raw null counts, so null vectors are attributed to the operator
 only when they live in the interior of the window: truncation artifacts
 concentrate their mass in the boundary margin and are discarded.  Route
@@ -22,7 +24,7 @@ import numpy as np
 from .core import LatticeWindow, default_grid
 from .errors import EllipticityError
 from .elliptic import _weighted_shell_sups, parametrix
-from .quantization import assemble_matrix, interior_margin
+from .quantization import _operator, interior_margin
 from .symbols import EllipticityReport, Symbol, check_ellipticity
 
 RANK_TOL = 1e-8
@@ -86,6 +88,8 @@ class WindowEvidence:
     dim_coker: int
     raw_null_count: int
     gap: float
+    blocks: int           # independent blocks of the section, an empty row or column one each
+    largest_block: int    # max(rows, columns) of the largest block
 
     to_dict = asdict
 
@@ -106,9 +110,36 @@ class IndexReport:
     to_dict = asdict
 
 
+def _block_null_counts(B, groups, smax: float, mask: np.ndarray):
+    """Interior kernel and cokernel counts of a split section, block by
+    block: its null spaces are the direct sums of its blocks', and the
+    mask acts on each coordinate, so the counts add.  An empty column is a
+    unit kernel vector and an empty row a unit cokernel vector; each block
+    with null values gets its null bases from its padded square
+    (``OperatorMatrix._spectrum``), whose padded rows and columns count as
+    boundary."""
+    rows, cols = B.sizes()
+    ker = int(np.sum(mask[rows[B.cols] == 0]))
+    coker = int(np.sum(mask[cols[B.rows] == 0]))
+    for ids, stack, s in groups:
+        d = stack.shape[1]
+        nulls = np.sum(s < RANK_TOL * smax, axis=1)
+        for i in np.flatnonzero(nulls):
+            b, r = ids[i], int(nulls[i])
+            on_rows, on_cols = np.zeros(d, dtype=bool), np.zeros(d, dtype=bool)
+            on_rows[:rows[b]], on_cols[:cols[b]] = mask[B.rows == b], mask[B.cols == b]
+            ker += _interior_null_count(_null_basis(stack[i], r, smax), on_cols)
+            coker += _interior_null_count(_null_basis(stack[i].conj().T, r, smax), on_rows)
+    return ker, coker
+
+
 def svd_index(sigma: Symbol, windows, n: int = 1) -> IndexReport:
     """Kernel/cokernel counts across the distinct windows, smallest first.
 
+    Each section's sparse form is built from sigma's factors or samples
+    before its dense entries, and the section is split into the
+    independent blocks of its pattern (``OperatorMatrix.blocks``); a
+    split section's values and null bases come block by block.
     Stabilized when the last two windows agree on both counts and both
     show a 100x gap between null and non-null singular values; otherwise,
     and with fewer than two distinct windows, the verdict is left unstable
@@ -116,8 +147,8 @@ def svd_index(sigma: Symbol, windows, n: int = 1) -> IndexReport:
     """
     evidence = []
     for window, grid in _sections(windows, n):
-        A = assemble_matrix(sigma, window, grid).entries
-        s = np.linalg.svd(A, compute_uv=False)
+        A = _operator(sigma, window, grid)
+        B, groups, s = A._spectrum()
         smax = s[0] if s.size and s[0] > 0 else 1.0
         null = s < RANK_TOL * smax
         raw = int(np.sum(null))
@@ -129,9 +160,14 @@ def svd_index(sigma: Symbol, windows, n: int = 1) -> IndexReport:
             # all-null section has no gap at all.
             gap = 0.0 if raw == s.size else float(s[-raw - 1] / max(s[-raw], s.size * EPS * smax))
             mask = window.interior_mask(interior_margin(window))
-            ker = _interior_null_count(_null_basis(A, raw, smax), mask)
-            coker = _interior_null_count(_null_basis(A.conj().T, raw, smax), mask)
-        evidence.append(WindowEvidence(window.N, ker, coker, raw, gap))
+            if B.count == 1:
+                ker = _interior_null_count(_null_basis(A.entries, raw, smax), mask)
+                coker = _interior_null_count(_null_basis(A.entries.conj().T, raw, smax), mask)
+            else:
+                ker, coker = _block_null_counts(B, groups, smax, mask)
+        rows, cols = B.sizes()
+        evidence.append(WindowEvidence(window.N, ker, coker, raw, gap, B.count,
+                                       int(np.max(np.maximum(rows, cols)))))
     stable = (
         len(evidence) >= 2
         and evidence[-1].dim_ker == evidence[-2].dim_ker
@@ -279,7 +315,7 @@ def fredholm_ellipticity_probe(sigma: Symbol, windows, n: int = 1) -> ProbeRepor
             return ProbeReport(True, rep, consistent=False)
         return ProbeReport(True, rep, atkinson=atk, windows=windows,
                            consistent=atk.bounded)
-    counts = [int(np.sum(assemble_matrix(sigma, w, g).singular_values() < SV_THRESHOLD))
+    counts = [int(np.sum(_operator(sigma, w, g).singular_values() < SV_THRESHOLD))
               for w, g in _sections(windows, n)]
     growing = all(b > a for a, b in zip(counts, counts[1:])) if len(counts) >= 2 else None
     return ProbeReport(False, rep, near_kernel_counts=counts, windows=windows,

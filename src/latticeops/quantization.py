@@ -21,7 +21,11 @@ factors as sum_r a_r(k) C_r[(l - k) mod M] over the modes kept, from
 the folded samples as the row FFTs read at the window's slots.  Two
 sparse forms multiply in work of the terms they expand, about P m^2 for
 m entries per row, instead of P^3 (``OperatorMatrix.product``); a
-section fuller than ``_MAX_FILL`` stays dense.
+section fuller than ``_MAX_FILL`` stays dense.  The rows and columns of
+a sparse form fall into independent blocks (``OperatorMatrix.blocks``),
+and a section of several blocks has the union of their singular values,
+from one stacked SVD per block size, for a section of one block the P x P
+SVD.
 Extraction scatters a section, or only the kept entries of a sparse
 one, back into the symbol's shift form and synthesizes it
 (``core.shift_samples``), the exact inverse of assembly.
@@ -106,6 +110,35 @@ class SparseRows(NamedTuple):
     def row_ids(self) -> np.ndarray:
         """The row of each stored entry."""
         return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+
+
+class Blocks(NamedTuple):
+    """A partition of a section's rows and columns into independent
+    blocks: ``rows[k]`` and ``cols[l]`` are the blocks of row k and column
+    l, numbered 0..count-1 by their first row and then, for blocks of one
+    empty column, by column; every entry of the section lies in the rows
+    and columns of one block."""
+    rows: np.ndarray
+    cols: np.ndarray
+    count: int
+
+    def sizes(self):
+        """The number of rows and of columns of each block."""
+        return np.bincount(self.rows, minlength=self.count), \
+            np.bincount(self.cols, minlength=self.count)
+
+    def places(self):
+        """The place of each row, and of each column, among its block's,
+        in section order."""
+        out = []
+        for labels in (self.rows, self.cols):
+            order = np.argsort(labels, kind="stable")
+            counts = np.bincount(labels, minlength=self.count)
+            first = np.cumsum(counts) - counts
+            place = np.empty(len(labels), dtype=np.intp)
+            place[order] = np.arange(len(labels)) - first[labels[order]]
+            out.append(place)
+        return out
 
 
 class OperatorMatrix:
@@ -287,8 +320,76 @@ class OperatorMatrix:
             out[ids] = np.max(np.abs(shift_samples(C, self.window, self.grid)), axis=1)
         return out
 
+    def blocks(self) -> Blocks:
+        """The connected components of the section's bipartite graph of
+        rows and columns, one edge per entry of its sparse form, so an
+        empty row or column is a block of its own; one block of every row
+        and column when the section has no sparse form.
+
+        Each round hooks the larger of the two roots of every entry that
+        joins two components to the smallest root it meets
+        (``np.minimum.at``), then jumps pointers until each node points at
+        its root, until no entry joins two components.  A root is the
+        smallest node of its component.
+        """
+        P, S = self.window.size, self.sparse
+        if S is None:
+            return Blocks(np.zeros(P, dtype=np.intp), np.zeros(P, dtype=np.intp), 1)
+        u, v = S.row_ids(), S.indices + P  # row k is node k, column l node P + l
+        root = np.arange(2 * P)
+        while True:
+            ru, rv = root[u], root[v]
+            apart = ru != rv
+            if not apart.any():
+                break
+            np.minimum.at(root, np.maximum(ru, rv)[apart], np.minimum(ru, rv)[apart])
+            while True:
+                up = root[root]
+                if np.array_equal(up, root):
+                    break
+                root = up
+        is_root = root == np.arange(2 * P)
+        labels = (np.cumsum(is_root) - 1)[root]
+        return Blocks(labels[:P], labels[P:], int(np.sum(is_root)))
+
+    def _spectrum(self):
+        """(blocks, groups, values): ``blocks()``; for each padded block
+        size d, the ids of the blocks with rows and columns whose larger
+        side is d, their (g, d, d) stack of each block's rows and columns
+        in section order padded with zero rows or columns, and its
+        values-only SVD; and the section's singular values, descending:
+        the union of the blocks', padded with zeros to P.  A section of one
+        block has no groups and its values come from one SVD of
+        ``entries``, a P x P SVD a split section never forms.
+        """
+        B = self.blocks()
+        if B.count == 1:
+            return B, [], np.linalg.svd(self.entries, compute_uv=False)
+        S, P = self.sparse, self.window.size
+        rows, cols = B.sizes()
+        side, full = np.maximum(rows, cols), np.minimum(rows, cols)
+        row_place, col_place = B.places()
+        k = S.row_ids()
+        block = B.rows[k]
+        groups, values = [], []
+        for d in np.flatnonzero(np.bincount(side[full > 0])):
+            ids = np.flatnonzero((side == d) & (full > 0))
+            slot = np.full(B.count, -1)
+            slot[ids] = np.arange(len(ids))
+            on = slot[block] >= 0
+            stack = np.zeros((len(ids), d, d), dtype=complex)
+            stack[slot[block[on]], row_place[k[on]], col_place[S.indices[on]]] = S.data[on]
+            s = np.linalg.svd(stack, compute_uv=False)
+            groups.append((ids, stack, s))
+            # the padded rows or columns add only zeros past a block's first min(r, c)
+            values.append(s[np.arange(d) < full[ids][:, None]])
+        found = np.sort(np.concatenate([np.zeros(0), *values]))[::-1]
+        return B, groups, np.concatenate([found, np.zeros(P - found.size)])
+
     def singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.entries, compute_uv=False)
+        """The section's singular values, descending, block by block
+        (``_spectrum``)."""
+        return self._spectrum()[2]
 
 
 def _row_blocks(A: OperatorMatrix):

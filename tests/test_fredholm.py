@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeops import (
     LatticeWindow,
@@ -24,6 +26,7 @@ from latticeops.errors import EllipticityError
 from latticeops.fredholm import RANK_TOL, _interior_null_count, _null_basis, _weighted_tail_bound
 from latticeops.quantization import (
     OperatorMatrix,
+    _operator,
     adjoint_symbol,
     assemble_matrix,
     extract_symbol,
@@ -31,6 +34,7 @@ from latticeops.quantization import (
 )
 
 WINDOWS = [16, 24, 32]
+EPS = np.finfo(float).eps
 
 JUMP2 = "step(k1)*exp({}2*i*twopi*x1) + (1-step(k1))"
 PERTURBED_JUMP = "step(k1)*exp(i*twopi*x1) + (1-step(k1)) + 0.15*exp(-i*twopi*x1)/(1+k1^2)"
@@ -58,7 +62,43 @@ def _values_only_gap(A):
     raw = int(np.sum(s < RANK_TOL * smax))
     if raw in (0, s.size):
         return np.inf if raw == 0 else 0.0
-    return float(s[-raw - 1] / max(s[-raw], s.size * np.finfo(float).eps * smax))
+    return float(s[-raw - 1] / max(s[-raw], s.size * EPS * smax))
+
+
+def _column_norms(A):
+    """The exact singular values, descending, of a section whose exact
+    entries are 0, 1/2 or 1 and whose rows hold at most one each (a jump,
+    shift or multiplier section): with its roundoff rounded off, E^H E is
+    diagonal, so they are E's column norms."""
+    E = np.round(2 * A) / 2
+    assert np.all(np.count_nonzero(E, axis=1) <= 1)
+    return np.sort(np.linalg.norm(E, axis=0))[::-1]
+
+
+def _cos_paths(A):
+    """The exact singular values, descending, of (1-step(k1))*cos(twopi*x1)
+    at N = 2n: its blocks are two paths of entries 1/2, n rows by n and by
+    n + 1 columns, whose values are cos(j pi/(2n+1)) and cos(j pi/(2n+2)),
+    j = 1..n; the other 2n + 1 rows are empty."""
+    P = A.shape[0]
+    j = np.arange(1, (P - 1) // 4 + 1)
+    n = j.size
+    s = np.concatenate([np.cos(j * np.pi / (2 * n + 1)), np.cos(j * np.pi / (2 * n + 2)),
+                        np.zeros(P - 2 * n)])
+    return np.sort(s)[::-1]
+
+
+def _assert_near_the_exact_values(sigma, N, exact, gap):
+    """The section's singular values within 8 eps s_max of the exact ones
+    (the backward error of a values-only SVD), and ``gap`` within the
+    range of gaps, as svd_index reads them, of values that close."""
+    w = LatticeWindow(1, N)
+    s = _operator(sigma, w, default_grid(w)).singular_values()
+    tol = 8 * EPS * s[0]
+    assert np.all(np.abs(s - exact) <= tol)
+    raw = int(np.sum(exact == 0))
+    low, top, floor = exact[-raw - 1], exact[0], exact.size * EPS
+    assert (low - tol) / (floor * (top + tol)) <= gap <= (low + tol) / (floor * (top - tol))
 
 
 def test_constant_symbol_index_zero():
@@ -263,9 +303,12 @@ def test_gap_without_null_or_non_null_values(text, raw, gap, index):
     assert rep.svd_index == index
 
 
-@pytest.mark.parametrize("text", ["1 - step(k1)", "0*k1", "step(k1)*exp(i*twopi*x1)",
-                                  "(1-step(k1))*cos(twopi*x1)"])
-def test_structurally_singular_sections_match_the_dense_svd(text):
+@pytest.mark.parametrize("text,exact", [("1 - step(k1)", _column_norms), ("0*k1", None),
+                                        ("step(k1)*exp(i*twopi*x1)", _column_norms),
+                                        ("(1-step(k1))*cos(twopi*x1)", _cos_paths)],
+                         ids=["1 - step(k1)", "0*k1", "step(k1)*exp(i*twopi*x1)",
+                              "(1-step(k1))*cos(twopi*x1)"])
+def test_structurally_singular_sections_match_the_dense_svd(text, exact):
     # exactly singular sections: the null-basis solve must stay regular
     sigma = parse_symbol(text, 1, order=0)
     rep = svd_index(sigma, [16, 24, 64], n=1)
@@ -274,25 +317,35 @@ def test_structurally_singular_sections_match_the_dense_svd(text):
         assert (e.raw_null_count, e.dim_ker, e.dim_coker) == \
             (want["raw"], want["ker"], want["coker"])
         assert e.raw_null_count > 0
-        # exact zeros beside non-null values give a finite gap
-        assert e.gap == _values_only_gap(want["A"]) < np.inf
+        # exact zeros beside non-null values give a finite gap; a split
+        # section's values come from other SVDs than the dense one, so
+        # they are held to the exact values instead
+        assert e.gap < np.inf
+        if exact is None:
+            assert e.gap == _values_only_gap(want["A"])
+        else:
+            _assert_near_the_exact_values(sigma, e.N, exact(want["A"]), e.gap)
 
 
-@pytest.mark.parametrize("sigma,raw", [
-    (jump_symbol(+1), 1),
-    (jump_symbol(-1), 1),
-    (parse_symbol(JUMP2.format(""), 1, order=0), 2),
-    (parse_symbol(JUMP2.format("-"), 1, order=0), 2),
-    (parse_symbol(PERTURBED_JUMP, 1, order=0), 1),
-    (shipped_symbol("perturbed_bessel"), 0),
+@pytest.mark.parametrize("sigma,raw,exact", [
+    (jump_symbol(+1), 1, _column_norms),
+    (jump_symbol(-1), 1, _column_norms),
+    (parse_symbol(JUMP2.format(""), 1, order=0), 2, _column_norms),
+    (parse_symbol(JUMP2.format("-"), 1, order=0), 2, _column_norms),
+    (parse_symbol(PERTURBED_JUMP, 1, order=0), 1, None),
+    (shipped_symbol("perturbed_bessel"), 0, None),
 ], ids=["jump+1", "jump-1", "jump+2", "jump-2", "perturbed-jump", "perturbed_bessel"])
 @pytest.mark.parametrize("N", [16, 24, 48])
-def test_null_bases_span_the_dense_svd_null_columns(sigma, raw, N):
+def test_null_bases_span_the_dense_svd_null_columns(sigma, raw, exact, N):
     want = _dense_svd_oracle(sigma, N)
     assert want["raw"] == raw
     gap = svd_index(sigma, [N], n=1).gap_evidence[0].gap
     A = want["A"]
-    assert gap == _values_only_gap(A) and gap >= 100
+    assert gap >= 100
+    if exact is None:  # one block: the same values-only SVD of the same section
+        assert gap == _values_only_gap(A)
+    else:
+        _assert_near_the_exact_values(sigma, N, exact(A), gap)
     # the floored null value bounds the gap by s_max / (P eps s_max)
     assert raw == 0 or gap <= 1 / (A.shape[0] * np.finfo(float).eps)
     for M, oracle in ((A, want["right"]), (A.conj().T, want["left"])):
@@ -345,3 +398,85 @@ def test_null_bases_of_exact_jump_sections(name, counts, N):
         assert np.all(cosines >= 1 - 1e-8)
         bases.append(basis)
     assert tuple(_interior_null_count(b, mask) for b in bases) == counts
+
+
+def _coefficient():
+    """A random nonzero complex coefficient, as expression text."""
+    parts = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda c: c != (0, 0))
+    return parts.map(lambda c: f"(({c[0]}) + ({c[1]})*i)/2")
+
+
+@st.composite
+def _split_symbols(draw):
+    """n=1 symbols whose sections split into many blocks: two k-pieces of
+    one x-mode each with complex coefficients, a multiplier, or a jump
+    across a shifted step."""
+    cut = f"step(k1 - ({draw(st.integers(-4, 4))}))"
+    modes = st.integers(-3, 3).map(lambda m: f"exp({m}*i*twopi*x1)")
+    kind = draw(st.sampled_from(["pieces", "multiplier", "jump"]))
+    if kind == "pieces":
+        text = f"{cut}*{draw(_coefficient())}*{draw(modes)} + " \
+               f"(1 - {cut})*{draw(_coefficient())}*{draw(modes)}"
+    elif kind == "multiplier":
+        power = draw(st.integers(0, 4))
+        text = f"{draw(_coefficient())}*{cut} + {draw(_coefficient())}/(1+k1^2)^{power}"
+    else:
+        text = f"{cut}*{draw(modes)} + (1 - {cut})"
+    return parse_symbol(text, 1, order=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_split_symbols(), st.integers(8, 14), st.integers(2, 6))
+def test_split_sections_match_the_dense_svd(sigma, N, step):
+    windows = [N, N + step]
+    rep = svd_index(sigma, windows, n=1)
+    oracle = []
+    for e in rep.gap_evidence:
+        want = _dense_svd_oracle(sigma, e.N)
+        assert (e.raw_null_count, e.dim_ker, e.dim_coker) == \
+            (want["raw"], want["ker"], want["coker"])
+        oracle.append((want["ker"], want["coker"], _values_only_gap(want["A"])))
+        w = LatticeWindow(1, e.N)
+        A = _operator(sigma, w, default_grid(w))
+        assert A.blocks().count == e.blocks > 1
+        # each route is within 8 eps s_max of the exact values
+        dense = np.linalg.svd(want["A"], compute_uv=False)
+        assert np.all(np.abs(A.singular_values() - dense) <= 16 * EPS * dense[0])
+    (k0, c0, g0), (k1, c1, g1) = oracle
+    stable = (k0, c0) == (k1, c1) and min(g0, g1) >= 100
+    assert rep.svd_index == (k1 - c1 if stable else None)
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """The shape and compute_uv of every np.linalg.svd call."""
+    calls, svd = [], np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return calls
+
+
+def test_split_sections_run_no_p_by_p_svd(svd_shapes):
+    # the pattern comes from the factors; one rebuilt from the formed
+    # section joins every jump section into one P x P block
+    rep = svd_index(jump_symbol(+1), [16, 24, 32], n=1)
+    assert rep.svd_index == 1
+    sizes = {2 * N + 1 for N in rep.windows}
+    assert svd_shapes and not any(shape[-2:] == (P, P) for shape, _ in svd_shapes for P in sizes)
+    assert [e.largest_block for e in rep.gap_evidence] == [2, 2, 2]
+
+
+def test_single_block_sections_run_one_values_only_svd(svd_shapes):
+    sigma = parse_symbol(PERTURBED_JUMP, 1, order=0)
+    rep = svd_index(sigma, [16, 24, 32], n=1)
+    square = [(shape, uv) for shape, uv in svd_shapes if len(shape) > 1 and shape[0] == shape[1]]
+    assert square == [((2 * N + 1,) * 2, False) for N in rep.windows]
+    assert [(e.blocks, e.largest_block) for e in rep.gap_evidence] == \
+        [(1, 2 * N + 1) for N in rep.windows]
+    for e in rep.gap_evidence:
+        w = LatticeWindow(1, e.N)
+        assert e.gap == _values_only_gap(assemble_matrix(sigma, w, default_grid(w)).entries)

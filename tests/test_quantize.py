@@ -557,3 +557,51 @@ def test_sparse_form_refuses_non_finite_entries():
         OperatorMatrix.from_samples(S, w, g).sparse
     with pytest.raises(ValueError, match="non-finite"):
         compose(parse_symbol("1/(k1 - 1)", 1), parse_symbol("1", 1), w, g)
+
+
+def _reference_blocks(D):
+    """The block of each row and column of D by a breadth-first walk over
+    its rows and columns, numbered by their first row and then, for an
+    empty column, by column: the loop ``OperatorMatrix.blocks`` replaces."""
+    P = D.shape[0]
+    label, count = -np.ones(2 * P, dtype=int), 0
+    for start in range(2 * P):
+        if label[start] >= 0:
+            continue
+        label[start], todo = count, [start]
+        while todo:
+            node = todo.pop()
+            near = np.flatnonzero(D[node]) + P if node < P else np.flatnonzero(D[:, node - P])
+            for other in near[label[near] < 0]:
+                label[other] = count
+                todo.append(other)
+        count += 1
+    return label[:P], label[P:], count
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_blocks_and_their_values_match_dense_numpy(data):
+    # a random section with its rows and columns permuted within blocks of
+    # random sizes, so the blocks are of several sizes and interleaved
+    N = data.draw(st.integers(1, 12))
+    w = LatticeWindow(1, N)
+    g = default_grid(w)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    D = _random_section(data, w, rng)
+    P = w.size
+    cuts = np.sort(rng.choice(np.arange(1, P), size=data.draw(st.integers(0, P - 1)),
+                              replace=False))
+    for a, b in zip(np.r_[0, cuts], np.r_[cuts, P]):
+        D[a:b, :a] = D[a:b, b:] = 0
+    D = D[rng.permutation(P)][:, rng.permutation(P)]
+    A = OperatorMatrix.from_sparse(_sparse_rows(D), w, g)
+    B = A.blocks()
+    rows, cols, count = _reference_blocks(D)
+    assert np.array_equal(B.rows, rows) and np.array_equal(B.cols, cols) and B.count == count
+    want = np.linalg.svd(D, compute_uv=False)
+    got = A.singular_values()
+    assert got.shape == (P,) and np.all(got[:-1] >= got[1:])
+    # the two routes' backward errors add
+    assert np.all(np.abs(got - want) <= 16 * np.finfo(float).eps * want[0])
+    assert (A._entries is None) == (count > 1)  # only one block forms the section
