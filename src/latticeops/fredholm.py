@@ -45,8 +45,9 @@ def _interior_null_count(null_basis: np.ndarray, mask: np.ndarray) -> int:
     return int(np.sum(sv >= 0.5))
 
 
-def _null_basis(A: np.ndarray, r: int, smax: float) -> np.ndarray:
-    """Orthonormal P x r basis of the r-dimensional near-null space of A.
+def _null_bases(A: np.ndarray, r: int, smax: float):
+    """Orthonormal P x r bases of the r-dimensional near-null spaces of A
+    and of A^H: the kernel's and the cokernel's.
 
     One step of inverse iteration on a block of r + 2 seeded Gaussian
     columns (Golub-Van Loan, Matrix Computations, 4th ed., 8.2.2): the
@@ -62,15 +63,23 @@ def _null_basis(A: np.ndarray, r: int, smax: float) -> np.ndarray:
     left and right null vectors u and v have u^H v = 0, so delta I
     leaves sigma_min about delta^(N+1) and the solve overflows, while
     u^H G H^H v is nonzero.
+
+    Both sides draw the same seeded blocks and share one shifted array,
+    and A^H is summed into it rather than held beside it, so a solve
+    holds two P x P arrays beside A.
     """
     P = A.shape[0]
     rng = np.random.default_rng(0)
     R, G, H = (rng.standard_normal((P, r + 2)) + 1j * rng.standard_normal((P, r + 2))
                for _ in range(3))
-    shifted = (1e-3 * RANK_TOL * smax / (2 * P) * G) @ H.conj().T
-    shifted += A  # in place: one P x P array beside A
-    X = np.linalg.solve(shifted, R)
-    return np.linalg.svd(X, full_matrices=False)[0][:, :r]
+    shifted = np.empty((P, P), dtype=complex)
+    bases = []
+    for adjoint in (False, True):
+        np.matmul(1e-3 * RANK_TOL * smax / (2 * P) * G, H.conj().T, out=shifted)
+        shifted += A.conj().T if adjoint else A  # the conjugate lives for this sum only
+        X = np.linalg.solve(shifted, R)
+        bases.append(np.linalg.svd(X, full_matrices=False)[0][:, :r])
+    return bases
 
 
 def _sections(windows, n: int):
@@ -111,7 +120,7 @@ class IndexReport:
 
 
 def _block_null_counts(B, groups, smax: float, mask: np.ndarray):
-    """Interior kernel and cokernel counts of a split section, block by
+    """Interior kernel and cokernel counts of a section, block by
     block: its null spaces are the direct sums of its blocks', and the
     mask acts on each coordinate, so the counts add.  An empty column is a
     unit kernel vector and an empty row a unit cokernel vector; each block
@@ -128,46 +137,46 @@ def _block_null_counts(B, groups, smax: float, mask: np.ndarray):
             b, r = ids[i], int(nulls[i])
             on_rows, on_cols = np.zeros(d, dtype=bool), np.zeros(d, dtype=bool)
             on_rows[:rows[b]], on_cols[:cols[b]] = mask[B.rows == b], mask[B.cols == b]
-            ker += _interior_null_count(_null_basis(stack[i], r, smax), on_cols)
-            coker += _interior_null_count(_null_basis(stack[i].conj().T, r, smax), on_rows)
+            right, left = _null_bases(stack[i], r, smax)
+            ker += _interior_null_count(right, on_cols)
+            coker += _interior_null_count(left, on_rows)
     return ker, coker
 
 
-def svd_index(sigma: Symbol, windows, n: int = 1) -> IndexReport:
-    """Kernel/cokernel counts across the distinct windows, smallest first.
+def _window_evidence(sigma: Symbol, window: LatticeWindow, grid) -> WindowEvidence:
+    """Counts, gap and blocks of sigma's section on one window.  Its
+    sparse form is built from sigma's factors or samples before its dense
+    entries, and it is split into the independent blocks of its pattern
+    (``OperatorMatrix.blocks``), whose values and null bases come block by
+    block."""
+    A = _operator(sigma, window, grid)
+    B, groups, s = A._spectrum()
+    smax = s[0] if s.size and s[0] > 0 else 1.0
+    raw = int(np.sum(s < RANK_TOL * smax))
+    gap, ker, coker = np.inf, 0, 0
+    if raw:
+        # s descends: s[-raw] is the largest null value and s[-raw - 1]
+        # the smallest non-null one.  Null values below the roundoff
+        # floor P eps s_max of the SVD are read as the floor, and an
+        # all-null section has no gap at all.
+        gap = 0.0 if raw == s.size else float(s[-raw - 1] / max(s[-raw], s.size * EPS * smax))
+        ker, coker = _block_null_counts(B, groups, smax,
+                                        window.interior_mask(interior_margin(window)))
+    rows, cols = B.sizes()
+    return WindowEvidence(window.N, ker, coker, raw, gap, B.count,
+                          int(np.max(np.maximum(rows, cols))))
 
-    Each section's sparse form is built from sigma's factors or samples
-    before its dense entries, and the section is split into the
-    independent blocks of its pattern (``OperatorMatrix.blocks``); a
-    split section's values and null bases come block by block.
+
+def svd_index(sigma: Symbol, windows, n: int = 1) -> IndexReport:
+    """Kernel/cokernel counts across the distinct windows, smallest first
+    (``_window_evidence``), each section released before the next is built.
+
     Stabilized when the last two windows agree on both counts and both
     show a 100x gap between null and non-null singular values; otherwise,
     and with fewer than two distinct windows, the verdict is left unstable
     (None), never an exception.
     """
-    evidence = []
-    for window, grid in _sections(windows, n):
-        A = _operator(sigma, window, grid)
-        B, groups, s = A._spectrum()
-        smax = s[0] if s.size and s[0] > 0 else 1.0
-        null = s < RANK_TOL * smax
-        raw = int(np.sum(null))
-        gap, ker, coker = np.inf, 0, 0
-        if raw:
-            # s descends: s[-raw] is the largest null value and s[-raw - 1]
-            # the smallest non-null one.  Null values below the roundoff
-            # floor P eps s_max of the SVD are read as the floor, and an
-            # all-null section has no gap at all.
-            gap = 0.0 if raw == s.size else float(s[-raw - 1] / max(s[-raw], s.size * EPS * smax))
-            mask = window.interior_mask(interior_margin(window))
-            if B.count == 1:
-                ker = _interior_null_count(_null_basis(A.entries, raw, smax), mask)
-                coker = _interior_null_count(_null_basis(A.entries.conj().T, raw, smax), mask)
-            else:
-                ker, coker = _block_null_counts(B, groups, smax, mask)
-        rows, cols = B.sizes()
-        evidence.append(WindowEvidence(window.N, ker, coker, raw, gap, B.count,
-                                       int(np.max(np.maximum(rows, cols)))))
+    evidence = [_window_evidence(sigma, window, grid) for window, grid in _sections(windows, n)]
     stable = (
         len(evidence) >= 2
         and evidence[-1].dim_ker == evidence[-2].dim_ker

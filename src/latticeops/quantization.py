@@ -359,12 +359,13 @@ class OperatorMatrix:
         in section order padded with zero rows or columns, and its
         values-only SVD; and the section's singular values, descending:
         the union of the blocks', padded with zeros to P.  A section of one
-        block has no groups and its values come from one SVD of
-        ``entries``, a P x P SVD a split section never forms.
+        block is one group of one, a view of ``entries`` and its values from
+        one P x P SVD, which a split section never forms.
         """
         B = self.blocks()
         if B.count == 1:
-            return B, [], np.linalg.svd(self.entries, compute_uv=False)
+            s = np.linalg.svd(self.entries, compute_uv=False)
+            return B, [(np.zeros(1, dtype=np.intp), self.entries[None], s[None])], s
         S, P = self.sparse, self.window.size
         rows, cols = B.sizes()
         side, full = np.maximum(rows, cols), np.minimum(rows, cols)

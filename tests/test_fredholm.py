@@ -23,7 +23,7 @@ from latticeops import (
 )
 from latticeops.elliptic import parametrix
 from latticeops.errors import EllipticityError
-from latticeops.fredholm import RANK_TOL, _interior_null_count, _null_basis, _weighted_tail_bound
+from latticeops.fredholm import RANK_TOL, _interior_null_count, _null_bases, _weighted_tail_bound
 from latticeops.quantization import (
     OperatorMatrix,
     _operator,
@@ -348,8 +348,7 @@ def test_null_bases_span_the_dense_svd_null_columns(sigma, raw, exact, N):
         _assert_near_the_exact_values(sigma, N, exact(A), gap)
     # the floored null value bounds the gap by s_max / (P eps s_max)
     assert raw == 0 or gap <= 1 / (A.shape[0] * np.finfo(float).eps)
-    for M, oracle in ((A, want["right"]), (A.conj().T, want["left"])):
-        basis = _null_basis(M, raw, want["smax"])
+    for basis, oracle in zip(_null_bases(A, raw, want["smax"]), (want["right"], want["left"])):
         assert basis.shape == oracle.shape
         # cosines of the principal angles between the two subspaces
         cosines = np.linalg.svd(basis.conj().T @ oracle, compute_uv=False)
@@ -392,8 +391,7 @@ def test_null_bases_of_exact_jump_sections(name, counts, N):
     w = LatticeWindow(1, N)
     mask = w.interior_mask(interior_margin(w))
     bases = []
-    for M, oracle in ((A, Vh[null].conj().T), (A.conj().T, U[:, null])):
-        basis = _null_basis(M, 1, s[0])
+    for basis, oracle in zip(_null_bases(A, 1, s[0]), (Vh[null].conj().T, U[:, null])):
         cosines = np.linalg.svd(basis.conj().T @ oracle, compute_uv=False)
         assert np.all(cosines >= 1 - 1e-8)
         bases.append(basis)
