@@ -34,7 +34,6 @@ from .symbols import (
     eval_symbol,
     estimate_order,
     check_ellipticity,
-    dual_toroidal_symbol,
     read_symbol_json,
     write_symbol_json,
 )

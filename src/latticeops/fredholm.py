@@ -59,8 +59,9 @@ def _null_bases(A: np.ndarray, r: int, smax: float):
 
     The shift is delta G H^H / (2P), G and H seeded P x (r + 2) Gaussian
     blocks, of norm about delta = 1e-3 RANK_TOL s_max, and not delta I:
-    on an exact shift section (a jump symbol with its roundoff cut) the
-    left and right null vectors u and v have u^H v = 0, so delta I
+    on an exact shift section (a jump symbol's, which is formed from its
+    kept entries with no roundoff) the left and right null vectors u and
+    v have u^H v = 0, so delta I
     leaves sigma_min about delta^(N+1) and the solve overflows, while
     u^H G H^H v is nonzero.
 

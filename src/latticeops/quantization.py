@@ -6,23 +6,23 @@ the grid resolves the window (M >= 2N+1).  ``apply`` computes it slab by
 slab of k_1 rows of sigma's samples (``symbols._slabs``), so it forms no
 (P, Q) array, only slabs of about ``symbols._BLOCK`` entries or one k_1
 row.  Multiplying the samples by exp(2 pi i k.x) folds the phase in
-(``_fold``): the finite section is then
-the FFT of each row of the folded samples (``_section``), and one product
-with the operator is one matrix-vector product against fhat.  A symbol
-that splits exactly as sigma = sum_r a_r(k) b_r(x) (``Symbol._terms``)
-needs no samples: a product is R inverse FFTs of b_r fhat, and the
-section is sum_r a_r(k) times the shift form of b_r at l - k
-(``_factor_section``).  An ``OperatorMatrix`` holds the section, the
-folded samples or the factors, and forms the section on first read.
-Its fourth form is the section in compressed sparse rows
-(``SparseRows``), built beside the form held, slab by slab, with each
-row's entries below ``_ROUNDOFF`` of its largest dropped: from the
-factors as sum_r a_r(k) C_r[(l - k) mod M] over the modes kept, from
-the folded samples as the row FFTs read at the window's slots.  Two
-sparse forms multiply in work of the terms they expand, about P m^2 for
-m entries per row, instead of P^3 (``OperatorMatrix.product``); a
-section fuller than ``_MAX_FILL`` stays dense.  The rows and columns of
-a sparse form fall into independent blocks (``OperatorMatrix.blocks``),
+(``_fold``): the finite section is then the FFT of each row of the folded
+samples read at the window's slots, and one product with the operator is
+one matrix-vector product against fhat.  A symbol that splits exactly as
+sigma = sum_r a_r(k) b_r(x) (``Symbol._terms``) needs no samples: a
+product is R inverse FFTs of b_r fhat, and the section is
+sum_r a_r(k) C_r[(l - k) mod M], C_r the shift form of b_r.  An
+``OperatorMatrix`` holds the dense section, the folded samples or the
+factors, or the section in compressed sparse rows (``SparseRows``).
+Each section has one set of numbers: the kept entries of the form held
+(``_row_blocks``), each row's entries below ``_ROUNDOFF`` of its largest
+dropped, streamed slab by slab with no P x P array.  The sparse form
+gathers that stream and the dense ``entries`` scatter it (or the sparse
+form, once built), so the two views hold the same entries bit for bit.
+Two sparse forms multiply in work of the terms they expand, about P m^2
+for m entries per row, instead of P^3 (``OperatorMatrix.product``); a
+section fuller than ``_MAX_FILL`` stays dense.  The rows and columns of a
+sparse form fall into independent blocks (``OperatorMatrix.blocks``),
 and a section of several blocks has the union of their singular values,
 from one stacked SVD per block size, for a section of one block the P x P
 SVD.
@@ -41,7 +41,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     TWO_PI,
@@ -58,7 +57,7 @@ from .core import (
     _window_axis,
 )
 from .errors import DimensionMismatchError
-from .symbols import NON_FINITE_SAMPLES, DualToroidalSymbol, GridSymbol, Symbol, _slabs
+from .symbols import NON_FINITE_SAMPLES, GridSymbol, Symbol, _slabs
 
 NON_FINITE_ENTRIES = "operator matrix carries non-finite entries"
 _AXES = "abcdefghijklmnopqrstuvwxyz"  # einsum subscripts: k axes, then x axes
@@ -85,7 +84,8 @@ def interior_margin(window: LatticeWindow) -> int:
 _ROUNDOFF = 1e-15
 
 # The sparse form is kept while a section holds at most this fraction of
-# its row length per row on average; above it the section is held dense.
+# its row length per row on average, or at most one entry per row
+# (``_too_full``); above both the section is held dense.
 # Two sections of m entries per row give P m^2 candidate product terms
 # against the P^3 multiply-adds of the dense product.  On expr-order0 at
 # n=2 N=24 (P=2401, 2 cores, numpy 2.4, OpenBLAS) the sparse B0 (I - A B)
@@ -152,12 +152,13 @@ class OperatorMatrix:
     (``Symbol._terms``), else the folded samples.  A product ``A @ v`` on
     the folded form is one size-Q transform and one matrix-vector product;
     on the factors it is one forward transform of v, R inverse transforms
-    of size Q and R multiply-adds of length P.  The section is formed on
-    first read of ``entries`` and replaces the folded samples or factors,
-    so later products use the section.  The sparse form is built on first
-    read of ``sparse`` beside the form held, without a P x P array, and
-    ``product`` multiplies two sparse forms in P m^2 work for m entries
-    per row; a section whose fill is above ``_MAX_FILL`` is held dense.
+    of size Q and R multiply-adds of length P.  The sparse form is built
+    on first read of ``sparse`` beside the form held, without a P x P
+    array, and ``product`` multiplies two sparse forms in P m^2 work for m
+    entries per row; a section whose fill is above ``_MAX_FILL``
+    (``_too_full``) is held dense.  The section is formed on first read of
+    ``entries`` from the same kept entries and replaces the folded samples
+    or factors, so later products use the section.
     """
 
     def __init__(self, window: LatticeWindow, grid: TorusGrid, entries: np.ndarray):
@@ -201,17 +202,18 @@ class OperatorMatrix:
 
     @property
     def entries(self) -> np.ndarray:
+        """The dense section, formed on first read by scattering the sparse
+        form when it is built, else the kept entries of the form held
+        (``_row_blocks``) slab by slab, so both views hold the same entries."""
         if self._entries is None:
-            sparse = self._sparse
-            if self._factors is not None:
-                self.entries = _factor_section(*self._factors, self.window, self.grid)
-            elif self._folded is not None:
-                self.entries = _section(self._folded, self.window, self.grid)
-            else:
-                E = np.zeros((self.window.size,) * 2, dtype=complex)
-                E[sparse.row_ids(), sparse.indices] = sparse.data
-                self.entries = E
-            self._sparse = sparse  # the same operator, so a sparse form built stays valid
+            S = self._sparse
+            E = np.zeros((self.window.size,) * 2, dtype=complex)
+            kept = [(S.row_ids(), S.indices, S.data)] if S else _row_blocks(self)
+            with np.errstate(all="ignore"):  # non-finite entries are refused by _kept
+                for rows, cols, vals in kept:
+                    E[rows, cols] = vals
+            # the same operator, so a sparse form built stays valid
+            self._entries, self._folded, self._factors = E, None, None
         return self._entries
 
     @entries.setter
@@ -227,8 +229,8 @@ class OperatorMatrix:
     @property
     def sparse(self):
         """The section as ``SparseRows``, built on first read from the form
-        held without a P x P array, or None when its fill is above
-        ``_MAX_FILL`` and the section is held dense.  Entries below
+        held without a P x P array, or None when it is too full
+        (``_too_full``) and the section is held dense.  Entries below
         ``_ROUNDOFF`` times their row's largest are dropped."""
         if self._sparse is None:
             with np.errstate(all="ignore"):  # non-finite entries are refused by _kept
@@ -287,7 +289,7 @@ class OperatorMatrix:
             return OperatorMatrix(window, grid, E)
         blocks = _product_blocks(*operands[:2], scale, shift, operands[2] if add else None)
         result = OperatorMatrix.from_sparse(_assembled(blocks, P), window, grid)
-        if result.sparse.indptr[-1] > _MAX_FILL * P * P:  # too full: held dense
+        if _too_full(result.sparse.indptr[-1], P):
             result = OperatorMatrix(window, grid, result.entries)
         return result
 
@@ -397,10 +399,11 @@ def _row_blocks(A: OperatorMatrix):
     """The kept entries of A's section (``_kept``) as (rows, cols, vals),
     sorted by row, a block of rows at a time, from the form A holds, with
     no P x P array: slabs of the dense section's rows; row FFTs of slabs of
-    the folded samples, read at the grid slots of the window as
-    ``_section`` reads them; or, from the factors, sum_r a_r(k) C_r[(l - k) mod M]
-    at the modes where some C_r is above roundoff.  Refuses non-finite
-    entries with ValueError."""
+    the folded samples, A[k, l] = M^-n sum_x exp(-2 pi i l.x) W[k, x] read
+    at the grid slots of the window; or, from the factors,
+    sum_r a_r(k) C_r[(l - k) mod M] at the modes where some C_r is above
+    roundoff.  The one stream both the sparse form and the dense
+    ``entries`` are built from.  Refuses non-finite entries with ValueError."""
     window, grid, P = A.window, A.grid, A.window.size
     if A._entries is not None:
         for rows in _slabs(P, P):
@@ -544,14 +547,20 @@ def _product_blocks(SA: SparseRows, SB: SparseRows, scale, shift, SC: SparseRows
         r0 = r1
 
 
+def _too_full(count: int, P: int) -> bool:
+    """Whether a section of P rows with ``count`` kept entries is held
+    dense (``_MAX_FILL``): a diagonal or shift section of any size is not."""
+    return count > max(_MAX_FILL * P, 1) * P
+
+
 def _assembled(blocks, P: int, stop: bool = False):
     """``SparseRows`` of the blocks' entries, which come sorted by row;
-    with ``stop``, None as soon as they pass ``_MAX_FILL``."""
+    with ``stop``, None as soon as they are too full (``_too_full``)."""
     parts, count = [], 0
     for block in blocks:
         parts.append(block)
         count += len(block[0])
-        if stop and count > _MAX_FILL * P * P:
+        if stop and _too_full(count, P):
             return None
     rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
     return SparseRows(np.searchsorted(rows, np.arange(P + 1)), cols, vals)
@@ -695,43 +704,6 @@ def _fold(values: np.ndarray, window: LatticeWindow, grid: TorusGrid) -> np.ndar
     return W.reshape(window.size, grid.size)
 
 
-def _section(W: np.ndarray, window: LatticeWindow, grid: TorusGrid) -> np.ndarray:
-    """The finite section A[k, l] = M^-n sum_x exp(-2 pi i l.x) W[k, x] of folded samples W.
-
-    That is the shift form of W (the forward FFT of each row) read at the
-    grid slot of l.
-    """
-    # take, unlike C[:, slots], returns the section in C order, as the
-    # products and extractions downstream expect
-    return np.take(shift_coefficients(W, window, grid),
-                   _grid_slots(window.n, window.N, grid.M), axis=1)
-
-
-def _factor_section(a: np.ndarray, b: np.ndarray, window: LatticeWindow,
-                    grid: TorusGrid) -> np.ndarray:
-    """The finite section A[k, l] = sum_r a_r(k) C_r[(l - k) mod M] of sigma = a @ b,
-    C_r the shift form of b_r.
-
-    Each term is a multilevel Toeplitz matrix: row k reads C_r at the
-    differences l - k in [-2N, 2N]^n, a sliding window over one (4N+1)^n
-    table, so the section is R strided passes over P x P entries and no
-    transform of size Q per row.
-    """
-    n, N, P = window.n, window.N, window.size
-    C = np.fft.fftn(b.reshape((-1,) + grid.shape), axes=tuple(range(1, n + 1)), norm="forward")
-    d = np.arange(-2 * N, 2 * N + 1) % grid.M
-    out = np.empty(window.shape * 2, dtype=complex)
-    for r in range(a.shape[1]):
-        # [k, l] of the reversed window view is table[2N - (k + N) + (l + N)], at l - k
-        view = sliding_window_view(C[r][np.ix_(*[d] * n)], window.shape)[(slice(None, None, -1),) * n]
-        ar = a[:, r].reshape(window.shape + (1,) * n)
-        if r == 0:
-            np.multiply(view, ar, out=out)
-        else:
-            out += view * ar
-    return out.reshape(P, P)
-
-
 def assemble_matrix(sigma: Symbol, window: LatticeWindow, grid: TorusGrid) -> OperatorMatrix:
     """entries(k,l) = quadrature of exp(2 pi i (k-l).x) sigma(k,x), from
     sigma's separated factors or its folded samples (``OperatorMatrix.from_symbol``),
@@ -743,11 +715,13 @@ def assemble_matrix(sigma: Symbol, window: LatticeWindow, grid: TorusGrid) -> Op
     return A
 
 
-def assemble_toroidal_matrix(tau: DualToroidalSymbol, window: LatticeWindow,
+def assemble_toroidal_matrix(sigma: Symbol, window: LatticeWindow,
                              grid: TorusGrid) -> np.ndarray:
-    """Grid-side section C(x,y) = M^-n sum_k exp(2 pi i (x-y).k) tau(x,k)."""
+    """Grid-side section C(x,y) = M^-n sum_k exp(2 pi i (x-y).k) tau(x,k) of
+    sigma's toroidal dual tau(x,k) = conj(sigma(-k,x))."""
     _check_resolution(window, grid)
-    T = tau.sample_toroidal(window, grid)          # (Q, P)
+    # the window is symmetric and lexicographic, so -k sits at row P-1-row(k)
+    T = sigma.sample(window, grid)[::-1].conj().T  # (Q, P): tau(x, k)
     E = _dft_matrix(window.n, window.N, grid.M)    # (Q, P): exp(-2 pi i k.x)
     return grid.weight * ((E.conj() * T) @ E.T)
 

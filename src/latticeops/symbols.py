@@ -614,24 +614,6 @@ class GridSymbol(Symbol):
                 f"order={self.order}, margin={self.interior_margin})")
 
 
-class DualToroidalSymbol:
-    """Toroidal-side symbol tau(x,k) = conj(sigma(-k,x)), same order."""
-
-    def __init__(self, base: Symbol):
-        self.base = base
-        self.n = base.n
-        self.order = base.order
-
-    def eval(self, x, k) -> complex:
-        k = np.asarray(k, dtype=int)
-        return complex(np.conj(self.base.eval(-k, x)))
-
-    def sample_toroidal(self, window: LatticeWindow, grid: TorusGrid) -> np.ndarray:
-        """(grid.size, window.size) array of tau(x,k)."""
-        # the window is symmetric and lexicographic, so -k sits at row P-1-row(k)
-        return self.base.sample(window, grid)[::-1].conj().T
-
-
 def parse_symbol(text: str, n: int, order: float = None) -> ExprSymbol:
     """Parse an expression-backed symbol; raises SymbolSyntaxError with position.
 
@@ -966,10 +948,6 @@ def _decreasing_from_peak(prof) -> bool:
         return False
     tail = prof[peak:]
     return all(b < a or a == b == 0.0 for a, b in zip(tail, tail[1:]))
-
-
-def dual_toroidal_symbol(sigma: Symbol) -> DualToroidalSymbol:
-    return DualToroidalSymbol(sigma)
 
 
 # -- symbol file format ------------------------------------------------------

@@ -227,13 +227,15 @@ def test_divergence_fallback_builds_the_section_of_a_only(built):
 def test_residual_order_sequence_builds_each_section_once(monkeypatch):
     w = LatticeWindow(1, 16)
     calls = []
-    # a section is formed from folded samples or from separated factors
-    for name in ("_section", "_factor_section"):
-        def counted(*args, _original=getattr(quantization, name), **kwargs):
-            calls.append(args)
-            return _original(*args, **kwargs)
+    # a section is formed at one site: the first read of an operator's entries
+    original = quantization.OperatorMatrix.entries
 
-        monkeypatch.setattr(quantization, name, counted)
+    def counted(self):
+        if self._entries is None:
+            calls.append(self)
+        return original.fget(self)
+
+    monkeypatch.setattr(quantization.OperatorMatrix, "entries", property(counted, original.fset))
     residual_order_sequence(parse_symbol(PERTURBED, 1, order=0), 0.0, w, default_grid(w))
     assert len(calls) == 2
 

@@ -376,22 +376,18 @@ def test_trace_index_forms_no_p_by_p_array():
 @pytest.mark.parametrize("name,counts", [("jump_plus", (1, 0)), ("jump_minus", (0, 1))])
 @pytest.mark.parametrize("N", [32, 64])
 def test_null_bases_of_exact_jump_sections(name, counts, N):
-    # the jump sections with their FFT roundoff cut (entries below 1e-15 of
-    # their row's largest set to 0) are exact shift blocks, whose left and
-    # right null vectors a shift by delta I does not couple
+    # the jump sections are assembled exact, with no entry below 1e-15 of
+    # their row's largest: shift blocks, whose left and right null vectors
+    # a shift by delta I does not couple
     want = _dense_svd_oracle(shipped_symbol(name), N)
-    A = want["A"].copy()
+    A = want["A"]
     mag = np.abs(A)
-    cut = mag < 1e-15 * np.max(mag, axis=1, keepdims=True)
-    assert np.any(cut & (mag > 0))
-    A[cut] = 0
-    U, s, Vh = np.linalg.svd(A)
-    null = s < RANK_TOL * s[0]
-    assert int(np.sum(null)) == want["raw"] == 1
+    assert not np.any((mag < 1e-15 * np.max(mag, axis=1, keepdims=True)) & (mag > 0))
+    assert want["raw"] == 1
     w = LatticeWindow(1, N)
     mask = w.interior_mask(interior_margin(w))
     bases = []
-    for basis, oracle in zip(_null_bases(A, 1, s[0]), (Vh[null].conj().T, U[:, null])):
+    for basis, oracle in zip(_null_bases(A, 1, want["smax"]), (want["right"], want["left"])):
         cosines = np.linalg.svd(basis.conj().T @ oracle, compute_uv=False)
         assert np.all(cosines >= 1 - 1e-8)
         bases.append(basis)
@@ -459,13 +455,30 @@ def svd_shapes(monkeypatch):
 
 
 def test_split_sections_run_no_p_by_p_svd(svd_shapes):
-    # the pattern comes from the factors; one rebuilt from the formed
-    # section joins every jump section into one P x P block
+    # the pattern comes from the factors, and the formed section holds the
+    # same entries, so one rebuilt from it splits alike
     rep = svd_index(jump_symbol(+1), [16, 24, 32], n=1)
     assert rep.svd_index == 1
     sizes = {2 * N + 1 for N in rep.windows}
     assert svd_shapes and not any(shape[-2:] == (P, P) for shape, _ in svd_shapes for P in sizes)
     assert [e.largest_block for e in rep.gap_evidence] == [2, 2, 2]
+
+
+@pytest.mark.parametrize("sigma,largest,index", [
+    pytest.param(jump_symbol(+1), 2, 1, id="jump"),
+    pytest.param(bessel_symbol(0), 1, 0, id="multiplier")])
+def test_one_entry_per_row_is_held_sparse_at_any_size(sigma, largest, index, svd_shapes):
+    # below N = 6 one entry per row is above the P/12 fill, and the
+    # sections still split into their blocks, as at N = 6
+    rep = svd_index(sigma, [4, 5, 6], n=1)
+    assert [(e.blocks, e.largest_block) for e in rep.gap_evidence] == \
+        [(2 * N + 1, largest) for N in rep.windows]
+    assert not any(shape[-2:] == (2 * N + 1,) * 2 for shape, _ in svd_shapes for N in rep.windows)
+    assert rep.svd_index == index
+    for e in rep.gap_evidence:
+        want = _dense_svd_oracle(sigma, e.N)
+        assert (e.raw_null_count, e.dim_ker, e.dim_coker) == \
+            (want["raw"], want["ker"], want["coker"])
 
 
 def test_single_block_sections_run_one_values_only_svd(svd_shapes):

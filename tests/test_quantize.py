@@ -19,7 +19,6 @@ from latticeops import (
     check_ellipticity,
     compose,
     default_grid,
-    dual_toroidal_symbol,
     extract_symbol,
     interior_margin,
     multiplier_symbol,
@@ -29,7 +28,13 @@ from latticeops import (
 )
 from latticeops.core import _dft_matrix, forward_dft, phase_matrix
 from latticeops.errors import AliasingError
-from latticeops.quantization import OperatorMatrix, SparseRows, assemble_toroidal_matrix
+from latticeops.quantization import (
+    _ROUNDOFF,
+    OperatorMatrix,
+    SparseRows,
+    _too_full,
+    assemble_toroidal_matrix,
+)
 from latticeops.symbols import MAX_TERMS, NON_FINITE_SAMPLES, Symbol, _slabs
 
 
@@ -468,11 +473,12 @@ def test_adjoint_pairing(setup):
 
 def test_toroidal_duality_identity(setup):
     # A_sigma = M^{-n} E^H C^H E where C is the toroidal assembly of
-    # tau(x,k) = conj(sigma(-k,x))
+    # tau(x,k) = conj(sigma(-k,x)); sigma is complex and odd in k, so the
+    # identity fails without the conjugate or the reflection
     w, g, _ = setup
-    sigma = parse_symbol("2+cos(twopi*x1)/(1+k1^2)", 1, order=0)
+    sigma = parse_symbol("2+cos(twopi*x1)/(1+k1^2) + exp(i*twopi*x1)*k1/(1+k1^2)", 1, order=0)
     A = assemble_matrix(sigma, w, g).entries
-    C = assemble_toroidal_matrix(dual_toroidal_symbol(sigma), w, g)
+    C = assemble_toroidal_matrix(sigma, w, g)
     E = phase_matrix(w, g).conj().T  # (Q, P): e^{-2 pi i x l}
     lhs = g.weight * (E.conj().T @ C.conj().T @ E)
     assert np.max(np.abs(lhs - A)) < 1e-8
@@ -527,6 +533,56 @@ def test_sparse_form_matches_dense_numpy(data):
     assert np.all(np.abs(A.symbol_row_maxima() - np.max(np.abs(values), axis=1)) <= 1e-12 * rows[:, 0])
     assert np.array_equal(A.symbol_row_maxima() == 0, ~D1.any(axis=1))
     assert A._entries is None  # none of these densified the sparse form
+
+
+# pieces that do not split into k-only times x-only factors
+_NON_SEPARABLE = {1: ["exp(i*k1*x1)", "1/(3 + sin(k1*x1))", "cos(twopi*(k1*x1))"],
+                  2: ["exp(i*k2*x1)", "1/(3 + cos(twopi*x1)/(1+k1^2+k2^2))"]}
+
+
+def _by_column(S):
+    """S's row pointers, and its entries sorted by column within each row."""
+    order = np.lexsort((S.indices, S.row_ids()))
+    return S.indptr, S.indices[order], S.data[order]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_section_holds_one_set_of_numbers(data):
+    # from the factors or the folded samples of a separable or a
+    # non-separable symbol, whose sections split into blocks or not, from
+    # dense entries or from sparse rows: the dense and the sparse view hold
+    # the same entries, whichever is built first, and a sparse form rebuilt
+    # from the dense one is the same
+    n = data.draw(st.integers(1, 2))
+    N = data.draw(st.integers(1, {1: 12, 2: 4}[n]))
+    w, g = LatticeWindow(n, N), TorusGrid(n, data.draw(st.integers(2 * N + 1, 4 * N + 2)))
+    form = data.draw(st.sampled_from(["symbol", "samples", "dense", "sparse"]))
+    if form in ("symbol", "samples"):
+        text = _separable_text(data, n, 2)
+        if data.draw(st.booleans()):
+            text = f"({text}) + {data.draw(st.sampled_from(_NON_SEPARABLE[n]))}"
+        sigma = parse_symbol(text, n)
+        build = {"symbol": lambda: OperatorMatrix.from_symbol(sigma, w, g),
+                 "samples": lambda: OperatorMatrix.from_samples(sigma.sample(w, g), w, g)}[form]
+    else:
+        D = _random_section(data, w, np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
+        build = {"dense": lambda: OperatorMatrix(w, g, D.copy()),
+                 "sparse": lambda: OperatorMatrix.from_sparse(_sparse_rows(D), w, g)}[form]
+    A, B = build(), build()
+    S = A.sparse  # A builds its sparse form first, B its dense one
+    E = B.entries
+    assert np.array_equal(A.entries, E)
+    mag = np.abs(E)
+    assert np.all((mag >= _ROUNDOFF * np.max(mag, axis=1, keepdims=True)) | (mag == 0))
+    # only sparse rows given as such are held sparse when too full
+    rebuilt = OperatorMatrix(w, g, E.copy())
+    assert (rebuilt.sparse is None) == (S is None or _too_full(S.indptr[-1], w.size))
+    assert (B.sparse is None) == (S is None)
+    for C in (B, rebuilt):
+        if C.sparse is not None:
+            assert all(np.array_equal(x, y) for x, y in zip(_by_column(C.sparse), _by_column(S)))
+            assert all(np.array_equal(x, y) for x, y in zip(C.blocks(), A.blocks()))
 
 
 @pytest.mark.parametrize("text,N", [  # from the factors, then the folded samples

@@ -80,3 +80,11 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_names_only_operator_matrix_attributes():
+    # a helper deleted from OperatorMatrix must leave the README with it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = set(re.findall(r"`OperatorMatrix\.(\w+)", readme))
+    assert names
+    assert sorted(n for n in names if not hasattr(latticeops.OperatorMatrix, n)) == []

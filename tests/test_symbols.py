@@ -16,7 +16,6 @@ from latticeops import (
     bessel_symbol,
     check_ellipticity,
     default_grid,
-    dual_toroidal_symbol,
     estimate_order,
     eval_symbol,
     jump_symbol,
@@ -25,9 +24,9 @@ from latticeops import (
     read_symbol_json,
     write_symbol_json,
 )
-from latticeops.core import multiindex_range, multiindices_leq
+from latticeops.core import _dft_matrix, multiindex_range, multiindices_leq
 from latticeops.errors import OutOfWindowError, SymbolSyntaxError
-from latticeops.quantization import assemble_matrix, extract_symbol
+from latticeops.quantization import assemble_matrix, assemble_toroidal_matrix, extract_symbol
 from latticeops.symbols import (
     _FUNCS,
     NON_FINITE_SAMPLES,
@@ -546,9 +545,13 @@ def test_toroidal_samples_match_the_per_point_permutation(n, N):
     w = LatticeWindow(n, N)
     g = default_grid(w)
     base = parse_symbol("2 + exp(i*twopi*x1)*k1/(1+k1^2) + x{n}*k{n}".format(n=n), n)
+    # the toroidal assembly reads tau(x, k) = conj(sigma(-k, x)) off the
+    # window's rows reversed, which is the row of -k for every k
     S = base.sample(w, g)
     perm = np.array([w.index_of(-k) for k in w.points])
-    assert np.array_equal(dual_toroidal_symbol(base).sample_toroidal(w, g), S[perm].conj().T)
+    E = _dft_matrix(n, N, g.M)
+    want = g.weight * ((E.conj() * S[perm].conj().T) @ E.T)
+    assert np.array_equal(assemble_toroidal_matrix(base, w, g), want)
 
 
 def test_s0_decay_profile():
@@ -587,14 +590,6 @@ def test_s0_decay_profile_judges_a_tied_peak_from_the_last_one(per_shell, decayi
     diag = s0_decay_profile(sigma, w, g, alpha_max=0)
     assert diag[0].shell_sups == per_shell
     assert diag[0].decaying is decaying
-
-
-def test_dual_toroidal_pointwise():
-    sigma = parse_symbol("exp(i*twopi*x1)", 1)
-    tau = dual_toroidal_symbol(sigma)
-    assert tau.eval((0.25,), (3,)) == pytest.approx(-1j)
-    one = dual_toroidal_symbol(parse_symbol("1", 1))
-    assert one.eval((0.1,), (2,)) == pytest.approx(1.0)
 
 
 def test_symbol_json_roundtrip_all_kinds(tmp_path):
