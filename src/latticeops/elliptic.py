@@ -286,7 +286,9 @@ def solve(sigma: Symbol, m: float, f: LatticeSequence, window: LatticeWindow,
     over 20 iterations) or when the cap is reached without meeting tol.
     The result records which of the three caused a fallback and the
     interior residual of every iterate.  Raises ConvergenceError only if
-    even the direct solve misses the target.
+    even the direct solve misses the target or finds the section singular
+    (an exact section of an operator with a cokernel, say), with the
+    residual history and the last iterate.
     """
     par = parametrix(sigma, m, J, window, grid)
     margin = interior_margin(window)
@@ -316,7 +318,12 @@ def solve(sigma: Symbol, m: float, f: LatticeSequence, window: LatticeWindow,
             reason = "stall"
             break
         u = u + par.apply(r)
-    u = np.linalg.solve(par.sigma_matrix.entries, f.values)
+    try:
+        u = np.linalg.solve(par.sigma_matrix.entries, f.values)
+    except np.linalg.LinAlgError as e:
+        raise ConvergenceError(
+            f"direct solve after the {reason} found the section singular ({e})",
+            best_iterate=LatticeSequence(window, u), residual_history=history) from e
     _, ri, rb = split_residual(u)
     history.append(ri)
     if ri <= tol:

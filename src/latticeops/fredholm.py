@@ -1,18 +1,24 @@
 """Fredholm index of elliptic order-0 operators, two independent ways.
 
-Route one counts kernel and cokernel dimensions from the singular
-spectrum of growing finite sections.  It computes singular values only;
-when some fall below the rank threshold, one shifted solve per side
-(inverse iteration on A for the kernel, on A^H for the cokernel) gives
-an orthonormal basis of each null space.  A section whose sparse
-pattern falls apart into independent blocks (``OperatorMatrix.blocks``)
-takes its values and null bases block by block.  A square section always
+Route one counts kernel and cokernel dimensions on growing finite
+sections.  A section whose sparse pattern falls apart into independent
+blocks (``OperatorMatrix.blocks``) takes its singular values block by
+block; when some fall below the rank threshold, one shifted solve per
+side (inverse iteration on A for the kernel, on A^H for the cokernel)
+gives an orthonormal basis of each null space.  A section of one block
+is decided from its parametrix defects S = B_J A - I and R = A B_J - I
+(Atkinson's theorem made quantitative), with sparse products only:
+Schur(S) < 1 certifies it invertible, and otherwise a seeded randomized
+subspace iteration on S bounds every singular value of A past the r
+defect directions above SV_THRESHOLD, while a Rayleigh-Ritz step on the
+range of S (of R^H for the cokernel) finds the null vectors.  A
+section neither decides runs its P x P SVD.  A square section always
 balances raw null counts, so null vectors are attributed to the operator
 only when they live in the interior of the window: truncation artifacts
 concentrate their mass in the boundary margin and are discarded.  Route
 two evaluates the trace formula on the parametrix residuals, with an
 explicit bound on the off-window tail before an integer verdict is
-allowed.
+allowed; at the largest window both routes read one parametrix.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ RANK_TOL = 1e-8
 GAP_REQUIRED = 100.0
 EPS = np.finfo(float).eps
 SV_THRESHOLD = 0.1    # defect singular values above it, near-kernel ones below
+_FIRST_BLOCK = 8      # columns of the first randomized block (``_top_right_singular``)
+_POWER_STEPS = 2      # power steps of its subspace iteration
+_RITZ_STEPS = 4       # turns of the Ritz basis by the defect (``_deflated_side``)
 
 
 def _interior_null_count(null_basis: np.ndarray, mask: np.ndarray) -> int:
@@ -100,6 +109,8 @@ class WindowEvidence:
     gap: float
     blocks: int           # independent blocks of the section, an empty row or column one each
     largest_block: int    # max(rows, columns) of the largest block
+    route: str            # "blocks", "certified", "deflated" or "dense" (``_window_evidence``)
+    lower_bound: float = None  # certified bound on the smallest non-null singular value
 
     to_dict = asdict
 
@@ -144,14 +155,11 @@ def _block_null_counts(B, groups, smax: float, mask: np.ndarray):
     return ker, coker
 
 
-def _window_evidence(sigma: Symbol, window: LatticeWindow, grid) -> WindowEvidence:
-    """Counts, gap and blocks of sigma's section on one window.  Its
-    sparse form is built from sigma's factors or samples before its dense
-    entries, and it is split into the independent blocks of its pattern
-    (``OperatorMatrix.blocks``), whose values and null bases come block by
-    block."""
-    A = _operator(sigma, window, grid)
-    B, groups, s = A._spectrum()
+def _spectral_evidence(A, B, mask: np.ndarray):
+    """(route, raw, ker, coker, gap, bound) of A's section from its
+    singular values, block by block when it splits (B, ``A._spectrum``)
+    and from one P x P SVD when it does not."""
+    B, groups, s = A._spectrum(B)
     smax = s[0] if s.size and s[0] > 0 else 1.0
     raw = int(np.sum(s < RANK_TOL * smax))
     gap, ker, coker = np.inf, 0, 0
@@ -161,23 +169,162 @@ def _window_evidence(sigma: Symbol, window: LatticeWindow, grid) -> WindowEviden
         # floor P eps s_max of the SVD are read as the floor, and an
         # all-null section has no gap at all.
         gap = 0.0 if raw == s.size else float(s[-raw - 1] / max(s[-raw], s.size * EPS * smax))
-        ker, coker = _block_null_counts(B, groups, smax,
-                                        window.interior_mask(interior_margin(window)))
+        ker, coker = _block_null_counts(B, groups, smax, mask)
+    return "blocks" if B.count > 1 else "dense", raw, ker, coker, gap, None
+
+
+def _norms(K) -> tuple:
+    """(Schur, Frobenius, row) of K's section, from one pass over its
+    sparse form or its entries: the Schur-test bound
+    (max row sum * max column sum of |K|)^(1/2) >= ||K||, the Frobenius
+    norm, and the largest row norm, <= ||K||."""
+    S = K.sparse
+    if S is None:
+        mag = np.abs(K.entries)
+        rows, cols, squares = np.sum(mag, axis=1), np.sum(mag, axis=0), np.sum(mag ** 2, axis=1)
+    else:
+        P, mag, k = K.window.size, np.abs(S.data), S.row_ids()
+        rows, cols = np.bincount(k, mag, P), np.bincount(S.indices, mag, P)
+        squares = np.bincount(k, mag ** 2, P)
+    return float(np.sqrt(np.max(rows) * np.max(cols))), float(np.sqrt(np.sum(squares))), \
+        float(np.sqrt(np.max(squares)))
+
+
+def _orth(X: np.ndarray) -> np.ndarray:
+    return np.linalg.qr(X)[0]
+
+
+def _top_right_singular(K, Kh, rng):
+    """An orthonormal basis of the right singular vectors of K with values
+    above SV_THRESHOLD, or None when they take half the section.
+    Randomized subspace iteration (Halko, Martinsson and Tropp, SIAM Rev.
+    53, 2011, Alg. 4.4) on a block of seeded Gaussian columns with
+    ``_POWER_STEPS`` power steps, the block doubling until its smallest
+    value is below the threshold.  Kh is K^H."""
+    P, k = K.window.size, _FIRST_BLOCK
+    while 2 * k <= P:
+        Q = _orth(K @ (rng.standard_normal((P, k)) + 1j * rng.standard_normal((P, k))))
+        for _ in range(_POWER_STEPS):
+            Q = _orth(K @ _orth(Kh @ Q))
+        V, s, _ = np.linalg.svd(Kh @ Q, full_matrices=False)  # Q^H K = W s V^H
+        r = int(np.sum(s > SV_THRESHOLD))
+        if r < k:
+            return V[:, :r]
+        k *= 2
+    return None
+
+
+def _deflated_side(M, K, Kh, margin: float, low: float, rng):
+    """(theta, null basis, largest null Ritz value) of M, with
+    K = B M - I, or None.
+
+    theta = (||K||_F^2 - ||K Y||_F^2)^(1/2) bounds every singular value of
+    K past the r of Y (``_top_right_singular``), so
+    ||M v|| >= (1 - theta) ||v|| / ||B|| for v orthogonal to Y, and at
+    most r singular values of M lie below that bound (Courant-Fischer).
+    ``margin`` adds the roundoff of K's sparse products.  A null vector
+    has K v = -v, so it lies in the range of K, not in Y's span: the
+    Rayleigh-Ritz step runs on the span X of K Y, K's left singular
+    vectors, turned by K (whose eigenvalue -1 on the null space dominates
+    the rest) at most ``_RITZ_STEPS`` times, until all r Ritz values,
+    the singular values of M X, are below ``low``.  By interlacing M then
+    has r singular values below ``low``, and X spans their vectors.  None
+    when r is 0 (Schur(K) is the bound then), when the r values do not
+    all get there, or when the block grows too large.
+    """
+    Y = _top_right_singular(K, Kh, rng)
+    if Y is None or not Y.shape[1]:
+        return None
+    P, frob = K.window.size, _norms(K)[1]
+    X = K @ Y
+    # the difference of squares is exact to a few eps ||K||_F^2 per term
+    theta = np.sqrt(max(0.0, frob ** 2 - np.linalg.norm(X) ** 2) + P * EPS * frob ** 2) + margin
+    for _ in range(_RITZ_STEPS):
+        X = _orth(X)
+        ritz = np.linalg.svd(M @ X, compute_uv=False)
+        if ritz[0] < low:
+            return theta, X, float(ritz[0])
+        X = K @ X
+    return None
+
+
+def _defect_evidence(par, mask: np.ndarray):
+    """(route, raw, ker, coker, gap, bound) of the section of par's A from
+    the parametrix defects S = B_J A - I and R = A B_J - I, with no P x P
+    SVD, or None when they do not decide.
+
+    By ||A v|| >= ||B_J A v|| / ||B_J|| >= (1 - ||S||) ||v|| / ||B_J||,
+    Schur(S) < 1 certifies the section invertible: no null values and an
+    infinite gap, as its SVD would report.  Otherwise the kernel side
+    deflates on S (``_deflated_side``) and the cokernel side on R^H, whose
+    null vectors are A^H's.  The counts are those of the section's SVD
+    when every one of the r defect values above SV_THRESHOLD on each side
+    is a null Ritz value and the bound (1 - theta) / Schur(B_J) on the
+    (r+1)-th smallest singular value lies above RANK_TOL ||A||.  The
+    gap's numerator is that bound, its denominator the largest null Ritz
+    value, read no lower than the floor P eps s_max, with s_max >= ||A||
+    from the Schur test.
+    """
+    A, B, S = par.sigma_matrix, par.matrix, par.left_defect
+    P = A.window.size
+    a_schur, _, a_row = _norms(A)
+    b_schur = _norms(B)[0]
+    # the defects hold B_J A - I to within the roundoff of their sums of at
+    # most P terms each, and of the entries dropped below _ROUNDOFF of a
+    # row's scale: under P (eps + 1e-15) (|B_J| |A| + I) entrywise, whose
+    # Schur bound is below this
+    margin = 8 * P * EPS * (b_schur * a_schur + 1)
+    low, high = RANK_TOL * a_row, RANK_TOL * a_schur  # ||A|| lies between a_row and a_schur
+    bound = (1 - _norms(S)[0] - margin) / b_schur
+    if bound > high:
+        return "certified", 0, 0, 0, np.inf, bound
+    rng = np.random.default_rng(0)
+    right = _deflated_side(A, S, S.adjoint(), margin, low, rng)
+    if right is None or (1 - right[0]) / b_schur <= high:
+        return None
+    theta, kernel, null = right
+    R = par.right_defect
+    left = _deflated_side(A.adjoint(), R.adjoint(), R, margin, low, rng)
+    if left is None or left[1].shape[1] != kernel.shape[1]:
+        return None
+    theta_left, cokernel, null_left = left
+    bound = (1 - min(theta, theta_left)) / b_schur
+    gap = bound / max(null, null_left, P * EPS * a_schur)
+    return "deflated", kernel.shape[1], _interior_null_count(kernel, mask), \
+        _interior_null_count(cokernel, mask), float(gap), float(bound)
+
+
+def _window_evidence(sigma: Symbol, window: LatticeWindow, grid, par=None) -> WindowEvidence:
+    """Counts, gap and blocks of sigma's section on one window, and the
+    route that decided them.  Its sparse form is built from sigma's
+    factors or samples before its dense entries, and it is split into the
+    independent blocks of its pattern (``OperatorMatrix.blocks``).  A
+    section of several blocks takes its values and null bases block by
+    block ("blocks").  A section of one block is decided from the defects
+    of the three-step parametrix, or of ``par`` when given
+    (``_defect_evidence``: "certified" or "deflated"), and by its dense
+    SVD when sigma is not certified elliptic or the defects do not decide
+    ("dense")."""
+    A = _operator(sigma, window, grid)
+    B = A.blocks()
+    mask = window.interior_mask(interior_margin(window))
+    found = None
+    if B.count == 1:
+        try:
+            if par is None:
+                par = parametrix(sigma, 0.0, 3, window, grid)
+            found = _defect_evidence(par, mask)
+        except EllipticityError:
+            pass
+    route, raw, ker, coker, gap, bound = found or _spectral_evidence(A, B, mask)
     rows, cols = B.sizes()
     return WindowEvidence(window.N, ker, coker, raw, gap, B.count,
-                          int(np.max(np.maximum(rows, cols))))
+                          int(np.max(np.maximum(rows, cols))), route, bound)
 
 
-def svd_index(sigma: Symbol, windows, n: int = 1) -> IndexReport:
-    """Kernel/cokernel counts across the distinct windows, smallest first
-    (``_window_evidence``), each section released before the next is built.
-
-    Stabilized when the last two windows agree on both counts and both
-    show a 100x gap between null and non-null singular values; otherwise,
-    and with fewer than two distinct windows, the verdict is left unstable
-    (None), never an exception.
-    """
-    evidence = [_window_evidence(sigma, window, grid) for window, grid in _sections(windows, n)]
+def _stabilized(evidence: list) -> IndexReport:
+    """The report of the windows' evidence, smallest window first, with
+    its verdict (``svd_index``)."""
     stable = (
         len(evidence) >= 2
         and evidence[-1].dim_ker == evidence[-2].dim_ker
@@ -193,6 +340,19 @@ def svd_index(sigma: Symbol, windows, n: int = 1) -> IndexReport:
         gap_evidence=evidence,
         svd_index=idx,
     )
+
+
+def svd_index(sigma: Symbol, windows, n: int = 1) -> IndexReport:
+    """Kernel/cokernel counts across the distinct windows, smallest first
+    (``_window_evidence``), each section released before the next is built.
+
+    Stabilized when the last two windows agree on both counts and both
+    show a 100x gap between null and non-null singular values; otherwise,
+    and with fewer than two distinct windows, the verdict is left unstable
+    (None), never an exception.
+    """
+    return _stabilized([_window_evidence(sigma, window, grid)
+                        for window, grid in _sections(windows, n)])
 
 
 @dataclass
@@ -237,6 +397,11 @@ def trace_index(sigma: Symbol, window: LatticeWindow, J: int = 3) -> TraceIndexR
     (``symbol_row_maxima``), so no residual symbol is extracted.
     """
     par = parametrix(sigma, 0.0, J, window, default_grid(window))  # raises on non-elliptic
+    return _trace(par, window)
+
+
+def _trace(par, window: LatticeWindow) -> TraceIndexResult:
+    """``trace_index`` from the parametrix par on window."""
     left, right = par.left_defect, par.right_defect
     mask = window.interior_mask(interior_margin(window))
     raw = float(np.real(np.sum((right.diagonal() - left.diagonal())[mask])))
@@ -250,10 +415,14 @@ def trace_index(sigma: Symbol, window: LatticeWindow, J: int = 3) -> TraceIndexR
 
 
 def full_index_report(sigma: Symbol, windows, n: int = 1, J: int = 3) -> IndexReport:
-    """svd_index across windows plus trace_index at the largest one."""
-    report = svd_index(sigma, windows, n=n)
-    window = LatticeWindow(n, max(windows))
-    tr = trace_index(sigma, window, J=J)
+    """svd_index across windows plus trace_index at the largest one, which
+    share one J-step parametrix there."""
+    sections = list(_sections(windows, n))
+    window, grid = sections[-1]
+    par = parametrix(sigma, 0.0, J, window, grid)  # raises on non-elliptic
+    report = _stabilized([_window_evidence(sigma, w, g, par if w is window else None)
+                          for w, g in sections])
+    tr = _trace(par, window)
     report.trace_index_raw = tr.trace_index_raw
     report.trace_index = tr.trace_index
     report.tail_bound = tr.tail_bound

@@ -152,7 +152,9 @@ class OperatorMatrix:
     (``Symbol._terms``), else the folded samples.  A product ``A @ v`` on
     the folded form is one size-Q transform and one matrix-vector product;
     on the factors it is one forward transform of v, R inverse transforms
-    of size Q and R multiply-adds of length P.  The sparse form is built
+    of size Q and R multiply-adds of length P; once the sparse form is
+    built it is one pass over its entries, and v may be a block of
+    columns there and on the dense section.  The sparse form is built
     on first read of ``sparse`` beside the form held, without a P x P
     array, and ``product`` multiplies two sparse forms in P m^2 work for m
     entries per row; a section whose fill is above ``_MAX_FILL``
@@ -251,8 +253,16 @@ class OperatorMatrix:
                 "max_row_entries": int(np.max(counts))}
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        if self._entries is not None or (self._folded is None and self._factors is None):
-            return self.entries @ v
+        if self._entries is not None:
+            return self._entries @ v
+        if self._sparse or (self._folded is None and self._factors is None):
+            # each row of the sparse form sums its entries times the rows of v they meet
+            S, out = self._sparse, np.zeros((self.window.size,) + v.shape[1:], dtype=complex)
+            rows = np.flatnonzero(np.diff(S.indptr))
+            if len(rows):
+                terms = S.data.reshape((-1,) + (1,) * (v.ndim - 1)) * v[S.indices]
+                out[rows] = np.add.reduceat(terms, S.indptr[rows], axis=0)
+            return out
         window, grid = self.window, self.grid
         vhat = forward_dft(LatticeSequence(window, v), grid).values
         if self._factors is None:
@@ -354,17 +364,17 @@ class OperatorMatrix:
         labels = (np.cumsum(is_root) - 1)[root]
         return Blocks(labels[:P], labels[P:], int(np.sum(is_root)))
 
-    def _spectrum(self):
-        """(blocks, groups, values): ``blocks()``; for each padded block
-        size d, the ids of the blocks with rows and columns whose larger
-        side is d, their (g, d, d) stack of each block's rows and columns
-        in section order padded with zero rows or columns, and its
-        values-only SVD; and the section's singular values, descending:
+    def _spectrum(self, B: Blocks = None):
+        """(blocks, groups, values): ``blocks()``, or B when given; for each
+        padded block size d, the ids of the blocks with rows and columns
+        whose larger side is d, their (g, d, d) stack of each block's rows
+        and columns in section order padded with zero rows or columns, and
+        its values-only SVD; and the section's singular values, descending:
         the union of the blocks', padded with zeros to P.  A section of one
         block is one group of one, a view of ``entries`` and its values from
         one P x P SVD, which a split section never forms.
         """
-        B = self.blocks()
+        B = self.blocks() if B is None else B
         if B.count == 1:
             s = np.linalg.svd(self.entries, compute_uv=False)
             return B, [(np.zeros(1, dtype=np.intp), self.entries[None], s[None])], s

@@ -35,6 +35,35 @@ def test_one_tiny_round_passes_the_oracle(cls):
     assert worker.check(wl, recs) == [None] * len(wl.pool)
 
 
+def _routes(wl, recs):
+    """The route of each window of each index job, by pool label."""
+    return {wl.pool[job[0]][0]: [e.route for e in out[1].gap_evidence]
+            for job, out, _ in recs if out[0] == "index"}
+
+
+DEFECT_ROUTES = {"perturbed-jump": "deflated", "perturbed_bessel": "certified"}
+
+
+def test_tiny_index_round_decides_one_block_sections_from_the_defects():
+    wl = workloads.IndexN1(7, "tiny")
+    _, recs = worker.closed_loop(wl, 0.0, float("inf"), rounds=1)
+    routes = _routes(wl, recs)
+    for label, route in DEFECT_ROUTES.items():
+        assert routes[label] == [route] * len(wl.windows)
+    assert routes["jump+1"] == ["blocks"] * len(wl.windows)
+
+
+def test_index_pool_runs_no_p_by_p_svd_or_solve_on_one_block_sections(svd_shapes, solve_shapes):
+    wl = workloads.IndexN1(7, "full")
+    jobs = [(e,) for e, (label, *_) in enumerate(wl.pool) if label in DEFECT_ROUTES]
+    recs = [(job, wl.run(job), None) for job in jobs]
+    assert worker.check(wl, recs) == [None] * len(jobs)
+    assert _routes(wl, recs) == {label: [route] * 3 for label, route in DEFECT_ROUTES.items()}
+    sizes = {2 * N + 1 for N in wl.windows}
+    assert not any(shape[-2:] == (P, P) for shape, _ in svd_shapes for P in sizes)
+    assert not any(shape[-2:] == (P, P) for shape in solve_shapes for P in sizes)
+
+
 def test_cli_script_computes_its_answers(tmp_path):
     # the constructor writes the input files and runs ``_expect``: the
     # parametrix's left residual, the order estimate and the certificate

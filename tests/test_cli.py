@@ -391,6 +391,17 @@ def test_non_elliptic_parametrix_is_precondition_error(tmp_path, capsys):
     assert payload["report"]["elliptic"] is False
 
 
+def test_singular_solve_is_convergence_error(tmp_path, capsys):
+    w = LatticeWindow(1, 16)
+    f = LatticeSequence.random(w, np.random.default_rng(1), margin=4)  # interior at N=16
+    code, out, err = run(capsys, "solve", str(shipped_path("jump_minus")),
+                         seq_csv(tmp_path, "f.csv", f), "--tol", "1e-10")
+    assert code == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ConvergenceError"
+    assert "stall" in payload["message"] and len(payload["residual_history"]) == 22
+
+
 def test_timestamp_present_by_default(tmp_path, capsys):
     w = LatticeWindow(1, 4)
     fpath = seq_csv(tmp_path, "f.csv", LatticeSequence.delta(w))

@@ -155,7 +155,7 @@ def test_report_key_sets(files, capsys):
     assert set(elliptic) == INDEX_KEYS
     assert set(elliptic["gap_evidence"][0]) == {"N", "dim_ker", "dim_coker",
                                                 "raw_null_count", "gap", "blocks",
-                                                "largest_block"}
+                                                "largest_block", "route", "lower_bound"}
     probed = _report(capsys, ["index", _step_symbol(files), "--windows", "8,12"])
     assert set(probed) == INDEX_KEYS | {"probe"}
     assert set(probed["probe"]) == PROBE_KEYS

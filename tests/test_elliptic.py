@@ -21,13 +21,14 @@ from latticeops import (
     parametrix,
     parse_symbol,
     residual_decay_report,
+    shipped_symbol,
     solve,
     sobolev_norm,
     trace_index,
 )
 from latticeops import elliptic, quantization
 from latticeops.elliptic import residual_order_sequence
-from latticeops.errors import EllipticityError
+from latticeops.errors import ConvergenceError, EllipticityError
 from latticeops.quantization import assemble_matrix, extract_symbol, interior_margin
 from latticeops.quantization import OperatorMatrix
 from latticeops.symbols import NON_FINITE_SAMPLES, GridSymbol
@@ -450,6 +451,19 @@ def test_solve_reports_why_it_fell_back(text, max_iter, reason):
     iterates = res.residual_history[:-1] if res.fallback_used else res.residual_history
     rises = [r > iterates[0] for r in iterates]
     assert rises == [False] * (len(iterates) - 1) + [reason == "divergence"]
+
+
+@pytest.mark.parametrize("N", [16, 24, 32])
+def test_a_singular_direct_solve_raises_convergence_error(N):
+    # jump_minus has a cokernel that f meets, and its exact section a zero
+    # pivot: the iteration stalls and the direct solve finds it singular
+    w = LatticeWindow(1, N)
+    f = LatticeSequence.random(w, np.random.default_rng(1), margin=interior_margin(w))
+    with pytest.raises(ConvergenceError, match="after the stall found the section singular") as e:
+        solve(shipped_symbol("jump_minus"), 0.0, f, w, default_grid(w), tol=1e-10)
+    history = e.value.residual_history
+    assert len(history) == 22 and all(r > 1e-10 for r in history)
+    assert e.value.best_iterate.window == w
 
 
 def test_decay_report_zero_residual():

@@ -23,7 +23,14 @@ from latticeops import (
 )
 from latticeops.elliptic import parametrix
 from latticeops.errors import EllipticityError
-from latticeops.fredholm import RANK_TOL, _interior_null_count, _null_bases, _weighted_tail_bound
+from latticeops.fredholm import (
+    RANK_TOL,
+    SV_THRESHOLD,
+    _deflated_side,
+    _interior_null_count,
+    _null_bases,
+    _weighted_tail_bound,
+)
 from latticeops.quantization import (
     OperatorMatrix,
     _operator,
@@ -40,16 +47,16 @@ JUMP2 = "step(k1)*exp({}2*i*twopi*x1) + (1-step(k1))"
 PERTURBED_JUMP = "step(k1)*exp(i*twopi*x1) + (1-step(k1)) + 0.15*exp(-i*twopi*x1)/(1+k1^2)"
 
 
-def _dense_svd_oracle(sigma, N):
+def _dense_svd_oracle(sigma, N, n=1):
     """The section, its counts and null bases from the full SVD with U and V^H."""
-    w = LatticeWindow(1, N)
+    w = LatticeWindow(n, N)
     A = assemble_matrix(sigma, w, default_grid(w)).entries
     U, s, Vh = np.linalg.svd(A)
     smax = s[0] if s[0] > 0 else 1.0
     null = s < RANK_TOL * smax
     mask = w.interior_mask(interior_margin(w))
     right, left = Vh[null].conj().T, U[:, null]
-    return {"A": A, "raw": int(np.sum(null)), "smax": smax, "right": right, "left": left,
+    return {"A": A, "s": s, "raw": int(np.sum(null)), "smax": smax, "right": right, "left": left,
             "ker": _interior_null_count(right, mask),
             "coker": _interior_null_count(left, mask)}
 
@@ -339,11 +346,13 @@ def test_structurally_singular_sections_match_the_dense_svd(text, exact):
 def test_null_bases_span_the_dense_svd_null_columns(sigma, raw, exact, N):
     want = _dense_svd_oracle(sigma, N)
     assert want["raw"] == raw
-    gap = svd_index(sigma, [N], n=1).gap_evidence[0].gap
-    A = want["A"]
+    e = svd_index(sigma, [N], n=1).gap_evidence[0]
+    gap, A = e.gap, want["A"]
     assert gap >= 100
-    if exact is None:  # one block: the same values-only SVD of the same section
-        assert gap == _values_only_gap(A)
+    if exact is None:  # one block: decided from the parametrix defects, within the SVD's gap
+        assert e.route == ("deflated" if raw else "certified")
+        assert e.lower_bound <= want["s"][-raw - 1]
+        assert gap <= _values_only_gap(A)
     else:
         _assert_near_the_exact_values(sigma, N, exact(A), gap)
     # the floored null value bounds the gap by s_max / (P eps s_max)
@@ -441,19 +450,6 @@ def test_split_sections_match_the_dense_svd(sigma, N, step):
     assert rep.svd_index == (k1 - c1 if stable else None)
 
 
-@pytest.fixture
-def svd_shapes(monkeypatch):
-    """The shape and compute_uv of every np.linalg.svd call."""
-    calls, svd = [], np.linalg.svd
-
-    def recording(a, *args, **kwargs):
-        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording)
-    return calls
-
-
 def test_split_sections_run_no_p_by_p_svd(svd_shapes):
     # the pattern comes from the factors, and the formed section holds the
     # same entries, so one rebuilt from it splits alike
@@ -481,13 +477,108 @@ def test_one_entry_per_row_is_held_sparse_at_any_size(sigma, largest, index, svd
             (want["raw"], want["ker"], want["coker"])
 
 
-def test_single_block_sections_run_one_values_only_svd(svd_shapes):
-    sigma = parse_symbol(PERTURBED_JUMP, 1, order=0)
+@pytest.mark.parametrize("sigma,route", [
+    (parse_symbol(PERTURBED_JUMP, 1, order=0), "deflated"),
+    (shipped_symbol("perturbed_bessel"), "certified"),
+], ids=["perturbed-jump", "perturbed_bessel"])
+def test_single_block_sections_run_no_p_by_p_svd(sigma, route, svd_shapes, solve_shapes):
     rep = svd_index(sigma, [16, 24, 32], n=1)
-    square = [(shape, uv) for shape, uv in svd_shapes if len(shape) > 1 and shape[0] == shape[1]]
-    assert square == [((2 * N + 1,) * 2, False) for N in rep.windows]
-    assert [(e.blocks, e.largest_block) for e in rep.gap_evidence] == \
-        [(1, 2 * N + 1) for N in rep.windows]
+    sizes = {2 * N + 1 for N in rep.windows}
+    assert not any(shape[-2:] == (P, P) for shape, _ in svd_shapes for P in sizes)
+    assert not any(shape[-2:] == (P, P) for shape in solve_shapes for P in sizes)
+    assert [(e.blocks, e.largest_block, e.route) for e in rep.gap_evidence] == \
+        [(1, 2 * N + 1, route) for N in rep.windows]
     for e in rep.gap_evidence:
         w = LatticeWindow(1, e.N)
-        assert e.gap == _values_only_gap(assemble_matrix(sigma, w, default_grid(w)).entries)
+        assert 100 <= e.gap <= _values_only_gap(assemble_matrix(sigma, w, default_grid(w)).entries)
+
+
+def _cosines(basis, oracle):
+    """Cosines of the principal angles between two orthonormal bases."""
+    return np.linalg.svd(basis.conj().T @ oracle, compute_uv=False)
+
+
+def test_ritz_on_the_defect_range_finds_the_null_vector_and_on_its_row_space_misses_it():
+    # jump+1: S = B_J A - I has one value above the threshold, sqrt 2.  A
+    # null vector has S v = -v, so it lies in the range of S (its left
+    # singular vectors X), not in its row space (the right ones, Y)
+    w = LatticeWindow(1, 16)
+    par = parametrix(jump_symbol(+1), 0.0, 3, w, default_grid(w))
+    A, S = par.sigma_matrix.entries, par.left_defect.entries
+    X, s, Yh = np.linalg.svd(S)
+    r = int(np.sum(s > SV_THRESHOLD))
+    assert r == 1 and abs(s[0] - np.sqrt(2)) < 1e-12
+    on_y = np.linalg.svd(A @ Yh[:r].conj().T, compute_uv=False)
+    on_x = np.linalg.svd(A @ X[:, :r], compute_uv=False)
+    assert abs(on_y[0] - np.sqrt(0.5)) < 1e-6
+    assert on_x[0] < RANK_TOL
+    assert np.all(_cosines(X[:, :r], _dense_svd_oracle(jump_symbol(+1), 16)["right"]) >= 1 - 1e-12)
+
+
+@pytest.mark.parametrize("N", [16, 48])
+def test_deflated_null_bases_span_the_dense_svd_null_columns(N):
+    # on the perturbed jump the range of S holds the null vector only to
+    # about S's next value, 8e-6, so the Ritz basis is turned by S, whose
+    # eigenvalue -1 on the null vector dominates
+    sigma = parse_symbol(PERTURBED_JUMP, 1, order=0)
+    w = LatticeWindow(1, N)
+    par = parametrix(sigma, 0.0, 3, w, default_grid(w))
+    A, S, R = par.sigma_matrix, par.left_defect, par.right_defect
+    want = _dense_svd_oracle(sigma, N)
+    low = RANK_TOL * want["smax"]
+    rng = np.random.default_rng(0)
+    sides = [(_deflated_side(A, S, S.adjoint(), 0.0, low, rng), want["right"]),
+             (_deflated_side(A.adjoint(), R.adjoint(), R, 0.0, low, rng), want["left"])]
+    for (theta, basis, null), oracle in sides:
+        assert basis.shape == oracle.shape == (w.size, 1)
+        assert theta < 1e-4 and null < low
+        assert np.all(_cosines(basis, oracle) >= 1 - 1e-8)
+
+
+@st.composite
+def _in_class_symbols(draw):
+    """(sigma, n, N): an elliptic order-0 symbol whose section is one
+    block: an n=1 jump of winding -2..2 with an x-mode perturbation, an
+    n=1 multiplier with one, or an n=2 symbol with x-modes on both axes."""
+    c = draw(st.sampled_from([0.05, 0.1, 0.15, 0.2, 0.3]))
+    p = draw(st.sampled_from([-1, 1]))
+    kind = draw(st.sampled_from(["jump", "multiplier", "n2"]))
+    if kind == "jump":
+        # a mode against the winding's joins the shift blocks into one
+        m = draw(st.sampled_from([-2, -1, 1, 2]))
+        p = -1 if m > 0 else 1
+        text = f"step(k1)*exp({m}*i*twopi*x1) + (1-step(k1)) + {c}*exp({p}*i*twopi*x1)/(1+k1^2)"
+        return parse_symbol(text, 1, order=0), 1, draw(st.integers(8, 24))
+    if kind == "multiplier":
+        a = draw(st.sampled_from([1.5, 2, 3]))
+        text = f"{a} + 1/(1+k1^2) + {c}*exp({p}*i*twopi*x1)*(1 + 1/(1+k1^2))"
+        return parse_symbol(text, 1, order=0), 1, draw(st.integers(8, 24))
+    mode = draw(st.sampled_from(["cos(twopi*x1)", "exp(i*twopi*x1)"]))
+    text = f"(2 + {mode} + {c}*cos(twopi*x2))*(1 + 0.5/(1+k1^2+k2^2))"
+    return parse_symbol(text, 2, order=0), 2, draw(st.integers(3, 5))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_in_class_symbols())
+def test_defect_routes_match_the_dense_svd(case):
+    sigma, n, N = case
+    e = svd_index(sigma, [N], n=n).gap_evidence[0]
+    want = _dense_svd_oracle(sigma, N, n)
+    assert (e.raw_null_count, e.dim_ker, e.dim_coker) == (want["raw"], want["ker"], want["coker"])
+    assert e.blocks == 1 and e.route in ("certified", "deflated", "dense")
+    assert (e.lower_bound is None) == (e.route == "dense")
+    if e.route == "certified":
+        assert want["raw"] == 0 and e.gap == np.inf
+    if e.lower_bound is not None:
+        assert 0 < e.lower_bound <= want["s"][-want["raw"] - 1]
+        assert e.gap <= _values_only_gap(want["A"])
+
+
+def test_n2_one_block_sections_are_certified(svd_shapes):
+    sigma = parse_symbol("2 + exp(i*twopi*x1)/(1+k1^2+k2^2) + 0.5*cos(twopi*x2)/(1+k1^2)",
+                         2, order=0)
+    rep = full_index_report(sigma, [8, 12], n=2)
+    assert rep.svd_index == rep.trace_index == 0
+    assert [(e.blocks, e.route) for e in rep.gap_evidence] == [(1, "certified")] * 2
+    assert all(0 < e.lower_bound < 2 for e in rep.gap_evidence)
+    assert not any(shape[-2:] == (P, P) for shape, _ in svd_shapes for P in (289, 625))
