@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import LatticeSequence, LatticeWindow, TorusGrid, _check_resolution, default_grid
 from .errors import ConvergenceError, EllipticityError
-from .quantization import OperatorMatrix, extract_symbol, interior_margin
+from .quantization import OperatorMatrix, apply as q_apply, extract_symbol, interior_margin
 from .sobolev import sobolev_norm
 from .symbols import (
     GridSymbol,
@@ -214,8 +214,6 @@ class ADNReport:
 
 
 def _adn_ratios(sigma, m, window, grid, samples, rng):
-    from .quantization import apply as q_apply
-
     margin = interior_margin(window)
     ratios = []
     for _ in range(samples):

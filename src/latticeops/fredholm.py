@@ -3,27 +3,28 @@
 Route one counts kernel and cokernel dimensions on growing finite
 sections.  A section whose sparse pattern falls apart into independent
 blocks (``OperatorMatrix.blocks``) takes its singular values block by
-block; when some fall below the rank threshold, one shifted solve per
-side (inverse iteration on A for the kernel, on A^H for the cokernel)
-gives an orthonormal basis of each null space.  A section of one block
-is decided from its parametrix defects S = B_J A - I and R = A B_J - I
-(Atkinson's theorem made quantitative), with sparse products only:
-Schur(S) < 1 certifies it invertible, and otherwise a seeded randomized
-subspace iteration on S bounds every singular value of A past the r
-defect directions above SV_THRESHOLD, while a Rayleigh-Ritz step on the
-range of S (of R^H for the cokernel) finds the null vectors.  A
-section neither decides runs its P x P SVD.  A square section always
-balances raw null counts, so null vectors are attributed to the operator
-only when they live in the interior of the window: truncation artifacts
-concentrate their mass in the boundary margin and are discarded.  Route
-two evaluates the trace formula on the parametrix residuals, with an
-explicit bound on the off-window tail before an integer verdict is
-allowed; at the largest window both routes read one parametrix.
+block; a block with values below the rank threshold takes an orthonormal
+basis of each null space from its own SVD, its trailing right singular
+vectors for the kernel and its trailing left ones for the cokernel.  A
+section of one block is decided from its parametrix defects
+S = B_J A - I and R = A B_J - I (Atkinson's theorem made quantitative),
+with sparse products only: Schur(S) < 1 certifies it invertible, and
+otherwise a seeded randomized subspace iteration on S bounds every
+singular value of A past the r defect directions above SV_THRESHOLD,
+while a Rayleigh-Ritz step on the range of S (of R^H for the cokernel)
+finds the null vectors.  A section neither decides runs its P x P SVD.
+A square section always balances raw null counts, so null vectors are
+attributed to the operator only when they live in the interior of the
+window: truncation artifacts concentrate their mass in the boundary
+margin and are discarded.  Route two evaluates the trace formula on the
+parametrix residuals, with an explicit bound on the off-window tail
+before an integer verdict is allowed; at the largest window both routes
+read one parametrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -52,44 +53,6 @@ def _interior_null_count(null_basis: np.ndarray, mask: np.ndarray) -> int:
     """
     sv = np.linalg.svd(null_basis[mask, :], compute_uv=False)
     return int(np.sum(sv >= 0.5))
-
-
-def _null_bases(A: np.ndarray, r: int, smax: float):
-    """Orthonormal P x r bases of the r-dimensional near-null spaces of A
-    and of A^H: the kernel's and the cokernel's.
-
-    One step of inverse iteration on a block of r + 2 seeded Gaussian
-    columns (Golub-Van Loan, Matrix Computations, 4th ed., 8.2.2): the
-    solve amplifies each right singular direction of A by about 1/s, so
-    the leading r left singular vectors of the result span the right
-    singular vectors whose singular values lie below the threshold.  The
-    shift keeps the solve regular on exactly singular sections, and the
-    fixed seed makes the basis the same on every run.
-
-    The shift is delta G H^H / (2P), G and H seeded P x (r + 2) Gaussian
-    blocks, of norm about delta = 1e-3 RANK_TOL s_max, and not delta I:
-    on an exact shift section (a jump symbol's, which is formed from its
-    kept entries with no roundoff) the left and right null vectors u and
-    v have u^H v = 0, so delta I
-    leaves sigma_min about delta^(N+1) and the solve overflows, while
-    u^H G H^H v is nonzero.
-
-    Both sides draw the same seeded blocks and share one shifted array,
-    and A^H is summed into it rather than held beside it, so a solve
-    holds two P x P arrays beside A.
-    """
-    P = A.shape[0]
-    rng = np.random.default_rng(0)
-    R, G, H = (rng.standard_normal((P, r + 2)) + 1j * rng.standard_normal((P, r + 2))
-               for _ in range(3))
-    shifted = np.empty((P, P), dtype=complex)
-    bases = []
-    for adjoint in (False, True):
-        np.matmul(1e-3 * RANK_TOL * smax / (2 * P) * G, H.conj().T, out=shifted)
-        shifted += A.conj().T if adjoint else A  # the conjugate lives for this sum only
-        X = np.linalg.solve(shifted, R)
-        bases.append(np.linalg.svd(X, full_matrices=False)[0][:, :r])
-    return bases
 
 
 def _sections(windows, n: int):
@@ -135,23 +98,27 @@ def _block_null_counts(B, groups, smax: float, mask: np.ndarray):
     """Interior kernel and cokernel counts of a section, block by
     block: its null spaces are the direct sums of its blocks', and the
     mask acts on each coordinate, so the counts add.  An empty column is a
-    unit kernel vector and an empty row a unit cokernel vector; each block
-    with null values gets its null bases from its padded square
-    (``OperatorMatrix._spectrum``), whose padded rows and columns count as
-    boundary."""
+    unit kernel vector and an empty row a unit cokernel vector.  A block
+    with r null values takes its null bases from the SVD with vectors of
+    its padded square (``OperatorMatrix._spectrum``), U s V^H: the last r
+    columns of V for the kernel and of U for the cokernel; the padded rows
+    and columns count as boundary."""
     rows, cols = B.sizes()
     ker = int(np.sum(mask[rows[B.cols] == 0]))
     coker = int(np.sum(mask[cols[B.rows] == 0]))
     for ids, stack, s in groups:
         d = stack.shape[1]
         nulls = np.sum(s < RANK_TOL * smax, axis=1)
-        for i in np.flatnonzero(nulls):
+        held = np.flatnonzero(nulls)
+        if not held.size:
+            continue
+        U, _, Vh = np.linalg.svd(stack[held])
+        for i, left, right_h in zip(held, U, Vh):
             b, r = ids[i], int(nulls[i])
             on_rows, on_cols = np.zeros(d, dtype=bool), np.zeros(d, dtype=bool)
             on_rows[:rows[b]], on_cols[:cols[b]] = mask[B.rows == b], mask[B.cols == b]
-            right, left = _null_bases(stack[i], r, smax)
-            ker += _interior_null_count(right, on_cols)
-            coker += _interior_null_count(left, on_rows)
+            ker += _interior_null_count(right_h[-r:].conj().T, on_cols)
+            coker += _interior_null_count(left[:, -r:], on_rows)
     return ker, coker
 
 
@@ -295,24 +262,25 @@ def _defect_evidence(par, mask: np.ndarray):
 
 
 def _window_evidence(sigma: Symbol, window: LatticeWindow, grid, par=None) -> WindowEvidence:
-    """Counts, gap and blocks of sigma's section on one window, and the
-    route that decided them.  Its sparse form is built from sigma's
-    factors or samples before its dense entries, and it is split into the
-    independent blocks of its pattern (``OperatorMatrix.blocks``).  A
-    section of several blocks takes its values and null bases block by
-    block ("blocks").  A section of one block is decided from the defects
-    of the three-step parametrix, or of ``par`` when given
+    """Counts, gap and blocks of sigma's section A on one window, and the
+    route that decided them.  A is built once: it is the A of ``par``, the
+    parametrix on this window, when given, and else built from sigma, its
+    sparse form from sigma's factors or samples before its dense entries.
+    It is split into the independent blocks of its pattern
+    (``OperatorMatrix.blocks``).  A section of several blocks takes its
+    values and null bases block by block ("blocks").  A section of one block is decided from the defects
+    of ``par``, or of the three-step parametrix of sigma that reads A
     (``_defect_evidence``: "certified" or "deflated"), and by its dense
     SVD when sigma is not certified elliptic or the defects do not decide
     ("dense")."""
-    A = _operator(sigma, window, grid)
+    A = _operator(sigma, window, grid) if par is None else par.sigma_matrix
     B = A.blocks()
     mask = window.interior_mask(interior_margin(window))
     found = None
     if B.count == 1:
         try:
             if par is None:
-                par = parametrix(sigma, 0.0, 3, window, grid)
+                par = replace(parametrix(sigma, 0.0, 3, window, grid), sigma_matrix=A)
             found = _defect_evidence(par, mask)
         except EllipticityError:
             pass

@@ -64,6 +64,15 @@ def test_index_pool_runs_no_p_by_p_svd_or_solve_on_one_block_sections(svd_shapes
     assert not any(shape[-2:] == (P, P) for shape in solve_shapes for P in sizes)
 
 
+def test_index_pool_runs_no_solve(solve_shapes):
+    # every job of the pool at full size, the jumps' null bases included,
+    # which come from their blocks' SVDs
+    wl = workloads.IndexN1(7, "full")
+    recs = [((e,), wl.run((e,)), None) for e in range(len(wl.pool))]
+    assert worker.check(wl, recs) == [None] * len(wl.pool)
+    assert solve_shapes == []
+
+
 def test_cli_script_computes_its_answers(tmp_path):
     # the constructor writes the input files and runs ``_expect``: the
     # parametrix's left residual, the order estimate and the certificate
