@@ -16,7 +16,8 @@ import numpy as np
 
 from .core import LatticeSequence, LatticeWindow, TorusGrid, default_grid
 from .errors import ConvergenceError, EllipticityError
-from .quantization import OperatorMatrix, apply as q_apply, extract_symbol, interior_margin
+from .quantization import OperatorMatrix, _finite_values, apply as q_apply, extract_symbol, \
+    interior_margin
 from .sobolev import sobolev_norm
 from .symbols import (
     GridSymbol,
@@ -276,6 +277,7 @@ def solve(sigma: Symbol, m: float, f: LatticeSequence, window: LatticeWindow,
     (an exact section of an operator with a cokernel, say), with the
     residual history and the last iterate.
     """
+    _finite_values(f)
     par = parametrix(sigma, m, J, window, grid)
     margin = interior_margin(window)
     mask = window.interior_mask(margin)

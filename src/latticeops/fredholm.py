@@ -13,8 +13,8 @@ made quantitative), with sparse products only: Schur(S) < 1 certifies
 it invertible, and otherwise a seeded randomized subspace iteration on
 S bounds every singular value of A past the r defect directions above
 SV_THRESHOLD, while a Rayleigh-Ritz step on the range of S (of R^H for
-the cokernel) finds the null vectors.  A section neither decides runs
-its P x P SVD.
+the cokernel), turned by S while its largest Ritz value falls, finds the
+null vectors.  A section neither decides runs its P x P SVD.
 A square section always balances raw null counts, so null vectors are
 attributed to the operator only when they live in the interior of the
 window: truncation artifacts concentrate their mass in the boundary
@@ -42,7 +42,6 @@ EPS = np.finfo(float).eps
 SV_THRESHOLD = 0.1    # defect singular values above it, near-kernel ones below
 _FIRST_BLOCK = 8      # columns of the first randomized block (``_top_right_singular``)
 _POWER_STEPS = 2      # power steps of its subspace iteration
-_RITZ_STEPS = 4       # turns of the Ritz basis by the defect (``_deflated_side``)
 
 
 def _interior_null_count(null_basis: np.ndarray, mask: np.ndarray) -> int:
@@ -195,11 +194,11 @@ def _deflated_side(M, K, Kh, margin: float, low: float, rng):
     has K v = -v, so it lies in the range of K, not in Y's span: the
     Rayleigh-Ritz step runs on the span X of K Y, K's left singular
     vectors, turned by K (whose eigenvalue -1 on the null space dominates
-    the rest) at most ``_RITZ_STEPS`` times, until all r Ritz values,
-    the singular values of M X, are below ``low``.  By interlacing M then
-    has r singular values below ``low``, and X spans their vectors.  None
-    when r is 0 (Schur(K) is the bound then), when the r values do not
-    all get there, or when the block grows too large.
+    the rest) until all r Ritz values, the singular values of M X, are
+    below ``low``.  By interlacing M then has r singular values below
+    ``low``, and X spans their vectors.  None when r is 0 (Schur(K) is
+    the bound then), when a turn fails to lower the largest Ritz value
+    (a plateau above ``low``), or when the block grows too large.
     """
     Y = _top_right_singular(K, Kh, rng)
     if Y is None or not Y.shape[1]:
@@ -208,13 +207,12 @@ def _deflated_side(M, K, Kh, margin: float, low: float, rng):
     X = K @ Y
     # the difference of squares is exact to a few eps ||K||_F^2 per term
     theta = np.sqrt(max(0.0, frob ** 2 - np.linalg.norm(X) ** 2) + P * EPS * frob ** 2) + margin
-    for _ in range(_RITZ_STEPS):
-        X = _orth(X)
-        ritz = np.linalg.svd(M @ X, compute_uv=False)
-        if ritz[0] < low:
-            return theta, X, float(ritz[0])
-        X = K @ X
-    return None
+    X = _orth(X)
+    top, last = np.linalg.svd(M @ X, compute_uv=False)[0], np.inf
+    while low <= top < last:
+        X, last = _orth(K @ X), top
+        top = np.linalg.svd(M @ X, compute_uv=False)[0]
+    return (theta, X, float(top)) if top < low else None
 
 
 def _defect_evidence(par, mask: np.ndarray):

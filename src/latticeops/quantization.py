@@ -59,11 +59,10 @@ from .core import (
     _window_axis,
 )
 from .errors import DimensionMismatchError
-from .symbols import NON_FINITE_SAMPLES, GridSymbol, Symbol, _slabs
+from .symbols import _BLOCK, NON_FINITE_SAMPLES, GridSymbol, Symbol, _slabs
 
 NON_FINITE_ENTRIES = "operator matrix carries non-finite entries"
 _AXES = "abcdefghijklmnopqrstuvwxyz"  # einsum subscripts: k axes, then x axes
-_FOLD_BLOCK = 1 << 16  # phase-table entries ``_fold`` forms at a time
 
 
 def interior_margin(window: LatticeWindow) -> int:
@@ -97,8 +96,6 @@ _ROUNDOFF = 1e-15
 # multiply-adds per term, so the sparse product is the faster one while
 # m < P / sqrt(150), about P / 12.
 _MAX_FILL = 1 / 12
-
-_TERMS_BLOCK = 1 << 15  # product terms expanded and sorted at a time
 
 
 class SparseRows(NamedTuple):
@@ -286,7 +283,7 @@ class OperatorMatrix:
         return np.einsum("kr,rk->k", a, U)
 
     def matvec(self, f: LatticeSequence) -> LatticeSequence:
-        return LatticeSequence(self.window, self @ f.values)
+        return LatticeSequence(self.window, self @ _finite_values(f))
 
     def product(self, other: "OperatorMatrix", scale: complex = 1.0, shift: complex = 0.0,
                 add: "OperatorMatrix" = None) -> "OperatorMatrix":
@@ -491,7 +488,7 @@ def _row_peaks(S: SparseRows, values: np.ndarray) -> np.ndarray:
 def _product_blocks(SA: SparseRows, SB: SparseRows, scale, shift, SC: SparseRows):
     """The kept entries of scale * SA @ SB + shift * I (+ SC) as
     (rows, cols, vals), sorted by row and column, a block of rows of about
-    ``_TERMS_BLOCK`` product terms at a time.
+    ``symbols._BLOCK`` product terms (at least one row) at a time.
 
     Row k's scale s_k is the largest term it can hold: max over its
     entries of |scale SA[k, j]| max |SB[j, .]|, the shift or SC's row.
@@ -526,8 +523,7 @@ def _product_blocks(SA: SparseRows, SB: SparseRows, scale, shift, SC: SparseRows
     before = np.concatenate([[0], np.cumsum(per_entry)])[SA.indptr]  # terms before each row
     r0 = 0
     while r0 < P:
-        r1 = int(np.searchsorted(before, before[r0] + _TERMS_BLOCK, side="right")) - 1
-        r1 = min(P, max(r0 + 1, r1))
+        r1 = min(P, max(r0 + 1, int(np.searchsorted(before, before[r0] + _BLOCK, "right")) - 1))
         e0, e1 = SA.indptr[r0], SA.indptr[r1]
         counts, terms = per_entry[e0:e1], int(before[r1] - before[r0])
         start = SB.indptr[j[e0:e1]] - (np.cumsum(counts) - counts)
@@ -614,6 +610,13 @@ def _shift_slabs(A: OperatorMatrix):
         yield rows, C
 
 
+def _finite_values(f: LatticeSequence) -> np.ndarray:
+    """f's values; every product with f refuses non-finite ones here (ValueError)."""
+    if not np.all(np.isfinite(f.values)):
+        raise ValueError("sequence carries non-finite values")
+    return f.values
+
+
 def apply(sigma: Symbol, f: LatticeSequence, grid: TorusGrid) -> LatticeSequence:
     """Quantized action: transform, multiply by sigma(k,.), invert with phase.
 
@@ -628,14 +631,13 @@ def apply(sigma: Symbol, f: LatticeSequence, grid: TorusGrid) -> LatticeSequence
     slab's output rows.  A product that carries no k_1 axis is one slab.
     So no (P, Q) array is formed: an x-independent symbol multiplies only
     window-sized arrays, and one that varies on every axis holds one slab.
-    Refuses non-finite f or samples with ValueError; a NaN or infinite
-    sample always leaves its output row non-finite, so checking the output
-    is exact.
+    Refuses non-finite f (``_finite_values``) or samples with ValueError;
+    a NaN or infinite sample always leaves its output row non-finite, so
+    checking the output is exact.
     """
     window = f.window
     _check_resolution(window, grid)
-    if not np.all(np.isfinite(f.values)):
-        raise ValueError("sequence carries non-finite values")
+    _finite_values(f)
     n, zero = window.n, np.zeros(window.n, dtype=int)
     T = forward_dft(f, grid).values.reshape((1,) * n + grid.shape)
     reads = sigma._sample_axes(window, grid, zero, slice(0)).shape  # 0 on k_1 if read
@@ -709,20 +711,18 @@ def _fold(values: np.ndarray, window: LatticeWindow, grid: TorusGrid) -> np.ndar
     """The folded samples W[k, x] = sigma(k, x) exp(2 pi i k.x), in place.
 
     ``values`` holds sigma on window x grid as a (window.size, grid.size)
-    array; the phase is multiplied in one axis at a time, at most about
-    ``_FOLD_BLOCK`` phase entries at once, so at n=1, where one axis's
-    table is as large as the samples, no second (P, Q) array is formed.
+    array; the phase is multiplied in one axis at a time, a slab of that
+    axis's table at a time (``symbols._slabs``), so at n=1, where one
+    axis's table is as large as the samples, no second (P, Q) array is formed.
     """
     n, M = window.n, grid.M
     W = values.reshape(window.shape + grid.shape)
-    rows = max(1, _FOLD_BLOCK // M)
     for j in range(n):
-        shape = [1] * (2 * n)
-        index = [slice(None)] * (2 * n)
-        for start in range(0, window.side, rows):
-            E = _phases(window.N, M, slice(start, start + rows))
+        shape, index = [1] * (2 * n), [slice(None)] * (2 * n)
+        for rows in _slabs(window.side, M):
+            E = _phases(window.N, M, rows)
             shape[j], shape[n + j] = E.shape
-            index[j] = slice(start, start + rows)
+            index[j] = rows
             W[tuple(index)] *= E.reshape(shape)
     return W.reshape(window.size, grid.size)
 

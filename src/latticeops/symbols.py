@@ -607,9 +607,9 @@ class GridSymbol(Symbol):
         if not self.window.contains(k):
             raise OutOfWindowError(f"point {k.tolist()} outside backing window")
         row = self.window.index_of(k)
-        # the stored sample when x is a grid node, else the interpolant
+        # the stored sample when x M is within a few ulps of a node, else the interpolant
         jx = x * self.grid.M
-        if np.allclose(jx, np.rint(jx), rtol=0.0, atol=1e-12):
+        if np.all(np.abs(jx - np.rint(jx)) <= 4 * np.spacing(np.maximum(1.0, np.abs(jx)))):
             col = np.ravel_multi_index(np.rint(jx).astype(int) % self.grid.M, self.grid.shape)
             return complex(self.values[row, col])
         return complex(self._synthesize([row], x[:, None])[0, 0])

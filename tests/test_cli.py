@@ -1,7 +1,11 @@
 """End-to-end checks of the command-line front end and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,6 +273,24 @@ def test_index_reports_are_deterministic(capsys):
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("symbol,windows", [
+    ("perturbed_bessel", "16,24,32"),
+    ("(2+cos(twopi*x1))/(1+k1^2)", "32,48,64"),  # not elliptic: the probe's P x P SVDs
+], ids=["perturbed_bessel", "non-elliptic"])
+def test_index_reports_do_not_depend_on_the_blas_thread_count(tmp_path, symbol, windows):
+    path = str(shipped_path(symbol)) if symbol in SHIPPED else sym_json(tmp_path, "s.json", symbol)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "latticeops.cli", "index", path, "--windows", windows,
+                "--json", "--no-timestamp"]
+        outs.append(subprocess.run(argv, capture_output=True, env=env, check=True,
+                                   timeout=120).stdout)
+    assert outs[0] == outs[1] and json.loads(outs[0])["windows"]
 
 
 def test_index_non_elliptic_reports_probe(tmp_path, capsys):

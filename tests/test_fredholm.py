@@ -545,20 +545,25 @@ def test_deflated_null_bases_span_the_dense_svd_null_columns(N):
         assert np.all(_cosines(basis, oracle) >= 1 - 1e-8)
 
 
+def _perturbed_jump(m, c):
+    """The jump of winding m perturbed by c times the x-mode against the
+    winding's, which joins the shift blocks into one."""
+    p = -1 if m > 0 else 1
+    text = f"step(k1)*exp({m}*i*twopi*x1) + (1-step(k1)) + {c}*exp({p}*i*twopi*x1)/(1+k1^2)"
+    return parse_symbol(text, 1, order=0)
+
+
 @st.composite
 def _in_class_symbols(draw):
     """(sigma, n, N): an elliptic order-0 symbol whose section is one
     block: an n=1 jump of winding -2..2 with an x-mode perturbation, an
     n=1 multiplier with one, or an n=2 symbol with x-modes on both axes."""
-    c = draw(st.sampled_from([0.05, 0.1, 0.15, 0.2, 0.3]))
+    c = draw(st.sampled_from([0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.45, 0.5]))
     p = draw(st.sampled_from([-1, 1]))
     kind = draw(st.sampled_from(["jump", "multiplier", "n2"]))
     if kind == "jump":
-        # a mode against the winding's joins the shift blocks into one
-        m = draw(st.sampled_from([-2, -1, 1, 2]))
-        p = -1 if m > 0 else 1
-        text = f"step(k1)*exp({m}*i*twopi*x1) + (1-step(k1)) + {c}*exp({p}*i*twopi*x1)/(1+k1^2)"
-        return parse_symbol(text, 1, order=0), 1, draw(st.integers(8, 24))
+        return _perturbed_jump(draw(st.sampled_from([-2, -1, 1, 2])), c), 1, \
+            draw(st.integers(8, 24))
     if kind == "multiplier":
         a = draw(st.sampled_from([1.5, 2, 3]))
         text = f"{a} + 1/(1+k1^2) + {c}*exp({p}*i*twopi*x1)*(1 + 1/(1+k1^2))"
@@ -582,6 +587,42 @@ def test_defect_routes_match_the_dense_svd(case):
     if e.lower_bound is not None:
         assert 0 < e.lower_bound <= want["s"][-want["raw"] - 1]
         assert e.gap <= _values_only_gap(want["A"])
+
+
+@pytest.mark.parametrize("m", [-2, -1, 1, 2])
+def test_perturbed_jumps_from_n_16_are_decided_from_the_defects(m):
+    # at m = -1 with c = 0.45 and 0.5 the cokernel side's Ritz value needs
+    # more than four turns by R^H to fall below the rank threshold; it keeps
+    # falling, so the turns go on and no section from N = 16 takes the
+    # dense SVD.  At N = 8 some hold a non-null value near the threshold
+    # and do, with the same counts.
+    for c in (0.1, 0.2, 0.3, 0.4, 0.45, 0.5):
+        sigma = _perturbed_jump(m, c)
+        for e in svd_index(sigma, [8, 16, 24, 32]).gap_evidence:
+            want = _dense_svd_oracle(sigma, e.N)
+            assert (e.raw_null_count, e.dim_ker, e.dim_coker) == \
+                (want["raw"], want["ker"], want["coker"])
+            assert e.blocks == 1
+            if e.N >= 16:
+                assert e.route == ("deflated" if want["raw"] else "certified")
+                assert 0 < e.lower_bound <= want["s"][-want["raw"] - 1]
+
+
+def test_a_ritz_value_that_stops_falling_above_the_threshold_gives_the_side_up():
+    # m = -1, c = 0.3 at N = 8: the smallest singular value, 3.2e-8, lies
+    # just above RANK_TOL s_max = 1.5e-8, so it is not null; the kernel
+    # side's Ritz value falls to 5.6e-8 and stays there, the side is given
+    # up and the section takes the dense SVD
+    sigma = _perturbed_jump(-1, 0.3)
+    w = LatticeWindow(1, 8)
+    par = parametrix(sigma, 0.0, 3, w, default_grid(w))
+    A, S = par.sigma_matrix, par.left_defect
+    want = _dense_svd_oracle(sigma, 8)
+    low = RANK_TOL * want["smax"]
+    assert _deflated_side(A, S, S.adjoint(), 0.0, low, np.random.default_rng(0)) is None
+    e = svd_index(sigma, [8]).gap_evidence[0]
+    assert (e.blocks, e.route, e.lower_bound) == (1, "dense", None)
+    assert (e.raw_null_count, e.dim_ker, e.dim_coker) == (want["raw"], want["ker"], want["coker"])
 
 
 def test_n2_one_block_sections_are_certified(svd_shapes):

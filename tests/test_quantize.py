@@ -400,6 +400,29 @@ def test_apply_refuses_non_finite_values():
         apply(parse_symbol("2", 1), f, g)
 
 
+def test_every_product_with_a_non_finite_sequence_refuses_it_as_apply_does():
+    # one NaN in f: each form of the operator and solve refuse it up front,
+    # where a dense section would return every row NaN and a sparse one
+    # every row but one finite
+    w = LatticeWindow(1, 8)
+    g = default_grid(w)
+    P = w.size
+    sigma = parse_symbol("2 + cos(twopi*x1)/(1+k1^2)", 1, order=0)
+    forms = [OperatorMatrix(w, g, np.eye(P)),
+             OperatorMatrix.from_samples(sigma.sample(w, g), w, g),
+             OperatorMatrix.from_symbol(sigma, w, g),
+             OperatorMatrix.from_sparse(
+                 SparseRows(np.arange(P + 1), np.arange(P), np.ones(P, dtype=complex)), w, g)]
+    assert forms[1]._folded is not None and forms[2]._factors is not None
+    f = LatticeSequence.random(w, np.random.default_rng(6))
+    f.values[3] = np.nan
+    for A in forms:
+        with pytest.raises(ValueError, match="sequence carries non-finite values"):
+            A.matvec(f)
+    with pytest.raises(ValueError, match="sequence carries non-finite values"):
+        solve(sigma, 0.0, f, w, g)
+
+
 def test_extraction_refuses_aliasing_grid():
     w = LatticeWindow(1, 4)
     with pytest.raises(AliasingError):

@@ -640,6 +640,19 @@ def test_grid_symbol_eval_at_each_node_is_the_stored_sample():
             assert eval_symbol(sigma, k, x) == values[row, col]
 
 
+def test_grid_symbol_eval_a_hair_off_a_node_interpolates():
+    # x = 1e-13 is no grid node: x M is 9e-13 from 0, thousands of ulps, so
+    # eval takes the interpolant, which differs from the stored sample at
+    # about 1e-12 max|sigma|
+    w, g = LatticeWindow(1, 4), TorusGrid(1, 9)
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal((w.size, g.size)) + 1j * rng.standard_normal((w.size, g.size))
+    sigma = GridSymbol(w, g, values)
+    want = _dense_synthesis(sigma, np.arange(w.size), [[1e-13]])[:, 0]
+    got = np.array([sigma.eval(k, (1e-13,)) for k in w.points])
+    assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(values))
+
+
 def test_grid_symbol_eval_near_a_node_interpolates():
     # 1e-5 from the node x = 1 is not the node: the interpolant, not the sample
     w, g = LatticeWindow(1, 2), TorusGrid(1, 9)
