@@ -11,6 +11,7 @@ from .core import (
     TorusFunction,
     MultiIndex,
     default_grid,
+    index_grid,
     forward_dft,
     inverse_dft,
     torus_quadrature,

@@ -26,6 +26,7 @@ from .core import (
     _check_resolution,
     _write_table,
     default_grid,
+    index_grid,
     forward_dft,
     inverse_dft,
     read_sequence_csv,
@@ -287,7 +288,7 @@ def cmd_index(args):
     n = _dimension([sigma], args.n, "--n")
     windows = args.windows
     window = _window([sigma], n, max(windows), "--windows")
-    grid = default_grid(window)  # the grid both index routes use
+    grid = index_grid(window)  # the grid every window of both index routes uses
     config = _config(args, window, grid)
     cert = check_ellipticity(sigma, 0.0, window, grid)
     if not cert.elliptic:

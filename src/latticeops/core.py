@@ -107,6 +107,12 @@ class LatticeWindow:
             idx = idx * self.side + (int(k[j]) + self.N)
         return idx
 
+    def rows_in(self, other: "LatticeWindow") -> np.ndarray:
+        """The index in ``other``, a window of this dimension and at least
+        this half-width, of each of this window's points: increasing, since
+        both orders are lexicographic."""
+        return np.ravel_multi_index((self.points + other.N).T, other.shape)
+
     def contains(self, k) -> bool:
         k = np.asarray(k, dtype=int)
         return k.shape == (self.n,) and bool(np.all(np.abs(k) <= self.N))
@@ -172,8 +178,35 @@ class TorusGrid:
 
 
 def default_grid(window: LatticeWindow) -> TorusGrid:
-    """Odd grid M = 2N+3, exact for all kernels from window-supported data."""
+    """Odd grid M = 2N+3, exact for all kernels from window-supported data.
+
+    ``invft`` reads a grid's window back as N = (M - 3) / 2, so this rule
+    stays one-to-one.  The index path, which transforms every row of its
+    sections, runs on ``index_grid`` instead: 2N+3 is often a size with a
+    large prime factor (515 = 5 * 103 at N = 256), on which a row FFT
+    takes two to four times as long."""
     return TorusGrid(window.n, 2 * window.N + 3)
+
+
+def index_grid(window: LatticeWindow) -> TorusGrid:
+    """The smallest odd M >= 2N+3 whose prime factors are all at most 11,
+    the grid every window of an index run shares (525 at N = 256, 275 at
+    N = 128).  Pocketfft's mixed-radix transforms are fastest on such
+    sizes.  M stays odd: on an even grid the x-modes of a symbol that are
+    all even alias onto even slots only, and its section falls apart into
+    two parity blocks that an odd grid keeps joined."""
+    M = 2 * window.N + 3
+    while not _smooth(M):
+        M += 2
+    return TorusGrid(window.n, M)
+
+
+def _smooth(M: int) -> bool:
+    """Whether every prime factor of the odd M is at most 11."""
+    for p in (3, 5, 7, 11):
+        while M % p == 0:
+            M //= p
+    return M == 1
 
 
 def _check_resolution(window: LatticeWindow, grid: TorusGrid) -> None:

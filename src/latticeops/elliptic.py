@@ -45,10 +45,27 @@ class Parametrix:
     a caller that only applies the parametrix, or reads the defects of a
     sparse one, forms no P x P array.  The residuals' sizes are the
     defects' ``symbol_row_maxima``; ``left_residual`` extracts a symbol.
+    ``restricted`` gives the parametrix of a smaller window's section on
+    the same grid from B0 and the certificate's row minima.
     """
     sigma_matrix: OperatorMatrix  # A
     initial: OperatorMatrix       # B0
     steps: int                    # J
+    row_minima: np.ndarray        # min over the grid of |sigma(k, x)| per row
+
+    def restricted(self, A: OperatorMatrix, m: float) -> "Parametrix":
+        """The J-step parametrix of A, a section on a smaller window of
+        this one's grid.  Its B0 is the principal sub-section of this B0
+        (``OperatorMatrix.principal``) and its certificate of order m reads
+        this one's row minima on A's rows, the same samples of sigma, so
+        nothing is sampled, folded or transformed again.  Raises
+        EllipticityError when that certificate fails."""
+        window, grid = A.window, self.initial.grid
+        if A.grid != grid:
+            raise ValueError(f"section on M={A.grid.M}, parametrix on M={grid.M}")
+        row_min = self.row_minima[window.rows_in(self.initial.window)]
+        _certify(row_min, m, window)
+        return Parametrix(A, self.initial.principal(window), self.steps, row_min)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """B_J r: v = B0 r, then J-1 times v <- v + B0 (r - A v)."""
@@ -110,7 +127,8 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
       are folded in place.
 
     No P x P array is formed here: the sections and B_J are built only
-    when first read.
+    when first read.  The row minima the certificate reads are kept
+    (``Parametrix.restricted``).
     """
     if J < 1:
         raise ValueError("need at least one Neumann step")
@@ -132,10 +150,7 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
                 recip = np.reciprocal(np.square(magnitude, out=magnitude), out=magnitude)
                 np.conj(np.multiply(S, recip, out=tau0[rows]), out=tau0[rows])
         row_min = np.concatenate(minima)
-    rep = _certificate(row_min, m, window)
-    if not rep.elliptic:
-        raise EllipticityError(
-            f"symbol not certified elliptic of order {m} on N={window.N}", rep)
+    _certify(row_min, m, window)
     if terms is None:
         A = OperatorMatrix.from_samples(samples, window, grid)
     else:
@@ -144,7 +159,16 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
         B0 = OperatorMatrix.from_factors(1 / terms[0], 1 / terms[1], window, grid)
     else:
         B0 = OperatorMatrix.from_samples(tau0, window, grid)
-    return Parametrix(A, B0, J)
+    return Parametrix(A, B0, J, row_min)
+
+
+def _certify(row_min: np.ndarray, m: float, window: LatticeWindow) -> None:
+    """Refuse, with EllipticityError, a symbol whose row minima of |sigma|
+    fail the certificate of order m (``symbols._certificate``) on window."""
+    rep = _certificate(row_min, m, window)
+    if not rep.elliptic:
+        raise EllipticityError(
+            f"symbol not certified elliptic of order {m} on N={window.N}", rep)
 
 
 @dataclass

@@ -20,8 +20,11 @@ attributed to the operator only when they live in the interior of the
 window: truncation artifacts concentrate their mass in the boundary
 margin and are discarded.  Route two evaluates the trace formula on the
 parametrix residuals, with an explicit bound on the off-window tail
-before an integer verdict is allowed; at the largest window both routes
-read one parametrix.
+before an integer verdict is allowed.  Every window of a run shares one
+grid, the largest window's ``index_grid``, and ``full_index_report``
+builds one parametrix, at the largest window: the trace route reads it
+there, and each smaller one-block section reads its restriction
+(``Parametrix.restricted``), so tau0 is sampled and transformed once.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import LatticeWindow, default_grid
+from .core import LatticeWindow, index_grid
 from .errors import EllipticityError
 from .elliptic import _weighted_shell_sups, parametrix
 from .quantization import assemble_matrix, interior_margin
@@ -58,10 +61,11 @@ def _interior_null_count(null_basis: np.ndarray, mask: np.ndarray) -> int:
 
 def _sections(windows, n: int):
     """Each distinct window of half-width in ``windows``, smallest first,
-    with its default grid."""
-    for N in sorted(set(windows)):
-        window = LatticeWindow(n, N)
-        yield window, default_grid(window)
+    with the one grid they all share, the largest window's ``index_grid``."""
+    Ns = sorted(set(windows))
+    grid = index_grid(LatticeWindow(n, Ns[-1]))
+    for N in Ns:
+        yield LatticeWindow(n, N), grid
 
 
 @dataclass
@@ -263,17 +267,22 @@ def _defect_evidence(par, mask: np.ndarray):
 
 def _window_evidence(sigma: Symbol, window: LatticeWindow, grid, par=None) -> WindowEvidence:
     """Counts, gap and blocks of sigma's section A on one window, and the
-    route that decided them.  A is built once: it is the A of ``par``, the
-    parametrix on this window, when given, and else ``assemble_matrix``'s,
-    its sparse form from sigma's factors or samples before its dense entries.
-    It is split into the independent blocks of its pattern
-    (``OperatorMatrix.blocks``).  A section of several blocks takes its
-    values and null bases block by block ("blocks").  A section of one block is decided from the defects
-    of ``par``, or of the three-step parametrix of sigma that reads A
-    (``_defect_evidence``: "certified" or "deflated"), and by its dense
-    SVD when sigma is not certified elliptic or the defects do not decide
-    ("dense")."""
-    A = assemble_matrix(sigma, window, grid) if par is None else par.sigma_matrix
+    route that decided them.  ``par``, when given, is the J-step
+    parametrix of sigma on the run's largest window and on ``grid``.  A is
+    built once: it is par's A on that window, and else
+    ``assemble_matrix``'s on ``grid``, its sparse form from sigma's
+    factors or samples before its dense entries.  It is split into the
+    independent blocks of its pattern (``OperatorMatrix.blocks``).  A
+    section of several blocks takes its values and null bases block by
+    block ("blocks").  A section of one block is decided from the defects
+    of a parametrix that reads A (``_defect_evidence``: "certified" or
+    "deflated"): par itself on its own window, par restricted to this
+    one below it (``Parametrix.restricted``, so sigma is not sampled
+    again), and without par the three-step parametrix of sigma on this
+    window.  Its dense SVD decides when sigma is not certified elliptic
+    on the window or the defects do not decide ("dense")."""
+    own = par is not None and par.sigma_matrix.window == window
+    A = par.sigma_matrix if own else assemble_matrix(sigma, window, grid)
     B = A.blocks()
     mask = window.interior_mask(interior_margin(window))
     found = None
@@ -281,6 +290,8 @@ def _window_evidence(sigma: Symbol, window: LatticeWindow, grid, par=None) -> Wi
         try:
             if par is None:
                 par = replace(parametrix(sigma, 0.0, 3, window, grid), sigma_matrix=A)
+            elif not own:
+                par = par.restricted(A, 0.0)
             found = _defect_evidence(par, mask)
         except EllipticityError:
             pass
@@ -311,8 +322,9 @@ def _stabilized(evidence: list) -> IndexReport:
 
 
 def svd_index(sigma: Symbol, windows, n: int = 1) -> IndexReport:
-    """Kernel/cokernel counts across the distinct windows, smallest first
-    (``_window_evidence``), each section released before the next is built.
+    """Kernel/cokernel counts across the distinct windows, smallest first,
+    on the largest window's ``index_grid`` (``_window_evidence``), each
+    section released before the next is built.
 
     Stabilized when the last two windows agree on both counts and both
     show a 100x gap between null and non-null singular values; otherwise,
@@ -359,12 +371,12 @@ def trace_index(sigma: Symbol, window: LatticeWindow, J: int = 3) -> TraceIndexR
     here summed over interior window points with a certified tail bound.
     T1 and T2 are the negated parametrix defects; on a grid with
     M >= 2N+1 the x-average of an extracted symbol at row k is exactly
-    the (k,k) matrix entry.  The grid is the window's default grid.  The
+    the (k,k) matrix entry.  The grid is the window's ``index_grid``.  The
     diagonals come from the defects' sparse forms when they are sparse,
     and the tail bound reads the defects' row maxima
     (``symbol_row_maxima``), so no residual symbol is extracted.
     """
-    par = parametrix(sigma, 0.0, J, window, default_grid(window))  # raises on non-elliptic
+    par = parametrix(sigma, 0.0, J, window, index_grid(window))  # raises on non-elliptic
     return _trace(par, window)
 
 
@@ -383,13 +395,15 @@ def _trace(par, window: LatticeWindow) -> TraceIndexResult:
 
 
 def full_index_report(sigma: Symbol, windows, n: int = 1, J: int = 3) -> IndexReport:
-    """svd_index across windows plus trace_index at the largest one, which
-    share one J-step parametrix there."""
+    """svd_index across windows plus trace_index at the largest one, from
+    one J-step parametrix: every window runs on the largest one's
+    ``index_grid``, tau0 is sampled and transformed once, at the largest
+    window, and each smaller one-block section reads the restriction of
+    that parametrix (``_window_evidence``), so J applies at every window."""
     sections = list(_sections(windows, n))
     window, grid = sections[-1]
     par = parametrix(sigma, 0.0, J, window, grid)  # raises on non-elliptic
-    report = _stabilized([_window_evidence(sigma, w, g, par if w is window else None)
-                          for w, g in sections])
+    report = _stabilized([_window_evidence(sigma, w, grid, par) for w, _ in sections])
     tr = _trace(par, window)
     report.trace_index_raw = tr.trace_index_raw
     report.trace_index = tr.trace_index
@@ -454,7 +468,7 @@ def fredholm_ellipticity_probe(sigma: Symbol, windows, n: int = 1) -> ProbeRepor
     window = LatticeWindow(n, windows[-1])
     # Fredholmness on l^2 is a statement about order-0 behavior, so the
     # certificate is always taken at m = 0 regardless of declared order.
-    rep = check_ellipticity(sigma, 0.0, window, default_grid(window))
+    rep = check_ellipticity(sigma, 0.0, window, index_grid(window))
     if rep.elliptic:
         try:
             atk = atkinson_check(sigma, windows, n=n)

@@ -311,6 +311,28 @@ class OperatorMatrix:
             result = OperatorMatrix(window, grid, result.entries)
         return result
 
+    def principal(self, window: LatticeWindow) -> "OperatorMatrix":
+        """The principal sub-section on ``window``, a window of at most this
+        one's half-width, on the same grid: the entries of the sparse form in
+        its rows and columns, held dense when that is too full for it
+        (``_too_full``), or the sub-block of the dense section.  On one grid
+        each entry A[k, l] depends on k and l alone, so these are the entries
+        a section built on ``window`` holds, save the roundoff its rows drop
+        against their in-window peak (``_kept``)."""
+        ids, S = window.rows_in(self.window), self.sparse
+        if S is None:
+            return OperatorMatrix(window, self.grid, self.entries[np.ix_(ids, ids)])
+        place = np.full(self.window.size, -1)
+        place[ids] = np.arange(window.size)
+        rows, cols = place[S.row_ids()], place[S.indices]
+        on = (rows >= 0) & (cols >= 0)
+        # ids increase, so the kept entries stay sorted by row
+        sub = SparseRows(np.searchsorted(rows[on], np.arange(window.size + 1)), cols[on], S.data[on])
+        result = OperatorMatrix.from_sparse(sub, window, self.grid)
+        if _too_full(len(sub.data), window.size):
+            result = OperatorMatrix(window, self.grid, result.entries)
+        return result
+
     def adjoint(self) -> "OperatorMatrix":
         S = self.sparse
         if S is None:

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import latticeops as lo
+
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -62,6 +64,17 @@ def test_index_pool_runs_no_p_by_p_svd_or_solve_on_one_block_sections(svd_shapes
     sizes = {2 * N + 1 for N in wl.windows}
     assert not any(shape[-2:] == (P, P) for shape, _ in svd_shapes for P in sizes)
     assert not any(shape[-2:] == (P, P) for shape in solve_shapes for P in sizes)
+
+
+@pytest.mark.parametrize("size", ["tiny", "full"])
+def test_index_pool_shares_one_parametrix_with_the_direct_evidence(size, same_evidence):
+    # full_index_report restricts the largest window's parametrix to each
+    # smaller one; svd_index builds each window's own on the same grid
+    wl = workloads.IndexN1(7, size)
+    for label, sigma, want in wl.pool:
+        if want is not None:
+            same_evidence(lo.full_index_report(sigma, wl.windows).gap_evidence,
+                          lo.svd_index(sigma, wl.windows).gap_evidence)
 
 
 def test_index_pool_runs_no_solve(solve_shapes):

@@ -101,6 +101,21 @@ def test_ft_invft_round_trip(tmp_path, capsys):
     assert np.max(np.abs(g.values - f.values)) < 1e-12
 
 
+@pytest.mark.parametrize("N", [24, 25])
+def test_ft_invft_without_n_returns_the_window_of_a_default_grid(tmp_path, capsys, N):
+    # invft reads N = (M - 3) / 2 off the grid, which is one-to-one only
+    # while the default grid is 2N+3: a rule that mapped N = 24 and 25 to
+    # one M would return a larger window for one of them
+    f = LatticeSequence.random(LatticeWindow(1, N), np.random.default_rng(N))
+    torus, back = str(tmp_path / "torus.csv"), str(tmp_path / "back.csv")
+    assert report_of(capsys, "ft", seq_csv(tmp_path, "f.csv", f), "--out", torus)["config"]["M"] \
+        == 2 * N + 3
+    rep = report_of(capsys, "invft", torus, "--out", back)
+    assert rep["config"]["N"] == N
+    g = read_seq(back)
+    assert g.window == f.window and np.max(np.abs(g.values - f.values)) < 1e-12
+
+
 def test_torus_csv_round_trip(tmp_path):
     from latticeops import TorusFunction, TorusGrid
     grid = TorusGrid(1, 9)

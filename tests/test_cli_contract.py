@@ -173,6 +173,30 @@ def test_report_key_sets(files, capsys):
                              "fit_exponent", "count_below_0.1", "fraction_below_0.1"}
 
 
+def test_index_reports_the_one_grid_its_certificate_and_windows_read(capsys, monkeypatch):
+    # every window of an index run shares the largest one's index grid:
+    # at N = 128 the smallest odd M >= 2N+3 with prime factors up to 11
+    from latticeops import cli, fredholm
+
+    grids = []
+    for module, name in [(cli, "check_ellipticity"), (fredholm, "parametrix"),
+                         (fredholm, "assemble_matrix")]:
+        original = getattr(module, name)
+
+        def recording(*args, original=original):  # each takes the grid last
+            grids.append(args[-1].M)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, recording)
+    rep = _report(capsys, ["index", str(shipped_path("perturbed_bessel")),
+                           "--windows", "64,96,128", "--json"])
+    assert (rep["config"]["N"], rep["config"]["M"], rep["config"]["aliasing_margin"]) == \
+        (128, 275, 275 - 257)
+    assert rep["svd_index"] == rep["trace_index"] == 0
+    # the certificate, the largest window's parametrix and the two smaller sections
+    assert grids == [275] * 4
+
+
 def test_index_probe_gives_no_verdict_from_one_window(files, capsys):
     rep = _report(capsys, ["index", _step_symbol(files), "--windows", "32"])
     assert rep["elliptic"] is False

@@ -10,6 +10,7 @@ from latticeops import (
     TorusGrid,
     default_grid,
     forward_dft,
+    index_grid,
     inverse_dft,
     torus_quadrature,
     forward_difference,
@@ -247,3 +248,37 @@ def test_cached_arrays_are_read_only():
         _dft_matrix(1, 4, 9)[0, 0] = 0.0
     with pytest.raises(ValueError):
         _grid_slots(1, 4, 9)[0] = 1
+
+
+def _largest_prime_factor(M):
+    p, largest = 2, 1
+    while M > 1:
+        while M % p == 0:
+            M, largest = M // p, p
+        p += 1
+    return largest
+
+
+def test_index_grid_is_the_smallest_odd_size_from_2n_plus_3_with_factors_up_to_11():
+    for N in range(1, 301):
+        want = next(M for M in range(2 * N + 3, 4 * N + 10)
+                    if M % 2 and _largest_prime_factor(M) <= 11)
+        for n in (1, 2):
+            g = index_grid(LatticeWindow(n, N))
+            assert (g.n, g.M) == (n, want), N
+    assert [index_grid(LatticeWindow(1, N)).M for N in (8, 32, 128, 256)] == [21, 75, 275, 525]
+
+
+def test_default_grid_stays_2n_plus_3():
+    # invft reads N = (M - 3) / 2 back from a default grid, so the rule
+    # must stay one-to-one
+    assert [default_grid(LatticeWindow(1, N)).M for N in range(1, 301)] == \
+        [2 * N + 3 for N in range(1, 301)]
+
+
+def test_rows_in_places_a_window_inside_a_larger_one():
+    for n, N, big in [(1, 3, 5), (2, 2, 4), (3, 1, 2), (2, 3, 3)]:
+        small, large = LatticeWindow(n, N), LatticeWindow(n, big)
+        rows = small.rows_in(large)
+        assert np.array_equal(large.points[rows], small.points)
+        assert np.all(np.diff(rows) > 0)

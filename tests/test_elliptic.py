@@ -17,6 +17,7 @@ from latticeops import (
     check_ellipticity,
     default_grid,
     estimate_order,
+    index_grid,
     jump_symbol,
     parametrix,
     parse_symbol,
@@ -596,3 +597,17 @@ def test_solve_matches_dense_direct():
     report = res.report_dict()
     assert set(report) == {"residual_interior", "residual_boundary", "iterations",
                            "fallback_used", "fallback_reason", "residual_history"}
+
+
+def test_a_restricted_parametrix_reads_the_larger_ones_row_minima_on_its_grid():
+    big, small = LatticeWindow(1, 16), LatticeWindow(1, 8)
+    sigma = shipped_symbol("perturbed_bessel")
+    g = index_grid(big)
+    par = parametrix(sigma, 0.0, 2, big, g)
+    with pytest.raises(ValueError, match="M=21"):
+        par.restricted(assemble_matrix(sigma, small, index_grid(small)), 0.0)
+    sub = par.restricted(assemble_matrix(sigma, small, g), 0.0)
+    direct = parametrix(sigma, 0.0, 2, small, g)
+    assert sub.steps == 2
+    assert np.array_equal(sub.row_minima, direct.row_minima)
+    assert np.max(np.abs(sub.left_defect.entries - direct.left_defect.entries)) < 1e-14

@@ -15,13 +15,14 @@ from latticeops import (
     default_grid,
     fredholm_ellipticity_probe,
     full_index_report,
+    index_grid,
     jump_symbol,
     parse_symbol,
     shipped_symbol,
     svd_index,
     trace_index,
 )
-from latticeops import quantization
+from latticeops import fredholm, quantization
 from latticeops.elliptic import parametrix
 from latticeops.errors import EllipticityError
 from latticeops.fredholm import (
@@ -48,10 +49,11 @@ JUMP2 = "step(k1)*exp({}2*i*twopi*x1) + (1-step(k1))"
 PERTURBED_JUMP = "step(k1)*exp(i*twopi*x1) + (1-step(k1)) + 0.15*exp(-i*twopi*x1)/(1+k1^2)"
 
 
-def _dense_svd_oracle(sigma, N, n=1):
-    """The section, its counts and null bases from the full SVD with U and V^H."""
+def _dense_svd_oracle(sigma, N, n=1, grid=None):
+    """The section on grid, by default the window's index grid, its counts
+    and null bases from the full SVD with U and V^H."""
     w = LatticeWindow(n, N)
-    A = assemble_matrix(sigma, w, default_grid(w)).entries
+    A = assemble_matrix(sigma, w, index_grid(w) if grid is None else grid).entries
     U, s, Vh = np.linalg.svd(A)
     smax = s[0] if s[0] > 0 else 1.0
     null = s < RANK_TOL * smax
@@ -424,14 +426,16 @@ def _split_symbols(draw):
 def test_split_sections_match_the_dense_svd(sigma, N, step):
     windows = [N, N + step]
     rep = svd_index(sigma, windows, n=1)
+    # both windows run on the larger one's grid; on a grid as coarse as
+    # 2N+3 an x-mode of order 3 aliases into a corner of the section
+    g = index_grid(LatticeWindow(1, N + step))
     oracle = []
     for e in rep.gap_evidence:
-        want = _dense_svd_oracle(sigma, e.N)
+        want = _dense_svd_oracle(sigma, e.N, grid=g)
         assert (e.raw_null_count, e.dim_ker, e.dim_coker) == \
             (want["raw"], want["ker"], want["coker"])
         oracle.append((want["ker"], want["coker"], _values_only_gap(want["A"])))
-        w = LatticeWindow(1, e.N)
-        A = assemble_matrix(sigma, w, default_grid(w))
+        A = assemble_matrix(sigma, LatticeWindow(1, e.N), g)
         assert A.blocks().count == e.blocks > 1
         # each route is within 8 eps s_max of the exact values
         dense = np.linalg.svd(want["A"], compute_uv=False)
@@ -484,23 +488,37 @@ def test_single_block_sections_run_no_p_by_p_svd(sigma, route, svd_shapes, solve
         assert 100 <= e.gap <= _values_only_gap(assemble_matrix(sigma, w, default_grid(w)).entries)
 
 
-@pytest.mark.parametrize("name", ["perturbed_bessel", "jump_plus"])
+@pytest.mark.parametrize("name", ["perturbed_bessel", "jump_plus", "perturbed_jump"])
 def test_full_index_report_streams_each_section_once(name, monkeypatch):
     # A's section is streamed from sigma's factors once per window: the
     # largest window's is the shared parametrix's, and a one-block
-    # window's parametrix reads the section the route built
-    builds, original = [], quantization._row_blocks
+    # window's parametrix reads the section the route built.  The one
+    # parametrix is the largest window's, and the smaller ones restrict
+    # its B0, so tau0 is sampled and its folded form streamed into rows
+    # at the largest window only (twice when too full to be sparse: the
+    # sparse form's stream stops early and the dense section streams again)
+    builds, made = [], []
+    originals = quantization._row_blocks, fredholm.parametrix
 
     def recording(A):
         form = "factors" if A._factors is not None else \
             "folded" if A._folded is not None else "entries"
         builds.append((A.window.N, form))
-        return original(A)
+        return originals[0](A)
+
+    def making(sigma, m, J, window, grid):
+        made.append(window.N)
+        return originals[1](sigma, m, J, window, grid)
 
     monkeypatch.setattr(quantization, "_row_blocks", recording)
-    rep = full_index_report(shipped_symbol(name), WINDOWS)
+    monkeypatch.setattr(fredholm, "parametrix", making)
+    sigma = parse_symbol(PERTURBED_JUMP, 1, order=0) if name == "perturbed_jump" \
+        else shipped_symbol(name)
+    rep = full_index_report(sigma, WINDOWS)
     assert rep.agreement
     assert [builds.count((N, "factors")) for N in WINDOWS] == [1] * len(WINDOWS)
+    assert made == [WINDOWS[-1]]
+    assert {N for N, form in builds if form == "folded"} == {WINDOWS[-1]}
 
 
 def _cosines(basis, oracle):
@@ -587,6 +605,38 @@ def test_defect_routes_match_the_dense_svd(case):
     if e.lower_bound is not None:
         assert 0 < e.lower_bound <= want["s"][-want["raw"] - 1]
         assert e.gap <= _values_only_gap(want["A"])
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=_in_class_symbols(), step=st.integers(1, 4))
+def test_a_restricted_parametrix_gives_the_evidence_of_a_direct_one(case, step, same_evidence):
+    # full_index_report's smaller windows read the largest one's B0;
+    # svd_index builds each window's parametrix on the same grid
+    sigma, n, N = case
+    windows = [N, N + step]
+    same_evidence(full_index_report(sigma, windows, n=n).gap_evidence,
+                  svd_index(sigma, windows, n=n).gap_evidence)
+
+
+def test_an_odd_index_grid_keeps_a_symbol_of_even_x2_modes_in_one_block():
+    # the x2-modes of cos(twopi*x2)^2 in the denominator are all even, and
+    # an even M aliases them onto even slots only: the section would split
+    # into two parity blocks and take their SVDs
+    sigma = parse_symbol("2 + exp(i*twopi*x1)/(1+k1^2+k2^2+cos(twopi*x2)^2)", 2, order=0)
+    rep = full_index_report(sigma, [6, 8], n=2)
+    assert rep.svd_index == rep.trace_index == 0
+    assert [(e.blocks, e.route) for e in rep.gap_evidence] == [(1, "certified")] * 2
+
+
+@pytest.mark.parametrize("J,route", [(1, "dense"), (2, "deflated"), (3, "deflated"),
+                                     (4, "deflated")])
+def test_the_steps_apply_at_every_window(J, route):
+    # one step leaves defects too large to decide any window, two or more
+    # decide every one; the counts and both verdicts do not depend on J
+    rep = full_index_report(_perturbed_jump(1, 0.3), WINDOWS, J=J)
+    assert (rep.svd_index, rep.trace_index) == (1, 1)
+    assert [(e.route, e.raw_null_count, e.dim_ker, e.dim_coker) for e in rep.gap_evidence] \
+        == [(route, 1, 1, 0)] * len(WINDOWS)
 
 
 @pytest.mark.parametrize("m", [-2, -1, 1, 2])

@@ -20,6 +20,7 @@ from latticeops import (
     compose,
     default_grid,
     extract_symbol,
+    index_grid,
     interior_margin,
     multiplier_symbol,
     parametrix,
@@ -680,6 +681,27 @@ def test_sparse_form_keeps_the_section_to_roundoff(text, N):
         # relative per row: each row is kept to roundoff of its own largest entry
         assert np.all(np.max(np.abs(got - want), axis=1)
                       <= 1e-12 * np.max(np.abs(want), axis=1))
+
+
+@pytest.mark.parametrize("text,n,N,big,form", [
+    ("2 + exp(i*twopi*x1)/(1+k1^2+k2^2) + 0.5*cos(twopi*x2)/(1+k1^2)", 2, 4, 6, "sparse"),
+    ("1/(2.2 + cos(twopi*x1) + cos(twopi*x2))", 2, 4, 6, "dense"),
+    # five entries a row: sparse on 129 rows, too full for the sparse form on 33
+    ("2 + cos(twopi*x1) + 0.5*cos(2*twopi*x1)", 1, 16, 64, "dense")])
+def test_a_principal_sub_section_is_the_smaller_windows_section(text, n, N, big, form):
+    small, large = LatticeWindow(n, N), LatticeWindow(n, big)
+    g = index_grid(large)
+    sigma = parse_symbol(text, n)
+    A = assemble_matrix(sigma, large, g)
+    sub = A.principal(small)
+    want = assemble_matrix(sigma, small, g)
+    assert sub.form_report()["form"] == want.form_report()["form"] == form
+    ids = small.rows_in(large)
+    assert np.array_equal(sub.entries, A.entries[np.ix_(ids, ids)])
+    # the rows of the larger section dropped roundoff against their own peak
+    want = want.entries
+    assert np.all(np.max(np.abs(sub.entries - want), axis=1)
+                  <= 1e-12 * np.max(np.abs(want), axis=1))
 
 
 def test_sparse_form_refuses_non_finite_entries():
