@@ -1,9 +1,10 @@
 """Parametrix construction and elliptic solving on finite sections.
 
-The starting guess is the pointwise inverse of the symbol, held as
-separated factors when the symbol is one k-only times x-only term and as
-folded samples otherwise; Neumann refinement at matrix level multiplies
-the residual order down by one per step.  The two-sided graph-norm/Sobolev-norm equivalence and the
+The starting guess is the pointwise inverse of the symbol, held as exact
+separated factors when the symbol is one k-only times x-only term at each
+k (one term, or a jump symbol) and as folded samples otherwise; Neumann
+refinement at matrix level multiplies the residual order down by one per
+step.  The two-sided graph-norm/Sobolev-norm equivalence and the
 preconditioned solver both ride on that parametrix.
 """
 
@@ -25,6 +26,7 @@ from .symbols import (
     _blocks,
     _certificate,
     _decreasing_from_peak,
+    _one_term_per_row,
     _row_minima,
     _shell_slope,
     check_ellipticity,
@@ -115,12 +117,15 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
     (I - A B0)^J.  sigma is evaluated once, and A and B0 take their form
     from how it splits (``Symbol._terms``):
 
-    - one separated term a(k) b(x): A is held as its factors and B0 as the
-      factors 1/a and 1/b, and the certificate reads |a| min |b|, so no
-      (P, Q) array is formed;
-    - several terms: A is held as its factors, and one pass over row
-      blocks of a @ b gives the row minima of |sigma| and B0's samples,
-      which are folded in place;
+    - one separated term a_r(k) b_r(x) at each k (``_one_term_per_row``:
+      one term, or a jump symbol's step(k1) e^{2 pi i d x1} + (1 - step(k1))):
+      A is held as its factors and B0 as the exact factors of
+      tau0 = sum_r [a_r != 0] (1/a_r)(1/b_r) over the terms some k reads
+      (``_reciprocal_factors``), and the certificate reads
+      sum_r |a_r| min |b_r|, so no (P, Q) array is formed;
+    - several terms at some k: A is held as its factors, and one pass over
+      row blocks of a @ b gives the row minima of |sigma| and B0's
+      samples, which are folded in place;
     - no split: sigma is sampled once, in slabs of k_1 rows; each slab
       gives its row minima and B0's samples and is gathered into A's
       sample array, so two (P, Q) arrays are held, A's and B0's, and both
@@ -133,8 +138,8 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
     if J < 1:
         raise ValueError("need at least one Neumann step")
     terms = sigma._terms(window, grid)
-    single = terms is not None and terms[0].shape[1] == 1
-    if single:
+    separated = _one_term_per_row(terms)
+    if separated:
         row_min = _row_minima(sigma, terms, window, grid)
     else:
         minima, tau0 = [], np.empty((window.size, grid.size), dtype=complex)
@@ -155,11 +160,24 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
         A = OperatorMatrix.from_samples(samples, window, grid)
     else:
         A = OperatorMatrix.from_factors(*terms, window, grid)
-    if single:
-        B0 = OperatorMatrix.from_factors(1 / terms[0], 1 / terms[1], window, grid)
+    if separated:
+        B0 = OperatorMatrix.from_factors(*_reciprocal_factors(*terms), window, grid)
     else:
         B0 = OperatorMatrix.from_samples(tau0, window, grid)
     return Parametrix(A, B0, J, row_min)
+
+
+def _reciprocal_factors(a: np.ndarray, b: np.ndarray):
+    """The factors of tau0 = 1/sigma for factors (a, b) of one term per row:
+    sum_r [a_r(k) != 0] (1 / a_r(k)) (1 / b_r(x)), exact.  A term that no
+    window point reads is dropped, so a zero of its b_r is not divided by;
+    one term needs no mask, since a certified a of one column has no zero."""
+    if a.shape[1] == 1:
+        return 1 / a, 1 / b
+    active = np.any(a != 0, axis=0)
+    a, b = a[:, active], b[active]
+    with np.errstate(all="ignore"):  # 1/0 off a's support, replaced by 0
+        return np.where(a != 0, 1 / a, 0), 1 / b
 
 
 def _certify(row_min: np.ndarray, m: float, window: LatticeWindow) -> None:

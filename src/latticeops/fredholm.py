@@ -25,11 +25,13 @@ grid, the largest window's ``index_grid``, and ``full_index_report``
 builds one parametrix, at the largest window: the trace route reads it
 there, and each smaller one-block section reads its restriction
 (``Parametrix.restricted``), so tau0 is sampled and transformed once.
+``svd_index`` builds that parametrix too, once a one-block section
+needs it.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -265,34 +267,27 @@ def _defect_evidence(par, mask: np.ndarray):
         _interior_null_count(cokernel, mask), float(gap), float(bound)
 
 
-def _window_evidence(sigma: Symbol, window: LatticeWindow, grid, par=None) -> WindowEvidence:
-    """Counts, gap and blocks of sigma's section A on one window, and the
-    route that decided them.  ``par``, when given, is the J-step
-    parametrix of sigma on the run's largest window and on ``grid``.  A is
-    built once: it is par's A on that window, and else
-    ``assemble_matrix``'s on ``grid``, its sparse form from sigma's
-    factors or samples before its dense entries.  It is split into the
-    independent blocks of its pattern (``OperatorMatrix.blocks``).  A
-    section of several blocks takes its values and null bases block by
-    block ("blocks").  A section of one block is decided from the defects
-    of a parametrix that reads A (``_defect_evidence``: "certified" or
-    "deflated"): par itself on its own window, par restricted to this
-    one below it (``Parametrix.restricted``, so sigma is not sampled
-    again), and without par the three-step parametrix of sigma on this
-    window.  Its dense SVD decides when sigma is not certified elliptic
-    on the window or the defects do not decide ("dense")."""
-    own = par is not None and par.sigma_matrix.window == window
-    A = par.sigma_matrix if own else assemble_matrix(sigma, window, grid)
-    B = A.blocks()
+def _window_evidence(A, par) -> WindowEvidence:
+    """Counts, gap and blocks of the section A on its window, and the route
+    that decided them.  ``par()`` gives the J-step parametrix of sigma on
+    the run's largest window and on A's grid, or None when sigma is not
+    certified elliptic there; it is called only for a section of one
+    block.  A is split into the independent blocks of its pattern
+    (``OperatorMatrix.blocks``).  A section of several blocks takes its
+    values and null bases block by block ("blocks").  A section of one
+    block is decided from the defects of a parametrix that reads A
+    (``_defect_evidence``: "certified" or "deflated"): par itself when A
+    is its A, else par restricted to A (``Parametrix.restricted``, so
+    sigma is not sampled again).  Its dense SVD decides when there is no
+    such parametrix, when sigma is not certified elliptic on A's window or
+    when the defects do not decide ("dense")."""
+    window, B = A.window, A.blocks()
     mask = window.interior_mask(interior_margin(window))
-    found = None
-    if B.count == 1:
+    found, largest = None, par() if B.count == 1 else None
+    if largest is not None:
         try:
-            if par is None:
-                par = replace(parametrix(sigma, 0.0, 3, window, grid), sigma_matrix=A)
-            elif not own:
-                par = par.restricted(A, 0.0)
-            found = _defect_evidence(par, mask)
+            own = largest.sigma_matrix is A
+            found = _defect_evidence(largest if own else largest.restricted(A, 0.0), mask)
         except EllipticityError:
             pass
     route, raw, ker, coker, gap, bound = found or _spectral_evidence(A, B, mask)
@@ -324,15 +319,34 @@ def _stabilized(evidence: list) -> IndexReport:
 def svd_index(sigma: Symbol, windows, n: int = 1) -> IndexReport:
     """Kernel/cokernel counts across the distinct windows, smallest first,
     on the largest window's ``index_grid`` (``_window_evidence``), each
-    section released before the next is built.
+    section released before the next is built.  The three-step parametrix
+    of sigma on the largest window is built when the first section of one
+    block needs it, and then read by every such section; the largest
+    window's section is then its A.
 
     Stabilized when the last two windows agree on both counts and both
     show a 100x gap between null and non-null singular values; otherwise,
     and with fewer than two distinct windows, the verdict is left unstable
     (None), never an exception.
     """
-    return _stabilized([_window_evidence(sigma, window, grid)
-                        for window, grid in _sections(windows, n)])
+    sections = list(_sections(windows, n))
+    largest, grid = sections[-1]
+    built = []
+
+    def par():
+        if not built:
+            try:
+                built.append(parametrix(sigma, 0.0, 3, largest, grid))
+            except EllipticityError:
+                built.append(None)
+        return built[0]
+
+    def section(window):
+        if window == largest and built and built[0] is not None:
+            return built[0].sigma_matrix
+        return assemble_matrix(sigma, window, grid)
+
+    return _stabilized([_window_evidence(section(window), par) for window, _ in sections])
 
 
 @dataclass
@@ -403,7 +417,10 @@ def full_index_report(sigma: Symbol, windows, n: int = 1, J: int = 3) -> IndexRe
     sections = list(_sections(windows, n))
     window, grid = sections[-1]
     par = parametrix(sigma, 0.0, J, window, grid)  # raises on non-elliptic
-    report = _stabilized([_window_evidence(sigma, w, grid, par) for w, _ in sections])
+    report = _stabilized([
+        _window_evidence(par.sigma_matrix if w == window else assemble_matrix(sigma, w, grid),
+                         lambda: par)
+        for w, _ in sections])
     tr = _trace(par, window)
     report.trace_index_raw = tr.trace_index_raw
     report.trace_index = tr.trace_index

@@ -81,7 +81,9 @@ def interior_margin(window: LatticeWindow) -> int:
 # section's largest entry would cut the outer ones a thousand times
 # coarser than their own roundoff at n=2 N=24.  On the index pool
 # at n=1 N=256 it leaves B0 of perturbed_bessel 4.4 entries per row (4.8
-# at eps itself) and B0 of each jump symbol exactly 1.
+# at eps itself).  B0 of each jump symbol holds exactly 1 on every grid by
+# construction: it comes from the exact factors of tau0, each row one
+# multiple of one x-mode's shift form, not from folded samples.
 _ROUNDOFF = 1e-15
 
 # The sparse form is kept while a section holds at most this fraction of

@@ -881,20 +881,28 @@ def _modulus(S: np.ndarray, out) -> np.ndarray:
     return magnitude
 
 
+def _one_term_per_row(terms) -> bool:
+    """True when sigma's separated factors ``terms`` (a, b) give each window
+    point at most one term: every row of the k-factor a holds at most one
+    nonzero entry, so sigma(k, x) = a_r(k) b_r(x) on that row."""
+    return terms is not None and (terms[0].shape[1] == 1
+                                  or bool(np.all(np.count_nonzero(terms[0], axis=1) <= 1)))
+
+
 def _row_minima(sigma: Symbol, terms, window: LatticeWindow, grid: TorusGrid) -> np.ndarray:
     """min over x of |sigma(k, x)| for each window point k.
 
-    One separated term gives |a(k)| min |b| with no (P, Q) array; otherwise
-    the minima are taken block by block from ``_blocks``.  Refuses
-    non-finite factors or samples, and a single term whose samples
-    overflow, with ValueError.
+    Factors with one term per row (``_one_term_per_row``) give
+    sum_r |a_r(k)| min |b_r| with no (P, Q) array; otherwise the minima
+    are taken block by block from ``_blocks``.  Refuses non-finite factors
+    or samples, and a term whose samples overflow, with ValueError.
     """
-    if terms is not None and terms[0].shape[1] == 1:
-        a, b = np.abs(terms[0][:, 0]), np.abs(terms[1][0])
+    if _one_term_per_row(terms):
+        a, b = np.abs(terms[0]), np.abs(terms[1])
         with np.errstate(all="ignore"):
-            if not np.isfinite(np.max(a) * np.max(b)):
+            if not np.all(np.isfinite(np.max(a, axis=0) * np.max(b, axis=1))):
                 raise ValueError(NON_FINITE_SAMPLES)
-        return a * np.min(b)
+        return a @ np.min(b, axis=1)
     return np.concatenate([np.min(magnitude, axis=1)
                            for _, _, magnitude in _blocks(sigma, terms, window, grid)])
 

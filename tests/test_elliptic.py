@@ -1,5 +1,6 @@
 """Parametrix construction, decay reports, ADN estimates, solving."""
 
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -32,7 +33,13 @@ from latticeops.elliptic import residual_order_sequence
 from latticeops.errors import ConvergenceError, EllipticityError
 from latticeops.quantization import assemble_matrix, extract_symbol, interior_margin
 from latticeops.quantization import OperatorMatrix
-from latticeops.symbols import NON_FINITE_SAMPLES, GridSymbol
+from latticeops.symbols import (
+    NON_FINITE_SAMPLES,
+    GridSymbol,
+    _certificate,
+    _one_term_per_row,
+    _row_minima,
+)
 
 PERTURBED = "2 + exp(i*twopi*x1)/(1+k1^2)"
 # slower-decaying member of the same family; its residual orders stay
@@ -421,6 +428,69 @@ def test_certified_symbols_regularize_no_point(data):
     except EllipticityError:
         assume(False)
     _assert_row_minima_clear_twice_the_floor(sigma, m, w, g)
+
+
+def _coefficient(draw):
+    """A nonzero complex coefficient with parts in -3..3, as expression text."""
+    re, im = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda c: c != (0, 0)))
+    return f"(({re}) + ({im})*i)"
+
+
+@st.composite
+def _one_term_per_row_symbols(draw):
+    """(sigma, n, N, live): sum_r a_r(k) b_r(x) with k-supports that do not
+    meet, products of step(k_j - c_j) and 1 - step(k_j - c_j), one of them
+    sometimes left out so that sigma vanishes there; each b_r a trig
+    polynomial whose constant outweighs its modes, so it does not vanish;
+    and one more term, zero on every window point, whose b_r vanishes at
+    x = 0.  ``live`` counts the terms some window point reads."""
+    n = draw(st.sampled_from([1, 2]))
+    N = draw(st.integers(4, 12) if n == 1 else st.integers(3, 5))
+    sides = []
+    for j in range(1, n + 1):
+        cut = f"step(k{j} - ({draw(st.integers(-2, 2))}))"
+        sides.append([cut, f"(1 - {cut})"])
+    pieces = [" * ".join(p) for p in itertools.product(*sides)]
+    if draw(st.booleans()):
+        del pieces[draw(st.integers(0, len(pieces) - 1))]
+    terms = []
+    for piece in pieces:
+        mode = f"exp({draw(st.integers(-2, 2))}*i*twopi*x{draw(st.integers(1, n))})"
+        b = f"(4 + {draw(st.sampled_from(['1', '2', '(1+i)']))}*{mode}" \
+            f" + cos({draw(st.integers(1, 2))}*twopi*x{n}))"
+        a = f"{_coefficient(draw)}*(2 + 1/(1+k1^2))"
+        terms.append(f"{piece}*{a}*{b}")
+    terms.append("step(k1 - 100)*(1 - exp(i*twopi*x1))")
+    return parse_symbol(" + ".join(terms), n, order=0), n, N, len(pieces)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_one_term_per_row_symbols())
+def test_one_term_per_row_gives_tau0_as_exact_factors(case):
+    sigma, n, N, live = case
+    w = LatticeWindow(n, N)
+    g = default_grid(w)
+    assert _one_term_per_row(sigma._terms(w, g))
+    S = sigma.sample(w, g)
+    sampled = np.min(np.abs(S), axis=1)
+    row_min = _row_minima(sigma, sigma._terms(w, g), w, g)
+    assert np.all(np.abs(row_min - sampled) <= 4 * np.finfo(float).eps * sampled)
+    rep = check_ellipticity(sigma, 0.0, w, g)
+    assert rep.elliptic == _certificate(sampled, 0.0, w).elliptic == (live == 2 ** n)
+    if not rep.elliptic:
+        with pytest.raises(EllipticityError):
+            parametrix(sigma, 0.0, 1, w, g)
+        return
+    par = parametrix(sigma, 0.0, 1, w, g)
+    # the term zero on the window is dropped, not divided by
+    a, b = par.initial._factors
+    assert a.shape[1] == b.shape[0] == live
+    with np.errstate(all="ignore"):
+        tau0 = np.conj(S) / np.abs(S) ** 2
+    want = OperatorMatrix.from_samples(tau0, w, g).entries
+    got = par.initial.entries
+    peak = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-13 * peak)
 
 
 def test_parametrix_refuses_non_finite_samples():

@@ -22,7 +22,7 @@ from latticeops import (
     svd_index,
     trace_index,
 )
-from latticeops import fredholm, quantization
+from latticeops import elliptic, fredholm, quantization, symbols
 from latticeops.elliptic import parametrix
 from latticeops.errors import EllipticityError
 from latticeops.fredholm import (
@@ -33,6 +33,7 @@ from latticeops.fredholm import (
     _interior_null_count,
     _top_right_singular,
     _weighted_tail_bound,
+    _window_evidence,
 )
 from latticeops.quantization import (
     OperatorMatrix,
@@ -496,7 +497,9 @@ def test_full_index_report_streams_each_section_once(name, monkeypatch):
     # parametrix is the largest window's, and the smaller ones restrict
     # its B0, so tau0 is sampled and its folded form streamed into rows
     # at the largest window only (twice when too full to be sparse: the
-    # sparse form's stream stops early and the dense section streams again)
+    # sparse form's stream stops early and the dense section streams again).
+    # A jump symbol has one term at each k, so its tau0 is held as exact
+    # factors, streamed once at the largest window, and nothing is folded
     builds, made = [], []
     originals = quantization._row_blocks, fredholm.parametrix
 
@@ -516,9 +519,34 @@ def test_full_index_report_streams_each_section_once(name, monkeypatch):
         else shipped_symbol(name)
     rep = full_index_report(sigma, WINDOWS)
     assert rep.agreement
-    assert [builds.count((N, "factors")) for N in WINDOWS] == [1] * len(WINDOWS)
+    separated = name == "jump_plus"
+    assert [builds.count((N, "factors")) for N in WINDOWS] == \
+        [1] * (len(WINDOWS) - 1) + [1 + separated]
     assert made == [WINDOWS[-1]]
-    assert {N for N, form in builds if form == "folded"} == {WINDOWS[-1]}
+    assert {N for N, form in builds if form == "folded"} == (set() if separated else {WINDOWS[-1]})
+
+
+def test_an_n2_jump_index_run_samples_nothing(monkeypatch):
+    # one term at each k: the certificate reads the factors, tau0 is held as
+    # exact factors, and no sample array of sigma or tau0 is formed
+    called = []
+
+    def refused(name):
+        def record(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(name)
+        return record
+
+    monkeypatch.setattr(OperatorMatrix, "from_samples", refused("from_samples"))
+    for module in (symbols, elliptic):
+        monkeypatch.setattr(module, "_blocks", refused("_blocks"))
+    sigma = parse_symbol("step(k1)*exp(i*twopi*x1) + (1-step(k1))", 2, order=0)
+    rep = full_index_report(sigma, WINDOWS, n=2)
+    assert called == []
+    # a shift on the half-space k1 >= 0: one interior kernel vector per
+    # interior k2, so the kernel grows with the window and no verdict is given
+    assert rep.dim_ker == [2 * (N - N // 4) + 1 for N in WINDOWS]
+    assert (rep.dim_coker, rep.svd_index, rep.trace_index) == ([0] * len(WINDOWS), None, None)
 
 
 def _cosines(basis, oracle):
@@ -610,12 +638,17 @@ def test_defect_routes_match_the_dense_svd(case):
 @settings(max_examples=20, deadline=None)
 @given(case=_in_class_symbols(), step=st.integers(1, 4))
 def test_a_restricted_parametrix_gives_the_evidence_of_a_direct_one(case, step, same_evidence):
-    # full_index_report's smaller windows read the largest one's B0;
-    # svd_index builds each window's parametrix on the same grid
+    # full_index_report's and svd_index's smaller windows read the largest
+    # one's B0; a three-step parametrix built on each window, on the same
+    # grid, gives the same evidence
     sigma, n, N = case
     windows = [N, N + step]
-    same_evidence(full_index_report(sigma, windows, n=n).gap_evidence,
-                  svd_index(sigma, windows, n=n).gap_evidence)
+    grid = index_grid(LatticeWindow(n, windows[-1]))
+    direct = [_window_evidence(assemble_matrix(sigma, w, grid),
+                               lambda: parametrix(sigma, 0.0, 3, w, grid))
+              for w in (LatticeWindow(n, M) for M in windows)]
+    same_evidence(full_index_report(sigma, windows, n=n).gap_evidence, direct)
+    same_evidence(svd_index(sigma, windows, n=n).gap_evidence, direct)
 
 
 def test_an_odd_index_grid_keeps_a_symbol_of_even_x2_modes_in_one_block():

@@ -247,9 +247,14 @@ def test_separation_stops_at_the_term_cap():
 
 
 @pytest.mark.parametrize("text", ["2 + k1/k1", "2 + (1+k1^2)/sin(twopi*x1)",
-                                  "2 + exp(i*twopi*x1)/(k1*(2+cos(twopi*x1)))"])
+                                  "2 + exp(i*twopi*x1)/(k1*(2+cos(twopi*x1)))",
+                                  "step(k1)*exp(i*twopi*x1)/k1 + (1-step(k1))",
+                                  "(1e200*step(k1))*(1e200*exp(i*twopi*x1)) + (1-step(k1))",
+                                  "2 + step(k1-100)/sin(twopi*x1)"])
 def test_non_finite_separated_symbols_are_refused_as_before(text):
-    # NaN at k1 = 0, or a pole on the grid node x1 = 0
+    # NaN at k1 = 0, or a pole on the grid node x1 = 0; the last three hold
+    # one term at each k: an infinite factor at k1 = 0, factors whose
+    # product overflows, and a pole in a term no window point reads
     w = LatticeWindow(1, 4)
     g = default_grid(w)
     sigma = parse_symbol(text, 1, order=0)

@@ -246,10 +246,13 @@ def test_certificate_without_a_split_forms_no_sample_array(grid_backed):
     assert peak <= 0.25 * w.size * g.size * 16
 
 
-@pytest.mark.parametrize("text", ["k1/k1", "1/k1", "2 + 1/(k1*x1)"])
+@pytest.mark.parametrize("text", ["k1/k1", "1/k1", "2 + 1/(k1*x1)",
+                                  "step(k1)*exp(i*twopi*x1)/k1 + (1-step(k1))",
+                                  "(1e200*step(k1))*(1e200*exp(i*twopi*x1)) + (1-step(k1))"])
 def test_certificate_refuses_non_finite_samples(text):
     # k1/k1 is NaN and 1/k1 infinite at k1 = 0; before, k1/k1 was certified
-    # elliptic with C = NaN
+    # elliptic with C = NaN.  The last two hold one term at each k, with an
+    # infinite factor at k1 = 0 or factors whose product overflows
     w = LatticeWindow(1, 8)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match=NON_FINITE_SAMPLES):
         check_ellipticity(parse_symbol(text, 1), 0.0, w, default_grid(w))
