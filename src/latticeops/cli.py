@@ -290,15 +290,15 @@ def cmd_index(args):
     window = _window([sigma], n, max(windows), "--windows")
     grid = index_grid(window)  # the grid every window of both index routes uses
     config = _config(args, window, grid)
-    cert = check_ellipticity(sigma, 0.0, window, grid)
-    if not cert.elliptic:
+    try:
+        # its parametrix certifies sigma at order 0 on this window and grid
+        report = {"config": config, "elliptic": True}
+        report.update(full_index_report(sigma, windows, n=n, J=args.steps).to_dict())
+    except EllipticityError:
         probe = fredholm_ellipticity_probe(sigma, windows, n=n)
         report = {"config": config, "elliptic": False, "probe": probe.to_dict()}
         # the verdict fields of IndexReport, each null
         report.update(IndexReport(windows, None, None, None).to_dict())
-        return _finish(args, report)
-    report = {"config": config, "elliptic": True}
-    report.update(full_index_report(sigma, windows, n=n, J=args.steps).to_dict())
     return _finish(args, report)
 
 

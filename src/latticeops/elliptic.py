@@ -1,11 +1,11 @@
 """Parametrix construction and elliptic solving on finite sections.
 
-The starting guess is the pointwise inverse of the symbol, held as exact
-separated factors when the symbol is one k-only times x-only term at each
-k (one term, or a jump symbol) and as folded samples otherwise; Neumann
-refinement at matrix level multiplies the residual order down by one per
-step.  The two-sided graph-norm/Sobolev-norm equivalence and the
-preconditioned solver both ride on that parametrix.
+The starting guess is the pointwise inverse of the symbol: exact factors
+for one k-only times x-only term at each k (one term, or a jump symbol),
+else streamed from its samples into kept rows.  Neumann refinement at
+matrix level multiplies the residual order down by one per step.  The
+two-sided graph-norm/Sobolev-norm equivalence and the preconditioned
+solver both ride on that parametrix.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 
 from .core import LatticeSequence, LatticeWindow, TorusGrid, default_grid
 from .errors import ConvergenceError, EllipticityError
-from .quantization import OperatorMatrix, _finite_values, apply as q_apply, extract_symbol, \
-    interior_margin
+from .quantization import OperatorMatrix, _finite_values, _operator, _sampled, \
+    apply as q_apply, extract_symbol, interior_margin
 from .sobolev import sobolev_norm
 from .symbols import (
     GridSymbol,
@@ -27,6 +27,7 @@ from .symbols import (
     _certificate,
     _decreasing_from_peak,
     _one_term_per_row,
+    _profiles,
     _row_minima,
     _shell_slope,
     check_ellipticity,
@@ -37,18 +38,18 @@ from .symbols import (
 class Parametrix:
     """Finite-section parametrix B_J of A = T_sigma after J Neumann steps.
 
-    A (``sigma_matrix``) and the first step B0 (``initial``) start as
-    separated factors or folded samples, whichever ``parametrix`` chose
-    for sigma, so ``apply`` gives B_J r from products A v and B0 v alone:
-    a few size-Q transforms and, on folded samples, one matrix-vector
-    product.  Built on first read and kept, each at most once: B_J
-    (``matrix``) and the defects, ``OperatorMatrix.product``s, sparse
-    when A's and B0's sections are sparse enough and dense otherwise, so
-    a caller that only applies the parametrix, or reads the defects of a
-    sparse one, forms no P x P array.  The residuals' sizes are the
-    defects' ``symbol_row_maxima``; ``left_residual`` extracts a symbol.
-    ``restricted`` gives the parametrix of a smaller window's section on
-    the same grid from B0 and the certificate's row minima.
+    A (``sigma_matrix``) and the first step B0 (``initial``) are held as
+    factors or as sections, as ``parametrix`` built them, so ``apply``
+    gives B_J r from products A v and B0 v alone: a few size-Q transforms
+    on factors, one pass over a sparse section's entries.  Built on first
+    read and kept, each at most once: B_J (``matrix``) and the defects,
+    ``OperatorMatrix.product``s, sparse when A's and B0's sections are
+    sparse enough and dense otherwise, so a caller that only applies the
+    parametrix, or reads the defects of a sparse one, forms no P x P array.
+    The residuals' sizes are the defects' ``symbol_row_maxima``;
+    ``left_residual`` extracts a symbol.  ``restricted`` gives the
+    parametrix of a smaller window's section on the same grid from B0 and
+    the certificate's row minima.
     """
     sigma_matrix: OperatorMatrix  # A
     initial: OperatorMatrix       # B0
@@ -60,7 +61,7 @@ class Parametrix:
         this one's grid.  Its B0 is the principal sub-section of this B0
         (``OperatorMatrix.principal``) and its certificate of order m reads
         this one's row minima on A's rows, the same samples of sigma, so
-        nothing is sampled, folded or transformed again.  Raises
+        nothing is sampled or transformed again.  Raises
         EllipticityError when that certificate fails."""
         window, grid = A.window, self.initial.grid
         if A.grid != grid:
@@ -122,49 +123,50 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
       A is held as its factors and B0 as the exact factors of
       tau0 = sum_r [a_r != 0] (1/a_r)(1/b_r) over the terms some k reads
       (``_reciprocal_factors``), and the certificate reads
-      sum_r |a_r| min |b_r|, so no (P, Q) array is formed;
-    - several terms at some k: A is held as its factors, and one pass over
-      row blocks of a @ b gives the row minima of |sigma| and B0's
-      samples, which are folded in place;
-    - no split: sigma is sampled once, in slabs of k_1 rows; each slab
-      gives its row minima and B0's samples and is gathered into A's
-      sample array, so two (P, Q) arrays are held, A's and B0's, and both
-      are folded in place.
+      sum_r |a_r| min |b_r|;
+    - several terms at some k: A is held as its factors; sigma(k, .) =
+      a(k) @ b depends on k only through the row a(k), so one pass over
+      the distinct rows (``_profiles``) gives their minima of |sigma| and
+      their tau0, whose shift coefficients each row of B0 reads;
+    - no split: one pass over sigma's slabs gives the row minima, A's
+      rows and, from each slab's tau0, B0's.
 
-    No P x P array is formed here: the sections and B_J are built only
-    when first read.  The row minima the certificate reads are kept
-    (``Parametrix.restricted``).
+    Rows stream into kept sparse rows (``quantization._sampled``), so no
+    (P, Q) array is formed; a slab whose minimum is 0 gives B0 none, as
+    the certificate refuses sigma.  The row minima are kept.
     """
     if J < 1:
         raise ValueError("need at least one Neumann step")
     terms = sigma._terms(window, grid)
-    separated = _one_term_per_row(terms)
-    if separated:
+    if _one_term_per_row(terms):
         row_min = _row_minima(sigma, terms, window, grid)
-    else:
-        minima, tau0 = [], np.empty((window.size, grid.size), dtype=complex)
-        samples = np.empty_like(tau0) if terms is None else None
-        for rows, S, magnitude in _blocks(sigma, terms, window, grid):
+        _certify(row_min, m, window)
+        return Parametrix(OperatorMatrix.from_factors(*terms, window, grid),
+                          OperatorMatrix.from_factors(*_reciprocal_factors(*terms), window, grid),
+                          J, row_min)
+    source, inverse, minima, rows_of_A = terms, np.arange(window.size), [], []
+    if terms is not None:
+        a, inverse = _profiles(terms[0])
+        source = a, terms[1]
+
+    def inverses():
+        for ids, S, magnitude in _blocks(sigma, source, window, grid):
             minima.append(np.min(magnitude, axis=1))
-            if samples is not None:
-                samples[rows] = S
-            with np.errstate(all="ignore"):  # a zero of sigma is refused below
-                # conj(S) / |S|^2 as conj(S * (1 / |S|^2)): a complex division
-                # by |S|^2 takes twice as long and flips the sign of zero
-                # imaginary parts
+            if terms is None:
+                rows_of_A.extend(_sampled([(ids, S)], window, grid))
+            if minima[-1].min() > 0:
+                # conj(S) / |S|^2 as conj(S * (1 / |S|^2)): a complex division by
+                # |S|^2 takes twice as long and flips the sign of zero imaginary parts
                 recip = np.reciprocal(np.square(magnitude, out=magnitude), out=magnitude)
-                np.conj(np.multiply(S, recip, out=tau0[rows]), out=tau0[rows])
-        row_min = np.concatenate(minima)
+                yield ids, np.conj(np.multiply(S, recip, out=S), out=S)
+
+    with np.errstate(all="ignore"):  # non-finite entries are refused by _sampled
+        rows_of_B0 = list(_sampled(inverses(), window, grid, inverse))
+    row_min = np.concatenate(minima)[inverse]
     _certify(row_min, m, window)
-    if terms is None:
-        A = OperatorMatrix.from_samples(samples, window, grid)
-    else:
-        A = OperatorMatrix.from_factors(*terms, window, grid)
-    if separated:
-        B0 = OperatorMatrix.from_factors(*_reciprocal_factors(*terms), window, grid)
-    else:
-        B0 = OperatorMatrix.from_samples(tau0, window, grid)
-    return Parametrix(A, B0, J, row_min)
+    A = OperatorMatrix.from_factors(*terms, window, grid) if terms is not None else \
+        _operator(rows_of_A, window, grid)
+    return Parametrix(A, _operator(rows_of_B0, window, grid), J, row_min)
 
 
 def _reciprocal_factors(a: np.ndarray, b: np.ndarray):
@@ -308,9 +310,10 @@ def solve(sigma: Symbol, m: float, f: LatticeSequence, window: LatticeWindow,
     """Parametrix-preconditioned residual iteration for T_sigma u = f.
 
     The residual f - A u and each application of B_J (2J-1 products with
-    A or B0) run on the parametrix's folded samples, so no P x P array is
-    formed unless the iteration falls back to a dense direct solve on the
-    section of A: as soon as the interior residual rises
+    A or B0) run on the forms the parametrix holds, factors or sparse
+    sections, so no P x P array is formed, save a section too full for
+    the sparse form, unless the iteration falls back to a dense direct
+    solve on the section of A: as soon as the interior residual rises
     above its starting value (divergence), when it stalls (< 10% reduction
     over 20 iterations) or when the cap is reached without meeting tol.
     The result records which of the three caused a fallback and the

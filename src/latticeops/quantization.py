@@ -5,31 +5,26 @@ sigma(k,x) fhat(x) dx; on a window x grid truncation this is exact whenever
 the grid resolves the window (M >= 2N+1).  ``apply`` computes it slab by
 slab of k_1 rows of sigma's samples (``symbols._slabs``), so it forms no
 (P, Q) array, only slabs of about ``symbols._BLOCK`` entries or one k_1
-row.  Multiplying the samples by exp(2 pi i k.x) folds the phase in
-(``_fold``): the finite section is then the FFT of each row of the folded
-samples read at the window's slots, and one product with the operator is
-one matrix-vector product against fhat.  A symbol that splits exactly as
-sigma = sum_r a_r(k) b_r(x) (``Symbol._terms``) needs no samples: a
-product is R inverse FFTs of b_r fhat, and the section is
-sum_r a_r(k) C_r[(l - k) mod M], C_r the shift form of b_r.  An
-``OperatorMatrix`` holds the dense section, the folded samples or the
-factors, or the section in compressed sparse rows (``SparseRows``), and
-each of its constructors refuses a grid that cannot resolve the window.
-Each section has one set of numbers: the kept entries of the form held
-(``_row_blocks``), each row's entries below ``_ROUNDOFF`` of its largest
-dropped, streamed slab by slab with no P x P array.  The sparse form
-gathers that stream and the dense ``entries`` scatter it (or the sparse
-form, once built), so the two views hold the same entries bit for bit.
-Two sparse forms multiply in work of the terms they expand, about P m^2
-for m entries per row, instead of P^3 (``OperatorMatrix.product``); a
-section fuller than ``_MAX_FILL`` stays dense.  ``assemble_matrix``
-builds the sparse form, or the dense section when that is too full.
-The rows and columns of a sparse form fall into independent blocks
-(``OperatorMatrix.blocks``), and a section of several blocks has the
-union of their singular values, from one stacked SVD per block size, for
-a section of one block the P x P SVD.
-Extraction scatters a section, or only the kept entries of a sparse
-one, back into the symbol's shift form and synthesizes it
+row.  The finite section is the gather A[k, l] = C_k[(l - k) mod M] of
+the shift coefficients C_k of sigma(k, .).  A symbol that splits exactly
+as sigma = sum_r a_r(k) b_r(x) (``Symbol._terms``) needs no samples: a
+product is R inverse FFTs of b_r fhat, and C_k = sum_r a_r(k) C_r, C_r
+the shift form of b_r.  Any other symbol streams its slabs of samples,
+each row transformed once, into the section's rows (``_sampled``).  An
+``OperatorMatrix`` holds the dense section, the factors or the section
+in compressed sparse rows (``SparseRows``), and each of its constructors
+refuses a grid that cannot resolve the window.  Each section has one set
+of numbers: each row's entries at or above ``_ROUNDOFF`` of its largest,
+gathered with no P x P array into the sparse form, or into the dense
+section when too full for it (``_assembled``, ``_MAX_FILL``), whose
+``entries`` scatter the sparse form bit for bit.  Two sparse forms
+multiply in work of the terms they expand, about P m^2 for m entries per
+row, instead of P^3 (``OperatorMatrix.product``).  The rows and columns
+of a sparse form fall into independent blocks (``OperatorMatrix.blocks``),
+and a section of several blocks has the union of their singular values,
+from one stacked SVD per block size, for a section of one block the
+P x P SVD.  Extraction scatters a section, or only the kept entries of a
+sparse one, back into the symbol's shift form and synthesizes it
 (``core.shift_samples``), the exact inverse of assembly.
 Composition and adjoints are finite-section constructions, so grid-backed
 results carry an interior margin outside which truncation contaminates
@@ -59,7 +54,7 @@ from .core import (
     _window_axis,
 )
 from .errors import DimensionMismatchError
-from .symbols import _BLOCK, NON_FINITE_SAMPLES, GridSymbol, Symbol, _slabs
+from .symbols import _BLOCK, NON_FINITE_SAMPLES, GridSymbol, Symbol, _blocks, _slabs
 
 NON_FINITE_ENTRIES = "operator matrix carries non-finite entries"
 _AXES = "abcdefghijklmnopqrstuvwxyz"  # einsum subscripts: k axes, then x axes
@@ -83,7 +78,7 @@ def interior_margin(window: LatticeWindow) -> int:
 # at n=1 N=256 it leaves B0 of perturbed_bessel 4.4 entries per row (4.8
 # at eps itself).  B0 of each jump symbol holds exactly 1 on every grid by
 # construction: it comes from the exact factors of tau0, each row one
-# multiple of one x-mode's shift form, not from folded samples.
+# multiple of one x-mode's shift form, not from sampled rows.
 _ROUNDOFF = 1e-15
 
 # The sparse form is kept while a section holds at most this fraction of
@@ -143,27 +138,22 @@ class Blocks(NamedTuple):
 
 
 class OperatorMatrix:
-    """T_sigma on a window, held in one of four forms: its dense finite
-    section ``entries``; sigma's samples folded in place,
-    W = sigma exp(2 pi i k.x); sigma's separated factors, sigma = a @ b
-    with a (P, R) in k and b (R, Q) in x; or its section in compressed
-    sparse rows (``sparse``).
+    """T_sigma on a window, held in one of three forms: its dense finite
+    section ``entries``; sigma's separated factors, sigma = a @ b with a
+    (P, R) in k and b (R, Q) in x; or its section in compressed sparse
+    rows (``sparse``).
 
-    ``from_symbol`` picks the form: the factors when sigma splits
-    (``Symbol._terms``), else the folded samples.  A product ``A @ v`` on
-    the folded form is one size-Q transform and one matrix-vector product;
-    on the factors it is one forward transform of v, R inverse transforms
-    of size Q and R multiply-adds of length P; once the sparse form is
-    built it is one pass over its entries, and v may be a block of
-    columns there and on the dense section.  The sparse form is built
-    on first read of ``sparse`` beside the form held, without a P x P
-    array, and ``product`` multiplies two sparse forms in P m^2 work for m
-    entries per row; a section whose fill is above ``_MAX_FILL``
-    (``_too_full``) is held dense.  The section is formed on first read of
-    ``entries`` from the same kept entries and replaces the folded samples
-    or factors, so later products use the section.  Every constructor
-    refuses a grid that cannot resolve the window (AliasingError), and
-    ``from_symbol`` does so before sampling sigma.
+    ``from_symbol`` holds the factors when sigma splits, and otherwise
+    streams sigma's samples into the section (``_sampled``).  ``A @ v`` on
+    the factors is one forward transform of v, R inverse transforms of
+    size Q and R multiply-adds of length P; on the sparse form one pass
+    over its entries, and v may be a block of columns there and on the
+    dense section.  The factors' kept entries are gathered on first read
+    of ``sparse`` or ``entries`` into the sparse form, or the dense
+    section when too full (``_too_full``), which replaces them.
+    ``product`` multiplies two sparse forms in P m^2 work for m entries
+    per row.  Every constructor refuses a grid that cannot resolve the
+    window (AliasingError), ``from_symbol`` before sampling sigma.
     """
 
     def __init__(self, window: LatticeWindow, grid: TorusGrid, entries: np.ndarray):
@@ -172,20 +162,11 @@ class OperatorMatrix:
         self.entries = entries
 
     @classmethod
-    def _held(cls, window, grid, folded=None, factors=None, sparse=None) -> "OperatorMatrix":
+    def _held(cls, window, grid, factors=None, sparse=None) -> "OperatorMatrix":
         _check_resolution(window, grid)
         A = cls.__new__(cls)
         A.window, A.grid = window, grid
-        A._entries, A._folded, A._factors, A._sparse = None, folded, factors, sparse
-        return A
-
-    @classmethod
-    def from_samples(cls, samples: np.ndarray, window: LatticeWindow,
-                     grid: TorusGrid) -> "OperatorMatrix":
-        """The operator of sigma's (window.size, grid.size) samples, folded in
-        place once the grid is known to resolve the window."""
-        A = cls._held(window, grid)
-        A._folded = _fold(samples, window, grid)
+        A._entries, A._factors, A._sparse = None, factors, sparse
         return A
 
     @classmethod
@@ -203,29 +184,23 @@ class OperatorMatrix:
     @classmethod
     def from_symbol(cls, sigma: Symbol, window: LatticeWindow,
                     grid: TorusGrid) -> "OperatorMatrix":
-        """T_sigma from sigma's separated factors, or from its folded samples
-        when sigma does not split; nothing is sampled for a grid that
-        cannot resolve the window."""
+        """T_sigma from sigma's separated factors, else streamed from its
+        samples; nothing is sampled for a grid that cannot resolve the window."""
         _check_resolution(window, grid)
         terms = sigma._terms(window, grid)
         if terms is None:
-            return cls.from_samples(sigma.sample(window, grid), window, grid)
+            return _operator(_sampled(_blocks(sigma, None, window, grid), window, grid), window, grid)
         return cls.from_factors(*terms, window, grid)
 
     @property
     def entries(self) -> np.ndarray:
         """The dense section, formed on first read by scattering the sparse
-        form when it is built, else the kept entries of the form held
-        (``_row_blocks``) slab by slab, so both views hold the same entries."""
+        form (``sparse``), so both views hold the same entries."""
         if self._entries is None:
-            S = self._sparse
-            E = np.zeros((self.window.size,) * 2, dtype=complex)
-            kept = [(S.row_ids(), S.indices, S.data)] if S else _row_blocks(self)
-            with np.errstate(all="ignore"):  # non-finite entries are refused by _kept
-                for rows, cols, vals in kept:
-                    E[rows, cols] = vals
-            # the same operator, so a sparse form built stays valid
-            self._entries, self._folded, self._factors = E, None, None
+            S = self.sparse  # gathering the factors may leave the section dense
+            if self._entries is None:
+                self._entries = E = np.zeros((self.window.size,) * 2, dtype=complex)
+                E[S.row_ids(), S.indices] = S.data
         return self._entries
 
     @entries.setter
@@ -236,19 +211,26 @@ class OperatorMatrix:
             raise DimensionMismatchError(f"entries shape {value.shape}, window size {P}")
         if not np.all(np.isfinite(value)):
             raise ValueError(NON_FINITE_ENTRIES)
-        self._entries, self._folded, self._factors, self._sparse = value, None, None, None
+        self._entries, self._factors, self._sparse = value, None, None
 
     @property
     def sparse(self):
-        """The section as ``SparseRows``, built on first read from the form
-        held without a P x P array, or None when it is too full
-        (``_too_full``) and the section is held dense.  Entries below
-        ``_ROUNDOFF`` times their row's largest are dropped."""
+        """The section as ``SparseRows``, built on first read without a
+        P x P array from the factors, which it replaces, or the dense rows;
+        None when it is too full (``_too_full``) and the section is dense."""
         if self._sparse is None:
+            P = self.window.size
             with np.errstate(all="ignore"):  # non-finite entries are refused by _kept
-                blocks = _assembled(_row_blocks(self), self.window.size, stop=True)
+                if self._entries is None:
+                    S, self._factors = _assembled(_factor_rows(*self._factors, self.window,
+                                                               self.grid), P), None
+                    if not isinstance(S, SparseRows):
+                        self._entries, S = S, None
+                else:
+                    S = _assembled((_kept(self._entries[rows], np.arange(rows.start, rows.stop))
+                                    for rows in _slabs(P, P)), P, stop=True)
             # False marks a section measured too full for the sparse form
-            self._sparse = blocks or False
+            self._sparse = S or False
         return self._sparse or None
 
     def form_report(self) -> dict:
@@ -275,8 +257,6 @@ class OperatorMatrix:
             return out
         window, grid = self.window, self.grid
         vhat = forward_dft(LatticeSequence(window, v), grid).values
-        if self._factors is None:
-            return grid.weight * (self._folded @ vhat)
         # sum_r a_r(k) M^-n sum_x exp(2 pi i k.x) b_r(x) vhat(x): the
         # inverse FFT of each b_r vhat, read at the grid slot of k
         a, b = self._factors
@@ -307,11 +287,8 @@ class OperatorMatrix:
             if add is not None:
                 E += add.entries
             return OperatorMatrix(window, grid, E)
-        blocks = _product_blocks(*operands[:2], scale, shift, operands[2] if add else None)
-        result = OperatorMatrix.from_sparse(_assembled(blocks, P), window, grid)
-        if _too_full(result.sparse.indptr[-1], P):
-            result = OperatorMatrix(window, grid, result.entries)
-        return result
+        return _operator(_product_blocks(*operands[:2], scale, shift,
+                                         operands[2] if add else None), window, grid)
 
     def principal(self, window: LatticeWindow) -> "OperatorMatrix":
         """The principal sub-section on ``window``, a window of at most this
@@ -437,38 +414,50 @@ class OperatorMatrix:
         return self._spectrum()[2]
 
 
-def _row_blocks(A: OperatorMatrix):
-    """The kept entries of A's section (``_kept``) as (rows, cols, vals),
-    sorted by row, a block of rows at a time, from the form A holds, with
-    no P x P array: slabs of the dense section's rows; row FFTs of slabs of
-    the folded samples, A[k, l] = M^-n sum_x exp(-2 pi i l.x) W[k, x] read
-    at the grid slots of the window; or, from the factors,
-    sum_r a_r(k) C_r[(l - k) mod M] at the modes where some C_r is above
-    roundoff.  The one stream both the sparse form and the dense
-    ``entries`` are built from.  Refuses non-finite entries with ValueError."""
-    window, grid, P = A.window, A.grid, A.window.size
-    if A._entries is not None:
-        for rows in _slabs(P, P):
-            yield _kept(A._entries[rows], rows.start)
-    elif A._folded is not None:
-        slots = _grid_slots(window.n, window.N, grid.M)
-        for rows in _slabs(P, grid.size):
-            C = shift_coefficients(A._folded[rows], window, grid)
-            yield _kept(np.take(C, slots, axis=1), rows.start)
-    else:
-        a, b = A._factors
-        C = shift_coefficients(b, window, grid)
+def _factor_rows(a: np.ndarray, b: np.ndarray, window: LatticeWindow, grid: TorusGrid):
+    """The kept entries (``_kept``) of the section of sigma = a @ b as
+    (rows, cols, vals), sorted by row, a block of rows at a time with no
+    P x P array: sum_r a_r(k) C_r[(l - k) mod M], C_r the shift form of
+    b_r, at the modes where some C_r is above roundoff.  Refuses
+    non-finite entries with ValueError."""
+    C = shift_coefficients(b, window, grid)
+    mag = np.abs(C)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(mag))):
+        raise ValueError(NON_FINITE_ENTRIES)
+    modes = np.flatnonzero(np.any((mag >= _ROUNDOFF * np.max(mag, axis=1, keepdims=True))
+                                  & (mag > 0), axis=0))
+    slots, C = np.unravel_index(modes, grid.shape), C[:, modes]
+    for rows in _slabs(window.size, max(1, len(modes))):
+        cols, valid = _mode_columns(window.points[rows], slots, window, grid)
+        vals = a[rows] @ C
+        vals[~valid] = 0
+        yield _kept(vals, np.arange(rows.start, rows.stop), cols)
+
+
+def _sampled(blocks, window: LatticeWindow, grid: TorusGrid, inverse: np.ndarray = None):
+    """The kept entries (``_kept``) of a section read from sampled rows, as
+    (rows, cols, vals) in no set row order.  ``blocks`` yields (ids, T, ...),
+    T the samples of the window points ``ids`` (a slice), or of distinct
+    rows when ``inverse`` gives each point's (``symbols._profiles``).  Each
+    row of T is transformed once, and point k reads its row's shift
+    coefficients at (l - k) mod M, slab by slab, at the modes where some
+    row reaches ``_ROUNDOFF`` of its mode 0: point k reads mode 0 at l = k,
+    so ``_kept`` drops the others.  Refuses non-finite entries (ValueError)."""
+    inverse = np.arange(window.size) if inverse is None else inverse
+    order = np.argsort(inverse, kind="stable")  # the points by the row they read
+    for ids, T, *_ in blocks:
+        C = shift_coefficients(T, window, grid)
         mag = np.abs(C)
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(mag))):
+        if not np.isfinite(np.max(mag)):
             raise ValueError(NON_FINITE_ENTRIES)
-        modes = np.flatnonzero(np.any((mag >= _ROUNDOFF * np.max(mag, axis=1, keepdims=True))
-                                      & (mag > 0), axis=0))
+        modes = np.flatnonzero(np.any(mag >= _ROUNDOFF * mag[:, :1], axis=0))
         slots, C = np.unravel_index(modes, grid.shape), C[:, modes]
-        for rows in _slabs(P, max(1, len(modes))):
-            cols, valid = _mode_columns(window.points[rows], slots, window, grid)
-            vals = a[rows] @ C
+        rows = order[slice(*np.searchsorted(inverse[order], (ids.start, ids.stop)))]
+        for part in _slabs(len(rows), max(1, len(modes))):
+            cols, valid = _mode_columns(window.points[rows[part]], slots, window, grid)
+            vals = C[inverse[rows[part]] - ids.start]
             vals[~valid] = 0
-            yield _kept(vals, rows.start, cols)
+            yield _kept(vals, rows[part], cols)
 
 
 def _mode_columns(K: np.ndarray, slots, window: LatticeWindow, grid: TorusGrid):
@@ -477,18 +466,19 @@ def _mode_columns(K: np.ndarray, slots, window: LatticeWindow, grid: TorusGrid):
     coordinates), and where such an l lies in the window.
 
     Since M >= 2N+1, each k and slot meet at most one l: per axis
-    l_j + N = (k_j + N + s_j) mod M when it is at most 2N.
+    l_j + N = (k_j + N + s_j) mod M, below 2M before, when it is at most 2N.
     """
     cols, valid = 0, True
     for k, s in zip((K + window.N).T, slots):
-        l = (k[:, None] + s[None, :]) % grid.M
+        l = k[:, None] + s[None, :]
+        l -= grid.M * (l >= grid.M)
         cols, valid = cols * window.side + l, valid & (l < window.side)
     return cols, valid
 
 
-def _kept(block: np.ndarray, first: int, cols: np.ndarray = None):
-    """(rows, cols, vals) of the dense rows ``block``, the first of them
-    row ``first``: the nonzero entries at or above ``_ROUNDOFF`` times
+def _kept(block: np.ndarray, rows: np.ndarray, cols: np.ndarray = None):
+    """(rows, cols, vals) of the dense rows ``block``, row i of it section
+    row rows[i]: the nonzero entries at or above ``_ROUNDOFF`` times
     their row's largest.  ``cols`` gives the section column of each block
     entry when the block is not laid out by column.  Refuses non-finite
     entries with ValueError."""
@@ -497,7 +487,7 @@ def _kept(block: np.ndarray, first: int, cols: np.ndarray = None):
     if not np.all(np.isfinite(peak)):
         raise ValueError(NON_FINITE_ENTRIES)
     k, j = np.nonzero((mag >= _ROUNDOFF * peak[:, None]) & (mag > 0))
-    return k + first, (j if cols is None else cols[k, j]), block[k, j]
+    return rows[k], (j if cols is None else cols[k, j]), block[k, j]
 
 
 def _row_peaks(S: SparseRows, values: np.ndarray) -> np.ndarray:
@@ -597,16 +587,35 @@ def _too_full(count: int, P: int) -> bool:
 
 
 def _assembled(blocks, P: int, stop: bool = False):
-    """``SparseRows`` of the blocks' entries, which come sorted by row;
-    with ``stop``, None as soon as they are too full (``_too_full``)."""
-    parts, count = [], 0
+    """``SparseRows`` of the kept entries (rows, cols, vals) the blocks
+    yield, in any row order; once too full (``_too_full``), None with
+    ``stop``, else the dense section, each block scattered into it."""
+    parts, count, E = [], 0, None
     for block in blocks:
         parts.append(block)
         count += len(block[0])
-        if stop and _too_full(count, P):
-            return None
+        if E is None and _too_full(count, P):
+            if stop:
+                return None
+            E = np.zeros((P, P), dtype=complex)
+        while E is not None and parts:
+            rows, cols, vals = parts.pop()
+            E[rows, cols] = vals
+    if E is not None:
+        return E
     rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    if np.any(rows[1:] < rows[:-1]):  # a radix sort on the narrowest type that holds a row
+        order = np.argsort(rows.astype(np.min_scalar_type(P)), kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
     return SparseRows(np.searchsorted(rows, np.arange(P + 1)), cols, vals)
+
+
+def _operator(blocks, window: LatticeWindow, grid: TorusGrid) -> "OperatorMatrix":
+    """The operator of the kept entries the blocks yield (``_assembled``)."""
+    S = _assembled(blocks, window.size)
+    if isinstance(S, SparseRows):
+        return OperatorMatrix.from_sparse(S, window, grid)
+    return OperatorMatrix(window, grid, S)
 
 
 def _shift_slabs(A: OperatorMatrix):
@@ -721,46 +730,20 @@ def _phase_index(N: int, M: int) -> np.ndarray:
     return _frozen(phase.astype(np.min_scalar_type(M - 1)))
 
 
-def _phases(N: int, M: int, rows: slice = slice(None)) -> np.ndarray:
-    """exp(2 pi i k_j x_j) for the k_j = -N..N in ``rows`` and x_j = j/M, j = 0..M-1.
-
-    The phase is read from the table of M-th roots of unity at the integer
-    phase reduced mod M (``_phase_index``), so its argument stays below 2 pi.
-    """
-    roots = np.exp(1j * TWO_PI / M * np.arange(M))
-    return roots[_phase_index(N, M)[rows]]
-
-
-def _fold(values: np.ndarray, window: LatticeWindow, grid: TorusGrid) -> np.ndarray:
-    """The folded samples W[k, x] = sigma(k, x) exp(2 pi i k.x), in place.
-
-    ``values`` holds sigma on window x grid as a (window.size, grid.size)
-    array; the phase is multiplied in one axis at a time, a slab of that
-    axis's table at a time (``symbols._slabs``), so at n=1, where one
-    axis's table is as large as the samples, no second (P, Q) array is formed.
-    """
-    n, M = window.n, grid.M
-    W = values.reshape(window.shape + grid.shape)
-    for j in range(n):
-        shape, index = [1] * (2 * n), [slice(None)] * (2 * n)
-        for rows in _slabs(window.side, M):
-            E = _phases(window.N, M, rows)
-            shape[j], shape[n + j] = E.shape
-            index[j] = rows
-            W[tuple(index)] *= E.reshape(shape)
-    return W.reshape(window.size, grid.size)
+def _phases(N: int, M: int) -> np.ndarray:
+    """exp(2 pi i k_j x_j) for k_j = -N..N and x_j = j/M, j = 0..M-1, read
+    from the M-th roots of unity at the integer phase mod M
+    (``_phase_index``), so its argument stays below 2 pi."""
+    return np.exp(1j * TWO_PI / M * np.arange(M))[_phase_index(N, M)]
 
 
 def assemble_matrix(sigma: Symbol, window: LatticeWindow, grid: TorusGrid) -> OperatorMatrix:
     """entries(k,l) = quadrature of exp(2 pi i (k-l).x) sigma(k,x), from
-    sigma's separated factors or its folded samples (``OperatorMatrix.from_symbol``),
-    with its sparse form built, or its section formed when that is too
-    full, so non-finite samples are refused at the call.  Reading
-    ``entries`` later scatters the same kept entries."""
+    ``OperatorMatrix.from_symbol``, with its sparse form, or its section
+    when too full, built, so non-finite samples are refused at the call."""
     with np.errstate(all="ignore"):  # OperatorMatrix refuses non-finite entries
         A = OperatorMatrix.from_symbol(sigma, window, grid)
-        if A.sparse is None:
-            A.entries
+        A.sparse
     return A
 
 

@@ -277,14 +277,14 @@ def _eval_node(node, kcols, xcols):
 # A product of sums distributes into the product of their term counts, so
 # the walk needs a bound.  A section from R terms is a[rows] @ C[:, modes]
 # over the modes the b_r keep, so the section stays cheap at any R: from
-# smooth terms (b_r = 1/(2.5 + cos(2 pi (r x_1 + x_2)))) at R = 2, 4, 8
-# and 16, the dense section took 15, 26, 24 and 32 ms at n=2 N=16 and
-# 1.7, 2.9, 3.9 and 6.0 ms at n=1 N=256, against 48-73 ms and 13-17 ms
-# from the folded samples, sampling not counted (2 cores, numpy 2.4,
-# OpenBLAS, 2 threads).  A product A v costs R inverse FFTs: at n=2 N=16
-# 0.16-0.44 ms against the folded gemv's 0.62-0.69 ms, but at n=1 N=256
-# 0.18 ms at 8 terms and 0.28 ms at 16 against 0.12 ms.  Past this many
-# terms the walk gives up and sigma is sampled instead.
+# smooth terms (b_r = 1/(2.5 + cos(2 pi (r x_1 + x_2)))) at R = 2, 4 and
+# 8, the section took 11, 14 and 22 ms at n=2 N=16 and 3.0, 4.4 and
+# 9.7 ms at n=1 N=256, against 60-66 ms and 19-29 ms streamed from the
+# samples, sampling not counted (2 cores, numpy 2.4, OpenBLAS, 2 threads).
+# A product A v costs R inverse FFTs: 0.14-0.25 ms at n=2 N=16 against
+# 0.25-0.56 ms on the section, but at n=1 N=256 0.11-0.35 ms against
+# 0.10-0.13 ms.  Past this many terms the walk gives up and sigma is
+# sampled instead.
 MAX_TERMS = 8
 
 
@@ -836,38 +836,37 @@ def _slabs(count: int, row_size: int) -> list:
 
 
 def _blocks(sigma: Symbol, terms, window: LatticeWindow, grid: TorusGrid):
-    """Yield sigma's samples on window x grid as (rows, S, |S|), ``rows``
-    the slice of window points that S holds, in blocks of about ``_BLOCK``
-    samples.
+    """Yield sigma's samples on window x grid as (ids, S, |S|), ``ids``
+    the slice of rows that S holds, in blocks of about ``_BLOCK`` samples.
 
     Without a split (``terms`` None) the blocks are slabs of k_1 rows
     (``Symbol._sample_axes``); from separated factors (a, b) they are row
-    blocks a[rows] @ b.  Each block is written over the last one's
-    buffers, so no (P, Q) array is formed here and the caller may
-    overwrite a block.  Non-finite factors or samples raise ValueError;
-    under IEEE arithmetic a non-finite factor leaves some sample
-    non-finite.
+    blocks a[ids] @ b, where a may hold only its distinct rows
+    (``_profiles``).  Each block is written over the last one's buffers,
+    so no (P, Q) array is formed here and the caller may overwrite a
+    block.  Non-finite factors or samples raise ValueError; under IEEE
+    arithmetic a non-finite factor leaves some sample non-finite.
     """
     if terms is None:
-        width = window.size // window.side  # a slab row is a k_1 row of window points
+        count, width = window.side, window.size // window.side  # a slab row is a k_1 row
     else:
         a, b = terms
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError(NON_FINITE_SAMPLES)
-        width = 1
-    slabs = _slabs(window.size // width, width * grid.size)
+        count, width = len(a), 1
+    slabs = _slabs(count, width * grid.size)
     step, zero = slabs[0].stop * width, np.zeros(window.n, dtype=int)
     S, magnitude = np.empty((step, grid.size), dtype=complex), np.empty((step, grid.size))
     for slab in slabs:
-        rows = slice(slab.start * width, slab.stop * width)
-        block = S[:rows.stop - rows.start]
+        ids = slice(slab.start * width, slab.stop * width)
+        block = S[:ids.stop - ids.start]
         with np.errstate(all="ignore"):  # an overflow is refused by _modulus
             if terms is None:
                 np.copyto(block.reshape((-1,) + window.shape[1:] + grid.shape),
                           sigma._sample_axes(window, grid, zero, slab))
             else:
-                np.matmul(a[rows], b, out=block)
-        yield rows, block, _modulus(block, out=magnitude[:len(block)])
+                np.matmul(a[ids], b, out=block)
+        yield ids, block, _modulus(block, out=magnitude[:len(block)])
 
 
 def _modulus(S: np.ndarray, out) -> np.ndarray:
@@ -889,22 +888,36 @@ def _one_term_per_row(terms) -> bool:
                                   or bool(np.all(np.count_nonzero(terms[0], axis=1) <= 1)))
 
 
-def _row_minima(sigma: Symbol, terms, window: LatticeWindow, grid: TorusGrid) -> np.ndarray:
-    """min over x of |sigma(k, x)| for each window point k.
+def _profiles(a: np.ndarray):
+    """(rows, inverse): the distinct rows of the k-factor a, merged only
+    when equal bit for bit, in the order the window first reads them, and
+    each point's, a = rows[inverse]: sigma(k, .) = a(k) @ b depends on k
+    only through its row, and neighbouring points read alike rows."""
+    a = np.ascontiguousarray(a)
+    keys = a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return a[first[order]], np.argsort(order)[inverse.reshape(-1)]
 
-    Factors with one term per row (``_one_term_per_row``) give
-    sum_r |a_r(k)| min |b_r| with no (P, Q) array; otherwise the minima
-    are taken block by block from ``_blocks``.  Refuses non-finite factors
-    or samples, and a term whose samples overflow, with ValueError.
-    """
+
+def _row_minima(sigma: Symbol, terms, window: LatticeWindow, grid: TorusGrid) -> np.ndarray:
+    """min over x of |sigma(k, x)| for each window point k: from factors
+    with one term per row (``_one_term_per_row``) sum_r |a_r(k)| min |b_r|,
+    else block by block from ``_blocks``, once per distinct row of a
+    (``_profiles``).  Refuses non-finite factors or samples, and a term
+    whose samples overflow, with ValueError."""
     if _one_term_per_row(terms):
         a, b = np.abs(terms[0]), np.abs(terms[1])
         with np.errstate(all="ignore"):
             if not np.all(np.isfinite(np.max(a, axis=0) * np.max(b, axis=1))):
                 raise ValueError(NON_FINITE_SAMPLES)
         return a @ np.min(b, axis=1)
+    inverse = slice(None)
+    if terms is not None:
+        a, inverse = _profiles(terms[0])
+        terms = a, terms[1]
     return np.concatenate([np.min(magnitude, axis=1)
-                           for _, _, magnitude in _blocks(sigma, terms, window, grid)])
+                           for _, _, magnitude in _blocks(sigma, terms, window, grid)])[inverse]
 
 
 def _certificate(row_min: np.ndarray, m: float, window: LatticeWindow) -> EllipticityReport:

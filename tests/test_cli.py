@@ -17,6 +17,7 @@ from latticeops import (
     check_ellipticity,
     default_grid,
     extract_symbol,
+    interior_margin,
     parametrix,
     parse_symbol,
     residual_decay_report,
@@ -290,22 +291,50 @@ def test_index_reports_are_deterministic(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("symbol,windows", [
-    ("perturbed_bessel", "16,24,32"),
-    ("(2+cos(twopi*x1))/(1+k1^2)", "32,48,64"),  # not elliptic: the probe's P x P SVDs
-], ids=["perturbed_bessel", "non-elliptic"])
-def test_index_reports_do_not_depend_on_the_blas_thread_count(tmp_path, symbol, windows):
-    path = str(shipped_path(symbol)) if symbol in SHIPPED else sym_json(tmp_path, "s.json", symbol)
+def _at_each_blas_thread_count(argv, out=None):
+    """(stdout, the bytes of the file ``out``) of ``latticeops argv`` at
+    OPENBLAS_NUM_THREADS 1 and 2."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    outs = []
+    runs = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        argv = [sys.executable, "-m", "latticeops.cli", "index", path, "--windows", windows,
-                "--json", "--no-timestamp"]
-        outs.append(subprocess.run(argv, capture_output=True, env=env, check=True,
-                                   timeout=120).stdout)
-    assert outs[0] == outs[1] and json.loads(outs[0])["windows"]
+        stdout = subprocess.run([sys.executable, "-m", "latticeops.cli", *argv],
+                                capture_output=True, env=env, check=True, timeout=120).stdout
+        runs.append((stdout, None if out is None else Path(out).read_bytes()))
+    return runs
+
+
+@pytest.mark.parametrize("symbol,n,windows", [
+    ("perturbed_bessel", 1, "16,24,32"),
+    ("(2+cos(twopi*x1))/(1+k1^2)", 1, "32,48,64"),  # not elliptic: the probe's P x P SVDs
+    ("2 + exp(i*twopi*x1)/(1+k1^2+k2^2+cos(twopi*x2)^2)", 2, "6,8"),  # no split
+], ids=["perturbed_bessel", "non-elliptic", "no-split"])
+def test_index_reports_do_not_depend_on_the_blas_thread_count(tmp_path, symbol, n, windows):
+    path = tmp_path / "s.json"
+    if symbol in SHIPPED:
+        path = shipped_path(symbol)
+    else:
+        write_symbol_json(path, parse_symbol(symbol, n, order=0))
+    runs = _at_each_blas_thread_count(["index", str(path), "--windows", windows,
+                                       "--json", "--no-timestamp"])
+    assert runs[0] == runs[1] and json.loads(runs[0][0])["windows"]
+
+
+def test_solve_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # expr-order0 at n=2 N=12: A's products run on its factors and B0's on
+    # its sparse rows, so no product is a matrix-vector product through BLAS
+    w = LatticeWindow(2, 12)
+    write_symbol_json(tmp_path / "s.json", parse_symbol(
+        "2 + exp(i*twopi*x1)/(1+k1^2+k2^2) + 0.5*cos(twopi*x2)/(1+k1^2)", 2, order=0))
+    write_sequence_csv(tmp_path / "f.csv", LatticeSequence.random(
+        w, np.random.default_rng(4), margin=interior_margin(w)))
+    u = tmp_path / "u.csv"
+    runs = _at_each_blas_thread_count(["solve", str(tmp_path / "s.json"), str(tmp_path / "f.csv"),
+                                       "--tol", "1e-10", "--out", str(u), "--json",
+                                       "--no-timestamp"], out=u)
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][0])["fallback_used"] is False
 
 
 def test_index_non_elliptic_reports_probe(tmp_path, capsys):

@@ -193,8 +193,9 @@ def test_index_reports_the_one_grid_its_certificate_and_windows_read(capsys, mon
     assert (rep["config"]["N"], rep["config"]["M"], rep["config"]["aliasing_margin"]) == \
         (128, 275, 275 - 257)
     assert rep["svd_index"] == rep["trace_index"] == 0
-    # the certificate, the largest window's parametrix and the two smaller sections
-    assert grids == [275] * 4
+    # the largest window's parametrix, which certifies sigma, and the two
+    # smaller sections: the command runs no certificate of its own
+    assert grids == [275] * 3
 
 
 def test_index_probe_gives_no_verdict_from_one_window(files, capsys):

@@ -495,25 +495,27 @@ def test_full_index_report_streams_each_section_once(name, monkeypatch):
     # largest window's is the shared parametrix's, and a one-block
     # window's parametrix reads the section the route built.  The one
     # parametrix is the largest window's, and the smaller ones restrict
-    # its B0, so tau0 is sampled and its folded form streamed into rows
-    # at the largest window only (twice when too full to be sparse: the
-    # sparse form's stream stops early and the dense section streams again).
+    # its B0, so tau0 is sampled and streamed into rows at the largest
+    # window only, once, whether its section is sparse or dense.
     # A jump symbol has one term at each k, so its tau0 is held as exact
-    # factors, streamed once at the largest window, and nothing is folded
+    # factors, streamed once at the largest window, and nothing is sampled
     builds, made = [], []
-    originals = quantization._row_blocks, fredholm.parametrix
+    originals = quantization._factor_rows, elliptic._sampled, fredholm.parametrix
 
-    def recording(A):
-        form = "factors" if A._factors is not None else \
-            "folded" if A._folded is not None else "entries"
-        builds.append((A.window.N, form))
-        return originals[0](A)
+    def factors(a, b, window, grid):
+        builds.append((window.N, "factors"))
+        return originals[0](a, b, window, grid)
+
+    def sampled(blocks, window, grid, inverse=None):
+        builds.append((window.N, "samples"))
+        return originals[1](blocks, window, grid, inverse)
 
     def making(sigma, m, J, window, grid):
         made.append(window.N)
-        return originals[1](sigma, m, J, window, grid)
+        return originals[2](sigma, m, J, window, grid)
 
-    monkeypatch.setattr(quantization, "_row_blocks", recording)
+    monkeypatch.setattr(quantization, "_factor_rows", factors)
+    monkeypatch.setattr(elliptic, "_sampled", sampled)
     monkeypatch.setattr(fredholm, "parametrix", making)
     sigma = parse_symbol(PERTURBED_JUMP, 1, order=0) if name == "perturbed_jump" \
         else shipped_symbol(name)
@@ -523,7 +525,7 @@ def test_full_index_report_streams_each_section_once(name, monkeypatch):
     assert [builds.count((N, "factors")) for N in WINDOWS] == \
         [1] * (len(WINDOWS) - 1) + [1 + separated]
     assert made == [WINDOWS[-1]]
-    assert {N for N, form in builds if form == "folded"} == (set() if separated else {WINDOWS[-1]})
+    assert [N for N, form in builds if form == "samples"] == ([] if separated else [WINDOWS[-1]])
 
 
 def test_an_n2_jump_index_run_samples_nothing(monkeypatch):
@@ -537,9 +539,10 @@ def test_an_n2_jump_index_run_samples_nothing(monkeypatch):
             raise AssertionError(name)
         return record
 
-    monkeypatch.setattr(OperatorMatrix, "from_samples", refused("from_samples"))
-    for module in (symbols, elliptic):
+    for module in (symbols, elliptic, quantization):
         monkeypatch.setattr(module, "_blocks", refused("_blocks"))
+    for module in (elliptic, quantization):
+        monkeypatch.setattr(module, "_sampled", refused("_sampled"))
     sigma = parse_symbol("step(k1)*exp(i*twopi*x1) + (1-step(k1))", 2, order=0)
     rep = full_index_report(sigma, WINDOWS, n=2)
     assert called == []

@@ -134,8 +134,8 @@ def _close(got, want):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_folded_products_match_the_dense_section(data):
-    # every M in [2N+1, 4N+2], so the phase k.x mod M both wraps and does not
+def test_sampled_products_match_the_dense_section(data):
+    # every M in [2N+1, 4N+2], so (l - k) mod M both wraps and does not
     n = data.draw(st.integers(1, 2))
     N = data.draw(st.integers(1, {1: 12, 2: 4}[n]))
     M = data.draw(st.integers(2 * N + 1, 4 * N + 2))
@@ -144,13 +144,13 @@ def test_folded_products_match_the_dense_section(data):
     S = rng.standard_normal((w.size, g.size)) + 1j * rng.standard_normal((w.size, g.size))
     f = LatticeSequence.random(w, rng)
     v = f.values
-    A = OperatorMatrix.from_samples(S.copy(), w, g)
+    # a grid symbol has no split: its samples stream into the section's rows
+    A = OperatorMatrix.from_symbol(GridSymbol(w, g, S), w, g)
+    assert A._factors is None
     Av = A @ v
     assert _close(Av, dense_section(S, w, g) @ v)
     assert np.array_equal(A.matvec(f).values, Av)
-    # the section, formed on first read, replaces the folded samples
     assert _close(A.entries, dense_section(S, w, g))
-    assert A._folded is None and _close(A @ v, Av)
     assert np.array_equal(A.matvec(f).values, A.entries @ v)
     # |sigma| >= 2, so the parametrix is certified at order 0
     par = parametrix(GridSymbol(w, g, 3 + S / (1 + np.abs(S))), 0.0, 1, w, g)
@@ -212,7 +212,7 @@ def test_separated_factors_match_the_samples_and_the_dense_section(data):
     scale = np.max(np.abs(a) @ np.abs(b))
     assert _near(a @ b, S, scale)
     A = OperatorMatrix.from_symbol(sigma, w, g)
-    assert A._factors is not None and A._folded is None
+    assert A._factors is not None
     f = LatticeSequence.random(w, np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
     want = dense_section(S, w, g)
     assert _near(A @ f.values, want @ f.values, scale * np.sum(np.abs(f.values)))
@@ -230,7 +230,8 @@ def test_non_separable_symbols_take_the_folded_form(text):
     for sym in (sigma, GridSymbol(w, g, sigma.sample(w, g))):
         assert sym._terms(w, g) is None
         A = OperatorMatrix.from_symbol(sym, w, g)
-        assert A._factors is None and A._folded is not None
+        # no factors: the samples were streamed into the section's rows
+        assert A._factors is None and (A._sparse or A._entries is not None)
         assert _close(A.entries, dense_section(sigma.sample(w, g), w, g))
 
 
@@ -415,11 +416,11 @@ def test_every_product_with_a_non_finite_sequence_refuses_it_as_apply_does():
     P = w.size
     sigma = parse_symbol("2 + cos(twopi*x1)/(1+k1^2)", 1, order=0)
     forms = [OperatorMatrix(w, g, np.eye(P)),
-             OperatorMatrix.from_samples(sigma.sample(w, g), w, g),
+             OperatorMatrix.from_symbol(GridSymbol(w, g, sigma.sample(w, g)), w, g),
              OperatorMatrix.from_symbol(sigma, w, g),
              OperatorMatrix.from_sparse(
                  SparseRows(np.arange(P + 1), np.arange(P), np.ones(P, dtype=complex)), w, g)]
-    assert forms[1]._folded is not None and forms[2]._factors is not None
+    assert forms[1]._factors is None and forms[2]._factors is not None
     f = LatticeSequence.random(w, np.random.default_rng(6))
     f.values[3] = np.nan
     for A in forms:
@@ -439,23 +440,20 @@ def test_extraction_refuses_aliasing_grid():
 def test_every_constructor_refuses_an_aliasing_grid(n, N, M, monkeypatch):
     w, g = LatticeWindow(n, N), TorusGrid(n, M)
     P, Q = w.size, g.size
-    samples = np.ones((P, Q), dtype=complex)
     sigma = parse_symbol("2 + cos(twopi*x1)/(1+k1^2)", n)
     calls = [
         lambda: OperatorMatrix(w, g, np.eye(P)),
         lambda: OperatorMatrix.from_factors(np.ones((P, 1)), np.ones((1, Q)), w, g),
-        lambda: OperatorMatrix.from_samples(samples, w, g),
         lambda: OperatorMatrix.from_sparse(
             SparseRows(np.arange(P + 1), np.arange(P), np.ones(P, dtype=complex)), w, g),
         lambda: OperatorMatrix.from_symbol(sigma, w, g),
         lambda: assemble_matrix(sigma, w, g),
     ]
-    for sampler in ("sample", "_terms"):
+    for sampler in ("sample", "_sample_axes", "_terms"):
         monkeypatch.setattr(type(sigma), sampler, lambda *a: pytest.fail("sigma was sampled"))
     for call in calls:
         with pytest.raises(AliasingError):
             call()
-    assert np.all(samples == 1)  # refused before they were folded in place
     with pytest.raises(DimensionMismatchError):
         OperatorMatrix(w, TorusGrid(n + 1, 2 * N + 1), np.eye(P))
 
@@ -633,7 +631,7 @@ def _by_column(S):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_a_section_holds_one_set_of_numbers(data):
-    # from the factors or the folded samples of a separable or a
+    # from the factors or the streamed samples of a separable or a
     # non-separable symbol, whose sections split into blocks or not, from
     # dense entries or from sparse rows: the dense and the sparse view hold
     # the same entries, whichever is built first, and a sparse form rebuilt
@@ -648,7 +646,8 @@ def test_a_section_holds_one_set_of_numbers(data):
             text = f"({text}) + {data.draw(st.sampled_from(_NON_SEPARABLE[n]))}"
         sigma = parse_symbol(text, n)
         build = {"symbol": lambda: OperatorMatrix.from_symbol(sigma, w, g),
-                 "samples": lambda: OperatorMatrix.from_samples(sigma.sample(w, g), w, g)}[form]
+                 "samples": lambda: OperatorMatrix.from_symbol(
+                     GridSymbol(w, g, sigma.sample(w, g)), w, g)}[form]
     else:
         D = _random_section(data, w, np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
         build = {"dense": lambda: OperatorMatrix(w, g, D.copy()),
@@ -669,7 +668,7 @@ def test_a_section_holds_one_set_of_numbers(data):
             assert all(np.array_equal(x, y) for x, y in zip(C.blocks(), A.blocks()))
 
 
-@pytest.mark.parametrize("text,N", [  # from the factors, then the folded samples
+@pytest.mark.parametrize("text,N", [  # from the factors, then the streamed samples
     ("2 + exp(i*twopi*x1)/(1+k1^2+k2^2) + 0.5*cos(twopi*x2)/(1+k1^2)", 6),
     ("1/(2 + cos(twopi*x1)/(1+k1^2+k2^2))", 10)])
 def test_sparse_form_keeps_the_section_to_roundoff(text, N):
@@ -715,7 +714,7 @@ def test_sparse_form_refuses_non_finite_entries():
     S = np.ones((w.size, g.size), dtype=complex)
     S[3, 2] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        OperatorMatrix.from_samples(S, w, g).sparse
+        OperatorMatrix.from_symbol(GridSymbol(w, g, S), w, g)
     with pytest.raises(ValueError, match="non-finite"):
         compose(parse_symbol("1/(k1 - 1)", 1), parse_symbol("1", 1), w, g)
 
