@@ -47,6 +47,19 @@ def _radial_weights(n: int, N: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
+def _shells(n: int, N: int):
+    """(labels, order, starts, seg): each window point's dyadic shell j,
+    2^j <= 1+|k| < 2^{j+1}; the points sorted by shell, in window order
+    within one; where each shell's run of ``order`` starts; and the place
+    among the shells present of each point of ``order``."""
+    labels = np.floor(np.log2(_radial_weights(n, N))).astype(int)
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    seg = np.cumsum(np.isin(np.arange(len(order)), starts)) - 1
+    return tuple(_frozen(x) for x in (labels, order, starts, seg))
+
+
+@lru_cache(maxsize=64)
 def _grid_axis(M: int) -> np.ndarray:
     return _frozen(np.arange(M) / M)
 
@@ -123,23 +136,28 @@ class LatticeWindow:
 
     def shell_labels(self) -> np.ndarray:
         """Dyadic shell index j with 2^j <= 1+|k| < 2^{j+1} per point."""
-        return np.floor(np.log2(self.radial_weight)).astype(int)
+        return _shells(self.n, self.N)[0]
 
     def shell_sups(self, values: np.ndarray, mask: np.ndarray):
         """Per-shell sup of ``values`` over the points selected by ``mask``.
 
         Returns the shells present under the mask in increasing order, the
-        sup on each and the row where it is attained (the first on ties).
+        sup on each and the row where it is attained (the first on ties, a
+        NaN as ``np.argmax`` reads it).  One segmented reduction over the
+        points sorted by shell (``_shells``) gives every shell's sup.
         """
-        labels = self.shell_labels()
-        shells = sorted(set(labels[mask]))
-        sups, rows = [], []
-        for j in shells:
-            idx = np.flatnonzero((labels == j) & mask)
-            best = int(idx[np.argmax(values[idx])])
-            sups.append(float(values[best]))
-            rows.append(best)
-        return shells, sups, rows
+        labels, order, starts, seg = _shells(self.n, self.N)
+        on = np.asarray(mask)[order]
+        v = np.where(on, np.asarray(values, dtype=float)[order], -np.inf)
+        top = np.maximum.reduceat(v, starts)
+        at_top = v == top[seg]
+        if np.isnan(top).any():  # np.argmax reads the first NaN as the sup
+            at_top |= np.isnan(v)
+        present = np.logical_or.reduceat(on, starts)
+        # the first point of each present shell at its sup
+        hit = np.flatnonzero(at_top & on)
+        first = hit[np.searchsorted(seg[hit], np.flatnonzero(present))]
+        return list(labels[order[starts[present]]]), v[first].tolist(), order[first].tolist()
 
 
 @dataclass(frozen=True)

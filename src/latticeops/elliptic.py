@@ -135,13 +135,20 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
     (P, Q) array is formed; a slab whose minimum is 0 gives B0 none, as
     the certificate refuses sigma.  The row minima are kept.
     """
+    return _parametrix(sigma, sigma._terms(window, grid), m, J, window, grid)
+
+
+def _parametrix(sigma: Symbol, terms, m: float, J: int, window: LatticeWindow,
+                grid: TorusGrid, A: OperatorMatrix = None) -> Parametrix:
+    """``parametrix`` from sigma's separated factors ``terms``
+    (``Symbol._terms`` on window and grid, or None), with A, when given,
+    as the section of sigma it reads instead of one built here."""
     if J < 1:
         raise ValueError("need at least one Neumann step")
-    terms = sigma._terms(window, grid)
     if _one_term_per_row(terms):
         row_min = _row_minima(sigma, terms, window, grid)
         _certify(row_min, m, window)
-        return Parametrix(OperatorMatrix.from_factors(*terms, window, grid),
+        return Parametrix(OperatorMatrix.from_factors(*terms, window, grid) if A is None else A,
                           OperatorMatrix.from_factors(*_reciprocal_factors(*terms), window, grid),
                           J, row_min)
     source, inverse, minima, rows_of_A = terms, np.arange(window.size), [], []
@@ -152,7 +159,7 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
     def inverses():
         for ids, S, magnitude in _blocks(sigma, source, window, grid):
             minima.append(np.min(magnitude, axis=1))
-            if terms is None:
+            if terms is None and A is None:
                 rows_of_A.extend(_sampled([(ids, S)], window, grid))
             if minima[-1].min() > 0:
                 # conj(S) / |S|^2 as conj(S * (1 / |S|^2)): a complex division by
@@ -164,8 +171,9 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
         rows_of_B0 = list(_sampled(inverses(), window, grid, inverse))
     row_min = np.concatenate(minima)[inverse]
     _certify(row_min, m, window)
-    A = OperatorMatrix.from_factors(*terms, window, grid) if terms is not None else \
-        _operator(rows_of_A, window, grid)
+    if A is None:
+        A = OperatorMatrix.from_factors(*terms, window, grid) if terms is not None else \
+            _operator(rows_of_A, window, grid)
     return Parametrix(A, _operator(rows_of_B0, window, grid), J, row_min)
 
 

@@ -1,32 +1,39 @@
 """Fredholm index of elliptic order-0 operators, two independent ways.
 
 Route one counts kernel and cokernel dimensions on growing finite
-sections (``assemble_matrix``, or the A of the parametrix at the largest
-window of ``full_index_report``).  A section whose sparse pattern falls
-apart into independent blocks (``OperatorMatrix.blocks``) takes its
-singular values block by block; a block with values below the rank
-threshold takes an orthonormal basis of each null space from its own
-SVD, its trailing right singular vectors for the kernel and its trailing
-left ones for the cokernel.  A section of one block is decided from its
-parametrix defects S = B_J A - I and R = A B_J - I (Atkinson's theorem
-made quantitative), with sparse products only: Schur(S) < 1 certifies
-it invertible, and otherwise a seeded randomized subspace iteration on
-S bounds every singular value of A past the r defect directions above
-SV_THRESHOLD, while a Rayleigh-Ritz step on the range of S (of R^H for
-the cokernel), turned by S while its largest Ritz value falls, finds the
-null vectors.  A section neither decides runs its P x P SVD.
-A square section always balances raw null counts, so null vectors are
-attributed to the operator only when they live in the interior of the
-window: truncation artifacts concentrate their mass in the boundary
-margin and are discarded.  Route two evaluates the trace formula on the
-parametrix residuals, with an explicit bound on the off-window tail
-before an integer verdict is allowed.  Every window of a run shares one
-grid, the largest window's ``index_grid``, and ``full_index_report``
-builds one parametrix, at the largest window: the trace route reads it
-there, and each smaller one-block section reads its restriction
-(``Parametrix.restricted``), so tau0 is sampled and transformed once.
-``svd_index`` builds that parametrix too, once a one-block section
-needs it.
+sections.  A section whose sparse pattern falls apart into independent
+blocks takes its singular values block by block; a block with values
+below the rank threshold takes an orthonormal basis of each null space
+from its own SVD, its trailing right singular vectors for the kernel and
+its trailing left ones for the cokernel.  A section of one block is
+decided from its parametrix defects S = B_J A - I and R = A B_J - I
+(Atkinson's theorem made quantitative), with sparse products only:
+Schur(S) < 1 certifies it invertible, and otherwise a seeded randomized
+subspace iteration on S bounds every singular value of A past the r
+defect directions above SV_THRESHOLD, while a Rayleigh-Ritz step on the
+range of S (of R^H for the cokernel), turned by S while its largest Ritz
+value falls, finds the null vectors.  A section neither decides runs its
+P x P SVD.  A square section always balances raw null counts, so null
+vectors are attributed to the operator only when they live in the
+interior of the window: truncation artifacts concentrate their mass in
+the boundary margin and are discarded.  Route two evaluates the trace
+formula on the parametrix residuals, with an explicit bound on the
+off-window tail before an integer verdict is allowed.
+
+``svd_index`` and ``full_index_report`` share one index run
+(``_index_run``), which pays once for what every window needs.  Every
+window shares one grid, the largest window's ``index_grid``, and sigma
+is evaluated once, at the largest window: when it splits, each window's
+section is gathered from those factors, its own rows kept against their
+in-window peaks (``quantization._factor_sections``).  The sparse sections
+are stacked block-diagonally and decided in one pass (``_evidence``): one
+split into blocks, one values-only SVD per block size across all the
+split windows, and one null-basis pass, each block read against its own
+window's s_max.  One parametrix is built, at the largest window: the
+trace route reads it there, and each smaller one-block section reads its
+restriction (``Parametrix.restricted``), so tau0 is sampled and
+transformed once.  ``svd_index`` builds it only when a section of one
+block needs it.
 """
 
 from __future__ import annotations
@@ -37,8 +44,16 @@ import numpy as np
 
 from .core import LatticeWindow, index_grid
 from .errors import EllipticityError
-from .elliptic import _weighted_shell_sups, parametrix
-from .quantization import assemble_matrix, interior_margin
+from .elliptic import _parametrix, _weighted_shell_sups, parametrix
+from .quantization import (
+    Blocks,
+    _components,
+    _factor_sections,
+    _spectrum,
+    _stacked,
+    assemble_matrix,
+    interior_margin,
+)
 from .symbols import EllipticityReport, Symbol, check_ellipticity
 
 RANK_TOL = 1e-8
@@ -55,10 +70,18 @@ def _interior_null_count(null_basis: np.ndarray, mask: np.ndarray) -> int:
     Columns are orthonormal; the singular values of their interior
     restriction are cosines of principal angles to the interior
     subspace.  A genuine null vector scores near 1, a boundary artifact
-    near 0; the cut sits at 1/2.
+    near 0; the cut sits at 1/2.  One vector's cosine is the norm of its
+    interior part.
     """
+    if null_basis.shape[1] == 1:
+        return int(np.linalg.norm(null_basis[mask, 0]) >= 0.5)
     sv = np.linalg.svd(null_basis[mask, :], compute_uv=False)
     return int(np.sum(sv >= 0.5))
+
+
+def _interior(window: LatticeWindow) -> np.ndarray:
+    """The window's points at least ``interior_margin`` layers inside it."""
+    return window.interior_mask(interior_margin(window))
 
 
 def _sections(windows, n: int):
@@ -101,50 +124,87 @@ class IndexReport:
     to_dict = asdict
 
 
-def _block_null_counts(B, groups, smax: float, mask: np.ndarray):
-    """Interior kernel and cokernel counts of a section, block by
-    block: its null spaces are the direct sums of its blocks', and the
-    mask acts on each coordinate, so the counts add.  An empty column is a
-    unit kernel vector and an empty row a unit cokernel vector.  A block
-    with r null values takes its null bases from the SVD with vectors of
-    its padded square (``OperatorMatrix._spectrum``), U s V^H: the last r
-    columns of V for the kernel and of U for the cokernel; the padded rows
-    and columns count as boundary."""
+def _block_null_counts(B: Blocks, owner: np.ndarray, win: np.ndarray, groups, smax: np.ndarray,
+                       mask: np.ndarray, windows: int):
+    """Interior kernel and cokernel counts of each window of a stack of
+    sections, block by block: a section's null spaces are the direct sums
+    of its blocks', and the mask acts on each coordinate, so the counts
+    add.  ``owner`` gives the window of each row (and column) of the
+    stack, ``win`` that of each block, ``smax[b]`` the largest singular
+    value of block b's window, and ``groups`` the padded stacks of the
+    blocks and their values (``quantization._spectrum``).  An empty column
+    is a unit kernel vector and an empty row a unit cokernel vector.  A
+    block with r values below RANK_TOL times its window's s_max takes its
+    null bases from the SVD with vectors of its padded square, U s V^H:
+    the last r columns of V for the kernel and of U for the cokernel; the
+    padded rows and columns count as boundary, and a block of one entry
+    is its own basis."""
     rows, cols = B.sizes()
-    ker = int(np.sum(mask[rows[B.cols] == 0]))
-    coker = int(np.sum(mask[cols[B.rows] == 0]))
+    ker = np.bincount(owner, mask & (rows[B.cols] == 0), windows).astype(int)
+    coker = np.bincount(owner, mask & (cols[B.rows] == 0), windows).astype(int)
     for ids, stack, s in groups:
-        d = stack.shape[1]
-        nulls = np.sum(s < RANK_TOL * smax, axis=1)
+        d = s.shape[1]
+        nulls = np.sum(s < RANK_TOL * smax[ids][:, None], axis=1)
         held = np.flatnonzero(nulls)
         if not held.size:
             continue
-        U, _, Vh = np.linalg.svd(stack[held])
-        for i, left, right_h in zip(held, U, Vh):
-            b, r = ids[i], int(nulls[i])
-            on_rows, on_cols = np.zeros(d, dtype=bool), np.zeros(d, dtype=bool)
-            on_rows[:rows[b]], on_cols[:cols[b]] = mask[B.rows == b], mask[B.cols == b]
-            ker += _interior_null_count(right_h[-r:].conj().T, on_cols)
-            coker += _interior_null_count(left[:, -r:], on_rows)
+        slot = np.full(B.count, -1)
+        slot[ids[held]] = np.arange(held.size)
+        row_place, col_place = B.places(slot)
+        on_rows, on_cols = np.zeros((2, held.size, d), dtype=bool)
+        for on, labels, place in ((on_rows, B.rows, row_place), (on_cols, B.cols, col_place)):
+            at = np.flatnonzero(place >= 0)
+            on[slot[labels[at]], place[at]] = mask[at]
+        if d == 1:
+            U = Vh = np.ones((held.size, 1, 1))
+        else:
+            U, _, Vh = np.linalg.svd(stack[held])
+        for i, left, right_h, on_r, on_c in zip(held, U, Vh, on_rows, on_cols):
+            w, r = win[ids[i]], int(nulls[i])
+            ker[w] += _interior_null_count(right_h[-r:].conj().T, on_c)
+            coker[w] += _interior_null_count(left[:, -r:], on_r)
     return ker, coker
 
 
-def _spectral_evidence(A, B, mask: np.ndarray):
-    """(route, raw, ker, coker, gap, bound) of A's section from its
-    singular values, block by block when it splits (B, ``A._spectrum``)
-    and from one P x P SVD when it does not."""
-    B, groups, s = A._spectrum(B)
-    smax = s[0] if s.size and s[0] > 0 else 1.0
-    raw = int(np.sum(s < RANK_TOL * smax))
-    gap, ker, coker = np.inf, 0, 0
-    if raw:
+def _spectral_evidence(B: Blocks, owner: np.ndarray, win: np.ndarray, spectrum, sizes: list,
+                       decided, mask: np.ndarray) -> dict:
+    """{i: (route, raw, ker, coker, gap, bound)} of each window i in
+    ``decided`` of a stack of sections of ``sizes`` rows (and columns)
+    each, in order, from the singular values of its blocks B
+    (``quantization._spectrum``: groups, owners, values), ``owner`` the
+    window of each row (and column) and ``win`` that of each block:
+    "blocks" for a section of several blocks, "dense" for one.  Each
+    window's values are the union of its blocks', padded with zeros to
+    its P, and its null test reads its own s_max."""
+    groups, owners, values = spectrum
+    count, of_value = np.bincount(win, minlength=len(sizes)), win[owners]
+    smax, found = np.ones(len(sizes)), {}
+    for i in decided:
+        s = np.sort(values[of_value == i])[::-1]
+        s = np.concatenate([s, np.zeros(sizes[i] - s.size)])
+        smax[i] = s[0] if s[0] > 0 else 1.0
+        raw = int(np.sum(s < RANK_TOL * smax[i]))
         # s descends: s[-raw] is the largest null value and s[-raw - 1]
-        # the smallest non-null one.  Null values below the roundoff
-        # floor P eps s_max of the SVD are read as the floor, and an
-        # all-null section has no gap at all.
-        gap = 0.0 if raw == s.size else float(s[-raw - 1] / max(s[-raw], s.size * EPS * smax))
-        ker, coker = _block_null_counts(B, groups, smax, mask)
-    return "blocks" if B.count > 1 else "dense", raw, ker, coker, gap, None
+        # the smallest non-null one.  Null values below the roundoff floor
+        # P eps s_max of the SVD are read as the floor, and an all-null
+        # section has no gap at all.
+        gap = np.inf if not raw else 0.0 if raw == s.size else \
+            float(s[-raw - 1] / max(s[-raw], s.size * EPS * smax[i]))
+        found[i] = ["blocks" if count[i] > 1 else "dense", raw, 0, 0, gap, None]
+    ker, coker = _block_null_counts(B, owner, win, groups, smax[win], mask, len(sizes))
+    for i, f in found.items():
+        f[2:4] = int(ker[i]), int(coker[i])
+    return {i: tuple(f) for i, f in found.items()}
+
+
+def _dense_evidence(A) -> tuple:
+    """(route, raw, ker, coker, gap, bound) of A's section from its P x P SVD."""
+    E, P = A.entries, A.window.size
+    s = np.linalg.svd(E, compute_uv=False)
+    one = np.zeros(P, dtype=np.intp)
+    spectrum = [(one[:1], E[None], s[None])], one, s
+    return _spectral_evidence(Blocks(one, one, 1), one, one[:1], spectrum, [P], [0],
+                              _interior(A.window))[0]
 
 
 def _norms(K) -> tuple:
@@ -267,33 +327,71 @@ def _defect_evidence(par, mask: np.ndarray):
         _interior_null_count(cokernel, mask), float(gap), float(bound)
 
 
-def _window_evidence(A, par) -> WindowEvidence:
-    """Counts, gap and blocks of the section A on its window, and the route
-    that decided them.  ``par()`` gives the J-step parametrix of sigma on
-    the run's largest window and on A's grid, or None when sigma is not
-    certified elliptic there; it is called only for a section of one
-    block.  A is split into the independent blocks of its pattern
-    (``OperatorMatrix.blocks``).  A section of several blocks takes its
-    values and null bases block by block ("blocks").  A section of one
-    block is decided from the defects of a parametrix that reads A
-    (``_defect_evidence``: "certified" or "deflated"): par itself when A
-    is its A, else par restricted to A (``Parametrix.restricted``, so
-    sigma is not sampled again).  Its dense SVD decides when there is no
-    such parametrix, when sigma is not certified elliptic on A's window or
-    when the defects do not decide ("dense")."""
-    window, B = A.window, A.blocks()
-    mask = window.interior_mask(interior_margin(window))
-    found, largest = None, par() if B.count == 1 else None
-    if largest is not None:
-        try:
-            own = largest.sigma_matrix is A
-            found = _defect_evidence(largest if own else largest.restricted(A, 0.0), mask)
-        except EllipticityError:
-            pass
-    route, raw, ker, coker, gap, bound = found or _spectral_evidence(A, B, mask)
+def _split_evidence(sections: list):
+    """(shape, found): the (blocks, largest block) of each section, and
+    {i: (route, raw, ker, coker, gap, bound)} of each section i of several
+    blocks.  The patterns of the sparse sections are stacked
+    block-diagonally and split into their independent blocks in one pass
+    (``quantization._components``); every section of several blocks then
+    takes its values and null bases from one pass over the blocks of all
+    of them (``quantization._spectrum``, ``_spectral_evidence``)."""
+    sizes = [A.window.size for A in sections]
+    shape = [(1, P) for P in sizes]
+    held = [i for i, A in enumerate(sections) if A.sparse is not None]
+    if not held:
+        return shape, {}
+    stack = _stacked([sections[i].sparse for i in held])
+    B = _components(stack)
+    owner = np.repeat(np.arange(len(held)), [sizes[i] for i in held])
+    win = np.empty(B.count, dtype=np.intp)
+    win[B.rows], win[B.cols] = owner, owner
     rows, cols = B.sizes()
-    return WindowEvidence(window.N, ker, coker, raw, gap, B.count,
-                          int(np.max(np.maximum(rows, cols))), route, bound)
+    widest = np.zeros(len(held), dtype=np.intp)
+    np.maximum.at(widest, win, np.maximum(rows, cols))
+    count = np.bincount(win, minlength=len(held))
+    for j, i in enumerate(held):
+        shape[i] = int(count[j]), int(widest[j])
+    split = np.flatnonzero(count > 1)
+    if not split.size:
+        return shape, {}
+    mask = np.concatenate([_interior(sections[i].window) for i in held])
+    stack = stack._replace(data=np.concatenate([sections[i].sparse.data for i in held]))
+    found = _spectral_evidence(B, owner, win, _spectrum(stack, B, (count > 1)[win]),
+                               [sizes[i] for i in held], split, mask)
+    return shape, {held[j]: f for j, f in found.items()}
+
+
+def _evidence(sections: list, par) -> list:
+    """The ``WindowEvidence`` of each section, in order, and the route
+    that decided it.  ``par()`` gives the J-step parametrix of sigma on
+    the run's largest window and on the sections' grid, or None when sigma
+    is not certified elliptic there; it is called only when a section is
+    of one block.
+
+    Every section of several blocks is decided in one stacked pass
+    (``_split_evidence``): "blocks".  A section of one block is decided
+    from the defects of a parametrix that reads it (``_defect_evidence``:
+    "certified" or "deflated"): par itself when the section is its A, else
+    par restricted to it (``Parametrix.restricted``, so sigma is not
+    sampled again).  Its dense SVD decides when there is no such
+    parametrix, when sigma is not certified elliptic on its window or when
+    the defects do not decide ("dense")."""
+    shape, found = _split_evidence(sections)
+    evidence = []
+    for i, A in enumerate(sections):
+        if i not in found:
+            largest = par()
+            if largest is not None:
+                try:
+                    own = largest.sigma_matrix is A
+                    found[i] = _defect_evidence(largest if own else largest.restricted(A, 0.0),
+                                                _interior(A.window))
+                except EllipticityError:
+                    pass
+            found[i] = found.get(i) or _dense_evidence(A)
+        route, raw, ker, coker, gap, bound = found[i]
+        evidence.append(WindowEvidence(A.window.N, ker, coker, raw, gap, *shape[i], route, bound))
+    return evidence
 
 
 def _stabilized(evidence: list) -> IndexReport:
@@ -316,37 +414,55 @@ def _stabilized(evidence: list) -> IndexReport:
     )
 
 
+def _index_run(sigma: Symbol, windows, n: int, J: int, eager: bool):
+    """(evidence, par): the ``WindowEvidence`` of each distinct window,
+    smallest first, on the largest window's ``index_grid``
+    (``_evidence``), and the J-step parametrix of sigma on the largest
+    window, or None.  sigma is evaluated once: when it splits, every
+    window's section is gathered from its factors on the largest window
+    (``quantization._factor_sections``), and the parametrix reads the
+    largest one's; when it does not, each smaller window streams its
+    samples (``assemble_matrix``).  ``eager`` builds the parametrix first
+    and raises EllipticityError when sigma is not certified elliptic;
+    otherwise it is built when the first section of one block needs it."""
+    sections = list(_sections(windows, n))
+    largest, grid = sections[-1]
+    terms = sigma._terms(largest, grid)
+    built = []
+    if terms is not None:
+        As = _factor_sections(*terms, [w for w, _ in sections], grid)
+    else:
+        if eager:
+            built.append(_parametrix(sigma, None, 0.0, J, largest, grid))
+        As = [assemble_matrix(sigma, w, grid) for w, _ in sections[:-1]]
+        As.append(built[0].sigma_matrix if built else assemble_matrix(sigma, largest, grid))
+    if eager and not built:
+        built.append(_parametrix(sigma, terms, 0.0, J, largest, grid, As[-1]))
+
+    def par():
+        if not built:
+            try:
+                built.append(_parametrix(sigma, terms, 0.0, J, largest, grid, As[-1]))
+            except EllipticityError:
+                built.append(None)
+        return built[0]
+
+    return _evidence(As, par), (built[0] if built else None)
+
+
 def svd_index(sigma: Symbol, windows, n: int = 1) -> IndexReport:
     """Kernel/cokernel counts across the distinct windows, smallest first,
-    on the largest window's ``index_grid`` (``_window_evidence``), each
-    section released before the next is built.  The three-step parametrix
-    of sigma on the largest window is built when the first section of one
-    block needs it, and then read by every such section; the largest
-    window's section is then its A.
+    on the largest window's ``index_grid`` (``_index_run``).  The
+    three-step parametrix of sigma on the largest window is built only
+    when some section is of one block, and it reads the largest window's
+    section.
 
     Stabilized when the last two windows agree on both counts and both
     show a 100x gap between null and non-null singular values; otherwise,
     and with fewer than two distinct windows, the verdict is left unstable
     (None), never an exception.
     """
-    sections = list(_sections(windows, n))
-    largest, grid = sections[-1]
-    built = []
-
-    def par():
-        if not built:
-            try:
-                built.append(parametrix(sigma, 0.0, 3, largest, grid))
-            except EllipticityError:
-                built.append(None)
-        return built[0]
-
-    def section(window):
-        if window == largest and built and built[0] is not None:
-            return built[0].sigma_matrix
-        return assemble_matrix(sigma, window, grid)
-
-    return _stabilized([_window_evidence(section(window), par) for window, _ in sections])
+    return _stabilized(_index_run(sigma, windows, n, 3, eager=False)[0])
 
 
 @dataclass
@@ -397,7 +513,7 @@ def trace_index(sigma: Symbol, window: LatticeWindow, J: int = 3) -> TraceIndexR
 def _trace(par, window: LatticeWindow) -> TraceIndexResult:
     """``trace_index`` from the parametrix par on window."""
     left, right = par.left_defect, par.right_defect
-    mask = window.interior_mask(interior_margin(window))
+    mask = _interior(window)
     raw = float(np.real(np.sum((right.diagonal() - left.diagonal())[mask])))
     # the bound reads only |T1| and |T2|, the parametrix residuals' magnitudes
     tail = _weighted_tail_bound(left.symbol_row_maxima(), window, window.n + 1) + \
@@ -410,18 +526,15 @@ def _trace(par, window: LatticeWindow) -> TraceIndexResult:
 
 def full_index_report(sigma: Symbol, windows, n: int = 1, J: int = 3) -> IndexReport:
     """svd_index across windows plus trace_index at the largest one, from
-    one J-step parametrix: every window runs on the largest one's
-    ``index_grid``, tau0 is sampled and transformed once, at the largest
-    window, and each smaller one-block section reads the restriction of
-    that parametrix (``_window_evidence``), so J applies at every window."""
-    sections = list(_sections(windows, n))
-    window, grid = sections[-1]
-    par = parametrix(sigma, 0.0, J, window, grid)  # raises on non-elliptic
-    report = _stabilized([
-        _window_evidence(par.sigma_matrix if w == window else assemble_matrix(sigma, w, grid),
-                         lambda: par)
-        for w, _ in sections])
-    tr = _trace(par, window)
+    one run (``_index_run``): every window runs on the largest one's
+    ``index_grid``, sigma is evaluated and tau0 transformed once, at the
+    largest window, and each smaller one-block section reads the
+    restriction of the one J-step parametrix, so J applies at every
+    window.  Raises EllipticityError when sigma is not certified
+    elliptic on the largest window."""
+    evidence, par = _index_run(sigma, windows, n, J, eager=True)
+    report = _stabilized(evidence)
+    tr = _trace(par, par.sigma_matrix.window)
     report.trace_index_raw = tr.trace_index_raw
     report.trace_index = tr.trace_index
     report.tail_bound = tr.tail_bound

@@ -20,12 +20,13 @@ section when too full for it (``_assembled``, ``_MAX_FILL``), whose
 ``entries`` scatter the sparse form bit for bit.  Two sparse forms
 multiply in work of the terms they expand, about P m^2 for m entries per
 row, instead of P^3 (``OperatorMatrix.product``).  The rows and columns
-of a sparse form fall into independent blocks (``OperatorMatrix.blocks``),
-and a section of several blocks has the union of their singular values,
-from one stacked SVD per block size, for a section of one block the
-P x P SVD.  Extraction scatters a section, or only the kept entries of a
-sparse one, back into the symbol's shift form and synthesizes it
-(``core.shift_samples``), the exact inverse of assembly.
+of a sparse form fall into independent blocks (``_components``), and a
+section of several blocks has the union of their singular values
+(``_spectrum``): a block of one row or one column its norm, in closed
+form, the others one stacked SVD per block size; a section of one block
+has those of its P x P SVD.  Extraction scatters a section, or only the
+kept entries of a sparse one, back into the symbol's shift form and
+synthesizes it (``core.shift_samples``), the exact inverse of assembly.
 Composition and adjoints are finite-section constructions, so grid-backed
 results carry an interior margin outside which truncation contaminates
 the recovered symbol.
@@ -34,7 +35,7 @@ the recovered symbol.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -103,9 +104,13 @@ class SparseRows(NamedTuple):
     indices: np.ndarray
     data: np.ndarray
 
+    def counts(self) -> np.ndarray:
+        """The number of entries of each row."""
+        return self.indptr[1:] - self.indptr[:-1]
+
     def row_ids(self) -> np.ndarray:
         """The row of each stored entry."""
-        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+        return np.repeat(np.arange(len(self.indptr) - 1), self.counts())
 
 
 class Blocks(NamedTuple):
@@ -123,16 +128,18 @@ class Blocks(NamedTuple):
         return np.bincount(self.rows, minlength=self.count), \
             np.bincount(self.cols, minlength=self.count)
 
-    def places(self):
-        """The place of each row, and of each column, among its block's,
-        in section order."""
+    def places(self, slot: np.ndarray):
+        """The place of each row, and of each column, among its block's in
+        section order, for the blocks b with ``slot[b] >= 0``; -1 for the
+        rows and columns of the others."""
         out = []
         for labels in (self.rows, self.cols):
-            order = np.argsort(labels, kind="stable")
-            counts = np.bincount(labels, minlength=self.count)
-            first = np.cumsum(counts) - counts
-            place = np.empty(len(labels), dtype=np.intp)
-            place[order] = np.arange(len(labels)) - first[labels[order]]
+            place = np.full(len(labels), -1)
+            at = np.flatnonzero(slot[labels] >= 0)
+            group = slot[labels[at]]
+            order = np.argsort(group, kind="stable")
+            counts = np.bincount(group, minlength=int(slot.max()) + 1)
+            place[at[order]] = np.arange(len(at)) - (np.cumsum(counts) - counts)[group[order]]
             out.append(place)
         return out
 
@@ -222,7 +229,9 @@ class OperatorMatrix:
             P = self.window.size
             with np.errstate(all="ignore"):  # non-finite entries are refused by _kept
                 if self._entries is None:
-                    S, self._factors = _assembled(_factor_rows(*self._factors, self.window,
+                    a, b = self._factors
+                    modes = _factor_modes(a, b, self.window, self.grid)
+                    S, self._factors = _assembled(_factor_rows(a, modes, self.window,
                                                                self.grid), P), None
                     if not isinstance(S, SparseRows):
                         self._entries, S = S, None
@@ -240,7 +249,7 @@ class OperatorMatrix:
         if S is None:
             P = self.window.size
             return {"form": "dense", "mean_row_entries": float(P), "max_row_entries": P}
-        counts = np.diff(S.indptr)
+        counts = S.counts()
         return {"form": "sparse", "mean_row_entries": float(np.mean(counts)),
                 "max_row_entries": int(np.max(counts))}
 
@@ -250,7 +259,7 @@ class OperatorMatrix:
         if self._sparse:
             # each row of the sparse form sums its entries times the rows of v they meet
             S, out = self._sparse, np.zeros((self.window.size,) + v.shape[1:], dtype=complex)
-            rows = np.flatnonzero(np.diff(S.indptr))
+            rows = np.flatnonzero(S.counts())
             if len(rows):
                 terms = S.data.reshape((-1,) + (1,) * (v.ndim - 1)) * v[S.indices]
                 out[rows] = np.add.reduceat(terms, S.indptr[rows], axis=0)
@@ -272,12 +281,16 @@ class OperatorMatrix:
         """scale * self @ other + shift * I (+ add), as one operator.
 
         When every operand has a sparse form, the product terms
-        self[k, j] other[j, l] are expanded for a block of rows at a time
-        and summed by (k, l) with add's entries and the shift
+        self[k, j] other[j, l] are expanded for a block of rows at a time,
+        reading other's rows largest entry first, and summed by (k, l) with
+        add's entries and the shift after one sort of their keys that keeps
+        the terms of one key in the order they were written
         (``_product_blocks``), so the work is the number of terms, about
         P m^2 for m entries per row, and each row drops its entries at
-        roundoff level.  The result is held dense when that leaves it too
-        full.  Otherwise the product is the dense one of the sections.
+        roundoff level.  The blocks come out sorted by row, so they are the
+        sparse form with no further sort (``_assembled``), held dense when
+        that leaves it too full.
+        Otherwise the product is the dense one of the sections.
         """
         window, grid, P = self.window, self.grid, self.window.size
         operands = [self.sparse, other.sparse] + ([] if add is None else [add.sparse])
@@ -342,96 +355,156 @@ class OperatorMatrix:
         return out
 
     def blocks(self) -> Blocks:
-        """The connected components of the section's bipartite graph of
-        rows and columns, one edge per entry of its sparse form, so an
-        empty row or column is a block of its own; one block of every row
-        and column when the section has no sparse form.
-
-        Each round hooks the larger of the two roots of every entry that
-        joins two components to the smallest root it meets
-        (``np.minimum.at``), then jumps pointers until each node points at
-        its root, until no entry joins two components.  A root is the
-        smallest node of its component.
-        """
-        P, S = self.window.size, self.sparse
+        """The independent blocks of the section's sparse form
+        (``_components``); one block of every row and column when the
+        section has no sparse form."""
+        S = self.sparse
         if S is None:
+            P = self.window.size
             return Blocks(np.zeros(P, dtype=np.intp), np.zeros(P, dtype=np.intp), 1)
-        u, v = S.row_ids(), S.indices + P  # row k is node k, column l node P + l
-        root = np.arange(2 * P)
-        while True:
-            ru, rv = root[u], root[v]
-            apart = ru != rv
-            if not apart.any():
-                break
-            np.minimum.at(root, np.maximum(ru, rv)[apart], np.minimum(ru, rv)[apart])
-            while True:
-                up = root[root]
-                if np.array_equal(up, root):
-                    break
-                root = up
-        is_root = root == np.arange(2 * P)
-        labels = (np.cumsum(is_root) - 1)[root]
-        return Blocks(labels[:P], labels[P:], int(np.sum(is_root)))
+        return _components(S)
 
-    def _spectrum(self, B: Blocks = None):
-        """(blocks, groups, values): ``blocks()``, or B when given; for each
-        padded block size d, the ids of the blocks with rows and columns
-        whose larger side is d, their (g, d, d) stack of each block's rows
-        and columns in section order padded with zero rows or columns, and
-        its values-only SVD; and the section's singular values, descending:
-        the union of the blocks', padded with zeros to P.  A section of one
-        block is one group of one, a view of ``entries`` and its values from
-        one P x P SVD, which a split section never forms.
-        """
-        B = self.blocks() if B is None else B
+    def singular_values(self) -> np.ndarray:
+        """The section's singular values, descending: block by block when it
+        splits (``_spectrum``), padded with zeros to P, and from one P x P
+        SVD when it does not."""
+        B = self.blocks()
         if B.count == 1:
-            s = np.linalg.svd(self.entries, compute_uv=False)
-            return B, [(np.zeros(1, dtype=np.intp), self.entries[None], s[None])], s
-        S, P = self.sparse, self.window.size
-        rows, cols = B.sizes()
-        side, full = np.maximum(rows, cols), np.minimum(rows, cols)
-        row_place, col_place = B.places()
-        k = S.row_ids()
-        block = B.rows[k]
-        groups, values = [], []
-        for d in np.flatnonzero(np.bincount(side[full > 0])):
-            ids = np.flatnonzero((side == d) & (full > 0))
+            return np.linalg.svd(self.entries, compute_uv=False)
+        values = _spectrum(self.sparse, B)[2]
+        return np.concatenate([np.sort(values)[::-1], np.zeros(self.window.size - values.size)])
+
+
+def _components(S: SparseRows) -> Blocks:
+    """The connected components of the bipartite graph of S's rows and
+    columns, one edge per stored entry, so an empty row or column is a
+    block of its own.
+
+    Each round hooks the larger of the two roots of every entry that joins
+    two components to the smallest root it meets (``np.minimum.at``), then
+    jumps pointers until each node points at its root, until no entry
+    joins two components.  A root is the smallest node of its component.
+    """
+    P = len(S.indptr) - 1
+    u, v = S.row_ids(), S.indices + P  # row k is node k, column l node P + l
+    root = np.arange(2 * P)
+    while True:
+        ru, rv = root[u], root[v]
+        apart = ru != rv
+        if not apart.any():
+            break
+        np.minimum.at(root, np.maximum(ru, rv)[apart], np.minimum(ru, rv)[apart])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    is_root = root == np.arange(2 * P)
+    labels = (np.cumsum(is_root) - 1)[root]
+    return Blocks(labels[:P], labels[P:], int(np.sum(is_root)))
+
+
+def _stacked(sections) -> SparseRows:
+    """The pattern of the block-diagonal stack of the square sections
+    (``SparseRows``), in order, the rows and columns of each following the
+    last one's; its ``data`` is None, as ``_components`` reads none."""
+    sizes = [len(S.indptr) - 1 for S in sections]
+    rows = np.cumsum([0] + sizes[:-1])
+    entries = np.cumsum([0] + [S.indptr[-1] for S in sections])
+    return SparseRows(
+        np.concatenate([S.indptr[:-1] + e for S, e in zip(sections, entries)] + [entries[-1:]]),
+        np.concatenate([S.indices + r for S, r in zip(sections, rows)]), None)
+
+
+def _spectrum(S: SparseRows, B: Blocks, chosen: np.ndarray = None):
+    """(groups, owners, values) of the blocks B of the section S, or of
+    those ``chosen`` (a mask over the blocks), that hold rows and columns.
+
+    ``groups`` holds, for each padded block size d, the ids of the blocks
+    whose larger side is d, their (g, d, d) stack of each block's rows and
+    columns in section order padded with zero rows or columns (None for
+    d = 1, blocks of one entry), and its values (g, d), descending;
+    ``values`` holds each block's min(rows, columns) singular values and
+    ``owners`` the block of each.  The padded rows or columns add only
+    zeros past a block's first min(r, c).
+    A block of one row or one column has one singular value, the norm of
+    its entries, taken in closed form with no LAPACK call: within 2 ulps
+    of the exact norm, at any scale.  The other blocks of one size take
+    one stacked values-only SVD.
+    """
+    rows, cols = B.sizes()
+    side, full = np.maximum(rows, cols), np.minimum(rows, cols)
+    take = full > 0 if chosen is None else (full > 0) & chosen
+    k = S.row_ids()
+    block = B.rows[k]
+    # each block's entries scaled exactly by the power of two 2^-e of its
+    # largest, 2^(e-1) <= max |x| < 2^e, so the sum of squares neither
+    # overflows nor underflows and the norm rounds only in it and its root
+    peak = np.zeros(B.count)
+    np.maximum.at(peak, block, np.abs(S.data))
+    e = np.frexp(peak)[1]
+    re, im = np.ldexp(S.data.real, -e[block]), np.ldexp(S.data.imag, -e[block])
+    norms = np.ldexp(np.sqrt(np.bincount(block, re * re + im * im, B.count)), e)
+    groups, owners, values = [], [], []
+    for d in np.flatnonzero(np.bincount(side[take])):
+        ids = np.flatnonzero(take & (side == d))
+        s, lone, stack = np.zeros((len(ids), d)), full[ids] == 1, None
+        s[lone, 0] = norms[ids[lone]]
+        if d > 1:
             slot = np.full(B.count, -1)
             slot[ids] = np.arange(len(ids))
+            row_place, col_place = B.places(slot)
             on = slot[block] >= 0
             stack = np.zeros((len(ids), d, d), dtype=complex)
             stack[slot[block[on]], row_place[k[on]], col_place[S.indices[on]]] = S.data[on]
-            s = np.linalg.svd(stack, compute_uv=False)
-            groups.append((ids, stack, s))
-            # the padded rows or columns add only zeros past a block's first min(r, c)
-            values.append(s[np.arange(d) < full[ids][:, None]])
-        found = np.sort(np.concatenate([np.zeros(0), *values]))[::-1]
-        return B, groups, np.concatenate([found, np.zeros(P - found.size)])
-
-    def singular_values(self) -> np.ndarray:
-        """The section's singular values, descending, block by block
-        (``_spectrum``)."""
-        return self._spectrum()[2]
+            if not lone.all():
+                s[~lone] = np.linalg.svd(stack[~lone], compute_uv=False)
+        groups.append((ids, stack, s))
+        owners.append(np.repeat(ids, full[ids]))
+        values.append(s[np.arange(d) < full[ids][:, None]])
+    return groups, np.concatenate([np.zeros(0, dtype=np.intp), *owners]), \
+        np.concatenate([np.zeros(0), *values])
 
 
-def _factor_rows(a: np.ndarray, b: np.ndarray, window: LatticeWindow, grid: TorusGrid):
-    """The kept entries (``_kept``) of the section of sigma = a @ b as
-    (rows, cols, vals), sorted by row, a block of rows at a time with no
-    P x P array: sum_r a_r(k) C_r[(l - k) mod M], C_r the shift form of
-    b_r, at the modes where some C_r is above roundoff.  Refuses
-    non-finite entries with ValueError."""
+def _factor_modes(a: np.ndarray, b: np.ndarray, window: LatticeWindow, grid: TorusGrid):
+    """(slots, C): the shift coefficients C_r of the rows b_r of sigma's
+    x-factor (``core.shift_coefficients``) at the modes where some C_r is
+    above roundoff of its largest, and those modes' per-axis grid slots.
+    Refuses non-finite factors or coefficients with ValueError."""
     C = shift_coefficients(b, window, grid)
     mag = np.abs(C)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(mag))):
         raise ValueError(NON_FINITE_ENTRIES)
     modes = np.flatnonzero(np.any((mag >= _ROUNDOFF * np.max(mag, axis=1, keepdims=True))
                                   & (mag > 0), axis=0))
-    slots, C = np.unravel_index(modes, grid.shape), C[:, modes]
-    for rows in _slabs(window.size, max(1, len(modes))):
+    return np.unravel_index(modes, grid.shape), C[:, modes]
+
+
+def _factor_rows(a: np.ndarray, modes, window: LatticeWindow, grid: TorusGrid):
+    """The kept entries (``_kept``) of the section of sigma = a @ b as
+    (rows, cols, vals), sorted by row, a block of rows at a time with no
+    P x P array: sum_r a_r(k) C_r[(l - k) mod M] at the modes of b
+    (``_factor_modes``)."""
+    slots, C = modes
+    for rows in _slabs(window.size, max(1, C.shape[1])):
         cols, valid = _mode_columns(window.points[rows], slots, window, grid)
         vals = a[rows] @ C
         vals[~valid] = 0
         yield _kept(vals, np.arange(rows.start, rows.stop), cols)
+
+
+def _factor_sections(a: np.ndarray, b: np.ndarray, windows, grid: TorusGrid) -> list:
+    """The operators of sigma = a @ b on each of ``windows``, whose last is
+    the largest and a's window: each gathers its window's rows of a
+    (``LatticeWindow.rows_in``) against one transform of b
+    (``_factor_modes``) and keeps its rows' entries against their own
+    in-window peaks (``_kept``), so it is the section ``assemble_matrix``
+    builds on its window from the factors sigma gives there."""
+    largest = windows[-1]
+    with np.errstate(all="ignore"):  # non-finite entries are refused by _kept
+        modes = _factor_modes(a, b, largest, grid)
+        return [_operator(_factor_rows(a[w.rows_in(largest)], modes, w, grid), w, grid)
+                for w in windows]
 
 
 def _sampled(blocks, window: LatticeWindow, grid: TorusGrid, inverse: np.ndarray = None):
@@ -483,7 +556,9 @@ def _kept(block: np.ndarray, rows: np.ndarray, cols: np.ndarray = None):
     entry when the block is not laid out by column.  Refuses non-finite
     entries with ValueError."""
     mag = np.abs(block)
-    peak = np.max(mag, axis=1, initial=0.0)  # NaN or inf when some entry is
+    # a short row is reduced column by column: numpy reduces a short axis slowly
+    peak = reduce(np.maximum, mag.T, np.zeros(len(mag))) if mag.shape[1] <= 16 \
+        else np.max(mag, axis=1, initial=0.0)  # NaN or inf when some entry is
     if not np.all(np.isfinite(peak)):
         raise ValueError(NON_FINITE_ENTRIES)
     k, j = np.nonzero((mag >= _ROUNDOFF * peak[:, None]) & (mag > 0))
@@ -492,8 +567,10 @@ def _kept(block: np.ndarray, rows: np.ndarray, cols: np.ndarray = None):
 
 def _row_peaks(S: SparseRows, values: np.ndarray) -> np.ndarray:
     """The largest of ``values`` (one per entry of S) in each row, 0 in a row with none."""
-    out = np.zeros(len(S.indptr) - 1)
-    rows = np.flatnonzero(np.diff(S.indptr))
+    counts = S.counts()
+    if counts.all():
+        return np.maximum.reduceat(values, S.indptr[:-1])
+    out, rows = np.zeros(len(counts)), counts.nonzero()[0]
     if len(rows):
         out[rows] = np.maximum.reduceat(values, S.indptr[rows])
     return out
@@ -510,9 +587,9 @@ def _product_blocks(SA: SparseRows, SB: SparseRows, scale, shift, SC: SparseRows
     terms below _ROUNDOFF s_k / (SA's entries in row k) are not expanded:
     all of them in one sum stay below _ROUNDOFF s_k.  SB's rows are read
     largest entry first, so each entry of SA expands a prefix of its row
-    of SB.  The terms are then sorted by (k, l) and summed, and each row
-    keeps the sums at or above _ROUNDOFF s_k, the roundoff of a sum of
-    terms as large as s_k.
+    of SB.  The terms are then sorted by (k, l), in the order they were
+    written within one key, and summed, and each row keeps the sums at or
+    above _ROUNDOFF s_k, the roundoff of a sum of terms as large as s_k.
     """
     P = len(SA.indptr) - 1
     rows_a, mag_a = SA.row_ids(), np.abs(scale) * np.abs(SA.data)
@@ -520,48 +597,48 @@ def _product_blocks(SA: SparseRows, SB: SparseRows, scale, shift, SC: SparseRows
     # SB's entries by row, largest first: log2 |b| is finite for a nonzero b
     # and stays within (-1075, 1024), so key j 4096 + 1100 - log2 |b| sorts them
     key = SB.row_ids() * 4096.0 + (1100.0 - np.log2(mag_b))
-    order = np.argsort(key)
+    order = key.argsort()
     key, cols_b, data_b = key[order], SB.indices[order], SB.data[order]
     s = np.maximum(_row_peaks(SA, mag_a * _row_peaks(SB, mag_b)[SA.indices]), abs(shift))
     if SC is not None:
         s = np.maximum(s, _row_peaks(SC, np.abs(SC.data)))
-    if not np.all(np.isfinite(s)):  # an overflowed scale would expand no term at all
+    if not np.isfinite(s).all():  # an overflowed scale would expand no term at all
         raise ValueError(NON_FINITE_ENTRIES)
-    floor = _ROUNDOFF * s / np.maximum(1, np.diff(SA.indptr))
+    floor = _ROUNDOFF * s / np.maximum(1, SA.counts())
     # each entry of SA expands the entries of its SB row at or above floor / |a|
     with np.errstate(divide="ignore", invalid="ignore"):
         reach = SA.indices * 4096.0 + (1100.0 - np.log2(floor[rows_a] / mag_a))
     j = SA.indices
-    per_entry = np.clip(np.searchsorted(key, reach, side="right") - SB.indptr[j],
-                        0, SB.indptr[j + 1] - SB.indptr[j])
-    before = np.concatenate([[0], np.cumsum(per_entry)])[SA.indptr]  # terms before each row
+    per_entry = np.maximum(np.minimum(key.searchsorted(reach, side="right"), SB.indptr[j + 1])
+                           - SB.indptr[j], 0)
+    before = np.zeros(len(per_entry) + 1, dtype=np.intp)
+    np.cumsum(per_entry, out=before[1:])
+    before = before[SA.indptr]  # terms before each row
     r0 = 0
     while r0 < P:
-        r1 = min(P, max(r0 + 1, int(np.searchsorted(before, before[r0] + _BLOCK, "right")) - 1))
+        r1 = min(P, max(r0 + 1, int(before.searchsorted(before[r0] + _BLOCK, "right")) - 1))
         e0, e1 = SA.indptr[r0], SA.indptr[r1]
         counts, terms = per_entry[e0:e1], int(before[r1] - before[r0])
-        start = SB.indptr[j[e0:e1]] - (np.cumsum(counts) - counts)
-        pos = np.arange(terms) + np.repeat(start, counts)
-        extra = []  # (rows, cols, vals) added to the terms: the shift, then SC's rows
+        # the place in SB's order of each term: entry e of SA expands its row's first counts[e]
+        pos = np.arange(terms) + (SB.indptr[j[e0:e1]] - np.cumsum(counts) + counts).repeat(counts)
+        extra = []  # (keys, vals) written after the terms: the shift, then SC's entries
         if shift:
-            diag = np.arange(r0, r1)
-            extra.append((diag, diag, np.full(r1 - r0, shift, dtype=complex)))
+            extra.append((np.arange(r1 - r0) * (P + 1) + r0, np.full(r1 - r0, shift, dtype=complex)))
         if SC is not None:
             c0, c1 = SC.indptr[r0], SC.indptr[r1]
-            extra.append((np.repeat(np.arange(r0, r1), np.diff(SC.indptr[r0:r1 + 1])),
-                          SC.indices[c0:c1], SC.data[c0:c1]))
-        size = terms + sum(len(rows) for rows, _, _ in extra)
+            local = np.arange(r1 - r0).repeat(SC.indptr[r0 + 1:r1 + 1] - SC.indptr[r0:r1])
+            extra.append((local * P + SC.indices[c0:c1], SC.data[c0:c1]))
+        size = terms + sum(len(k) for k, _ in extra)
+        # the key (k - r0) P + l and the value of each term
         keys, vals = np.empty(size, dtype=np.intp), np.empty(size, dtype=complex)
-        # key (k - r0) P + l of each term
-        local = np.repeat(np.arange(r1 - r0) * P, np.diff(SA.indptr[r0:r1 + 1]))
-        np.add(np.repeat(local, counts), cols_b[pos], out=keys[:terms])
-        np.multiply(np.repeat(scale * SA.data[e0:e1], counts), data_b[pos], out=vals[:terms])
+        np.add(((rows_a[e0:e1] - r0) * P).repeat(counts), cols_b[pos], out=keys[:terms])
+        np.multiply((scale * SA.data[e0:e1]).repeat(counts), data_b[pos], out=vals[:terms])
         at = terms
-        for rows, cols, data in extra:
-            keys[at:at + len(rows)] = (rows - r0) * P + cols
-            vals[at:at + len(rows)] = data
-            at += len(rows)
-        # sort the keys with each term's place in the low bits, then sum runs of one key
+        for k, v in extra:
+            keys[at:at + len(k)], vals[at:at + len(k)] = k, v
+            at += len(k)
+        # one sort of the keys with each term's place in the low bits, so the
+        # terms of one key stay in the order they were written, then sum runs
         bits = max(1, size.bit_length())
         keys <<= bits
         keys |= np.arange(size)
@@ -569,13 +646,13 @@ def _product_blocks(SA: SparseRows, SB: SparseRows, scale, shift, SC: SparseRows
         vals = vals[keys & ((1 << bits) - 1)]
         keys >>= bits
         if size:
-            heads = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+            heads = np.concatenate([[0], (keys[1:] != keys[:-1]).nonzero()[0] + 1])
             keys, vals = keys[heads], np.add.reduceat(vals, heads)
         rows, cols = np.divmod(keys, P)
         mag = np.abs(vals)
-        if not np.all(np.isfinite(mag)):
+        if not np.isfinite(mag).all():
             raise ValueError(NON_FINITE_ENTRIES)
-        keep = (mag >= _ROUNDOFF * s[r0 + rows]) & (mag > 0)
+        keep = ((mag >= _ROUNDOFF * s[rows + r0]) & (mag > 0)).nonzero()[0]
         yield rows[keep] + r0, cols[keep], vals[keep]
         r0 = r1
 
@@ -588,8 +665,12 @@ def _too_full(count: int, P: int) -> bool:
 
 def _assembled(blocks, P: int, stop: bool = False):
     """``SparseRows`` of the kept entries (rows, cols, vals) the blocks
-    yield, in any row order; once too full (``_too_full``), None with
-    ``stop``, else the dense section, each block scattered into it."""
+    yield, each block holding a row's entries in one run; once too full
+    (``_too_full``), None with ``stop``, else the dense section, each block
+    scattered into it.  The blocks are written once, each into its rows'
+    places in arrays laid out from the per-row counts, so a row keeps its
+    entries in the order the blocks yield them; a single block sorted by
+    row is the sparse form as it stands."""
     parts, count, E = [], 0, None
     for block in blocks:
         parts.append(block)
@@ -603,11 +684,29 @@ def _assembled(blocks, P: int, stop: bool = False):
             E[rows, cols] = vals
     if E is not None:
         return E
-    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-    if np.any(rows[1:] < rows[:-1]):  # a radix sort on the narrowest type that holds a row
-        order = np.argsort(rows.astype(np.min_scalar_type(P)), kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
-    return SparseRows(np.searchsorted(rows, np.arange(P + 1)), cols, vals)
+    parts = [part for part in parts if len(part[0])]
+    if len(parts) == 1 and np.all(parts[0][0][1:] >= parts[0][0][:-1]):
+        rows, cols, vals = parts[0]
+        return SparseRows(np.searchsorted(rows, np.arange(P + 1)), cols, vals)
+    runs = []  # each part's first entry of each run of one row, and the run lengths
+    for rows, _, _ in parts:
+        heads = np.flatnonzero(np.concatenate([[True], rows[1:] != rows[:-1]]))
+        runs.append((heads, np.diff(heads, append=len(rows))))
+    counts = np.zeros(P, dtype=np.intp)
+    for (rows, _, _), (heads, lengths) in zip(parts, runs):
+        counts[rows[heads]] += lengths
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices, data = np.empty(indptr[-1], dtype=np.intp), np.empty(indptr[-1], dtype=complex)
+    fill = indptr[:-1].copy()  # the next free place of each row
+    for (rows, cols, vals), (heads, lengths) in zip(parts, runs):
+        at = fill[rows[heads]] - heads  # entry i of the part goes to at[its run] + i
+        if at.min() == at.max():  # the part fills one stretch in order
+            indices[at[0]:at[0] + len(rows)], data[at[0]:at[0] + len(rows)] = cols, vals
+        else:
+            places = np.repeat(at, lengths) + np.arange(len(rows))
+            indices[places], data[places] = cols, vals
+        fill[rows[heads]] += lengths
+    return SparseRows(indptr, indices, data)
 
 
 def _operator(blocks, window: LatticeWindow, grid: TorusGrid) -> "OperatorMatrix":
@@ -625,7 +724,7 @@ def _shift_slabs(A: OperatorMatrix):
     entries of C."""
     window, grid, P = A.window, A.grid, A.window.size
     S = A.sparse if A._entries is None else None
-    ids = np.arange(P) if S is None else np.flatnonzero(np.diff(S.indptr))
+    ids = np.arange(P) if S is None else np.flatnonzero(S.counts())
     points = window.points
     for slab in _slabs(len(ids), grid.size):
         rows = ids[slab]
@@ -634,7 +733,7 @@ def _shift_slabs(A: OperatorMatrix):
             k, cols = np.nonzero(dense)
             vals = dense[k, cols]
         else:
-            counts = np.diff(S.indptr)[rows]
+            counts = S.counts()[rows]
             lo, hi = S.indptr[rows[0]], S.indptr[rows[-1] + 1]
             k, cols, vals = np.repeat(np.arange(len(rows)), counts), S.indices[lo:hi], S.data[lo:hi]
         slots = np.ravel_multi_index(((points[cols] - points[rows[k]]) % grid.M).T, grid.shape)

@@ -309,7 +309,10 @@ def _at_each_blas_thread_count(argv, out=None):
     ("perturbed_bessel", 1, "16,24,32"),
     ("(2+cos(twopi*x1))/(1+k1^2)", 1, "32,48,64"),  # not elliptic: the probe's P x P SVDs
     ("2 + exp(i*twopi*x1)/(1+k1^2+k2^2+cos(twopi*x2)^2)", 2, "6,8"),  # no split
-], ids=["perturbed_bessel", "non-elliptic", "no-split"])
+    # split sections: the blocks of all three windows share stacked SVDs
+    ("jump_plus", 1, "128,192,256"),
+    ("step(k1)*exp(i*twopi*x1) + (1-step(k1)) + 0.15*exp(-i*twopi*x1)/(1+k1^2)", 1, "16,24,32"),
+], ids=["perturbed_bessel", "non-elliptic", "no-split", "jump_plus", "perturbed-jump"])
 def test_index_reports_do_not_depend_on_the_blas_thread_count(tmp_path, symbol, n, windows):
     path = tmp_path / "s.json"
     if symbol in SHIPPED:

@@ -176,26 +176,31 @@ def test_report_key_sets(files, capsys):
 def test_index_reports_the_one_grid_its_certificate_and_windows_read(capsys, monkeypatch):
     # every window of an index run shares the largest one's index grid:
     # at N = 128 the smallest odd M >= 2N+3 with prime factors up to 11
-    from latticeops import cli, fredholm
+    from latticeops import fredholm
 
-    grids = []
-    for module, name in [(cli, "check_ellipticity"), (fredholm, "parametrix"),
-                         (fredholm, "assemble_matrix")]:
-        original = getattr(module, name)
+    grids, sections = [], []
+    original_parametrix, original_evidence = fredholm._parametrix, fredholm._evidence
 
-        def recording(*args, original=original):  # each takes the grid last
-            grids.append(args[-1].M)
-            return original(*args)
+    def making(sigma, terms, m, J, window, grid, A=None):
+        grids.append(grid.M)
+        return original_parametrix(sigma, terms, m, J, window, grid, A)
 
-        monkeypatch.setattr(module, name, recording)
+    def evidence(As, par):
+        sections.extend(As)
+        return original_evidence(As, par)
+
+    monkeypatch.setattr(fredholm, "_parametrix", making)
+    monkeypatch.setattr(fredholm, "_evidence", evidence)
     rep = _report(capsys, ["index", str(shipped_path("perturbed_bessel")),
                            "--windows", "64,96,128", "--json"])
     assert (rep["config"]["N"], rep["config"]["M"], rep["config"]["aliasing_margin"]) == \
         (128, 275, 275 - 257)
     assert rep["svd_index"] == rep["trace_index"] == 0
-    # the largest window's parametrix, which certifies sigma, and the two
-    # smaller sections: the command runs no certificate of its own
-    assert grids == [275] * 3
+    # the largest window's parametrix, which certifies sigma, and the
+    # sections of the three windows the run built: the command runs no
+    # certificate of its own
+    assert grids == [275]
+    assert [(A.window.N, A.grid.M) for A in sections] == [(64, 275), (96, 275), (128, 275)]
 
 
 def test_index_probe_gives_no_verdict_from_one_window(files, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeops import (
     LatticeSequence,
@@ -282,3 +284,45 @@ def test_rows_in_places_a_window_inside_a_larger_one():
         rows = small.rows_in(large)
         assert np.array_equal(large.points[rows], small.points)
         assert np.all(np.diff(rows) > 0)
+
+
+def _shell_sups_loop(w, values, mask):
+    """The per-shell sups one shell at a time: the shells under the mask,
+    the sup on each and its first row (np.argmax's)."""
+    labels = np.floor(np.log2(w.radial_weight)).astype(int)
+    shells = sorted(set(labels[mask]))
+    sups, rows = [], []
+    for j in shells:
+        idx = np.flatnonzero((labels == j) & mask)
+        best = int(idx[np.argmax(values[idx])])
+        sups.append(float(values[best]))
+        rows.append(best)
+    return shells, sups, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(1, 1), (1, 7), (1, 40), (2, 1), (2, 5), (3, 2)]), st.data())
+def test_shell_sups_match_the_loop_over_shells(size, data):
+    # few distinct values give ties; a mask may be empty or drop whole
+    # shells, and the values may hold infinities
+    n, N = size
+    w = LatticeWindow(n, N)
+    pick = st.sampled_from([-np.inf, -2.0, -0.5, 0.0, 0.5, 2.0, np.inf])
+    values = np.array(data.draw(st.lists(pick, min_size=w.size, max_size=w.size)))
+    labels = w.shell_labels()
+    dropped = data.draw(st.sets(st.sampled_from(sorted(set(labels.tolist())))))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=w.size, max_size=w.size)))
+    mask &= ~np.isin(labels, list(dropped))
+    got, want = w.shell_sups(values, mask), _shell_sups_loop(w, values, mask)
+    assert got == want
+    assert [type(j) for j in got[0]] == [type(j) for j in want[0]]
+
+
+def test_shell_sups_read_a_nan_as_argmax_does():
+    w = LatticeWindow(1, 8)
+    values = np.arange(w.size, dtype=float)
+    values[[3, 5]] = np.nan
+    mask = np.ones(w.size, dtype=bool)
+    got, want = w.shell_sups(values, mask), _shell_sups_loop(w, values, mask)
+    assert got[0] == want[0] and got[2] == want[2]
+    assert np.array_equal(got[1], want[1], equal_nan=True)

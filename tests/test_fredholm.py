@@ -1,6 +1,8 @@
 """Index computations: finite sections, trace formula, diagnostics."""
 
+import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -31,12 +33,15 @@ from latticeops.fredholm import (
     SV_THRESHOLD,
     _deflated_side,
     _interior_null_count,
+    _evidence,
     _top_right_singular,
     _weighted_tail_bound,
-    _window_evidence,
 )
 from latticeops.quantization import (
+    Blocks,
     OperatorMatrix,
+    SparseRows,
+    _spectrum,
     adjoint_symbol,
     assemble_matrix,
     extract_symbol,
@@ -446,6 +451,174 @@ def test_split_sections_match_the_dense_svd(sigma, N, step):
     assert rep.svd_index == (k1 - c1 if stable else None)
 
 
+def _pattern_blocks(D):
+    """The block of each row and column of D's nonzero pattern, numbered by
+    first row and then, for an empty column, by column, from a
+    breadth-first walk over its rows and columns."""
+    P = D.shape[0]
+    label, count = -np.ones(2 * P, dtype=int), 0
+    for start in range(2 * P):
+        if label[start] >= 0:
+            continue
+        label[start], todo = count, [start]
+        while todo:
+            node = todo.pop()
+            near = np.flatnonzero(D[node]) + P if node < P else np.flatnonzero(D[:, node - P])
+            for other in near[label[near] < 0]:
+                label[other] = count
+                todo.append(other)
+        count += 1
+    return label[:P], label[P:], count
+
+
+def _exact_norm(x):
+    """The 2-norm of the complex entries x, correctly rounded."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float(sum(Decimal(float(z.real)) ** 2 + Decimal(float(z.imag)) ** 2
+                         for z in x).sqrt())
+
+
+def _ulps(got, want):
+    return abs(got - want) / math.ulp(want) if want else abs(got) / 5e-324
+
+
+def _per_block_oracle(D, N):
+    """(raw, ker, coker, gap, blocks, largest block) of the section D on
+    the n=1 window of half-width N: the counts from its dense SVD with U
+    and V^H, and the gap from its blocks' values one block at a time, each
+    block's rows and columns in section order padded with zeros to its
+    larger side and taking one LAPACK SVD of its own, a block of one row
+    or column its exactly rounded norm."""
+    w, P = LatticeWindow(1, N), D.shape[0]
+    U, s, Vh = np.linalg.svd(D)
+    smax = s[0] if s[0] > 0 else 1.0
+    null = s < RANK_TOL * smax
+    mask = w.interior_mask(interior_margin(w))
+    ker = _interior_null_count(Vh[null].conj().T, mask)
+    coker = _interior_null_count(U[:, null], mask)
+    rows, cols, count = _pattern_blocks(D)
+    values, largest = [], 0
+    for b in range(count):
+        r, c = np.flatnonzero(rows == b), np.flatnonzero(cols == b)
+        largest = max(largest, len(r), len(c))
+        if not (len(r) and len(c)):
+            continue
+        d = max(len(r), len(c))
+        block = np.zeros((d, d), dtype=complex)
+        block[:len(r), :len(c)] = D[np.ix_(r, c)]
+        values.extend([_exact_norm(D[np.ix_(r, c)].ravel())] if min(len(r), len(c)) == 1
+                      else np.linalg.svd(block, compute_uv=False)[:min(len(r), len(c))])
+    v = np.concatenate([np.sort(values)[::-1], np.zeros(P - len(values))])
+    vmax = v[0] if v[0] > 0 else 1.0
+    raw = int(np.sum(v < RANK_TOL * vmax))
+    gap = np.inf if not raw else 0.0 if raw == P else \
+        float(v[-raw - 1] / max(v[-raw], P * EPS * vmax))
+    return int(np.sum(null)), ker, coker, gap, count, largest
+
+
+@st.composite
+def _split_section(draw):
+    """(D, N): a section of an n=1 window whose rows and columns are cut
+    into blocks of 1 x 1, 1 x c, r x 1 and larger, and empty rows and
+    columns, then permuted; each block of ordinary entries, of entries
+    near 1e+-200, or with an entry of 1e-12, and some entries exactly
+    zero; or, sometimes, one full block."""
+    N = draw(st.integers(1, 5))
+    P = 2 * N + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.integers(0, 4)) == 0:
+        return rng.standard_normal((P, P)) + 1j * rng.standard_normal((P, P)), N
+    D = np.zeros((P, P), dtype=complex)
+    row_at, col_at = rng.permutation(P), rng.permutation(P)
+    r0 = c0 = 0
+    while r0 < P or c0 < P:
+        kind = draw(st.sampled_from(["1x1", "1xc", "rx1", "rxc", "row", "column"]))
+        big = draw(st.integers(2, 4))
+        r, c = {"1x1": (1, 1), "1xc": (1, big), "rx1": (big, 1),
+                "rxc": (big, draw(st.integers(2, 4))), "row": (1, 0), "column": (0, 1)}[kind]
+        r, c = min(r, P - r0), min(c, P - c0)
+        if not (r or c):
+            continue
+        scale = draw(st.sampled_from([1.0, 1.0, 1e200, 1e-200]))
+        block = (rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))) * scale
+        if block.size and draw(st.booleans()):
+            block.flat[rng.integers(block.size)] *= 1e-12
+        block[rng.random((r, c)) < 0.15] = 0
+        D[np.ix_(row_at[r0:r0 + r], col_at[c0:c0 + c])] = block
+        r0, c0 = r0 + r, c0 + c
+    return D, N
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_split_section(), min_size=1, max_size=3))
+def test_the_stacked_pass_matches_a_per_window_dense_oracle(cases):
+    # the run decides every split window in one pass over their stack; a
+    # window of one block takes its dense SVD here, with no parametrix.
+    # Each value of a block of one row or column is within 2 ulps of its
+    # exact norm, so a gap moves by at most two such values and two
+    # roundings from the oracle's
+    sections = [OperatorMatrix.from_sparse(_sparse_of(D), LatticeWindow(1, N),
+                                           index_grid(LatticeWindow(1, N))) for D, N in cases]
+    evidence = _evidence(sections, lambda: None)
+    for e, (D, N) in zip(evidence, cases):
+        raw, ker, coker, gap, count, largest = _per_block_oracle(D, N)
+        assert (e.N, e.raw_null_count, e.dim_ker, e.dim_coker) == (N, raw, ker, coker)
+        assert (e.blocks, e.largest_block) == (count, largest)
+        assert e.route == ("blocks" if count > 1 else "dense")
+        assert e.gap == gap or _ulps(e.gap, gap) <= 6, (e.gap, gap)
+
+
+def _sparse_of(D):
+    k, l = np.nonzero(D)
+    return SparseRows(np.searchsorted(k, np.arange(D.shape[0] + 1)), l, D[k, l])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_block_of_one_row_or_column_takes_its_norm_without_lapack(data):
+    # blocks of 1 x c and r x 1 only: their values come with no SVD call,
+    # within 2 ulps of the exact norm at any scale, and within 4 of
+    # LAPACK's, which is itself up to 4 ulps off near 1e+-200, where it
+    # scales the block into range
+    shapes = data.draw(st.lists(st.tuples(st.integers(1, 6), st.booleans()), min_size=1,
+                                max_size=6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = []
+    for size, tall in shapes:
+        x = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) \
+            * 10.0 ** data.draw(st.sampled_from([0, -8, 8, -200, 200, -300, 300]))
+        blocks.append(x[:, None] if tall else x[None, :])
+    P = sum(max(x.shape) for x in blocks)
+    D, r0, c0 = np.zeros((P, P), dtype=complex), 0, 0
+    for x in blocks:
+        D[r0:r0 + x.shape[0], c0:c0 + x.shape[1]] = x
+        r0, c0 = r0 + x.shape[0], c0 + x.shape[1]
+    rows, cols, count = _pattern_blocks(D)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        original = np.linalg.svd
+        mp.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or original(*a, **k))
+        _, owners, values = _spectrum(_sparse_of(D), Blocks(rows, cols, count))
+    assert not calls
+    for b, v in zip(owners, values):
+        x = D[np.ix_(rows == b, cols == b)]
+        assert _ulps(v, _exact_norm(x.ravel())) <= 2
+        assert _ulps(v, np.linalg.svd(x, compute_uv=False)[0]) <= 4
+
+
+def test_a_jump_run_passes_lapack_no_one_by_one_block(svd_shapes):
+    # jump+1's sections are 1 x 1 blocks save one 1 x 2 block each: their
+    # values are taken in closed form, and the only SVD is the null basis
+    # of the three windows' 1 x 2 blocks, padded to 2 x 2, in one call
+    rep = full_index_report(jump_symbol(+1), [128, 192, 256])
+    assert (rep.svd_index, rep.trace_index) == (1, 1)
+    assert not any(shape[-2:] == (1, 1) for shape, _ in svd_shapes)
+    sizes = [shape[-1] for shape, uv in svd_shapes if not uv]
+    assert len(sizes) == len(set(sizes)) and min(sizes, default=2) >= 2
+    assert svd_shapes == [((3, 2, 2), True)]
+
+
 def test_split_sections_run_no_p_by_p_svd(svd_shapes):
     # the pattern comes from the factors, and the formed section holds the
     # same entries, so one rebuilt from it splits alike
@@ -491,41 +664,64 @@ def test_single_block_sections_run_no_p_by_p_svd(sigma, route, svd_shapes, solve
 
 @pytest.mark.parametrize("name", ["perturbed_bessel", "jump_plus", "perturbed_jump"])
 def test_full_index_report_streams_each_section_once(name, monkeypatch):
-    # A's section is streamed from sigma's factors once per window: the
-    # largest window's is the shared parametrix's, and a one-block
+    # sigma is split into its factors once per run, on the largest window,
+    # and each window's section is gathered from that run's factors once:
+    # the largest window's is the shared parametrix's A, and a one-block
     # window's parametrix reads the section the route built.  The one
     # parametrix is the largest window's, and the smaller ones restrict
     # its B0, so tau0 is sampled and streamed into rows at the largest
     # window only, once, whether its section is sparse or dense.
     # A jump symbol has one term at each k, so its tau0 is held as exact
     # factors, streamed once at the largest window, and nothing is sampled
-    builds, made = [], []
-    originals = quantization._factor_rows, elliptic._sampled, fredholm.parametrix
+    sigma = parse_symbol(PERTURBED_JUMP, 1, order=0) if name == "perturbed_jump" \
+        else shipped_symbol(name)
+    builds, made, split, sections = [], [], [], []
+    originals = (quantization._factor_rows, elliptic._sampled, fredholm._parametrix,
+                 type(sigma)._terms, fredholm._evidence)
 
-    def factors(a, b, window, grid):
+    def factors(a, modes, window, grid):
         builds.append((window.N, "factors"))
-        return originals[0](a, b, window, grid)
+        return originals[0](a, modes, window, grid)
 
     def sampled(blocks, window, grid, inverse=None):
         builds.append((window.N, "samples"))
         return originals[1](blocks, window, grid, inverse)
 
-    def making(sigma, m, J, window, grid):
+    def making(sigma, terms, m, J, window, grid, A=None):
         made.append(window.N)
-        return originals[2](sigma, m, J, window, grid)
+        return originals[2](sigma, terms, m, J, window, grid, A)
+
+    def terms(self, window, grid):
+        split.append(window.N)
+        return originals[3](self, window, grid)
+
+    def evidence(As, par):
+        sections.extend(As)
+        return originals[4](As, par)
 
     monkeypatch.setattr(quantization, "_factor_rows", factors)
     monkeypatch.setattr(elliptic, "_sampled", sampled)
-    monkeypatch.setattr(fredholm, "parametrix", making)
-    sigma = parse_symbol(PERTURBED_JUMP, 1, order=0) if name == "perturbed_jump" \
-        else shipped_symbol(name)
+    monkeypatch.setattr(fredholm, "_parametrix", making)
+    monkeypatch.setattr(type(sigma), "_terms", terms)
+    monkeypatch.setattr(fredholm, "_evidence", evidence)
     rep = full_index_report(sigma, WINDOWS)
     assert rep.agreement
     separated = name == "jump_plus"
+    assert split == [WINDOWS[-1]]
     assert [builds.count((N, "factors")) for N in WINDOWS] == \
         [1] * (len(WINDOWS) - 1) + [1 + separated]
     assert made == [WINDOWS[-1]]
     assert [N for N, form in builds if form == "samples"] == ([] if separated else [WINDOWS[-1]])
+    # each section is the one assemble_matrix builds on its window, bit for bit
+    monkeypatch.undo()
+    assert [A.window.N for A in sections] == WINDOWS
+    for A in sections:
+        want = assemble_matrix(sigma, A.window, A.grid)
+        assert (A.sparse is None) == (want.sparse is None)
+        if A.sparse is None:
+            assert np.array_equal(A.entries, want.entries)
+        else:
+            assert all(np.array_equal(x, y) for x, y in zip(A.sparse, want.sparse))
 
 
 def test_an_n2_jump_index_run_samples_nothing(monkeypatch):
@@ -647,8 +843,8 @@ def test_a_restricted_parametrix_gives_the_evidence_of_a_direct_one(case, step, 
     sigma, n, N = case
     windows = [N, N + step]
     grid = index_grid(LatticeWindow(n, windows[-1]))
-    direct = [_window_evidence(assemble_matrix(sigma, w, grid),
-                               lambda: parametrix(sigma, 0.0, 3, w, grid))
+    direct = [_evidence([assemble_matrix(sigma, w, grid)],
+                        lambda: parametrix(sigma, 0.0, 3, w, grid))[0]
               for w in (LatticeWindow(n, M) for M in windows)]
     same_evidence(full_index_report(sigma, windows, n=n).gap_evidence, direct)
     same_evidence(svd_index(sigma, windows, n=n).gap_evidence, direct)
