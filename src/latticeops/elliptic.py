@@ -2,7 +2,9 @@
 
 The starting guess is the pointwise inverse of the symbol: exact factors
 for one k-only times x-only term at each k (one term, or a jump symbol),
-else streamed from its samples into kept rows.  Neumann refinement at
+else streamed from its samples into kept rows, each distinct row of a
+split symbol transformed on the smallest grid a decay bound proves
+enough (``quantization._row_grids``).  Neumann refinement at
 matrix level multiplies the residual order down by one per step.  The
 two-sided graph-norm/Sobolev-norm equivalence and the preconditioned
 solver both ride on that parametrix.
@@ -10,15 +12,16 @@ solver both ride on that parametrix.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .core import LatticeSequence, LatticeWindow, TorusGrid, default_grid
+from .core import LatticeSequence, LatticeWindow, TorusGrid, default_grid, shift_coefficients
 from .errors import ConvergenceError, EllipticityError
-from .quantization import OperatorMatrix, _finite_values, _operator, _sampled, \
-    apply as q_apply, extract_symbol, interior_margin
+from .quantization import OperatorMatrix, _finite_values, _operator, _profile_rows, _row_grids, \
+    _sampled, _transformed, apply as q_apply, extract_symbol, interior_margin
 from .sobolev import sobolev_norm
 from .symbols import (
     GridSymbol,
@@ -26,10 +29,12 @@ from .symbols import (
     _blocks,
     _certificate,
     _decreasing_from_peak,
+    _finite_factors,
     _one_term_per_row,
     _profiles,
     _row_minima,
     _shell_slope,
+    _slabs,
     check_ellipticity,
 )
 
@@ -126,14 +131,21 @@ def parametrix(sigma: Symbol, m: float, J: int, window: LatticeWindow,
       sum_r |a_r| min |b_r|;
     - several terms at some k: A is held as its factors; sigma(k, .) =
       a(k) @ b depends on k only through the row a(k), so one pass over
-      the distinct rows (``_profiles``) gives their minima of |sigma| and
-      their tau0, whose shift coefficients each row of B0 reads;
+      the distinct rows (``_profiles``) gives their minima of |sigma| over
+      the whole grid.  Each distinct row's tau0 is transformed once, on
+      the smallest divisor d of M that ``quantization._row_grids`` proves
+      resolves it, sampled at every (M/d)-th node per axis
+      (``_on_sub_grids``), and each row of B0 reads its shift
+      coefficients at their modes mod M (``_profile_rows``).  A row the
+      bound leaves at M is transformed from the pass that gives its
+      minimum, so on a prime M every row is;
     - no split: one pass over sigma's slabs gives the row minima, A's
       rows and, from each slab's tau0, B0's.
 
-    Rows stream into kept sparse rows (``quantization._sampled``), so no
-    (P, Q) array is formed; a slab whose minimum is 0 gives B0 none, as
-    the certificate refuses sigma.  The row minima are kept.
+    Rows stream into kept sparse rows (``quantization._sampled``,
+    ``quantization._profile_rows``), so no (P, Q) array is formed; a slab
+    whose minimum is 0 gives B0 none, as the certificate refuses sigma.
+    The row minima are kept.
     """
     return _parametrix(sigma, sigma._terms(window, grid), m, J, window, grid)
 
@@ -151,30 +163,78 @@ def _parametrix(sigma: Symbol, terms, m: float, J: int, window: LatticeWindow,
         return Parametrix(OperatorMatrix.from_factors(*terms, window, grid) if A is None else A,
                           OperatorMatrix.from_factors(*_reciprocal_factors(*terms), window, grid),
                           J, row_min)
-    source, inverse, minima, rows_of_A = terms, np.arange(window.size), [], []
+    minima, rows_of_A, source, inverse = [], [], terms, slice(None)
     if terms is not None:
         a, inverse = _profiles(terms[0])
         source = a, terms[1]
+        _finite_factors(*source)
+        grids, centres = _row_grids(*source, window, grid)
+        placed = grids < grid.M
 
-    def inverses():
+    def at_full_grid():
+        # every row's minimum, and tau0 of the rows left on the whole grid
         for ids, S, magnitude in _blocks(sigma, source, window, grid):
             minima.append(np.min(magnitude, axis=1))
             if terms is None and A is None:
                 rows_of_A.extend(_sampled([(ids, S)], window, grid))
-            if minima[-1].min() > 0:
-                # conj(S) / |S|^2 as conj(S * (1 / |S|^2)): a complex division by
-                # |S|^2 takes twice as long and flips the sign of zero imaginary parts
-                recip = np.reciprocal(np.square(magnitude, out=magnitude), out=magnitude)
-                yield ids, np.conj(np.multiply(S, recip, out=S), out=S)
+            if minima[-1].min() == 0:  # the certificate refuses sigma
+                continue
+            if terms is None:
+                yield ids, _reciprocal(S, magnitude)
+                continue
+            ids, keep = np.arange(ids.start, ids.stop), ~placed[ids]
+            if not keep.all():
+                ids, S, magnitude = ids[keep], S[keep], magnitude[keep]
+            if len(ids):
+                yield (ids, *_transformed(_reciprocal(S, magnitude), window, grid))
 
-    with np.errstate(all="ignore"):  # non-finite entries are refused by _sampled
-        rows_of_B0 = list(_sampled(inverses(), window, grid, inverse))
+    with np.errstate(all="ignore"):  # non-finite entries are refused by _read
+        if terms is None:
+            rows_of_B0 = list(_sampled(at_full_grid(), window, grid))
+        else:
+            placed_rows = _on_sub_grids(*source, grids, centres, window, grid)
+            rows_of_B0 = list(_profile_rows(itertools.chain(at_full_grid(), placed_rows),
+                                            inverse, window, grid))
     row_min = np.concatenate(minima)[inverse]
     _certify(row_min, m, window)
     if A is None:
         A = OperatorMatrix.from_factors(*terms, window, grid) if terms is not None else \
             _operator(rows_of_A, window, grid)
     return Parametrix(A, _operator(rows_of_B0, window, grid), J, row_min)
+
+
+def _reciprocal(S: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
+    """tau0 = conj(S) / |S|^2 from the samples S and their moduli, written
+    over both."""
+    # conj(S * (1 / |S|^2)): a complex division by |S|^2 takes twice as
+    # long and flips the sign of zero imaginary parts
+    recip = np.reciprocal(np.square(magnitude, out=magnitude), out=magnitude)
+    return np.conj(np.multiply(S, recip, out=S), out=S)
+
+
+def _on_sub_grids(a: np.ndarray, b: np.ndarray, grids: np.ndarray, centres: np.ndarray,
+                  window: LatticeWindow, grid: TorusGrid):
+    """(ids, slots, C) for the distinct rows a(k) of sigma = a @ b that
+    ``_row_grids`` places on a grid of d < M nodes per axis: tau0 sampled
+    on every (M/d)-th node of the grid, a[ids] @ b there, and transformed
+    at length d^n, rows of one d together in slabs of about
+    ``symbols._BLOCK`` samples.  A row's d^n coefficients stand for the
+    modes -m0 + j, |j_i| <= (d - 1) / 2, around the mode where its tau0
+    peaks (m0 its ``_row_grids`` centre), each read at its slot mod M."""
+    n, M = grid.n, grid.M
+    for d in np.unique(grids[grids < M]):
+        sub, ids_d = TorusGrid(n, int(d)), np.flatnonzero(grids == d)
+        nodes = b.reshape((len(b),) + grid.shape)[(slice(None),) + (slice(None, None, M // d),) * n]
+        nodes = nodes.reshape(len(b), sub.size)
+        residues = np.unravel_index(np.arange(sub.size), sub.shape)
+        half = (d - 1) // 2
+        for rows in _slabs(len(ids_d), sub.size):
+            ids = ids_d[rows]
+            S = a[ids] @ nodes
+            C = shift_coefficients(_reciprocal(S, np.abs(S)), window, sub)
+            m0 = centres[ids]
+            yield ids, [((r + m0[:, [j]] + half) % d - half - m0[:, [j]]) % M
+                        for j, r in enumerate(residues)], C
 
 
 def _reciprocal_factors(a: np.ndarray, b: np.ndarray):

@@ -10,7 +10,10 @@ the shift coefficients C_k of sigma(k, .).  A symbol that splits exactly
 as sigma = sum_r a_r(k) b_r(x) (``Symbol._terms``) needs no samples: a
 product is R inverse FFTs of b_r fhat, and C_k = sum_r a_r(k) C_r, C_r
 the shift form of b_r.  Any other symbol streams its slabs of samples,
-each row transformed once, into the section's rows (``_sampled``).  An
+each row transformed once, into the section's rows (``_sampled``); a
+parametrix reads each distinct row of tau0 the same way, transformed on
+the smallest grid a bound proves enough (``_row_grids``,
+``_profile_rows``).  An
 ``OperatorMatrix`` holds the dense section, the factors or the section
 in compressed sparse rows (``SparseRows``), and each of its constructors
 refuses a grid that cannot resolve the window.  Each section has one set
@@ -19,7 +22,9 @@ gathered with no P x P array into the sparse form, or into the dense
 section when too full for it (``_assembled``, ``_MAX_FILL``), whose
 ``entries`` scatter the sparse form bit for bit.  Two sparse forms
 multiply in work of the terms they expand, about P m^2 for m entries per
-row, instead of P^3 (``OperatorMatrix.product``).  The rows and columns
+row, instead of P^3 (``OperatorMatrix.product``), and by a gather of rows
+when the left one holds at most one entry per row (``_gathered``).  The
+rows and columns
 of a sparse form fall into independent blocks (``_components``), and a
 section of several blocks has the union of their singular values
 (``_spectrum``): a block of one row or one column its norm, in closed
@@ -34,6 +39,7 @@ the recovered symbol.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache, reduce
 from typing import NamedTuple
@@ -69,18 +75,26 @@ def interior_margin(window: LatticeWindow) -> int:
 # An entry below this fraction of its row's scale is dropped from the
 # sparse form: the scale is the row's largest entry for a section built
 # from a held form, and the largest term its sums add for a product
-# (``_product_blocks``).  Each row comes from a length-Q FFT or a sum of
-# such terms, which leaves absolute errors of a few eps (2.2e-16) times
-# that scale, so such an entry is inside the roundoff of the dense section
-# it stands for.  The rule is per row, not global: the rows of B0 for an
-# order-2 symbol shrink like |k|^-2, and a cut against the whole
-# section's largest entry would cut the outer ones a thousand times
-# coarser than their own roundoff at n=2 N=24.  On the index pool
-# at n=1 N=256 it leaves B0 of perturbed_bessel 4.4 entries per row (4.8
-# at eps itself).  B0 of each jump symbol holds exactly 1 on every grid by
+# (``_product_blocks``).  Each row comes from a length-Q FFT, a shorter
+# one on a grid of the row's own (``_row_grids``), or a sum of such terms,
+# which leaves absolute errors of a few eps (2.2e-16) times that scale,
+# so such an entry is inside the roundoff of the dense section it stands
+# for.  A row of tau0 takes a grid of d < M nodes only when its modes off
+# that grid are proven below this fraction of its peak, and the modes the
+# grid folds onto the ones it reads below ``_ALIASING``.  The rule is per
+# row, not global: the rows of B0 for an order-2 symbol shrink like
+# |k|^-2, and a cut against the whole section's largest entry would cut
+# the outer ones a thousand times coarser than their own roundoff at n=2
+# N=24.  On the index pool at n=1 N=256 it leaves B0 of perturbed_bessel
+# 4.4 entries per row (4.8 at eps itself).  B0 of each jump symbol holds exactly 1 on every grid by
 # construction: it comes from the exact factors of tau0, each row one
 # multiple of one x-mode's shift form, not from sampled rows.
 _ROUNDOFF = 1e-15
+
+# On the grid ``_row_grids`` gives a row of tau0, the modes its nodes fold
+# onto each coefficient it reads add at most this fraction of the row's
+# peak: a tenth of ``_ROUNDOFF``, below the roundoff its transform leaves.
+_ALIASING = _ROUNDOFF / 10
 
 # The sparse form is kept while a section holds at most this fraction of
 # its row length per row on average, or at most one entry per row
@@ -287,9 +301,11 @@ class OperatorMatrix:
         the terms of one key in the order they were written
         (``_product_blocks``), so the work is the number of terms, about
         P m^2 for m entries per row, and each row drops its entries at
-        roundoff level.  The blocks come out sorted by row, so they are the
-        sparse form with no further sort (``_assembled``), held dense when
-        that leaves it too full.
+        roundoff level.  When self holds at most one entry per row, each
+        row is one scaled row of other, gathered by the same rule in one
+        block (``_gathered``).  The blocks come out sorted by row, so they
+        are the sparse form with no further sort (``_assembled``), held
+        dense when that leaves it too full.
         Otherwise the product is the dense one of the sections.
         """
         window, grid, P = self.window, self.grid, self.window.size
@@ -300,8 +316,10 @@ class OperatorMatrix:
             if add is not None:
                 E += add.entries
             return OperatorMatrix(window, grid, E)
-        return _operator(_product_blocks(*operands[:2], scale, shift,
-                                         operands[2] if add else None), window, grid)
+        SA, SB, SC = operands[0], operands[1], operands[2] if add is not None else None
+        if SA.counts().max(initial=0) <= 1:
+            return _operator([_gathered(SA, SB, scale, shift, SC)], window, grid)
+        return _operator(_product_blocks(SA, SB, scale, shift, SC), window, grid)
 
     def principal(self, window: LatticeWindow) -> "OperatorMatrix":
         """The principal sub-section on ``window``, a window of at most this
@@ -480,6 +498,86 @@ def _factor_modes(a: np.ndarray, b: np.ndarray, window: LatticeWindow, grid: Tor
     return np.unravel_index(modes, grid.shape), C[:, modes]
 
 
+def _row_grids(a: np.ndarray, b: np.ndarray, window: LatticeWindow, grid: TorusGrid):
+    """(grids, centres): for each row a(k) of the k-factor of sigma = a @ b,
+    the smallest divisor d > 1 of M whose nodes, every (M/d)-th node of
+    the grid on each axis, resolve tau0 = 1/sigma(k, .), and the mode m0
+    of the row's largest coefficient; M when no smaller divisor is
+    proven, so every row of a prime M.
+
+    sigma(k, .) is the trig polynomial s = sum_m s_m e^{2 pi i m.x} of the
+    shift coefficients a(k) @ C that the section reads (``_factor_modes``),
+    each mode m at its representative in (-M/2, M/2)^n.  With m0 its
+    largest mode, s = s_m0 e^{2 pi i m0.x} (1 + r), and on the strip
+    |Im x_j| <= h, |r| <= q(h), the largest over the corners c of
+    {-1, 1}^n of sum_{m != m0} |s_m / s_m0| e^{2 pi h c.(m - m0)} (the sum
+    is convex in Im x).  While q(h) < 1, g = 1 / (1 + r) is analytic there,
+    so |g_j| <= z^|j|_1 / (1 - q(h)) for z = e^{-2 pi h} (Trefethen and
+    Weideman, SIAM Rev. 56, 2014), and for q(0) < 1/2 its mode 0 is at
+    least (1 - 2 q(0)) / (1 - q(0)).  tau0's mode j - m0 is g_j / s_m0, so
+    relative to the row's peak it is at most K z^|j|_1,
+    K = (1 - q(0)) / ((1 - q(h)) (1 - 2 q(0))).  The d nodes on each axis
+    are read at the modes -m0 + j, |j_i| <= H = (d - 1) / 2: a mode off
+    them lies below K z^(H+1), and each one read gains the modes d apart,
+    at most K ((1 + 2 z^(H+1) / (1 - z^d))^n - 1) in all.  A row takes
+    the smallest d for which that sum is at most ``_ALIASING``, which also
+    holds the modes off the grid below ``_ROUNDOFF``, at some z of a fixed
+    ladder above the least z that keeps q < 1; each z gives its H in
+    closed form.  Rows that no divisor passes, those with q(0) >= 1/2
+    among them, keep M.  The bound reads the coefficients at their place
+    on the section's grid, not their samples on d nodes, where a mode d
+    apart looks like one near m0."""
+    slots, C = _factor_modes(a, b, window, grid)
+    M = grid.M
+    signed = np.stack([s - M * (s > M // 2) for s in slots])  # (n, modes)
+    # the coefficients' moduli, one row per mode: a few modes are summed
+    # mode by mode, as numpy reduces a short axis slowly
+    s = np.ascontiguousarray(np.abs(a @ C).T)
+    divisors = np.arange(3, M)
+    divisors = divisors[M % divisors == 0]
+    if not (len(divisors) and len(s)):  # a prime M, or sigma = 0: every row stays on M
+        return np.full(len(a), M), np.zeros((len(a), grid.n), dtype=int)
+    top, rows = np.argmax(s, axis=0), np.arange(len(a))
+    centres, grids = signed[:, top].T, np.full(len(a), M)
+    with np.errstate(all="ignore"):  # a zero row reads NaN, a far mode overflows q
+        rho = s / s[top, rows]
+        rho[top, rows] = 0
+        offset = (signed[:, :, None] - centres.T[:, None, :]).astype(float)  # (n, modes, rows)
+        dist = np.sum(np.abs(offset), axis=0)
+        q0 = reduce(np.add, rho)
+        # q(h) < 1 needs z above rho_m^(1/|m - m0|) for each m, and a grid of
+        # d nodes at least 2 z^(H+1) within the budget
+        least = reduce(np.maximum, rho ** (1 / np.maximum(dist, 1)))
+        fits = (q0 < 0.5) & (2 * least ** ((divisors[-1] + 1) / 2) <= _ALIASING)
+        # a row of one mode: tau0 is one multiple of e^{-2 pi i m0.x}
+        grids[fits & (least == 0)] = divisors[0]
+        candidates = np.flatnonzero(fits & (least > 0))
+        # when no row reads modes on both sides of m0 along an axis, the
+        # corner of their signs gives q(h), and its exponents are |m - m0|_1
+        live, off = rho[:, candidates] > 0, offset[:, :, candidates]
+        corners = [dist]
+        if np.any(np.any(live & (off > 0), axis=1) & np.any(live & (off < 0), axis=1)):
+            corners = [np.tensordot(c, offset, 1)
+                       for c in itertools.product((-1.0, 1.0), repeat=grid.n)]
+        ladder = np.exp2(-np.arange(9.0))[:, None]  # log of z over its least value
+        for part in _slabs(len(candidates), len(ladder) * len(s)):
+            at = candidates[part]
+            log_z = np.log(least[at]) + ladder  # (ladder, rows)
+            weights, power = rho[:, None, at], -log_z
+            q = reduce(np.maximum, [reduce(np.add, weights * np.exp(c[:, None, at] * power))
+                                    for c in corners])
+            K = (1 - q0[at]) / ((1 - q) * (1 - 2 * q0[at]))
+            # the largest 2 z^(H+1) / (1 - z^d) within the budget, and the H it
+            # takes: first with 1 - z^d <= 1, which bounds d below, then with
+            # that d, which makes 1 - z^d no larger than at any d it accepts
+            top_E = np.expm1(np.log1p(_ALIASING / K) / grid.n)
+            d = 2 * np.ceil(np.log(top_E / 2) / log_z) - 1
+            half = np.ceil(np.log(top_E * -np.expm1(d * log_z) / 2) / log_z) - 1
+            half = np.min(np.where((q < 1) & (log_z < 0), np.maximum(half, 0), np.inf), axis=0)
+            grids[at] = np.append(divisors, M)[np.searchsorted(divisors, 2 * half + 1)]
+    return grids, centres
+
+
 def _factor_rows(a: np.ndarray, modes, window: LatticeWindow, grid: TorusGrid):
     """The kept entries (``_kept``) of the section of sigma = a @ b as
     (rows, cols, vals), sorted by row, a block of rows at a time with no
@@ -507,43 +605,74 @@ def _factor_sections(a: np.ndarray, b: np.ndarray, windows, grid: TorusGrid) -> 
                 for w in windows]
 
 
-def _sampled(blocks, window: LatticeWindow, grid: TorusGrid, inverse: np.ndarray = None):
+def _sampled(blocks, window: LatticeWindow, grid: TorusGrid):
     """The kept entries (``_kept``) of a section read from sampled rows, as
     (rows, cols, vals) in no set row order.  ``blocks`` yields (ids, T, ...),
-    T the samples of the window points ``ids`` (a slice), or of distinct
-    rows when ``inverse`` gives each point's (``symbols._profiles``).  Each
-    row of T is transformed once, and point k reads its row's shift
-    coefficients at (l - k) mod M, slab by slab, at the modes where some
-    row reaches ``_ROUNDOFF`` of its mode 0: point k reads mode 0 at l = k,
-    so ``_kept`` drops the others.  Refuses non-finite entries (ValueError)."""
-    inverse = np.arange(window.size) if inverse is None else inverse
-    order = np.argsort(inverse, kind="stable")  # the points by the row they read
+    T the samples of the window points ``ids`` (a slice); each row of T is
+    transformed once (``_transformed``) and point k reads its coefficients
+    at (l - k) mod M (``_read``).  Refuses non-finite entries (ValueError)."""
     for ids, T, *_ in blocks:
-        C = shift_coefficients(T, window, grid)
-        mag = np.abs(C)
-        if not np.isfinite(np.max(mag)):
-            raise ValueError(NON_FINITE_ENTRIES)
-        modes = np.flatnonzero(np.any(mag >= _ROUNDOFF * mag[:, :1], axis=0))
-        slots, C = np.unravel_index(modes, grid.shape), C[:, modes]
-        rows = order[slice(*np.searchsorted(inverse[order], (ids.start, ids.stop)))]
-        for part in _slabs(len(rows), max(1, len(modes))):
-            cols, valid = _mode_columns(window.points[rows[part]], slots, window, grid)
-            vals = C[inverse[rows[part]] - ids.start]
-            vals[~valid] = 0
-            yield _kept(vals, rows[part], cols)
+        points = np.arange(ids.start, ids.stop)
+        yield from _read(*_transformed(T, window, grid), points, points - ids.start, window, grid)
+
+
+def _profile_rows(blocks, inverse: np.ndarray, window: LatticeWindow, grid: TorusGrid):
+    """The kept entries (``_kept``) of a section whose point k reads the
+    shift coefficients of the distinct row inverse[k] (``symbols._profiles``),
+    as (rows, cols, vals) in no set row order.  ``blocks`` yields
+    (ids, slots, C): the coefficients C of the distinct rows ``ids`` (an
+    integer array) at the per-axis grid slots ``slots``, one array for all
+    rows or one row of slots per row of C (``_read``)."""
+    order = np.argsort(inverse, kind="stable")  # the points by the row they read
+    first = np.searchsorted(inverse[order], np.arange(inverse.max() + 2))
+    for ids, slots, C in blocks:
+        counts = first[ids + 1] - first[ids]
+        rows = np.repeat(np.arange(len(ids)), counts)
+        start = np.repeat(first[ids] - np.cumsum(counts) + counts, counts)
+        yield from _read(slots, C, order[start + np.arange(len(rows))], rows, window, grid)
+
+
+def _transformed(T: np.ndarray, window: LatticeWindow, grid: TorusGrid):
+    """(slots, C): the shift coefficients of the sampled rows T at the modes
+    where some row reaches ``_ROUNDOFF`` of its mode 0, and those modes'
+    per-axis grid slots.  A row's mode 0 is read at l = k, inside the
+    window, so ``_kept`` drops every mode left out.  Refuses non-finite
+    coefficients with ValueError."""
+    C = shift_coefficients(T, window, grid)
+    mag = np.abs(C)
+    if not np.isfinite(np.max(mag)):
+        raise ValueError(NON_FINITE_ENTRIES)
+    modes = np.flatnonzero(np.any(mag >= _ROUNDOFF * mag[:, :1], axis=0))
+    return np.unravel_index(modes, grid.shape), C[:, modes]
+
+
+def _read(slots, C: np.ndarray, points: np.ndarray, rows: np.ndarray, window: LatticeWindow,
+          grid: TorusGrid):
+    """The kept entries (``_kept``) of the section rows at the window points
+    ``points``, point i reading row rows[i] of C, whose column j holds the
+    shift coefficient at the grid slot slots[.][j] (per axis), or at
+    slots[.][r, j] for row r when the slots are per row; slab by slab."""
+    for part in _slabs(len(points), max(1, C.shape[1])):
+        at = rows[part]
+        cols, valid = _mode_columns(window.points[points[part]],
+                                    [s if s.ndim == 1 else s[at] for s in slots], window, grid)
+        vals = C[at]
+        vals[~valid] = 0
+        yield _kept(vals, points[part], cols)
 
 
 def _mode_columns(K: np.ndarray, slots, window: LatticeWindow, grid: TorusGrid):
     """The columns l of the section rows at the window points K (one per
     row of K) with (l - k) mod M at each grid slot of ``slots`` (per-axis
-    coordinates), and where such an l lies in the window.
+    coordinates, shared by the rows or one row of slots per row of K), and
+    where such an l lies in the window.
 
     Since M >= 2N+1, each k and slot meet at most one l: per axis
     l_j + N = (k_j + N + s_j) mod M, below 2M before, when it is at most 2N.
     """
     cols, valid = 0, True
     for k, s in zip((K + window.N).T, slots):
-        l = k[:, None] + s[None, :]
+        l = k[:, None] + s
         l -= grid.M * (l >= grid.M)
         cols, valid = cols * window.side + l, valid & (l < window.side)
     return cols, valid
@@ -589,7 +718,8 @@ def _product_blocks(SA: SparseRows, SB: SparseRows, scale, shift, SC: SparseRows
     largest entry first, so each entry of SA expands a prefix of its row
     of SB.  The terms are then sorted by (k, l), in the order they were
     written within one key, and summed, and each row keeps the sums at or
-    above _ROUNDOFF s_k, the roundoff of a sum of terms as large as s_k.
+    above _ROUNDOFF s_k, the roundoff of a sum of terms as large as s_k
+    (``_row_sums``).
     """
     P = len(SA.indptr) - 1
     rows_a, mag_a = SA.row_ids(), np.abs(scale) * np.abs(SA.data)
@@ -597,8 +727,6 @@ def _product_blocks(SA: SparseRows, SB: SparseRows, scale, shift, SC: SparseRows
     # SB's entries by row, largest first: log2 |b| is finite for a nonzero b
     # and stays within (-1075, 1024), so key j 4096 + 1100 - log2 |b| sorts them
     key = SB.row_ids() * 4096.0 + (1100.0 - np.log2(mag_b))
-    order = key.argsort()
-    key, cols_b, data_b = key[order], SB.indices[order], SB.data[order]
     s = np.maximum(_row_peaks(SA, mag_a * _row_peaks(SB, mag_b)[SA.indices]), abs(shift))
     if SC is not None:
         s = np.maximum(s, _row_peaks(SC, np.abs(SC.data)))
@@ -609,6 +737,8 @@ def _product_blocks(SA: SparseRows, SB: SparseRows, scale, shift, SC: SparseRows
     with np.errstate(divide="ignore", invalid="ignore"):
         reach = SA.indices * 4096.0 + (1100.0 - np.log2(floor[rows_a] / mag_a))
     j = SA.indices
+    order = key.argsort()
+    key, cols_b, data_b = key[order], SB.indices[order], SB.data[order]
     per_entry = np.maximum(np.minimum(key.searchsorted(reach, side="right"), SB.indptr[j + 1])
                            - SB.indptr[j], 0)
     before = np.zeros(len(per_entry) + 1, dtype=np.intp)
@@ -621,40 +751,88 @@ def _product_blocks(SA: SparseRows, SB: SparseRows, scale, shift, SC: SparseRows
         counts, terms = per_entry[e0:e1], int(before[r1] - before[r0])
         # the place in SB's order of each term: entry e of SA expands its row's first counts[e]
         pos = np.arange(terms) + (SB.indptr[j[e0:e1]] - np.cumsum(counts) + counts).repeat(counts)
-        extra = []  # (keys, vals) written after the terms: the shift, then SC's entries
-        if shift:
-            extra.append((np.arange(r1 - r0) * (P + 1) + r0, np.full(r1 - r0, shift, dtype=complex)))
-        if SC is not None:
-            c0, c1 = SC.indptr[r0], SC.indptr[r1]
-            local = np.arange(r1 - r0).repeat(SC.indptr[r0 + 1:r1 + 1] - SC.indptr[r0:r1])
-            extra.append((local * P + SC.indices[c0:c1], SC.data[c0:c1]))
-        size = terms + sum(len(k) for k, _ in extra)
-        # the key (k - r0) P + l and the value of each term
-        keys, vals = np.empty(size, dtype=np.intp), np.empty(size, dtype=complex)
+        keys, vals = _sums_buffers(terms, shift, SC, r0, r1)
         np.add(((rows_a[e0:e1] - r0) * P).repeat(counts), cols_b[pos], out=keys[:terms])
         np.multiply((scale * SA.data[e0:e1]).repeat(counts), data_b[pos], out=vals[:terms])
-        at = terms
-        for k, v in extra:
-            keys[at:at + len(k)], vals[at:at + len(k)] = k, v
-            at += len(k)
-        # one sort of the keys with each term's place in the low bits, so the
-        # terms of one key stay in the order they were written, then sum runs
-        bits = max(1, size.bit_length())
-        keys <<= bits
-        keys |= np.arange(size)
-        keys.sort()
-        vals = vals[keys & ((1 << bits) - 1)]
-        keys >>= bits
-        if size:
-            heads = np.concatenate([[0], (keys[1:] != keys[:-1]).nonzero()[0] + 1])
-            keys, vals = keys[heads], np.add.reduceat(vals, heads)
-        rows, cols = np.divmod(keys, P)
-        mag = np.abs(vals)
-        if not np.isfinite(mag).all():
-            raise ValueError(NON_FINITE_ENTRIES)
-        keep = ((mag >= _ROUNDOFF * s[rows + r0]) & (mag > 0)).nonzero()[0]
-        yield rows[keep] + r0, cols[keep], vals[keep]
+        yield _row_sums(keys, vals, terms, shift, SC, s, r0, r1)
         r0 = r1
+
+
+def _gathered(SA: SparseRows, SB: SparseRows, scale, shift, SC: SparseRows):
+    """``_product_blocks`` of an SA of at most one entry per row, in one
+    block: row k of the product is its entry's row of SB, scaled, plus the
+    shift and SC's row, so the terms are gathered with no sort of SB.  The
+    scales, the floor each term is read against and the sums are
+    ``_product_blocks``' own, in the same arithmetic, so the kept entries
+    are the same bit for bit."""
+    P = len(SA.indptr) - 1
+    rows, j = np.flatnonzero(SA.counts()), SA.indices
+    mag_a, mag_b = np.abs(scale) * np.abs(SA.data), np.abs(SB.data)
+    entry = np.arange(len(j))
+    if len(mag_b) == P and np.array_equal(SB.indptr, np.arange(P + 1)):  # one entry per row
+        peak_b, pos = mag_b, j
+    else:
+        peak_b, counts = _row_peaks(SB, mag_b), SB.indptr[j + 1] - SB.indptr[j]
+        entry = entry.repeat(counts)
+        pos = np.arange(len(entry)) + (SB.indptr[j] - np.cumsum(counts) + counts).repeat(counts)
+    s = np.full(P, abs(shift), dtype=float)
+    s[rows] = np.maximum(mag_a * peak_b[j], abs(shift))
+    if SC is not None:
+        s = np.maximum(s, _row_peaks(SC, np.abs(SC.data)))
+    if not np.isfinite(s).all():
+        raise ValueError(NON_FINITE_ENTRIES)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = j * 4096.0 + (1100.0 - np.log2(_ROUNDOFF * s[rows] / mag_a))
+    on = (j[entry] * 4096.0 + (1100.0 - np.log2(mag_b[pos])) <= reach[entry]).nonzero()[0]
+    pos, entry = pos[on], entry[on]
+    keys, vals = _sums_buffers(len(on), shift, SC, 0, P)
+    np.add(rows[entry] * P, SB.indices[pos], out=keys[:len(on)])
+    np.multiply(scale * SA.data[entry], SB.data[pos], out=vals[:len(on)])
+    return _row_sums(keys, vals, len(on), shift, SC, s, 0, P)
+
+
+def _sums_buffers(terms: int, shift, SC: SparseRows, r0: int, r1: int):
+    """Empty (keys, vals) for ``terms`` product terms of rows r0..r1-1 and,
+    after them, the shift's and SC's entries (``_row_sums``)."""
+    size = terms + (r1 - r0 if shift else 0) + (0 if SC is None else SC.indptr[r1] - SC.indptr[r0])
+    return np.empty(size, dtype=np.intp), np.empty(size, dtype=complex)
+
+
+def _row_sums(keys: np.ndarray, vals: np.ndarray, terms: int, shift, SC: SparseRows,
+              s: np.ndarray, r0: int, r1: int):
+    """The kept entries (rows, cols, vals), sorted by row and column, of
+    rows r0..r1-1 of a product (``_product_blocks``): the first ``terms``
+    of ``vals`` at the keys (k - r0) P + l, then the shift on the
+    diagonal, then SC's entries, which this writes after them
+    (``_sums_buffers``), summed by key in that order and kept at or above
+    _ROUNDOFF times their row's scale s."""
+    P, at = len(s), terms
+    if shift:
+        keys[at:at + r1 - r0] = np.arange(r1 - r0) * (P + 1) + r0
+        vals[at:at + r1 - r0] = shift
+        at += r1 - r0
+    if SC is not None:
+        c0, c1 = SC.indptr[r0], SC.indptr[r1]
+        local = np.arange(r1 - r0).repeat(SC.indptr[r0 + 1:r1 + 1] - SC.indptr[r0:r1])
+        keys[at:], vals[at:] = local * P + SC.indices[c0:c1], SC.data[c0:c1]
+    size = len(keys)
+    # one sort of the keys with each term's place in the low bits, so the
+    # terms of one key stay in the order they were written, then sum runs
+    bits = max(1, size.bit_length())
+    keys <<= bits
+    keys |= np.arange(size)
+    keys.sort()
+    vals = vals[keys & ((1 << bits) - 1)]
+    keys >>= bits
+    if size:
+        heads = np.concatenate([[0], (keys[1:] != keys[:-1]).nonzero()[0] + 1])
+        keys, vals = keys[heads], np.add.reduceat(vals, heads)
+    rows, cols = np.divmod(keys, P)
+    mag = np.abs(vals)
+    if not np.isfinite(mag).all():
+        raise ValueError(NON_FINITE_ENTRIES)
+    keep = ((mag >= _ROUNDOFF * s[rows + r0]) & (mag > 0)).nonzero()[0]
+    return rows[keep] + r0, cols[keep], vals[keep]
 
 
 def _too_full(count: int, P: int) -> bool:

@@ -288,27 +288,33 @@ def _eval_node(node, kcols, xcols):
 MAX_TERMS = 8
 
 
-def _separate(node, kcols, xcols):
+def _separate(node, kcols, xcols, kinds=None):
     """The expression ``node`` as a list of terms (a, b) with node = sum a*b,
     each a read only on the k axes and each b only on the x axes; None when
     it does not split into at most MAX_TERMS of them.
 
     A sub-tree that reads only k, only x or no variable is one term,
     evaluated by ``_eval_node``; + and - join term lists, * distributes,
-    and / needs a one-term divisor.  Terms are never written in place:
-    distributing shares one array among several of them.
+    and / needs a one-term divisor.  The kinds each sub-tree reads come
+    from one walk of the whole tree (``_kinds``) on the first call, so
+    splitting visits each node a bounded number of times.  Terms are
+    never written in place: distributing shares one array among several
+    of them.
     """
-    kinds = {v.kind for v in _variables(node)}
-    if len(kinds) < 2:
+    if kinds is None:
+        kinds = {}
+        _kinds(node, kinds)
+    read = kinds[id(node)]
+    if len(read) < 2:
         value = _eval_node(node, kcols, xcols)
-        return [(1.0, value)] if kinds == {"x"} else [(value, 1.0)]
+        return [(1.0, value)] if read == {"x"} else [(value, 1.0)]
     if isinstance(node, Neg):
-        terms = _separate(node.child, kcols, xcols)
+        terms = _separate(node.child, kcols, xcols, kinds)
         return None if terms is None else [(np.negative(a), b) for a, b in terms]
     if not isinstance(node, BinOp) or node.op == "^":
         return None
-    left = _separate(node.left, kcols, xcols)
-    right = _separate(node.right, kcols, xcols) if left is not None else None
+    left = _separate(node.left, kcols, xcols, kinds)
+    right = _separate(node.right, kcols, xcols, kinds) if left is not None else None
     if right is None:
         return None
     if node.op == "+":
@@ -323,6 +329,23 @@ def _separate(node, kcols, xcols):
     else:
         return None
     return terms if len(terms) <= MAX_TERMS else None
+
+
+def _kinds(node, out: dict) -> set:
+    """The variable kinds ("k", "x") the expression ``node`` reads, each
+    sub-tree's recorded in ``out`` under its id."""
+    if isinstance(node, Var):
+        kinds = {node.kind}
+    elif isinstance(node, Neg):
+        kinds = _kinds(node.child, out)
+    elif isinstance(node, Func):
+        kinds = _kinds(node.arg, out)
+    elif isinstance(node, BinOp):
+        kinds = _kinds(node.left, out) | _kinds(node.right, out)
+    else:
+        kinds = set()
+    out[id(node)] = kinds
+    return kinds
 
 
 def _factors(terms, window, grid):
@@ -851,8 +874,7 @@ def _blocks(sigma: Symbol, terms, window: LatticeWindow, grid: TorusGrid):
         count, width = window.side, window.size // window.side  # a slab row is a k_1 row
     else:
         a, b = terms
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError(NON_FINITE_SAMPLES)
+        _finite_factors(a, b)
         count, width = len(a), 1
     slabs = _slabs(count, width * grid.size)
     step, zero = slabs[0].stop * width, np.zeros(window.n, dtype=int)
@@ -867,6 +889,13 @@ def _blocks(sigma: Symbol, terms, window: LatticeWindow, grid: TorusGrid):
             else:
                 np.matmul(a[ids], b, out=block)
         yield ids, block, _modulus(block, out=magnitude[:len(block)])
+
+
+def _finite_factors(a: np.ndarray, b: np.ndarray) -> None:
+    """Refuse factors that are not all finite with ValueError: under IEEE
+    arithmetic a non-finite factor leaves some sample non-finite."""
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError(NON_FINITE_SAMPLES)
 
 
 def _modulus(S: np.ndarray, out) -> np.ndarray:

@@ -312,7 +312,10 @@ def _at_each_blas_thread_count(argv, out=None):
     # split sections: the blocks of all three windows share stacked SVDs
     ("jump_plus", 1, "128,192,256"),
     ("step(k1)*exp(i*twopi*x1) + (1-step(k1)) + 0.15*exp(-i*twopi*x1)/(1+k1^2)", 1, "16,24,32"),
-], ids=["perturbed_bessel", "non-elliptic", "no-split", "jump_plus", "perturbed-jump"])
+    # tau0's rows on grids of their own, from 7 to 105 of the 525 nodes
+    ("step(k1)*exp(i*twopi*x1) + (1-step(k1)) + 0.15*exp(-i*twopi*x1)/(1+k1^2)", 1, "128,192,256"),
+], ids=["perturbed_bessel", "non-elliptic", "no-split", "jump_plus", "perturbed-jump",
+        "perturbed-jump-256"])
 def test_index_reports_do_not_depend_on_the_blas_thread_count(tmp_path, symbol, n, windows):
     path = tmp_path / "s.json"
     if symbol in SHIPPED:

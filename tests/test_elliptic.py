@@ -3,6 +3,7 @@
 import itertools
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,10 +32,11 @@ from latticeops import (
     trace_index,
 )
 from latticeops import elliptic, quantization
+from latticeops.core import _smooth
 from latticeops.elliptic import residual_order_sequence
 from latticeops.errors import ConvergenceError, EllipticityError
 from latticeops.quantization import assemble_matrix, extract_symbol, interior_margin
-from latticeops.quantization import OperatorMatrix
+from latticeops.quantization import _ROUNDOFF, OperatorMatrix
 from latticeops.symbols import (
     _BLOCK,
     NON_FINITE_SAMPLES,
@@ -50,6 +52,7 @@ PERTURBED = "2 + exp(i*twopi*x1)/(1+k1^2)"
 # slower-decaying member of the same family; its residual orders stay
 # far enough above the double-precision floor to be measurable at J = 3
 PERTURBED_SLOW = "2 + exp(i*twopi*x1)/(1+k1^2)^(1/4)"
+PERTURBED_JUMP = "step(k1)*exp(i*twopi*x1) + (1-step(k1)) + 0.15*exp(-i*twopi*x1)/(1+k1^2)"
 
 
 @pytest.fixture
@@ -242,9 +245,9 @@ def test_residual_order_sequence_builds_each_section_once(monkeypatch):
     w = LatticeWindow(1, 16)
     calls = []
     # a section is built at three sites: the stream of an operator's
-    # factors or of sigma's samples into its kept rows, and the first read
-    # of a sparse section's entries
-    for module, name in ((quantization, "_factor_rows"), (elliptic, "_sampled")):
+    # factors or of tau0's distinct rows into its kept rows, and the first
+    # read of a sparse section's entries
+    for module, name in ((quantization, "_factor_rows"), (elliptic, "_profile_rows")):
         def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
@@ -260,7 +263,7 @@ def test_residual_order_sequence_builds_each_section_once(monkeypatch):
     residual_order_sequence(parse_symbol(PERTURBED, 1, order=0), 0.0, w, default_grid(w))
     # A from its factors and B0 from tau0's samples, each once; B0 is too
     # full for the sparse form, so the products read A's entries, once
-    assert sorted(calls) == ["_factor_rows", "_sampled", "entries"]
+    assert sorted(calls) == ["_factor_rows", "_profile_rows", "entries"]
 
 
 def test_trace_index_extracts_no_residual(extractions):
@@ -610,6 +613,126 @@ def test_sampled_sections_match_the_gathered_transforms(data):
     # with no split, A is read from sigma's rows as B0 from tau0's
     _assert_rows_close(par.sigma_matrix.entries, _gathered_section(S, w, g))
     _assert_rows_close(OperatorMatrix.from_symbol(sigma, w, g).entries, _gathered_section(S, w, g))
+
+
+def _full_grid_oracle(a, b, w, g):
+    """B0 as the full-grid transform of each row of tau0 = 1/(a @ b),
+    gathered at (l - k) mod M, and each row's peak over all M^n modes."""
+    S = a @ b
+    tau0 = np.conj(S) / np.abs(S) ** 2
+    C = np.abs(np.fft.fftn(tau0.reshape((-1,) + g.shape), axes=tuple(range(1, w.n + 1)),
+                           norm="forward")).reshape(len(S), -1)
+    return _gathered_section(tau0, w, g), np.max(C, axis=1), C
+
+
+def _is_prime(M):
+    return M > 1 and all(M % p for p in range(2, int(M ** 0.5) + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rows_on_sub_grids_match_the_full_grid_transforms(data):
+    # sigma = a @ b, b a trig polynomial of a few decaying modes beside one
+    # mode m0, which a(k) weighs most; the other weights of a row fall over
+    # twelve decades, so rows spread over the divisors of M, on grids of
+    # many divisors (odd and 7-smooth) and on prime ones
+    n = data.draw(st.integers(1, 2))
+    N = data.draw(st.integers(3, {1: 24, 2: 6}[n]))
+    odd = range(2 * N + 1, 8 * N + 4, 2)
+    prime = data.draw(st.booleans())
+    M = data.draw(st.sampled_from([M for M in odd if _is_prime(M)] if prime else
+                                  [M for M in odd if not _is_prime(M) and _smooth(M)]))
+    w, g = LatticeWindow(n, N), TorusGrid(n, M)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    R = data.draw(st.integers(2, 4))
+    x = g.nodes
+    b = np.empty((R, g.size), dtype=complex)
+    b[0] = np.exp(2j * np.pi * x @ np.array(data.draw(st.lists(st.integers(-1, 1), min_size=n,
+                                                               max_size=n))))
+    for r in range(1, R):
+        b[r] = 0
+        for _ in range(data.draw(st.integers(1, 3))):
+            m = rng.integers(-2, 3, size=n)
+            b[r] += 0.5 ** np.abs(m).sum() * np.exp(2j * np.pi * (rng.random() + x @ m))
+    unit = lambda *shape: np.exp(2j * np.pi * rng.random(shape))
+    a = np.concatenate([np.full((w.size, 1), 4.0 + 0j),
+                        unit(w.size, R - 1) * 10.0 ** rng.uniform(-12, 0, (w.size, 1))], axis=1)
+    sigma = _Factored(n, a, b)
+    par = parametrix(sigma, 0.0, 1, w, g)
+    want, peak, coeffs = _full_grid_oracle(a, b, w, g)
+    assert np.all(np.max(np.abs(par.initial.entries - want), axis=1) <= 1e-13 * peak)
+    assert np.array_equal(par.row_minima, _row_minima(sigma, (a, b), w, g))
+    grids, centres = quantization._row_grids(a, b, w, g)
+    assert set(grids) <= {d for d in range(3, M + 1) if M % d == 0}
+    # a row's modes off its grid's d^n around -m0 are below 1e-15 of its peak
+    modes = (np.indices(g.shape).reshape(n, -1).T + M // 2) % M - M // 2
+    offset = (modes[None] + centres[:, None] + M // 2) % M - M // 2
+    off = np.max(np.abs(offset), axis=2) > (grids[:, None] - 1) // 2
+    assert np.all(np.max(np.where(off, coeffs, 0), axis=1) <= _ROUNDOFF * peak)
+    if prime:
+        # every row is transformed at M, from the pass that gives its
+        # minimum, as when no row had a grid of its own
+        assert np.all(grids == M)
+        with mock.patch.object(elliptic, "_row_grids", lambda a, b, w, g: (
+                np.full(len(a), g.M), np.zeros((len(a), g.n), dtype=int))):
+            before = parametrix(sigma, 0.0, 1, w, g).initial
+        assert all(np.array_equal(x, y) for x, y in zip(par.initial.sparse or [par.initial.entries],
+                                                       before.sparse or [before.entries]))
+
+
+def test_a_far_mode_is_not_read_as_its_alias_on_a_sub_grid():
+    # on 35 nodes e^{2 pi i 36 x} has the samples of e^{2 pi i x}, so a
+    # coarse grid would read the far mode as a near one; the bound places
+    # the near mode's rows on sub-grids and keeps the far mode's at M = 525
+    w, g = LatticeWindow(1, 8), TorusGrid(1, 525)
+    for mode, coarse in ((1, True), (36, False)):
+        sigma = parse_symbol(f"2 + 0.01*exp(i*twopi*{mode}*x1)/(1+k1^2)", 1, order=0)
+        grids = quantization._row_grids(*sigma._terms(w, g), w, g)[0]
+        assert np.all(grids < 35) if coarse else np.all(grids == 525)
+        want, peak, _ = _full_grid_oracle(*sigma._terms(w, g), w, g)
+        got = parametrix(sigma, 0.0, 1, w, g).initial.entries
+        assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-13 * peak)
+
+
+@pytest.mark.parametrize("text", [
+    "1 + (1 - 1/(2+k1^2))*exp(i*twopi*x1)",  # min |sigma| = 1/(2+k1^2): near a zero
+    "exp(i*twopi*x1) + (0.6 + 0.1/(1+k1^2))*exp(-i*twopi*x1)",  # no dominant mode
+])
+def test_a_row_near_a_zero_or_of_no_dominant_mode_keeps_the_full_grid(text):
+    w, g = LatticeWindow(1, 16), TorusGrid(1, 525)
+    sigma = parse_symbol(text, 1, order=0)
+    assert np.all(quantization._row_grids(*sigma._terms(w, g), w, g)[0] == 525)
+
+
+def test_the_perturbed_jump_transforms_each_row_once_on_its_own_grid(monkeypatch):
+    # at n=1 N=256 on 525 nodes, the 513 distinct rows of tau0 are each
+    # transformed once, on 6837 samples in all: under 5 % of the 513 * 525
+    # a transform of every row at M takes
+    w = LatticeWindow(1, 256)
+    g = index_grid(w)
+    transformed, rows = [], []
+    full, sub, read = elliptic._transformed, elliptic.shift_coefficients, elliptic._profile_rows
+
+    def counted(transform):
+        def count(T, *args):
+            transformed.append(T.shape)
+            return transform(T, *args)
+        return count
+
+    def recorded(blocks, *args):
+        def seen():
+            for ids, *rest in blocks:
+                rows.append(ids)
+                yield (ids, *rest)
+        return read(seen(), *args)
+
+    monkeypatch.setattr(elliptic, "_transformed", counted(full))
+    monkeypatch.setattr(elliptic, "shift_coefficients", counted(sub))
+    monkeypatch.setattr(elliptic, "_profile_rows", recorded)
+    parametrix(parse_symbol(PERTURBED_JUMP, 1, order=0), 0.0, 3, w, g)
+    assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(w.size))
+    assert sum(count for count, _ in transformed) == w.size
+    assert sum(count * size for count, size in transformed) == 6837 < 0.05 * w.size * g.M
 
 
 def test_parametrix_refuses_non_finite_samples():

@@ -676,16 +676,16 @@ def test_full_index_report_streams_each_section_once(name, monkeypatch):
     sigma = parse_symbol(PERTURBED_JUMP, 1, order=0) if name == "perturbed_jump" \
         else shipped_symbol(name)
     builds, made, split, sections = [], [], [], []
-    originals = (quantization._factor_rows, elliptic._sampled, fredholm._parametrix,
+    originals = (quantization._factor_rows, elliptic._profile_rows, fredholm._parametrix,
                  type(sigma)._terms, fredholm._evidence)
 
     def factors(a, modes, window, grid):
         builds.append((window.N, "factors"))
         return originals[0](a, modes, window, grid)
 
-    def sampled(blocks, window, grid, inverse=None):
+    def sampled(blocks, inverse, window, grid):
         builds.append((window.N, "samples"))
-        return originals[1](blocks, window, grid, inverse)
+        return originals[1](blocks, inverse, window, grid)
 
     def making(sigma, terms, m, J, window, grid, A=None):
         made.append(window.N)
@@ -700,7 +700,7 @@ def test_full_index_report_streams_each_section_once(name, monkeypatch):
         return originals[4](As, par)
 
     monkeypatch.setattr(quantization, "_factor_rows", factors)
-    monkeypatch.setattr(elliptic, "_sampled", sampled)
+    monkeypatch.setattr(elliptic, "_profile_rows", sampled)
     monkeypatch.setattr(fredholm, "_parametrix", making)
     monkeypatch.setattr(type(sigma), "_terms", terms)
     monkeypatch.setattr(fredholm, "_evidence", evidence)
