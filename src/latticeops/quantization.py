@@ -22,9 +22,7 @@ gathered with no P x P array into the sparse form, or into the dense
 section when too full for it (``_assembled``, ``_MAX_FILL``), whose
 ``entries`` scatter the sparse form bit for bit.  Two sparse forms
 multiply in work of the terms they expand, about P m^2 for m entries per
-row, instead of P^3 (``OperatorMatrix.product``), and by a gather of rows
-when the left one holds at most one entry per row (``_gathered``).  The
-rows and columns
+row, instead of P^3 (``OperatorMatrix.product``).  The rows and columns
 of a sparse form fall into independent blocks (``_components``), and a
 section of several blocks has the union of their singular values
 (``_spectrum``): a block of one row or one column its norm, in closed
@@ -301,11 +299,9 @@ class OperatorMatrix:
         the terms of one key in the order they were written
         (``_product_blocks``), so the work is the number of terms, about
         P m^2 for m entries per row, and each row drops its entries at
-        roundoff level.  When self holds at most one entry per row, each
-        row is one scaled row of other, gathered by the same rule in one
-        block (``_gathered``).  The blocks come out sorted by row, so they
-        are the sparse form with no further sort (``_assembled``), held
-        dense when that leaves it too full.
+        roundoff level.  The blocks come out sorted by row, so they are the
+        sparse form with no further sort (``_assembled``), held dense when
+        that leaves it too full.
         Otherwise the product is the dense one of the sections.
         """
         window, grid, P = self.window, self.grid, self.window.size
@@ -316,10 +312,8 @@ class OperatorMatrix:
             if add is not None:
                 E += add.entries
             return OperatorMatrix(window, grid, E)
-        SA, SB, SC = operands[0], operands[1], operands[2] if add is not None else None
-        if SA.counts().max(initial=0) <= 1:
-            return _operator([_gathered(SA, SB, scale, shift, SC)], window, grid)
-        return _operator(_product_blocks(SA, SB, scale, shift, SC), window, grid)
+        return _operator(_product_blocks(*operands[:2], scale, shift,
+                                         operands[2] if add else None), window, grid)
 
     def principal(self, window: LatticeWindow) -> "OperatorMatrix":
         """The principal sub-section on ``window``, a window of at most this
@@ -527,45 +521,45 @@ def _row_grids(a: np.ndarray, b: np.ndarray, window: LatticeWindow, grid: TorusG
     among them, keep M.  The bound reads the coefficients at their place
     on the section's grid, not their samples on d nodes, where a mode d
     apart looks like one near m0."""
-    slots, C = _factor_modes(a, b, window, grid)
     M = grid.M
-    signed = np.stack([s - M * (s > M // 2) for s in slots])  # (n, modes)
-    # the coefficients' moduli, one row per mode: a few modes are summed
-    # mode by mode, as numpy reduces a short axis slowly
-    s = np.ascontiguousarray(np.abs(a @ C).T)
+    grids, centres = np.full(len(a), M), np.zeros((len(a), grid.n), dtype=int)
     divisors = np.arange(3, M)
     divisors = divisors[M % divisors == 0]
-    if not (len(divisors) and len(s)):  # a prime M, or sigma = 0: every row stays on M
-        return np.full(len(a), M), np.zeros((len(a), grid.n), dtype=int)
-    top, rows = np.argmax(s, axis=0), np.arange(len(a))
-    centres, grids = signed[:, top].T, np.full(len(a), M)
-    with np.errstate(all="ignore"):  # a zero row reads NaN, a far mode overflows q
-        rho = s / s[top, rows]
-        rho[top, rows] = 0
-        offset = (signed[:, :, None] - centres.T[:, None, :]).astype(float)  # (n, modes, rows)
-        dist = np.sum(np.abs(offset), axis=0)
-        q0 = reduce(np.add, rho)
-        # q(h) < 1 needs z above rho_m^(1/|m - m0|) for each m, and a grid of
-        # d nodes at least 2 z^(H+1) within the budget
-        least = reduce(np.maximum, rho ** (1 / np.maximum(dist, 1)))
-        fits = (q0 < 0.5) & (2 * least ** ((divisors[-1] + 1) / 2) <= _ALIASING)
-        # a row of one mode: tau0 is one multiple of e^{-2 pi i m0.x}
-        grids[fits & (least == 0)] = divisors[0]
-        candidates = np.flatnonzero(fits & (least > 0))
-        # when no row reads modes on both sides of m0 along an axis, the
-        # corner of their signs gives q(h), and its exponents are |m - m0|_1
-        live, off = rho[:, candidates] > 0, offset[:, :, candidates]
-        corners = [dist]
-        if np.any(np.any(live & (off > 0), axis=1) & np.any(live & (off < 0), axis=1)):
-            corners = [np.tensordot(c, offset, 1)
-                       for c in itertools.product((-1.0, 1.0), repeat=grid.n)]
-        ladder = np.exp2(-np.arange(9.0))[:, None]  # log of z over its least value
-        for part in _slabs(len(candidates), len(ladder) * len(s)):
-            at = candidates[part]
+    if not len(divisors):  # a prime M: every row stays on M
+        return grids, centres
+    slots, C = _factor_modes(a, b, window, grid)
+    if not C.shape[1]:  # sigma = 0
+        return grids, centres
+    C = np.ascontiguousarray(C)  # a slab's product with the strided C took ms at 18225 modes
+    signed = np.stack([s - M * (s > M // 2) for s in slots]).astype(float)  # (n, modes)
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=grid.n)))
+    ladder = np.exp2(-np.arange(9.0))[:, None]  # log of z over its least value
+    # a slab of rows at a time, of about _BLOCK (mode, row) pairs, and the
+    # ladder only for the rows the budget can fit
+    for part in _slabs(len(a), C.shape[1]):
+        s = np.ascontiguousarray(np.abs(a[part] @ C).T)  # the moduli, one row per mode
+        top, rows = np.argmax(s, axis=0), np.arange(len(s.T))
+        centre = signed[:, top]
+        centres[part] = centre.T
+        with np.errstate(all="ignore"):  # a zero row reads NaN, a far mode overflows q
+            rho = s / s[top, rows]
+            rho[top, rows] = 0
+            offset = signed[:, :, None] - centre[:, None, :]  # (n, modes, rows)
+            q0 = np.sum(rho, axis=0)
+            # q(h) < 1 needs z above rho_m^(1/|m - m0|) for each m, and a grid of
+            # d nodes at least 2 z^(H+1) within the budget
+            least = np.max(rho ** (1 / np.maximum(np.sum(np.abs(offset), axis=0), 1)), axis=0)
+            fits = (q0 < 0.5) & (2 * least ** ((divisors[-1] + 1) / 2) <= _ALIASING)
+            # a row of one mode: tau0 is one multiple of e^{-2 pi i m0.x}
+            grids[part][fits & (least == 0)] = divisors[0]
+            at = np.flatnonzero(fits & (least > 0))
+            if not len(at):
+                continue
             log_z = np.log(least[at]) + ladder  # (ladder, rows)
             weights, power = rho[:, None, at], -log_z
-            q = reduce(np.maximum, [reduce(np.add, weights * np.exp(c[:, None, at] * power))
-                                    for c in corners])
+            # each corner's exponents c.(m - m0), (corners, modes, 1, rows)
+            exponents = np.tensordot(corners, offset[:, :, at], 1)[:, :, None, :]
+            q = np.max([np.sum(weights * np.exp(c * power), axis=0) for c in exponents], axis=0)
             K = (1 - q0[at]) / ((1 - q) * (1 - 2 * q0[at]))
             # the largest 2 z^(H+1) / (1 - z^d) within the budget, and the H it
             # takes: first with 1 - z^d <= 1, which bounds d below, then with
@@ -574,7 +568,7 @@ def _row_grids(a: np.ndarray, b: np.ndarray, window: LatticeWindow, grid: TorusG
             d = 2 * np.ceil(np.log(top_E / 2) / log_z) - 1
             half = np.ceil(np.log(top_E * -np.expm1(d * log_z) / 2) / log_z) - 1
             half = np.min(np.where((q < 1) & (log_z < 0), np.maximum(half, 0), np.inf), axis=0)
-            grids[at] = np.append(divisors, M)[np.searchsorted(divisors, 2 * half + 1)]
+            grids[part][at] = np.append(divisors, M)[np.searchsorted(divisors, 2 * half + 1)]
     return grids, centres
 
 
@@ -718,8 +712,7 @@ def _product_blocks(SA: SparseRows, SB: SparseRows, scale, shift, SC: SparseRows
     largest entry first, so each entry of SA expands a prefix of its row
     of SB.  The terms are then sorted by (k, l), in the order they were
     written within one key, and summed, and each row keeps the sums at or
-    above _ROUNDOFF s_k, the roundoff of a sum of terms as large as s_k
-    (``_row_sums``).
+    above _ROUNDOFF s_k, the roundoff of a sum of terms as large as s_k.
     """
     P = len(SA.indptr) - 1
     rows_a, mag_a = SA.row_ids(), np.abs(scale) * np.abs(SA.data)
@@ -727,6 +720,8 @@ def _product_blocks(SA: SparseRows, SB: SparseRows, scale, shift, SC: SparseRows
     # SB's entries by row, largest first: log2 |b| is finite for a nonzero b
     # and stays within (-1075, 1024), so key j 4096 + 1100 - log2 |b| sorts them
     key = SB.row_ids() * 4096.0 + (1100.0 - np.log2(mag_b))
+    order = key.argsort()
+    key, cols_b, data_b = key[order], SB.indices[order], SB.data[order]
     s = np.maximum(_row_peaks(SA, mag_a * _row_peaks(SB, mag_b)[SA.indices]), abs(shift))
     if SC is not None:
         s = np.maximum(s, _row_peaks(SC, np.abs(SC.data)))
@@ -737,8 +732,6 @@ def _product_blocks(SA: SparseRows, SB: SparseRows, scale, shift, SC: SparseRows
     with np.errstate(divide="ignore", invalid="ignore"):
         reach = SA.indices * 4096.0 + (1100.0 - np.log2(floor[rows_a] / mag_a))
     j = SA.indices
-    order = key.argsort()
-    key, cols_b, data_b = key[order], SB.indices[order], SB.data[order]
     per_entry = np.maximum(np.minimum(key.searchsorted(reach, side="right"), SB.indptr[j + 1])
                            - SB.indptr[j], 0)
     before = np.zeros(len(per_entry) + 1, dtype=np.intp)
@@ -751,88 +744,40 @@ def _product_blocks(SA: SparseRows, SB: SparseRows, scale, shift, SC: SparseRows
         counts, terms = per_entry[e0:e1], int(before[r1] - before[r0])
         # the place in SB's order of each term: entry e of SA expands its row's first counts[e]
         pos = np.arange(terms) + (SB.indptr[j[e0:e1]] - np.cumsum(counts) + counts).repeat(counts)
-        keys, vals = _sums_buffers(terms, shift, SC, r0, r1)
+        extra = []  # (keys, vals) written after the terms: the shift, then SC's entries
+        if shift:
+            extra.append((np.arange(r1 - r0) * (P + 1) + r0, np.full(r1 - r0, shift, dtype=complex)))
+        if SC is not None:
+            c0, c1 = SC.indptr[r0], SC.indptr[r1]
+            local = np.arange(r1 - r0).repeat(SC.indptr[r0 + 1:r1 + 1] - SC.indptr[r0:r1])
+            extra.append((local * P + SC.indices[c0:c1], SC.data[c0:c1]))
+        size = terms + sum(len(k) for k, _ in extra)
+        # the key (k - r0) P + l and the value of each term
+        keys, vals = np.empty(size, dtype=np.intp), np.empty(size, dtype=complex)
         np.add(((rows_a[e0:e1] - r0) * P).repeat(counts), cols_b[pos], out=keys[:terms])
         np.multiply((scale * SA.data[e0:e1]).repeat(counts), data_b[pos], out=vals[:terms])
-        yield _row_sums(keys, vals, terms, shift, SC, s, r0, r1)
+        at = terms
+        for k, v in extra:
+            keys[at:at + len(k)], vals[at:at + len(k)] = k, v
+            at += len(k)
+        # one sort of the keys with each term's place in the low bits, so the
+        # terms of one key stay in the order they were written, then sum runs
+        bits = max(1, size.bit_length())
+        keys <<= bits
+        keys |= np.arange(size)
+        keys.sort()
+        vals = vals[keys & ((1 << bits) - 1)]
+        keys >>= bits
+        if size:
+            heads = np.concatenate([[0], (keys[1:] != keys[:-1]).nonzero()[0] + 1])
+            keys, vals = keys[heads], np.add.reduceat(vals, heads)
+        rows, cols = np.divmod(keys, P)
+        mag = np.abs(vals)
+        if not np.isfinite(mag).all():
+            raise ValueError(NON_FINITE_ENTRIES)
+        keep = ((mag >= _ROUNDOFF * s[rows + r0]) & (mag > 0)).nonzero()[0]
+        yield rows[keep] + r0, cols[keep], vals[keep]
         r0 = r1
-
-
-def _gathered(SA: SparseRows, SB: SparseRows, scale, shift, SC: SparseRows):
-    """``_product_blocks`` of an SA of at most one entry per row, in one
-    block: row k of the product is its entry's row of SB, scaled, plus the
-    shift and SC's row, so the terms are gathered with no sort of SB.  The
-    scales, the floor each term is read against and the sums are
-    ``_product_blocks``' own, in the same arithmetic, so the kept entries
-    are the same bit for bit."""
-    P = len(SA.indptr) - 1
-    rows, j = np.flatnonzero(SA.counts()), SA.indices
-    mag_a, mag_b = np.abs(scale) * np.abs(SA.data), np.abs(SB.data)
-    entry = np.arange(len(j))
-    if len(mag_b) == P and np.array_equal(SB.indptr, np.arange(P + 1)):  # one entry per row
-        peak_b, pos = mag_b, j
-    else:
-        peak_b, counts = _row_peaks(SB, mag_b), SB.indptr[j + 1] - SB.indptr[j]
-        entry = entry.repeat(counts)
-        pos = np.arange(len(entry)) + (SB.indptr[j] - np.cumsum(counts) + counts).repeat(counts)
-    s = np.full(P, abs(shift), dtype=float)
-    s[rows] = np.maximum(mag_a * peak_b[j], abs(shift))
-    if SC is not None:
-        s = np.maximum(s, _row_peaks(SC, np.abs(SC.data)))
-    if not np.isfinite(s).all():
-        raise ValueError(NON_FINITE_ENTRIES)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        reach = j * 4096.0 + (1100.0 - np.log2(_ROUNDOFF * s[rows] / mag_a))
-    on = (j[entry] * 4096.0 + (1100.0 - np.log2(mag_b[pos])) <= reach[entry]).nonzero()[0]
-    pos, entry = pos[on], entry[on]
-    keys, vals = _sums_buffers(len(on), shift, SC, 0, P)
-    np.add(rows[entry] * P, SB.indices[pos], out=keys[:len(on)])
-    np.multiply(scale * SA.data[entry], SB.data[pos], out=vals[:len(on)])
-    return _row_sums(keys, vals, len(on), shift, SC, s, 0, P)
-
-
-def _sums_buffers(terms: int, shift, SC: SparseRows, r0: int, r1: int):
-    """Empty (keys, vals) for ``terms`` product terms of rows r0..r1-1 and,
-    after them, the shift's and SC's entries (``_row_sums``)."""
-    size = terms + (r1 - r0 if shift else 0) + (0 if SC is None else SC.indptr[r1] - SC.indptr[r0])
-    return np.empty(size, dtype=np.intp), np.empty(size, dtype=complex)
-
-
-def _row_sums(keys: np.ndarray, vals: np.ndarray, terms: int, shift, SC: SparseRows,
-              s: np.ndarray, r0: int, r1: int):
-    """The kept entries (rows, cols, vals), sorted by row and column, of
-    rows r0..r1-1 of a product (``_product_blocks``): the first ``terms``
-    of ``vals`` at the keys (k - r0) P + l, then the shift on the
-    diagonal, then SC's entries, which this writes after them
-    (``_sums_buffers``), summed by key in that order and kept at or above
-    _ROUNDOFF times their row's scale s."""
-    P, at = len(s), terms
-    if shift:
-        keys[at:at + r1 - r0] = np.arange(r1 - r0) * (P + 1) + r0
-        vals[at:at + r1 - r0] = shift
-        at += r1 - r0
-    if SC is not None:
-        c0, c1 = SC.indptr[r0], SC.indptr[r1]
-        local = np.arange(r1 - r0).repeat(SC.indptr[r0 + 1:r1 + 1] - SC.indptr[r0:r1])
-        keys[at:], vals[at:] = local * P + SC.indices[c0:c1], SC.data[c0:c1]
-    size = len(keys)
-    # one sort of the keys with each term's place in the low bits, so the
-    # terms of one key stay in the order they were written, then sum runs
-    bits = max(1, size.bit_length())
-    keys <<= bits
-    keys |= np.arange(size)
-    keys.sort()
-    vals = vals[keys & ((1 << bits) - 1)]
-    keys >>= bits
-    if size:
-        heads = np.concatenate([[0], (keys[1:] != keys[:-1]).nonzero()[0] + 1])
-        keys, vals = keys[heads], np.add.reduceat(vals, heads)
-    rows, cols = np.divmod(keys, P)
-    mag = np.abs(vals)
-    if not np.isfinite(mag).all():
-        raise ValueError(NON_FINITE_ENTRIES)
-    keep = ((mag >= _ROUNDOFF * s[rows + r0]) & (mag > 0)).nonzero()[0]
-    return rows[keep] + r0, cols[keep], vals[keep]
 
 
 def _too_full(count: int, P: int) -> bool:

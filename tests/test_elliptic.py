@@ -704,6 +704,27 @@ def test_a_row_near_a_zero_or_of_no_dominant_mode_keeps_the_full_grid(text):
     assert np.all(quantization._row_grids(*sigma._terms(w, g), w, g)[0] == 525)
 
 
+def test_the_row_grid_bound_streams_a_many_mode_factor():
+    # |sin| has coefficients decaying like m^-2, so the x-factor keeps all
+    # 55^2 modes and no row of tau0 fits a sub-grid; the bound reads the
+    # rows a slab at a time and never forms a (rows, modes) array
+    sigma = parse_symbol("2 + abs(sin(twopi*x1))*abs(sin(twopi*x2))/(1+k1^2+k2^2)", 2, order=0)
+    w = LatticeWindow(2, 24)
+    g = index_grid(w)
+    a, b = sigma._terms(w, g)
+    a = np.unique(a, axis=0)  # the distinct rows, as the parametrix reads them
+    bound = 16 * _BLOCK * 16
+    assert bound < len(a) * quantization._factor_modes(a, b, w, g)[1].shape[1] * 16
+    tracemalloc.start()
+    try:
+        grids = quantization._row_grids(a, b, w, g)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    assert np.all(grids == g.M)
+
+
 def test_the_perturbed_jump_transforms_each_row_once_on_its_own_grid(monkeypatch):
     # at n=1 N=256 on 525 nodes, the 513 distinct rows of tau0 are each
     # transformed once, on 6837 samples in all: under 5 % of the 513 * 525

@@ -33,8 +33,6 @@ from latticeops.quantization import (
     _ROUNDOFF,
     OperatorMatrix,
     SparseRows,
-    _gathered,
-    _product_blocks,
     _too_full,
     assemble_toroidal_matrix,
 )
@@ -651,46 +649,6 @@ def test_sparse_form_matches_dense_numpy(data):
     assert np.all(np.abs(A.symbol_row_maxima() - np.max(np.abs(values), axis=1)) <= 1e-12 * rows[:, 0])
     assert np.array_equal(A.symbol_row_maxima() == 0, ~D1.any(axis=1))
     assert A._entries is None  # none of these densified the sparse form
-
-
-# entry values whose products and sums cancel exactly or land on the floor:
-# a term 1e-15 beside a shift of 1 is exactly _ROUNDOFF of its row's scale
-_EXACT = [1.0, -1.0, 1j, 0.5, 2 - 1j, _ROUNDOFF, -_ROUNDOFF, 1e-30, 7e7]
-
-
-def _drawn_rows(data, P, most):
-    """Sparse rows of 0..most entries each (1 or 0 when most is 1), from
-    ``_EXACT``, stored in no set column order within a row."""
-    counts = data.draw(st.lists(st.integers(0, most), min_size=P, max_size=P))
-    cols, vals = [], []
-    for count in counts:
-        cols += data.draw(st.permutations(range(P)))[:count]
-        vals += data.draw(st.lists(st.sampled_from(_EXACT), min_size=count, max_size=count))
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-    return SparseRows(indptr, np.array(cols, dtype=np.intp), np.array(vals, dtype=complex))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_gathered_products_are_the_expanded_ones_bit_for_bit(data):
-    # a left operand of at most one entry per row, empty rows among them;
-    # right rows of several entries; a shift and an added section; values
-    # whose sums cancel to 0 and terms exactly at the floor
-    w = LatticeWindow(1, data.draw(st.integers(1, 4)))
-    g, P = default_grid(w), w.size
-    SA, SB = _drawn_rows(data, P, 1), _drawn_rows(data, P, min(P, 4))
-    SC = _drawn_rows(data, P, 2) if data.draw(st.booleans()) else None
-    scale = data.draw(st.sampled_from([1.0, -1.0, 0.5 - 2j]))
-    shift = data.draw(st.sampled_from([0.0, 1.0, -1.0, 0.5]))
-    want = [np.concatenate(x) for x in zip(*_product_blocks(SA, SB, scale, shift, SC))]
-    got = _gathered(SA, SB, scale, shift, SC)
-    assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(got, want))
-    # the same through OperatorMatrix.product, which takes the gathered route
-    A, B = (OperatorMatrix.from_sparse(S, w, g) for S in (SA, SB))
-    C = None if SC is None else OperatorMatrix.from_sparse(SC, w, g)
-    E = np.zeros((P, P), dtype=complex)
-    E[want[0], want[1]] = want[2]
-    assert np.array_equal(A.product(B, scale=scale, shift=shift, add=C).entries, E)
 
 
 # pieces that do not split into k-only times x-only factors
