@@ -20,20 +20,16 @@ the boundary margin and are discarded.  Route two evaluates the trace
 formula on the parametrix residuals, with an explicit bound on the
 off-window tail before an integer verdict is allowed.
 
-``svd_index`` and ``full_index_report`` share one index run
-(``_index_run``), which pays once for what every window needs.  Every
-window shares one grid, the largest window's ``index_grid``, and sigma
-is evaluated once, at the largest window: when it splits, each window's
-section is gathered from those factors, its own rows kept against their
-in-window peaks (``quantization._factor_sections``).  The sparse sections
-are stacked block-diagonally and decided in one pass (``_evidence``): one
-split into blocks, one values-only SVD per block size across all the
-split windows, and one null-basis pass, each block read against its own
-window's s_max.  One parametrix is built, at the largest window: the
-trace route reads it there, and each smaller one-block section reads its
-restriction (``Parametrix.restricted``), so tau0 is sampled and
-transformed once.  ``svd_index`` builds it only when a section of one
-block needs it.
+Every entry point makes one index run per call (``_index_run``).  Every
+window shares the largest window's ``index_grid``; sigma is evaluated
+once, at the largest window, and when it splits each window's section is
+gathered from those factors (``quantization._factor_sections``).  One
+parametrix is built there, reading its section, and a smaller window
+reads its restriction (``Parametrix.restricted``), so tau0 is sampled
+and transformed once.  ``_evidence`` decides the sparse sections in one
+stacked pass, each block read against its own window's s_max, and a
+section of one block from the defects of its parametrix;
+``atkinson_check`` counts each window's defect values on its restriction.
 """
 
 from __future__ import annotations
@@ -84,13 +80,15 @@ def _interior(window: LatticeWindow) -> np.ndarray:
     return window.interior_mask(interior_margin(window))
 
 
-def _sections(windows, n: int):
-    """Each distinct window of half-width in ``windows``, smallest first,
-    with the one grid they all share, the largest window's ``index_grid``."""
+def _sections(windows, n: int) -> list:
+    """(window, grid) of each distinct window of half-width in
+    ``windows``, smallest first, with the one grid they all share, the
+    largest window's ``index_grid``.  Refuses an empty list."""
     Ns = sorted(set(windows))
+    if not Ns:
+        raise ValueError("need at least one window")
     grid = index_grid(LatticeWindow(n, Ns[-1]))
-    for N in Ns:
-        yield LatticeWindow(n, N), grid
+    return [(LatticeWindow(n, N), grid) for N in Ns]
 
 
 @dataclass
@@ -361,31 +359,31 @@ def _split_evidence(sections: list):
     return shape, {held[j]: f for j, f in found.items()}
 
 
+def _reading(par, A):
+    """The parametrix of section A: par itself when A is its section, else
+    its restriction to A, which may raise EllipticityError."""
+    return par if A is par.sigma_matrix else par.restricted(A, 0.0)
+
+
 def _evidence(sections: list, par) -> list:
     """The ``WindowEvidence`` of each section, in order, and the route
-    that decided it.  ``par()`` gives the J-step parametrix of sigma on
-    the run's largest window and on the sections' grid, or None when sigma
-    is not certified elliptic there; it is called only when a section is
-    of one block.
+    that decided it.  par is the J-step parametrix of sigma on the run's
+    largest window and on the sections' grid, or None when sigma is not
+    certified elliptic there.
 
     Every section of several blocks is decided in one stacked pass
     (``_split_evidence``): "blocks".  A section of one block is decided
-    from the defects of a parametrix that reads it (``_defect_evidence``:
-    "certified" or "deflated"): par itself when the section is its A, else
-    par restricted to it (``Parametrix.restricted``, so sigma is not
-    sampled again).  Its dense SVD decides when there is no such
-    parametrix, when sigma is not certified elliptic on its window or when
-    the defects do not decide ("dense")."""
+    from the defects of the parametrix that reads it (``_reading``,
+    ``_defect_evidence``: "certified" or "deflated").  Its dense SVD
+    decides when there is no such parametrix, when sigma is not certified
+    elliptic on its window or when the defects do not decide ("dense")."""
     shape, found = _split_evidence(sections)
     evidence = []
     for i, A in enumerate(sections):
         if i not in found:
-            largest = par()
-            if largest is not None:
+            if par is not None:
                 try:
-                    own = largest.sigma_matrix is A
-                    found[i] = _defect_evidence(largest if own else largest.restricted(A, 0.0),
-                                                _interior(A.window))
+                    found[i] = _defect_evidence(_reading(par, A), _interior(A.window))
                 except EllipticityError:
                     pass
             found[i] = found.get(i) or _dense_evidence(A)
@@ -414,55 +412,44 @@ def _stabilized(evidence: list) -> IndexReport:
     )
 
 
-def _index_run(sigma: Symbol, windows, n: int, J: int, eager: bool):
-    """(evidence, par): the ``WindowEvidence`` of each distinct window,
-    smallest first, on the largest window's ``index_grid``
-    (``_evidence``), and the J-step parametrix of sigma on the largest
-    window, or None.  sigma is evaluated once: when it splits, every
-    window's section is gathered from its factors on the largest window
-    (``quantization._factor_sections``), and the parametrix reads the
-    largest one's; when it does not, each smaller window streams its
-    samples (``assemble_matrix``).  ``eager`` builds the parametrix first
-    and raises EllipticityError when sigma is not certified elliptic;
-    otherwise it is built when the first section of one block needs it."""
-    sections = list(_sections(windows, n))
+def _index_run(sigma: Symbol, windows, n: int, J: int):
+    """(sections, par): the section of sigma on each distinct window,
+    smallest first, on the largest window's ``index_grid``, and the J-step
+    parametrix of sigma on the largest window, which reads the largest
+    section.  sigma is evaluated once: when it splits, every window's
+    section is gathered from its factors on the largest window
+    (``quantization._factor_sections``); when it does not, the parametrix
+    streams the largest section and each smaller window streams its
+    samples (``assemble_matrix``).  Raises EllipticityError when sigma is
+    not certified elliptic on the largest window."""
+    sections = _sections(windows, n)
     largest, grid = sections[-1]
     terms = sigma._terms(largest, grid)
-    built = []
     if terms is not None:
         As = _factor_sections(*terms, [w for w, _ in sections], grid)
-    else:
-        if eager:
-            built.append(_parametrix(sigma, None, 0.0, J, largest, grid))
-        As = [assemble_matrix(sigma, w, grid) for w, _ in sections[:-1]]
-        As.append(built[0].sigma_matrix if built else assemble_matrix(sigma, largest, grid))
-    if eager and not built:
-        built.append(_parametrix(sigma, terms, 0.0, J, largest, grid, As[-1]))
-
-    def par():
-        if not built:
-            try:
-                built.append(_parametrix(sigma, terms, 0.0, J, largest, grid, As[-1]))
-            except EllipticityError:
-                built.append(None)
-        return built[0]
-
-    return _evidence(As, par), (built[0] if built else None)
+        return As, _parametrix(sigma, terms, 0.0, J, largest, grid, As[-1])
+    par = _parametrix(sigma, None, 0.0, J, largest, grid)
+    return [assemble_matrix(sigma, w, grid) for w, _ in sections[:-1]] + [par.sigma_matrix], par
 
 
 def svd_index(sigma: Symbol, windows, n: int = 1) -> IndexReport:
     """Kernel/cokernel counts across the distinct windows, smallest first,
-    on the largest window's ``index_grid`` (``_index_run``).  The
-    three-step parametrix of sigma on the largest window is built only
-    when some section is of one block, and it reads the largest window's
-    section.
+    on the largest window's ``index_grid``, from one index run
+    (``_index_run``) with the three-step parametrix of sigma on the
+    largest window.  When sigma is not certified elliptic there, each
+    window's section is streamed (``assemble_matrix``) and decided with no
+    parametrix.
 
     Stabilized when the last two windows agree on both counts and both
     show a 100x gap between null and non-null singular values; otherwise,
     and with fewer than two distinct windows, the verdict is left unstable
     (None), never an exception.
     """
-    return _stabilized(_index_run(sigma, windows, n, 3, eager=False)[0])
+    try:
+        sections, par = _index_run(sigma, windows, n, 3)
+    except EllipticityError:
+        sections, par = [assemble_matrix(sigma, w, g) for w, g in _sections(windows, n)], None
+    return _stabilized(_evidence(sections, par))
 
 
 @dataclass
@@ -532,8 +519,8 @@ def full_index_report(sigma: Symbol, windows, n: int = 1, J: int = 3) -> IndexRe
     restriction of the one J-step parametrix, so J applies at every
     window.  Raises EllipticityError when sigma is not certified
     elliptic on the largest window."""
-    evidence, par = _index_run(sigma, windows, n, J, eager=True)
-    report = _stabilized(evidence)
+    sections, par = _index_run(sigma, windows, n, J)
+    report = _stabilized(_evidence(sections, par))
     tr = _trace(par, par.sigma_matrix.window)
     report.trace_index_raw = tr.trace_index_raw
     report.trace_index = tr.trace_index
@@ -561,15 +548,19 @@ def atkinson_check(sigma: Symbol, windows, n: int = 1) -> AtkinsonReport:
     The count of singular values above SV_THRESHOLD must not grow with
     the section size; bounded means the largest of the distinct windows
     adds at most two over the smallest.  One window shows no growth
-    either way, so bounded is then None.
+    either way, so bounded is then None.  One index run (``_index_run``)
+    builds the parametrix at the largest window, and each window's counts
+    read its restriction (``_reading``); raises EllipticityError when
+    sigma is not certified elliptic on some window.
     """
+    sections, par = _index_run(sigma, windows, n, 2)
     Ns, lc, rc, sizes = [], [], [], []
-    for window, grid in _sections(windows, n):
-        par = parametrix(sigma, 0.0, 2, window, grid)
-        Ns.append(window.N)
-        lc.append(int(np.sum(par.left_defect.singular_values() > SV_THRESHOLD)))
-        rc.append(int(np.sum(par.right_defect.singular_values() > SV_THRESHOLD)))
-        sizes.append(window.size)
+    for A in sections:
+        on = _reading(par, A)
+        Ns.append(A.window.N)
+        lc.append(int(np.sum(on.left_defect.singular_values() > SV_THRESHOLD)))
+        rc.append(int(np.sum(on.right_defect.singular_values() > SV_THRESHOLD)))
+        sizes.append(A.window.size)
     bounded = (lc[-1] <= lc[0] + 2 and rc[-1] <= rc[0] + 2) if len(Ns) >= 2 else None
     return AtkinsonReport(Ns, lc, rc, sizes, bounded)
 
@@ -587,18 +578,19 @@ class ProbeReport:
 
 
 def fredholm_ellipticity_probe(sigma: Symbol, windows, n: int = 1) -> ProbeReport:
-    """Two-sided diagnostic; reports and never raises.
+    """Two-sided diagnostic; reports for any symbol, and raises only on an
+    empty window list.
 
     Elliptic branch: the parametrix defects must pass the compactness
     surrogate.  Non-elliptic branch: the near-kernel (singular values
     below SV_THRESHOLD) must grow with the window.  Either way, fewer
     than two distinct windows give no verdict (consistent is None).
     """
-    windows = sorted(set(windows))
-    window = LatticeWindow(n, windows[-1])
+    sections = _sections(windows, n)
+    windows = [w.N for w, _ in sections]
     # Fredholmness on l^2 is a statement about order-0 behavior, so the
     # certificate is always taken at m = 0 regardless of declared order.
-    rep = check_ellipticity(sigma, 0.0, window, index_grid(window))
+    rep = check_ellipticity(sigma, 0.0, *sections[-1])
     if rep.elliptic:
         try:
             atk = atkinson_check(sigma, windows, n=n)
@@ -607,7 +599,7 @@ def fredholm_ellipticity_probe(sigma: Symbol, windows, n: int = 1) -> ProbeRepor
         return ProbeReport(True, rep, atkinson=atk, windows=windows,
                            consistent=atk.bounded)
     counts = [int(np.sum(assemble_matrix(sigma, w, g).singular_values() < SV_THRESHOLD))
-              for w, g in _sections(windows, n)]
+              for w, g in sections]
     growing = all(b > a for a, b in zip(counts, counts[1:])) if len(counts) >= 2 else None
     return ProbeReport(False, rep, near_kernel_counts=counts, windows=windows,
                        consistent=growing)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import latticeops as lo
+from latticeops.fredholm import _evidence
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -69,12 +70,16 @@ def test_index_pool_runs_no_p_by_p_svd_or_solve_on_one_block_sections(svd_shapes
 @pytest.mark.parametrize("size", ["tiny", "full"])
 def test_index_pool_shares_one_parametrix_with_the_direct_evidence(size, same_evidence):
     # full_index_report restricts the largest window's parametrix to each
-    # smaller one; svd_index builds each window's own on the same grid
+    # smaller one; the oracle is a three-step parametrix built directly on
+    # each window, on the same grid
     wl = workloads.IndexN1(7, size)
+    windows = [lo.LatticeWindow(1, N) for N in wl.windows]
+    grid = lo.index_grid(windows[-1])
     for label, sigma, want in wl.pool:
         if want is not None:
-            same_evidence(lo.full_index_report(sigma, wl.windows).gap_evidence,
-                          lo.svd_index(sigma, wl.windows).gap_evidence)
+            direct = [_evidence([lo.assemble_matrix(sigma, w, grid)],
+                                lo.parametrix(sigma, 0.0, 3, w, grid))[0] for w in windows]
+            same_evidence(lo.full_index_report(sigma, wl.windows).gap_evidence, direct)
 
 
 def test_index_pool_runs_no_solve(solve_shapes):

@@ -250,6 +250,47 @@ def test_atkinson_jump():
     assert rep.bounded
 
 
+def _per_window_atkinson(sigma, windows):
+    """The Atkinson counts of a two-step parametrix built on each distinct
+    window, on the largest window's index grid."""
+    grid = index_grid(LatticeWindow(1, max(windows)))
+    left, right = [], []
+    for N in sorted(set(windows)):
+        par = parametrix(sigma, 0.0, 2, LatticeWindow(1, N), grid)
+        left.append(int(np.sum(par.left_defect.singular_values() > SV_THRESHOLD)))
+        right.append(int(np.sum(par.right_defect.singular_values() > SV_THRESHOLD)))
+    return left, right
+
+
+ATKINSON_SYMBOLS = [
+    *(pytest.param(shipped_symbol(name), id=name)
+      for name in ["constant", "bessel2", "jump_plus", "jump_minus", "perturbed_bessel"]),
+    *(pytest.param(parse_symbol(PERTURBED_JUMP.replace("0.15", c), 1, order=0),
+                   id=f"perturbed-jump-{c}") for c in ["0.15", "0.3"])]
+
+
+@pytest.mark.parametrize("windows", [[8, 16, 32], [16, 24, 32]], ids=str)
+@pytest.mark.parametrize("sigma", ATKINSON_SYMBOLS)
+def test_atkinson_and_svd_index_build_one_parametrix_per_call(sigma, windows, monkeypatch):
+    # the largest window's parametrix, whose restriction each smaller
+    # window reads, gives the counts of one built on every window
+    want = _per_window_atkinson(sigma, windows)
+    made, original = [], elliptic._parametrix
+
+    def making(sigma, terms, m, J, window, grid, A=None):
+        made.append((J, window.N))
+        return original(sigma, terms, m, J, window, grid, A)
+
+    monkeypatch.setattr(elliptic, "_parametrix", making)
+    monkeypatch.setattr(fredholm, "_parametrix", making)
+    rep = atkinson_check(sigma, windows, n=1)
+    assert made == [(2, 32)]
+    assert (rep.left_counts, rep.right_counts) == want
+    made.clear()
+    svd_index(sigma, windows, n=1)
+    assert made == [(3, 32)]
+
+
 def test_svd_index_needs_two_distinct_windows():
     rep = svd_index(jump_symbol(+1), [16, 16], n=1)
     assert rep.windows == [16]
@@ -275,6 +316,31 @@ def test_probe_needs_two_distinct_windows(sigma):
     rep = fredholm_ellipticity_probe(sigma, [32, 32], n=1)
     assert rep.windows == [32]
     assert rep.consistent is None
+
+
+@pytest.mark.parametrize("entry", [full_index_report, svd_index, atkinson_check,
+                                   fredholm_ellipticity_probe], ids=lambda f: f.__name__)
+def test_an_empty_window_list_is_refused(entry):
+    with pytest.raises(ValueError, match="at least one window"):
+        entry(jump_symbol(+1), [], n=1)
+
+
+@pytest.mark.parametrize("smallest,consistent", [(6, False), (7, True)])
+def test_a_probe_refused_on_a_smaller_window_is_inconsistent(smallest, consistent):
+    # |sigma| dips to 0.05 at k1 = 6: certified elliptic on N = 32, but on
+    # N = 6 the dip lies on the outermost shell, which the certificate reads
+    # as decay, so the Atkinson check is refused there
+    sigma = parse_symbol("1 - 0.95/(1+(k1-6)^2)", 1, order=0)
+    rep = fredholm_ellipticity_probe(sigma, [smallest, 32], n=1)
+    assert rep.elliptic is True and rep.consistent is consistent
+    assert (rep.atkinson is None) is not consistent
+
+
+def test_a_probe_certified_on_every_window_reads_the_restricted_defects():
+    sigma = parse_symbol("(1 - 0.99*exp(-(abs(k1)-6)^2))*(2+exp(i*twopi*x1))", 1, order=0)
+    rep = fredholm_ellipticity_probe(sigma, [7, 32], n=1)
+    assert (rep.elliptic, rep.consistent) == (True, True)
+    assert (rep.atkinson.left_counts, rep.atkinson.right_counts) == ([3, 4], [3, 4])
 
 
 def test_probe_nests_its_reports():
@@ -560,7 +626,7 @@ def test_the_stacked_pass_matches_a_per_window_dense_oracle(cases):
     # roundings from the oracle's
     sections = [OperatorMatrix.from_sparse(_sparse_of(D), LatticeWindow(1, N),
                                            index_grid(LatticeWindow(1, N))) for D, N in cases]
-    evidence = _evidence(sections, lambda: None)
+    evidence = _evidence(sections, None)
     for e, (D, N) in zip(evidence, cases):
         raw, ker, coker, gap, count, largest = _per_block_oracle(D, N)
         assert (e.N, e.raw_null_count, e.dim_ker, e.dim_coker) == (N, raw, ker, coker)
@@ -843,8 +909,7 @@ def test_a_restricted_parametrix_gives_the_evidence_of_a_direct_one(case, step, 
     sigma, n, N = case
     windows = [N, N + step]
     grid = index_grid(LatticeWindow(n, windows[-1]))
-    direct = [_evidence([assemble_matrix(sigma, w, grid)],
-                        lambda: parametrix(sigma, 0.0, 3, w, grid))[0]
+    direct = [_evidence([assemble_matrix(sigma, w, grid)], parametrix(sigma, 0.0, 3, w, grid))[0]
               for w in (LatticeWindow(n, M) for M in windows)]
     same_evidence(full_index_report(sigma, windows, n=n).gap_evidence, direct)
     same_evidence(svd_index(sigma, windows, n=n).gap_evidence, direct)
